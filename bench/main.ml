@@ -789,7 +789,7 @@ let f2 () =
       done;
       let dt = (Obs.Clock.now_s () -. t0) /. float_of_int reps *. 1e3 in
       Printf.printf "  %-14d %10d %12.3f\n%!" ops (History.length h) dt)
-    [ 4; 8; 12; 16; 24; 32 ]
+    [ 4; 8; 12; 16; 24; 32; 64; 128; 256 ]
 
 (* {1 F3: CAS helping-matrix recovery scan vs N (ablation)} *)
 

@@ -51,17 +51,18 @@ let by_object (h : t) o : t =
   done;
   Array.of_list !out
 
-(** [H|<p,O>]: all steps on object [o] by process [p]. *)
-let proj (h : t) p o =
-  filter
-    (fun s ->
-      Step.pid s = p
-      &&
-      match s with
-      | Step.Inv { opref; _ } | Step.Res { opref; _ } -> opref.Step.obj = o
-      | Step.Crash { crashed = Some (opref, _); _ } -> opref.Step.obj = o
-      | Step.Crash { crashed = None; _ } | Step.Rec _ -> false)
-    h
+(** Bucket the steps of [h] by [key] in one pass, keeping history order
+    within a bucket and dropping steps keyed [None]; the returned lookup
+    maps an absent key to the empty history. *)
+let group_by key (h : t) =
+  let tbl = Hashtbl.create 16 in
+  for i = Array.length h - 1 downto 0 do
+    match key h.(i) with
+    | Some k ->
+      Hashtbl.replace tbl k (h.(i) :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+    | None -> ()
+  done;
+  fun k -> match Hashtbl.find_opt tbl k with Some l -> Array.of_list l | None -> [||]
 
 (** [N(H)]: the history obtained by removing all crash and recovery steps. *)
 let n_of (h : t) : t =
@@ -103,17 +104,19 @@ type op_record = {
 }
 
 (** Extract operation records (completed and pending) from a history,
-    ignoring crash/recovery steps.  Records are ordered by invocation. *)
+    ignoring crash/recovery steps.  Records are ordered by invocation.
+    Each invocation gets one mutable cell, which its response (the next
+    [Res] with the same call id) fills in place, so the pass is linear. *)
 let ops_of (h : t) : op_record list =
   let open Step in
-  let pending : (int, op_record) Hashtbl.t = Hashtbl.create 16 in
+  let pending : (int, op_record ref) Hashtbl.t = Hashtbl.create 16 in
   let out = ref [] in
   Array.iteri
     (fun i s ->
       match s with
       | Inv { pid; opref; args; call_id } ->
         let r =
-          { pid; opref; args; ret = None; inv_pos = i; res_pos = None; call_id }
+          ref { pid; opref; args; ret = None; inv_pos = i; res_pos = None; call_id }
         in
         Hashtbl.replace pending call_id r;
         out := r :: !out
@@ -122,11 +125,10 @@ let ops_of (h : t) : op_record list =
         | None -> ()
         | Some r ->
           Hashtbl.remove pending call_id;
-          let r' = { r with ret = Some ret; res_pos = Some i } in
-          out := List.map (fun x -> if x.call_id = call_id then r' else x) !out)
+          r := { !r with ret = Some ret; res_pos = Some i })
       | Crash _ | Rec _ -> ())
     h;
-  List.rev !out
+  List.rev_map ( ! ) !out
 
 (** [happens_before a b] per the paper: [a]'s response step precedes [b]'s
     invocation step. *)
@@ -174,29 +176,32 @@ module Wellformed = struct
 
   (* Requirement (2) of crash-free well-formedness: per process, matched
      invocation/response pairs are properly nested: if i1 < i2 < r1 then
-     r2 < r1. *)
+     r2 < r1.  One pass over p's completed operations in invocation
+     order, with the operations still open at the current invocation on
+     a stack, each paired with its response position.  Until a violation
+     is found, every pushed operation responds before all operations
+     below it, so the stack's top responds first: the operations closed
+     by the current invocation are a top segment, and an operation that
+     responds after some open operation responds after the top one.
+     Operations that never respond (left pending by a crash) are
+     exempt. *)
   let check_nesting ~p (h : t) =
-    let ops =
-      List.filter (fun (r : op_record) -> r.pid = p && r.res_pos <> None) (ops_of h)
+    let rec go stack = function
+      | [] -> Ok
+      | (b : op_record) :: rest -> (
+        let r2 = Option.get b.res_pos in
+        let rec close = function
+          | (_, r1) :: below when r1 < b.inv_pos -> close below
+          | stack -> stack
+        in
+        match close stack with
+        | (a, r1) :: _ when r2 >= r1 ->
+          Violation
+            (Fmt.str "p%d: operation %s (#%d) invoked inside %s (#%d) responds after it" p
+               b.opref.Step.op b.call_id a.opref.Step.op a.call_id)
+        | stack -> go ((b, r2) :: stack) rest)
     in
-    let bad = ref None in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            if a.call_id <> b.call_id && !bad = None then
-              match a.res_pos, b.res_pos with
-              | Some r1, Some r2 ->
-                if a.inv_pos < b.inv_pos && b.inv_pos < r1 && not (r2 < r1) then
-                  bad :=
-                    Some
-                      (Fmt.str
-                         "p%d: operation %s (#%d) invoked inside %s (#%d) responds after it"
-                         p b.opref.Step.op b.call_id a.opref.Step.op a.call_id)
-              | _ -> ())
-          ops)
-      ops;
-    match !bad with Some m -> Violation m | None -> Ok
+    go [] (List.filter (fun (r : op_record) -> r.pid = p && r.res_pos <> None) (ops_of h))
 
   (* Also require that a pending inner operation blocks the outer from
      responding: if i1 < i2, op2 pending, then op1 must be pending too.
@@ -209,12 +214,20 @@ module Wellformed = struct
     if not (is_crash_free h) then
       Violation "history contains crash/recovery steps (use recoverable well-formedness)"
     else
+      let on_pair =
+        group_by
+          (function
+            | Step.Inv { pid; opref; _ } | Step.Res { pid; opref; _ } ->
+              Some (opref.Step.obj, pid)
+            | Step.Crash _ | Step.Rec _ -> None)
+          h
+      and on_proc = group_by (fun s -> Some (Step.pid s)) h
+      and procs = procs h in
       let results =
         List.concat_map
-          (fun o ->
-            List.map (fun p -> check_alternating ~p ~o (proj h p o)) (procs h))
+          (fun o -> List.map (fun p -> check_alternating ~p ~o (on_pair (o, p))) procs)
           (objects h)
-        @ List.map (fun p -> check_nesting ~p (by_proc h p)) (procs h)
+        @ List.map (fun p -> check_nesting ~p (on_proc p)) procs
       in
       match List.find_opt (fun r -> not (is_ok r)) results with
       | Some v -> v
@@ -225,12 +238,13 @@ module Wellformed = struct
       recovery step; (2) [N(H)] is well-formed. *)
   let check_recoverable_well_formed (h : t) =
     let open Step in
+    let on_proc = group_by (fun s -> Some (Step.pid s)) h in
     let crash_rule =
       List.fold_left
         (fun acc p ->
           if not (is_ok acc) then acc
           else begin
-            let hp = by_proc h p in
+            let hp = on_proc p in
             let n = Array.length hp in
             let bad = ref None in
             Array.iteri

@@ -19,8 +19,10 @@ val by_object : t -> int -> t
 (** [H|O]: invoke/response steps on [O], crash steps whose crashed
     operation is on [O], and their matching recovery steps. *)
 
-val proj : t -> int -> int -> t
-(** [H|<p,O>]: all steps on object [O] by process [p]. *)
+val group_by : (Step.t -> 'k option) -> t -> 'k -> t
+(** [group_by key h] buckets [h]'s steps by [key] in one pass, keeping
+    history order within a bucket and dropping steps keyed [None], and
+    returns the lookup; an absent key maps to the empty history. *)
 
 val n_of : t -> t
 (** [N(H)]: the history with all crash and recovery steps removed. *)
@@ -67,7 +69,10 @@ module Wellformed : sig
 
   val check_nesting : p:int -> t -> result
   (** Requirement (2): matched pairs of one process are properly nested
-      (if [i1 < i2 < r1] then [r2 < r1]). *)
+      (if [i1 < i2 < r1] then [r2 < r1]).  Operations that never respond
+      are exempt.  One pass over [p]'s operations; on a violation the
+      message names the responding-late operation and the inner-most
+      operation it was invoked inside. *)
 
   val check_well_formed : t -> result
   (** Crash-free well-formedness: every [H|O] well-formed, plus the

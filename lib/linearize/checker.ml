@@ -49,29 +49,40 @@ module Memo = Hashtbl.Make (Memo_key)
     [memo] (default true) enables Lowe-style memoisation of visited
     (linearized-set, spec-state) pairs; the verdict is identical with it
     off, only slower — the switch exists so tests can cross-check the
-    memoised search against the plain one. *)
+    memoised search against the plain one.
+
+    Each search node scans a window of [ops] rather than all of them.
+    [ops] is in invocation order, and [go] carries [lo], the lowest index
+    of a completed operation not yet linearized.  Below [lo] only
+    never-responding operations can still be unlinearized, and they are
+    all candidates, since they were invoked before every remaining
+    response.  From [lo] up, an operation invoked at or after the current
+    minimum response cannot lower it, nor be a candidate, so both the
+    real-time frontier and the candidates come from scanning [lo] up to
+    the first invocation at or past the frontier.  Candidates are tried
+    in ascending index order, as a scan of all of [ops] would, so the
+    search, its memo traffic and its witness do not depend on the
+    window. *)
 let check_object ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs (h : History.t) : verdict =
   let ops = Array.of_list (History.ops_of h) in
   let n = Array.length ops in
   let completed = Array.map (fun (r : History.op_record) -> r.ret <> None) ops in
   let n_completed = Array.fold_left (fun a c -> if c then a + 1 else a) 0 completed in
+  let res_pos =
+    Array.map (fun (r : History.op_record) -> Option.value r.res_pos ~default:max_int) ops
+  in
+  let never_responding = List.filter (fun i -> not completed.(i)) (List.init n Fun.id) in
   let seen : unit Memo.t = Memo.create 1024 in
   let best_progress = ref 0 in
   (* memo traffic lands in plain local refs on the hot path and is summed
      into [obs] once per check, whatever exit is taken *)
   let memo_hits = ref 0 and expanded = ref 0 in
-  (* minimal response position among unlinearized completed ops: an op can
-     be linearized next only if it was invoked before that response *)
-  let min_res linearized =
-    let m = ref max_int in
-    Array.iteri
-      (fun i (r : History.op_record) ->
-        if (not (Bitset.mem linearized i)) && completed.(i) then
-          match r.res_pos with Some p -> if p < !m then m := p | None -> ())
-      ops;
-    !m
+  (* the first completed, unlinearized index at or after [i] *)
+  let rec next_lo linearized i =
+    if i < n && ((not completed.(i)) || Bitset.mem linearized i) then next_lo linearized (i + 1)
+    else i
   in
-  let rec go linearized state acc done_completed =
+  let rec go linearized lo state acc done_completed =
     if done_completed = n_completed then raise (Success (List.rev acc));
     let key = (linearized, state.Spec.repr) in
     if memo && Memo.mem seen key then incr memo_hits
@@ -79,26 +90,41 @@ let check_object ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs (h : History.t) : 
       if memo then Memo.add seen key ();
       incr expanded;
       if done_completed > !best_progress then best_progress := done_completed;
-      let frontier = min_res linearized in
-      Array.iteri
-        (fun i (r : History.op_record) ->
-          if (not (Bitset.mem linearized i)) && r.inv_pos < frontier then begin
-            let outcomes =
-              state.Spec.apply ~pid:r.pid ~op:r.opref.History.Step.op ~args:r.args
-            in
-            let outcomes =
-              match r.ret with
-              | Some ret ->
-                List.filter (fun (ret', _) -> Nvm.Value.equal ret ret') outcomes
-              | None -> outcomes
-            in
-            List.iter
-              (fun (ret, state') ->
-                go (Bitset.add linearized i) state' ((r, ret) :: acc)
-                  (if completed.(i) then done_completed + 1 else done_completed))
-              outcomes
-          end)
-        ops
+      (* minimal response position among unlinearized completed ops: an
+         op can be linearized next only if it was invoked before it *)
+      let rec min_res m j =
+        if j < n && ops.(j).inv_pos < m then
+          min_res
+            (if completed.(j) && not (Bitset.mem linearized j) then min m res_pos.(j) else m)
+            (j + 1)
+        else m
+      in
+      let frontier = min_res res_pos.(lo) (lo + 1) in
+      let try_op i =
+        let r = ops.(i) in
+        let outcomes = state.Spec.apply ~pid:r.pid ~op:r.opref.History.Step.op ~args:r.args in
+        let outcomes =
+          match r.ret with
+          | Some ret -> List.filter (fun (ret', _) -> Nvm.Value.equal ret ret') outcomes
+          | None -> outcomes
+        in
+        if outcomes <> [] then begin
+          let linearized' = Bitset.add linearized i in
+          let lo' = if i = lo then next_lo linearized' (lo + 1) else lo in
+          let done' = if completed.(i) then done_completed + 1 else done_completed in
+          List.iter (fun (ret, state') -> go linearized' lo' state' ((r, ret) :: acc) done') outcomes
+        end
+      in
+      List.iter
+        (fun i -> if i < lo && not (Bitset.mem linearized i) then try_op i)
+        never_responding;
+      let rec window i =
+        if i < n && ops.(i).inv_pos < frontier then begin
+          if not (Bitset.mem linearized i) then try_op i;
+          window (i + 1)
+        end
+      in
+      window lo
     end
   in
   let finish verdict =
@@ -114,7 +140,8 @@ let check_object ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs (h : History.t) : 
   else
     finish
       (try
-         go (Bitset.create n) (spec.Spec.initial ~nprocs) [] 0;
+         let none = Bitset.create n in
+         go none (next_lo none 0) (spec.Spec.initial ~nprocs) [] 0;
          Not_linearizable
            (Fmt.str "no legal linearization (best: %d of %d completed ops ordered)"
               !best_progress n_completed)
@@ -130,16 +157,17 @@ type object_report = {
     locality: the history is linearizable iff each per-object subhistory
     is. *)
 let check_all ?obs ~spec_for ~nprocs (h : History.t) : object_report list =
+  let on_object =
+    History.group_by
+      (function
+        | History.Step.Inv { opref; _ } | History.Step.Res { opref; _ } ->
+          Some opref.History.Step.obj
+        | History.Step.Crash _ | History.Step.Rec _ -> None)
+      h
+  in
   List.map
     (fun o ->
-      let events =
-        History.filter
-          (function
-            | History.Step.Inv { opref; _ } | History.Step.Res { opref; _ } ->
-              opref.History.Step.obj = o
-            | _ -> false)
-          h
-      in
+      let events = on_object o in
       let name =
         match History.ops_of events with
         | r :: _ -> r.opref.History.Step.obj_name

@@ -82,11 +82,88 @@ let test_wf_rejects_double_invocation () =
 let test_wf_rejects_response_without_invocation () =
   wf_bad (Wellformed.check_well_formed (of_list [ res 1 ]))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let test_wf_rejects_bad_nesting () =
   (* op2 invoked inside op1 but responds after op1: violates requirement 2 *)
+  let r =
+    Wellformed.check_well_formed
+      (of_list [ inv ~obj:0 1; inv ~obj:1 2; res ~obj:0 1; res ~obj:1 2 ])
+  in
+  wf_bad r;
+  match r with
+  | Wellformed.Violation m ->
+    Alcotest.(check bool) ("names #1 and #2: " ^ m) true (contains m "#1" && contains m "#2")
+  | Wellformed.Ok -> ()
+
+let test_wf_rejects_escape_from_outer () =
+  (* op3 is invoked after op2, nested in op1, has closed, and outlives
+     op1: the violation is against an operation deeper in the stack *)
   wf_bad
     (Wellformed.check_well_formed
-       (of_list [ inv ~obj:0 1; inv ~obj:1 2; res ~obj:0 1; res ~obj:1 2 ]))
+       (of_list
+          [ inv ~obj:0 1; inv ~obj:1 2; res ~obj:1 2; inv ~obj:2 3; res ~obj:0 1; res ~obj:2 3 ]))
+
+let test_nesting_exempts_crashed_inner () =
+  (* a crash inside the inner op2 leaves it pending for good, while the
+     outer op1 later responds; a later op3 nests properly *)
+  let h =
+    of_list
+      [
+        inv ~obj:0 1;
+        inv ~obj:1 2;
+        crash ~crashed:(1, 2) ();
+        rec_ ();
+        inv ~obj:2 3;
+        res ~obj:2 3;
+        res ~obj:0 1;
+        inv ~obj:0 4;
+        res ~obj:0 4;
+      ]
+  in
+  wf_ok (Wellformed.check_recoverable_well_formed h);
+  wf_ok (Wellformed.check_well_formed (n_of h));
+  wf_ok (Wellformed.check_nesting ~p:0 (n_of h))
+
+(* The one-pass stack check of requirement (2) against the pairwise rule
+   on random single-process histories, every operation on its own object
+   (so only nesting can fail), some left pending. *)
+let nesting_gen =
+  QCheck2.Gen.(
+    let* k = int_range 1 6 in
+    let* pending = list_repeat k bool in
+    let* order = shuffle_l (List.concat (List.init k (fun i -> [ i; i ]))) in
+    let seen = Array.make k false in
+    return
+      (List.filter_map
+         (fun i ->
+           if not seen.(i) then begin
+             seen.(i) <- true;
+             Some (inv ~obj:i i)
+           end
+           else if List.nth pending i then None
+           else Some (res ~obj:i i))
+         order))
+
+let pairwise_nesting_ok h =
+  let ops = List.filter (fun (r : op_record) -> r.res_pos <> None) (ops_of h) in
+  List.for_all
+    (fun (a : op_record) ->
+      List.for_all
+        (fun (b : op_record) ->
+          let r1 = Option.get a.res_pos and r2 = Option.get b.res_pos in
+          a.call_id = b.call_id || not (a.inv_pos < b.inv_pos && b.inv_pos < r1 && r2 > r1))
+        ops)
+    ops
+
+let prop_nesting_matches_pairwise =
+  QCheck2.Test.make ~name:"stack nesting check = pairwise rule" ~count:500 nesting_gen
+    (fun steps ->
+      let h = of_list steps in
+      Wellformed.is_ok (Wellformed.check_nesting ~p:0 h) = pairwise_nesting_ok h)
 
 let test_wf_rejects_crashy_history () =
   wf_bad (Wellformed.check_well_formed (of_list [ inv 1; crash ~crashed:(0, 1) () ]))
@@ -139,6 +216,10 @@ let suite =
     Alcotest.test_case "double invocation rejected" `Quick test_wf_rejects_double_invocation;
     Alcotest.test_case "response w/o invocation rejected" `Quick test_wf_rejects_response_without_invocation;
     Alcotest.test_case "bad nesting rejected" `Quick test_wf_rejects_bad_nesting;
+    Alcotest.test_case "escape from an outer op rejected" `Quick test_wf_rejects_escape_from_outer;
+    Alcotest.test_case "crashed inner op exempt from nesting" `Quick
+      test_nesting_exempts_crashed_inner;
+    QCheck_alcotest.to_alcotest prop_nesting_matches_pairwise;
     Alcotest.test_case "crashes rejected by crash-free wf" `Quick test_wf_rejects_crashy_history;
     Alcotest.test_case "crash as last step ok (Def 3)" `Quick test_rwf_accepts_crash_as_last_step;
     Alcotest.test_case "repeated crash/rec ok (Def 3)" `Quick test_rwf_accepts_crash_rec_pairs;

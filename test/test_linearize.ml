@@ -509,6 +509,127 @@ let prop_checker_on_machine_histories =
         verdict events && ((not had_read) || not (verdict corrupt))
       end)
 
+(* {2 Long machine histories}
+
+   The checker scans a window of each search node's operations rather
+   than all of them.  These tests run it on 3 x 64 histories against the
+   independently built incremental automaton, and pin its search order on
+   one stack history. *)
+
+let counter_value reg name =
+  match Obs.Metrics.view reg name with Some (Obs.Metrics.Counter n) -> n | _ -> 0
+
+let bump_ret = function
+  | Nvm.Value.Int v -> Nvm.Value.Int (v + 1)
+  | Nvm.Value.Bool b -> Nvm.Value.Bool (not b)
+  | _ -> Nvm.Value.Int 999
+
+(* [h] with the response at position [i] changed to a different value *)
+let bump_response (h : History.t) i =
+  let h = Array.copy h in
+  (match h.(i) with
+  | History.Step.Res r -> h.(i) <- History.Step.Res { r with ret = bump_ret r.ret }
+  | _ -> invalid_arg "bump_response: not a response step");
+  h
+
+let response_positions (h : History.t) =
+  List.filter
+    (fun i -> match h.(i) with History.Step.Res _ -> true | _ -> false)
+    (List.init (Array.length h) Fun.id)
+
+let long_scenarios =
+  let nprocs = 3 and ops = 64 in
+  Workload.Scenarios.
+    [|
+      register ~nprocs ~ops ();
+      cas ~nprocs ~ops ();
+      counter ~nprocs ~ops ();
+      faa ~nprocs ~ops ();
+      stack ~nprocs ~ops ();
+    |]
+
+(* Histories are cut at a random point: a cut leaves operations pending
+   below completed ones (the never-responding operations the window has
+   to visit first), which full machine runs, where every crashed process
+   recovers, never do. *)
+let prop_nrl_matches_incremental_on_long_histories =
+  QCheck2.Test.make
+    ~name:"Nrl.check = Nrl.Incremental on cut 3x64 machine histories, clean and corrupted"
+    ~count:30
+    QCheck2.Gen.(
+      quad
+        (int_range 0 (Array.length long_scenarios - 1))
+        (int_range 1 100_000) (int_range 50 100) (int_range 0 1_000_000))
+    (fun (k, seed, cut_pct, pick) ->
+      let sim, _ = Workload.Trial.run ~seed ~crash_prob:0.02 long_scenarios.(k) in
+      let full = Machine.Sim.history sim in
+      let h = Array.sub full 0 (Array.length full * cut_pct / 100) in
+      let spec_for = Workload.Check.spec_for sim and nprocs = 3 in
+      let nrl h = Nrl.ok (Nrl.check ~spec_for ~nprocs h) in
+      let incremental h =
+        Nrl.Incremental.(violation (steps (create ~spec_for ~nprocs) (History.to_list h)))
+        = None
+      in
+      let corrupt =
+        match response_positions h with
+        | [] -> h
+        | l -> bump_response h (List.nth l (pick mod List.length l))
+      in
+      nrl h && incremental h && nrl corrupt = incremental corrupt)
+
+(* The stack object's own steps in N(H) of one seeded 3 x 8 run. *)
+let pinned_stack_history () =
+  let sim, _ =
+    Workload.Trial.run ~seed:3 ~crash_prob:0.05 (Workload.Scenarios.stack ~nprocs:3 ~ops:8 ())
+  in
+  History.filter
+    (function
+      | History.Step.Inv { opref; _ } | History.Step.Res { opref; _ } ->
+        opref.History.Step.obj_name = "S"
+      | History.Step.Crash _ | History.Step.Rec _ -> false)
+    (History.n_of (Machine.Sim.history sim))
+
+(* Verdict, witness and memo counts were recorded with the checker that
+   scanned every operation at every node; the windowed scan must visit
+   the same nodes in the same order. *)
+let test_search_order_pinned () =
+  let run h =
+    let reg = Obs.Metrics.create () in
+    let v = Checker.check_object ~obs:reg ~spec:(Spec.stack ()) ~nprocs:3 h in
+    ( Fmt.str "%a" Checker.pp_verdict v,
+      counter_value reg Obs.Names.checker_memo_hits,
+      counter_value reg Obs.Names.checker_memo_misses )
+  in
+  let check what h (verdict, hits, misses) =
+    let verdict', hits', misses' = run h in
+    Alcotest.(check string) (what ^ ": verdict") verdict verdict';
+    Alcotest.(check int) (what ^ ": memo hits") hits hits';
+    Alcotest.(check int) (what ^ ": memo misses") misses misses'
+  in
+  let h = pinned_stack_history () in
+  Alcotest.(check int) "history length" 48 (Array.length h);
+  check "clean" h
+    ( "linearizable: p1:PEEK->\"empty\" p0:PEEK->\"empty\" p1:PEEK->\"empty\" \
+       p0:POP->\"empty\" p1:PEEK->\"empty\" p1:PUSH->\"ack\" p0:PUSH->\"ack\" \
+       p1:PEEK-><p0,3> p0:PEEK-><p0,3> p2:PUSH->\"ack\" p0:PUSH->\"ack\" \
+       p1:PUSH->\"ack\" p2:PUSH->\"ack\" p0:POP-><p2,2> p1:PUSH->\"ack\" \
+       p1:PEEK-><p1,7> p2:POP-><p1,7> p2:POP-><p1,6> p0:PEEK-><p0,5> \
+       p2:PUSH->\"ack\" p0:POP-><p2,5> p2:POP-><p0,5> p2:POP-><p2,1> \
+       p2:POP-><p0,3>",
+      16,
+      185 );
+  (* the first 36 steps leave p0's POP #44 pending below completed ops *)
+  check "prefix" (Array.sub h 0 36)
+    ( "linearizable: p1:PEEK->\"empty\" p0:PEEK->\"empty\" p1:PEEK->\"empty\" \
+       p0:POP->\"empty\" p1:PEEK->\"empty\" p2:PUSH->\"ack\" p1:PUSH->\"ack\" \
+       p0:PUSH->\"ack\" p1:PEEK-><p0,3> p0:PEEK-><p0,3> p0:PUSH->\"ack\" \
+       p1:PUSH->\"ack\" p2:PUSH->\"ack\" p0:POP-><p2,2> p1:PUSH->\"ack\" \
+       p1:PEEK-><p1,7> p2:POP-><p1,7> p2:POP-><p1,6>",
+      5,
+      50 );
+  check "corrupted" (bump_response h 27)
+    ("NOT linearizable: no legal linearization (best: 13 of 24 completed ops ordered)", 6, 63)
+
 (* {2 Pending operations that must be dropped}
 
    Definition 2's completions allow a pending operation to be completed
@@ -598,10 +719,12 @@ let suite =
     Alcotest.test_case "drop after failed speculation" `Quick
       test_pending_op_dropped_after_speculation;
     Alcotest.test_case "two pendings, one droppable" `Quick test_two_pendings_one_droppable;
+    Alcotest.test_case "search order pinned (stack 3x8, seed 3)" `Quick test_search_order_pinned;
     QCheck_alcotest.to_alcotest prop_checker_matches_bruteforce;
     QCheck_alcotest.to_alcotest prop_memo_verdicts_identical;
     QCheck_alcotest.to_alcotest prop_stack_spec_model;
     QCheck_alcotest.to_alcotest prop_queue_spec_model;
     QCheck_alcotest.to_alcotest prop_counter_spec_model;
     QCheck_alcotest.to_alcotest prop_checker_on_machine_histories;
+    QCheck_alcotest.to_alcotest prop_nrl_matches_incremental_on_long_histories;
   ]
