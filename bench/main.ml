@@ -142,29 +142,18 @@ let t2 () =
         let nw = old + 1 in
         if Runtime.Rcas.Plain.cas plain_c ~old ~new_:nw then pc := nw)
   in
-  (* the recoverable rows measure the unboxed Int specializations — the
-     shipped native hot paths; the boxed polymorphic originals keep
-     "(poly)" rows so the specialization win stays visible *)
-  let reco_c = Runtime.Rcas.Int.create ~nprocs 0 in
+  let reco_c = Runtime.Rcas.create ~nprocs 0 in
   let rc = ref 0 in
   let reco_cas =
     estimate_ns "recoverable cas" (fun () ->
         let old = !rc in
         let nw = old + 1 in
-        if Runtime.Rcas.Int.cas reco_c ~pid:0 ~old ~new_:nw then rc := nw)
+        if Runtime.Rcas.cas reco_c ~pid:0 ~old ~new_:nw then rc := nw)
   in
   (* failed-CAS path (read + compare only) *)
   let reco_cas_fail =
     estimate_ns "recoverable cas (failing)" (fun () ->
-        ignore (Runtime.Rcas.Int.cas reco_c ~pid:1 ~old:(-1) ~new_:(-2)))
-  in
-  let poly_c = Runtime.Rcas.create ~nprocs 0 in
-  let pc2 = ref 0 in
-  let poly_cas =
-    estimate_ns "recoverable cas (poly)" (fun () ->
-        let old = !pc2 in
-        let nw = old + 1 in
-        if Runtime.Rcas.cas poly_c ~pid:0 ~old ~new_:nw then pc2 := nw)
+        ignore (Runtime.Rcas.cas reco_c ~pid:1 ~old:(-1) ~new_:(-2)))
   in
   (* TAS: the lose path is repeatable; the win path needs a fresh object *)
   let lost = Runtime.Rtas.create ~nprocs in
@@ -190,14 +179,9 @@ let t2 () =
   let plain_faa =
     estimate_ns "atomic faa" (fun () -> ignore (Atomic.fetch_and_add plain_faa_c 1))
   in
-  let rfaa = Runtime.Rfaa.Int.create ~nprocs () in
+  let rfaa = Runtime.Rfaa.create ~nprocs () in
   let reco_faa =
-    estimate_ns "recoverable faa" (fun () -> ignore (Runtime.Rfaa.Int.faa rfaa ~pid:0 1))
-  in
-  let rfaa_poly = Runtime.Rfaa.create ~nprocs () in
-  let poly_faa =
-    estimate_ns "recoverable faa (poly)" (fun () ->
-        ignore (Runtime.Rfaa.faa rfaa_poly ~pid:0 1))
+    estimate_ns "recoverable faa" (fun () -> ignore (Runtime.Rfaa.faa rfaa ~pid:0 1))
   in
   let plain_stack = Atomic.make [] in
   let plain_push_pop =
@@ -208,21 +192,14 @@ let t2 () =
         | _ :: tl -> Atomic.set plain_stack tl
         | [] -> ())
   in
-  let rstack = Runtime.Rstack.Int.create ~nprocs () in
+  let rstack = Runtime.Rstack.create ~nprocs () in
   let reco_push_pop =
     estimate_ns "recoverable stack" (fun () ->
-        ignore (Runtime.Rstack.Int.push rstack ~pid:0 1);
-        ignore (Runtime.Rstack.Int.pop rstack ~pid:0))
-  in
-  let rstack_poly = Runtime.Rstack.create ~nprocs () in
-  let poly_push_pop =
-    estimate_ns "recoverable stack (poly)" (fun () ->
-        ignore (Runtime.Rstack.push rstack_poly ~pid:0 1);
-        ignore (Runtime.Rstack.pop rstack_poly ~pid:0))
+        ignore (Runtime.Rstack.push rstack ~pid:0 1);
+        ignore (Runtime.Rstack.pop rstack ~pid:0))
   in
   row3 "operation" "plain" "recoverable";
   row3 "CAS (success)" (ns plain_cas) (ns reco_cas);
-  row3 "CAS (success, poly)" "-" (ns poly_cas);
   row3 "CAS (failure)" "-" (ns reco_cas_fail);
   row3 "CAS overhead" "" (ratio reco_cas plain_cas);
   row3 "T&S win (alloc-corrected)"
@@ -230,9 +207,7 @@ let t2 () =
     (ns (reco_tas_win -. reco_alloc));
   row3 "T&S lose path" "-" (ns reco_tas_lose);
   row3 "FAA (native, via strict CAS)" (ns plain_faa) (ns reco_faa);
-  row3 "FAA (poly)" "-" (ns poly_faa);
-  row3 "stack push+pop (native)" (ns plain_push_pop) (ns reco_push_pop);
-  row3 "stack push+pop (poly)" "-" (ns poly_push_pop)
+  row3 "stack push+pop (native)" (ns plain_push_pop) (ns reco_push_pop)
 
 (* {1 T3: counter throughput scaling on real domains} *)
 
@@ -790,9 +765,10 @@ let f3 () =
   List.iter
     (fun n ->
       let c = Runtime.Rcas.create ~nprocs:n 0 in
-      (* worst helpful case: the evidence sits in the last matrix slot *)
-      Atomic.set c.Runtime.Rcas.r.(0).(n - 1) (Some 1);
-      Atomic.set c.Runtime.Rcas.c (1, 999) (* C no longer holds p0's pair *);
+      (* worst helpful case: the evidence sits in the last matrix slot,
+         and C no longer holds p0's pair *)
+      c.Runtime.Rcas.r.(Runtime.Pad.slot2 ~n 0 (n - 1)) <- 1;
+      Atomic.set c.Runtime.Rcas.c (Runtime.Enc.pack ~id:1 999);
       let t =
         estimate_ns
           (Printf.sprintf "scan%d" n)

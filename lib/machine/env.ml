@@ -29,7 +29,8 @@ let create () = { tbl = Hashtbl.create 8; junk = None; trail = None }
     the simulation. *)
 let create_post_crash junk = { tbl = Hashtbl.create 8; junk = Some junk; trail = None }
 
-let copy t = { tbl = Hashtbl.copy t.tbl; junk = Option.map Junk.copy t.junk; trail = None }
+let copy ~junk t =
+  { tbl = Hashtbl.copy t.tbl; junk = Option.map (fun _ -> junk) t.junk; trail = None }
 
 let set_trail t trail = t.trail <- trail
 

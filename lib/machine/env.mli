@@ -22,8 +22,12 @@ val create_post_crash : Junk.t -> t
     arbitrary junk, matching the paper's "locals reset to arbitrary
     values". *)
 
-val copy : t -> t
-(** Independent copy, for machine cloning.  The copy carries no trail. *)
+val copy : junk:Junk.t -> t -> t
+(** Independent copy, for machine cloning.  A scrambled copy draws from
+    [junk]: every scrambled environment of a machine shares the
+    machine's generator, so a cloned machine passes its own copy of that
+    generator to each environment it copies.  The copy carries no
+    trail. *)
 
 val set_trail : t -> Nvm.Trail.t option -> unit
 (** Attach (or detach) an undo trail: binding updates, cached junk draws

@@ -641,6 +641,9 @@ let undo_to t m =
     st.fences <- m.mk_fences
 
 let clone t =
+  (* one copy of the generator, shared by the clone's scrambled
+     environments exactly as the original's share [t.junk] *)
+  let junk = Junk.copy t.junk in
   let copy_frame (f : frame) =
     {
       f_obj = f.f_obj;
@@ -650,7 +653,7 @@ let clone t =
       f_pc = f.f_pc;
       f_li = f.f_li;
       f_interrupted = f.f_interrupted;
-      f_env = Env.copy f.f_env;
+      f_env = Env.copy ~junk f.f_env;
       f_dst = f.f_dst;
       f_call_id = f.f_call_id;
     }
@@ -670,7 +673,7 @@ let clone t =
             crashes = pr.crashes;
           })
         t.procs;
-    junk = Junk.copy t.junk;
+    junk;
     annotate = t.annotate;
     hist_rev = t.hist_rev;
     hist_len = t.hist_len;

@@ -210,7 +210,10 @@ val recover : t -> int -> unit
 val clone : t -> t
 (** Independent deep copy sharing only immutable structure (programs,
     instance definitions); used by the exhaustive explorer and the
-    valency analysis.  The clone carries no trail (see {!enable_trail}). *)
+    valency analysis.  The clone's scrambled environments share one copy
+    of the junk generator, as the original's share its generator, so the
+    clone replays any continuation exactly as the original would.  The
+    clone carries no trail (see {!enable_trail}). *)
 
 (** {1 Trail-based backtracking}
 

@@ -84,11 +84,11 @@ let latency_thunks () =
         incr s;
         ignore (Atomic.compare_and_set c cur !s : bool) );
     ( "recoverable cas",
-      let t = Rcas.Int.create ~nprocs:lat_nprocs 0 and s = ref 0 in
+      let t = Rcas.create ~nprocs:lat_nprocs 0 and s = ref 0 in
       fun () ->
-        let cur = Rcas.Int.read t in
+        let cur = Rcas.read t in
         incr s;
-        ignore (Rcas.Int.cas t ~pid:0 ~old:cur ~new_:!s : bool) );
+        ignore (Rcas.cas t ~pid:0 ~old:cur ~new_:!s : bool) );
     ( "recoverable t&s (fresh, win)",
       fun () -> ignore (Rtas.test_and_set (Rtas.create ~nprocs:lat_nprocs) ~pid:0 : int)
     );
@@ -96,11 +96,11 @@ let latency_thunks () =
       let c = Pad.make_int 0 in
       fun () -> ignore (Atomic.fetch_and_add c 1 : int) );
     ( "recoverable faa",
-      let t = Rfaa.Int.create ~nprocs:lat_nprocs () in
-      fun () -> ignore (Rfaa.Int.faa t ~pid:0 1 : int) );
+      let t = Rfaa.create ~nprocs:lat_nprocs () in
+      fun () -> ignore (Rfaa.faa t ~pid:0 1 : int) );
     ( "recoverable counter inc",
-      let t = Rcounter.Int.create ~nprocs:lat_nprocs in
-      fun () -> Rcounter.Int.inc t ~pid:0 );
+      let t = Rcounter.create ~nprocs:lat_nprocs in
+      fun () -> Rcounter.inc t ~pid:0 );
     ( "plain stack push+pop",
       let t = Plain_stack.create () and s = ref 0 in
       fun () ->
@@ -108,11 +108,11 @@ let latency_thunks () =
         Plain_stack.push t !s;
         ignore (Plain_stack.pop t : int option) );
     ( "recoverable stack push+pop",
-      let t = Rstack.Int.create ~nprocs:lat_nprocs () and s = ref 0 in
+      let t = Rstack.create ~nprocs:lat_nprocs () and s = ref 0 in
       fun () ->
         incr s;
-        ignore (Rstack.Int.push t ~pid:0 !s : int);
-        ignore (Rstack.Int.pop t ~pid:0 : int) );
+        ignore (Rstack.push t ~pid:0 !s : int);
+        ignore (Rstack.pop t ~pid:0 : int) );
   ]
 
 (* the hot paths the tentpole claims allocation-free, plus the stack
@@ -155,14 +155,14 @@ let mk_pick ~mode ~domains ~w =
     end
 
 let cas_reco ~domains ~w ~pick =
-  let cells = Array.init w (fun _ -> Rcas.Int.create ~nprocs:domains 0) in
+  let cells = Array.init w (fun _ -> Rcas.create ~nprocs:domains 0) in
   let seqs = Pad.flat_make domains 0 in
   fun ~pid ~i:_ ->
     let c = cells.(pick pid) in
-    let cur = Rcas.Int.read c in
+    let cur = Rcas.read c in
     let s = seqs.(Pad.slot pid) + 1 in
     seqs.(Pad.slot pid) <- s;
-    ignore (Rcas.Int.cas c ~pid ~old:cur ~new_:((s lsl 13) lor pid) : bool)
+    ignore (Rcas.cas c ~pid ~old:cur ~new_:((s lsl 13) lor pid) : bool)
 
 let cas_plain ~domains ~w ~pick =
   let cells = Array.init w (fun _ -> Pad.make_int 0) in
@@ -175,27 +175,27 @@ let cas_plain ~domains ~w ~pick =
     ignore (Atomic.compare_and_set c cur ((s lsl 13) lor pid) : bool)
 
 let counter_reco ~domains ~w ~pick =
-  let cells = Array.init w (fun _ -> Rcounter.Int.create ~nprocs:domains) in
-  fun ~pid ~i:_ -> Rcounter.Int.inc cells.(pick pid) ~pid
+  let cells = Array.init w (fun _ -> Rcounter.create ~nprocs:domains) in
+  fun ~pid ~i:_ -> Rcounter.inc cells.(pick pid) ~pid
 
 let counter_plain ~domains ~w ~pick =
   let cells = Array.init w (fun _ -> Rcounter.Plain.create ~nprocs:domains) in
   fun ~pid ~i:_ -> Rcounter.Plain.inc cells.(pick pid) ~pid
 
 let faa_reco ~domains ~w ~pick =
-  let cells = Array.init w (fun _ -> Rfaa.Int.create ~nprocs:domains ()) in
-  fun ~pid ~i:_ -> ignore (Rfaa.Int.faa cells.(pick pid) ~pid 1 : int)
+  let cells = Array.init w (fun _ -> Rfaa.create ~nprocs:domains ()) in
+  fun ~pid ~i:_ -> ignore (Rfaa.faa cells.(pick pid) ~pid 1 : int)
 
 let faa_plain ~domains:_ ~w ~pick =
   let cells = Array.init w (fun _ -> Pad.make_int 0) in
   fun ~pid ~i:_ -> ignore (Atomic.fetch_and_add cells.(pick pid) 1 : int)
 
 let stack_reco ~domains ~w ~pick =
-  let cells = Array.init w (fun _ -> Rstack.Int.create ~nprocs:domains ()) in
+  let cells = Array.init w (fun _ -> Rstack.create ~nprocs:domains ()) in
   fun ~pid ~i ->
     let c = cells.(pick pid) in
-    if i land 1 = 0 then ignore (Rstack.Int.push c ~pid ((i lsl 13) lor pid) : int)
-    else ignore (Rstack.Int.pop c ~pid : int)
+    if i land 1 = 0 then ignore (Rstack.push c ~pid ((i lsl 13) lor pid) : int)
+    else ignore (Rstack.pop c ~pid : int)
 
 let stack_plain ~domains:_ ~w ~pick =
   let cells = Array.init w (fun _ -> Plain_stack.create ()) in

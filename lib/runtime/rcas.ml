@@ -1,22 +1,22 @@
 (** Algorithm 2 on real multicore: recoverable CAS object over OCaml 5
-    [Atomic] cells.
+    [Atomic] cells.  Assumptions as in the paper: never [old = new],
+    per-process distinct new values.
 
-    [C] holds [<id, val>] where [id = -1] encodes the paper's [null]; the
-    [N x N] helping matrix [R] holds value options.  Assumptions as in the
-    paper: never [old = new], per-process distinct new values.
-
-    {!Int} is the unboxed specialization: content packed into one int
-    ({!Enc}), the helping matrix flattened into a stride-padded plain
-    array.  Why plain cells are sound under the OCaml memory model: a
-    helper's write to [R[id][q]] program-precedes its CAS on [C], and
-    every update of [C] is a successful CAS — an atomic RMW.  A
-    recovering process reads [C] atomically; if its value is gone from
-    [C], the overwriter's successful CAS is in [C]'s RMW chain, so the
-    read happens-after it, and transitively happens-after the
-    overwriter's earlier plain help write.  Evidence the recovery needs
-    is thus always visible; help entries of {e failed} CAS attempts may
-    be stale, but those are never needed (if the value is gone, the
-    successful overwriter's entry decides). *)
+    [C] holds the paper's [<id, val>] pair packed into one int ({!Enc}):
+    [id = -1] encodes [null], the last successful writer otherwise.  The
+    [N x N] helping matrix [R] is flattened into a stride-padded {e plain}
+    int array, [Enc.none] meaning "no evidence".  Why plain cells are
+    sound under the OCaml memory model: a helper's write to [R[id][q]]
+    program-precedes its CAS on [C], and every update of [C] is a
+    successful CAS — an atomic RMW.  A recovering process reads [C]
+    atomically; if its value is gone from [C], the overwriter's
+    successful CAS is in [C]'s RMW chain, so the read happens-after it,
+    and transitively happens-after the overwriter's earlier plain help
+    write.  Evidence the recovery needs is thus always visible; help
+    entries of {e failed} CAS attempts may be stale, but those are never
+    needed (if the value is gone, the successful overwriter's entry
+    decides).  Allocation-free on every path; values are 48-bit
+    signed. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, Pad.slot2,
@@ -29,53 +29,47 @@ let[@inline] pack ~id v = ((id + 1) lsl 48) lor (v land ((1 lsl 48) - 1))
 let[@inline] value c = (c lsl 15) asr 15
 let[@inline] id_of c = (c lsr 48) - 1
 
-type 'a t = {
-  c : (int * 'a) Atomic.t;  (** <last successful writer (-1 = null), value> *)
-  r : 'a option Atomic.t array array;  (** helping matrix *)
+type t = {
+  c : int Atomic.t;  (** packed <last successful writer (-1 = null), value> *)
+  r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
   nprocs : int;
 }
 
-let null_id = -1
-
 let create ~nprocs init =
-  {
-    c = Atomic.make (null_id, init);
-    r = Array.init nprocs (fun _ -> Array.init nprocs (fun _ -> Atomic.make None));
-    nprocs;
-  }
+  Enc.check_nprocs nprocs;
+  { c = Pad.make_int (pack ~id:(-1) init); r = Pad.flat2_make nprocs Enc.none; nprocs }
 
 let[@inline] read_cp cp t =
   point cp;
-  snd (Atomic.get t.c)  (* line 10 *)
+  value (Atomic.get t.c)  (* line 10 *)
 
 let read ?(cp = Crash.none) t = read_cp cp t
 let read_recover ?(cp = Crash.none) t = read_cp cp t
 
 let cas_cp cp t ~pid ~old ~new_ =
   point cp;
-  let (id, v) as content = Atomic.get t.c in  (* line 2 *)
+  let content = Atomic.get t.c in  (* line 2 *)
+  let v = value content in
   if v <> old then false  (* lines 3-4 *)
   else begin
-    if id <> null_id then begin
+    let id = id_of content in
+    if id >= 0 then begin
       point cp;
-      Atomic.set t.r.(id).(pid) (Some v)  (* lines 5-6 *)
+      t.r.(slot2 ~n:t.nprocs id pid) <- v  (* lines 5-6, plain help write *)
     end;
     point cp;
-    Atomic.compare_and_set t.c content (pid, new_)  (* lines 7-8 *)
+    Atomic.compare_and_set t.c content (pack ~id:pid new_)  (* lines 7-8 *)
   end
 
 let cas_recover_cp cp t ~pid ~old ~new_ =
   point cp;
-  (* line 13, left term first *)
-  if Atomic.get t.c = (pid, new_) then true
+  if Atomic.get t.c = pack ~id:pid new_ then true  (* line 13, left term first *)
   else begin
     let found = ref false in
     let j = ref 0 in
     while (not !found) && !j < t.nprocs do
       point cp;
-      (match Atomic.get t.r.(pid).(!j) with
-      | Some v when v = new_ -> found := true
-      | _ -> ());
+      if t.r.(slot2 ~n:t.nprocs pid !j) = new_ then found := true;
       incr j
     done;
     if !found then true  (* line 14 *)
@@ -92,67 +86,4 @@ module Plain = struct
   let create init = Atomic.make init
   let read t = Atomic.get t
   let cas t ~old ~new_ = Atomic.compare_and_set t old new_
-end
-
-(** Unboxed int specialization: [C] is one padded atomic holding the
-    packed <id, value> ({!Enc.pack}); the helping matrix is a flat
-    stride-padded {e plain} int array ([Enc.none] = no evidence) — see
-    the memory-model argument above.  Allocation-free on every path;
-    values are 48-bit signed. *)
-module Int = struct
-  type t = {
-    c : int Atomic.t;  (** packed <id, value> *)
-    r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
-    nprocs : int;
-  }
-
-  let create ~nprocs init =
-    Enc.check_nprocs nprocs;
-    {
-      c = Pad.make_int (pack ~id:null_id init);
-      r = Pad.flat2_make nprocs Enc.none;
-      nprocs;
-    }
-
-  let[@inline] read_cp cp t =
-    point cp;
-    value (Atomic.get t.c)
-
-  let read ?(cp = Crash.none) t = read_cp cp t
-  let read_recover ?(cp = Crash.none) t = read_cp cp t
-
-  let cas_cp cp t ~pid ~old ~new_ =
-    point cp;
-    let content = Atomic.get t.c in  (* line 2 *)
-    let v = value content in
-    if v <> old then false  (* lines 3-4 *)
-    else begin
-      let id = id_of content in
-      if id >= 0 then begin
-        point cp;
-        t.r.(slot2 ~n:t.nprocs id pid) <- v  (* lines 5-6, plain help write *)
-      end;
-      point cp;
-      Atomic.compare_and_set t.c content (pack ~id:pid new_)  (* lines 7-8 *)
-    end
-
-  let cas_recover_cp cp t ~pid ~old ~new_ =
-    point cp;
-    if Atomic.get t.c = pack ~id:pid new_ then true  (* line 13, left term *)
-    else begin
-      let found = ref false in
-      let j = ref 0 in
-      while (not !found) && !j < t.nprocs do
-        point cp;
-        if t.r.(slot2 ~n:t.nprocs pid !j) = new_ then found := true;
-        incr j
-      done;
-      if !found then true  (* line 14 *)
-      else cas_cp cp t ~pid ~old ~new_  (* line 16 *)
-    end
-
-  let cas ?(cp = Crash.none) t ~pid ~old ~new_ = cas_cp cp t ~pid ~old ~new_
-
-  let cas_recover ?(cp = Crash.none) t ~pid ~old ~new_ =
-    cas_recover_cp cp t ~pid ~old ~new_
 end

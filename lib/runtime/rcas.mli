@@ -1,28 +1,34 @@
 (** Algorithm 2 on real multicore: recoverable CAS object over OCaml 5
     [Atomic] cells.  Assumptions as in the paper: never [old = new],
-    per-process distinct new values.  The [_cp] variants take the crash
-    point positionally (optional re-passing allocates). *)
+    per-process distinct new values.
 
-type 'a t = {
-  c : (int * 'a) Atomic.t;  (** <last successful writer (-1 = null), value> *)
-  r : 'a option Atomic.t array array;  (** helping matrix *)
+    [C] is one padded atomic holding the packed <id, value> content
+    ({!Enc.pack}); the helping matrix is a flat stride-padded {e plain}
+    int array — sound under the OCaml memory model because every update
+    of [C] is a successful CAS that program-follows its help write (see
+    rcas.ml).  Allocation-free on every path; values are 48-bit signed.
+    The [_cp] variants take the crash point positionally (optional
+    re-passing allocates). *)
+
+type t = {
+  c : int Atomic.t;  (** packed <last successful writer (-1 = null), value> *)
+  r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
   nprocs : int;
 }
 
-val null_id : int
+val create : nprocs:int -> int -> t
+val read : ?cp:Crash.t -> t -> int
+val read_recover : ?cp:Crash.t -> t -> int
+val cas : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
 
-val create : nprocs:int -> 'a -> 'a t
-val read : ?cp:Crash.t -> 'a t -> 'a
-val read_recover : ?cp:Crash.t -> 'a t -> 'a
-val cas : ?cp:Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> bool
-
-val cas_recover : ?cp:Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> bool
+val cas_recover : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
 (** [CAS.RECOVER]: reports success iff [C] still holds this process's
     pair or the helping matrix row carries the evidence; otherwise
-    re-executes (line 13-16 of the paper). *)
+    re-executes (lines 13-16 of the paper). *)
 
-val cas_cp : Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> bool
-val cas_recover_cp : Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> bool
+val read_cp : Crash.t -> t -> int
+val cas_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
+val cas_recover_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
 
 (** Plain (non-recoverable) CAS baseline.  [old] must be physically the
     value previously read (integers are safest). *)
@@ -32,25 +38,4 @@ module Plain : sig
   val create : 'a -> 'a t
   val read : 'a t -> 'a
   val cas : 'a t -> old:'a -> new_:'a -> bool
-end
-
-(** Unboxed int specialization: packed <id, value> content in one
-    padded atomic, flat stride-padded plain helping matrix (sound under
-    the OCaml memory model — see rcas.ml).  Allocation-free; values are
-    48-bit signed ({!Enc}). *)
-module Int : sig
-  type t = {
-    c : int Atomic.t;
-    r : int array;
-    nprocs : int;
-  }
-
-  val create : nprocs:int -> int -> t
-  val read : ?cp:Crash.t -> t -> int
-  val read_recover : ?cp:Crash.t -> t -> int
-  val cas : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
-  val cas_recover : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
-  val cas_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
-  val cas_recover_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
-  val read_cp : Crash.t -> t -> int
 end

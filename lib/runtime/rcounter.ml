@@ -1,5 +1,5 @@
-(** Algorithm 4 on real multicore: recoverable counter nested on
-    {!Rrw} recoverable registers.
+(** Algorithm 4 on real multicore: recoverable counter nested on {!Rrw}
+    recoverable registers ({!Rrw.Int}).
 
     INC reads and rewrites the caller's own register through the
     recoverable operations; READ sums all registers and persists its
@@ -7,7 +7,13 @@
     interface mirrors the paper: [inc_recover] takes the [li] progress
     marker ("had the WRITE of line 4 started?") which a real system would
     keep in the per-process non-volatile [LI_p] slot — here the harness
-    supplies it, as the machine's scheduler does in simulation. *)
+    supplies it, as the machine's scheduler does in simulation.
+
+    Each per-process register is a cache-line-padded atomic (no two
+    processes' INC targets share a line), with the registers' owner-only
+    [S_p] slots and the strict READ's [Res_p] in plain padded slots.
+    INC costs two atomic loads, one fenced store and two plain stores;
+    nothing allocates. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, Pad.slot)
@@ -17,40 +23,66 @@ let[@inline] point (cp : Crash.t) = if cp.Crash.live then Crash.slow_point cp
 let[@inline] slot p = (p + 1) lsl 3
 
 type t = {
-  regs : int Rrw.t array;  (** R[p], single-writer recoverable registers *)
-  res : int Atomic.t array;  (** Res_p for strict READ; -1 = none *)
+  regs : Rrw.Int.t array;  (** R[p], padded single-writer registers *)
+  res : int array;  (** plain padded Res_p slots; -1 = none *)
   nprocs : int;
 }
 
 let create ~nprocs =
+  Enc.check_nprocs nprocs;
   {
-    regs = Array.init nprocs (fun _ -> Rrw.create ~nprocs 0);
-    res = Array.init nprocs (fun _ -> Atomic.make (-1));
+    regs = Array.init nprocs (fun _ -> Rrw.Int.create ~nprocs 0);
+    res = Pad.flat_make nprocs (-1);
     nprocs;
   }
 
-let inc ?(cp = Crash.none) t ~pid =
-  let temp = Rrw.read ~cp t.regs.(pid) in  (* line 2 *)
-  Rrw.write_cp cp t.regs.(pid) ~pid (temp + 1)  (* lines 3-4 *)
+(* the nested register's READ + WRITE steps are inlined (under -opaque
+   each [Rrw.Int] call would be an indirect [caml_apply]); the
+   crash-point sequence is identical to the call-based version *)
+let[@inline] inc_cp cp t ~pid =
+  let reg = t.regs.(pid) in
+  point cp;
+  let temp = Atomic.get reg.Rrw.Int.r in  (* line 2: nested READ *)
+  let v = temp + 1 in
+  (* lines 3-4: nested WRITE (Algorithm 1 lines 2-5) *)
+  point cp;
+  let prev = Atomic.get reg.Rrw.Int.r in
+  point cp;
+  reg.Rrw.Int.s.(slot pid) <- (prev lsl 1) lor 1;
+  point cp;
+  Atomic.set reg.Rrw.Int.r v;
+  point cp;
+  reg.Rrw.Int.s.(slot pid) <- v lsl 1
 
-(** [li_before_write] says whether the crash occurred before the nested
-    WRITE of line 4 started (the machine's [LI_p < 4] test).  If the crash
-    hit {e inside} the WRITE, call [Rrw.write_recover] on the register
-    first, then [inc_recover ~li_before_write:false]. *)
+let inc ?(cp = Crash.none) t ~pid = inc_cp cp t ~pid
+
+(* [li_before_write] says whether the crash occurred before the nested
+   WRITE of line 4 started (the machine's [LI_p < 4] test): re-execute
+   (lines 7-8), else return (line 10) *)
 let inc_recover ?(cp = Crash.none) t ~pid ~li_before_write =
-  if li_before_write then inc ~cp t ~pid  (* lines 7-8 *)
-  else ()  (* line 10 *)
+  if li_before_write then inc_cp cp t ~pid else ()
 
-let read ?(cp = Crash.none) t ~pid =
+(* register-level recovery for a crash inside the nested WRITE; [v] is
+   the intended value (temp + 1), which the system's LI metadata
+   preserves — the drill harness supplies it *)
+let reg_write_recover ?(cp = Crash.none) t ~pid v =
+  Rrw.Int.write_recover_cp cp t.regs.(pid) ~pid v
+
+let reg_read ?(cp = Crash.none) t ~pid = Rrw.Int.read_cp cp t.regs.(pid)
+
+let read_cp cp t ~pid =
   let val_ = ref 0 in
   for i = 0 to t.nprocs - 1 do
-    val_ := !val_ + Rrw.read_cp cp t.regs.(i)  (* lines 12-14 *)
+    point cp;
+    val_ := !val_ + Atomic.get t.regs.(i).Rrw.Int.r  (* lines 12-14 *)
   done;
   point cp;
-  Atomic.set t.res.(pid) !val_;  (* line 15 *)
+  t.res.(slot pid) <- !val_;  (* line 15, owner-only plain slot *)
   !val_
 
-let read_recover ?cp t ~pid = read ?cp t ~pid  (* line 18: proceed from line 12 *)
+let read ?(cp = Crash.none) t ~pid = read_cp cp t ~pid
+let read_recover ?(cp = Crash.none) t ~pid = read_cp cp t ~pid  (* line 18: from line 12 *)
+let response t ~pid = t.res.(slot pid)
 
 (** Baseline: plain array counter with the same structure (per-process
     slot, sum on read) but no recovery machinery — isolates the cost of
@@ -75,70 +107,4 @@ module Faa = struct
   let create () = Atomic.make 0
   let inc t = ignore (Atomic.fetch_and_add t 1)
   let read t = Atomic.get t
-end
-
-(** Unboxed specialization on {!Rrw.Int}: each per-process register is a
-    cache-line-padded atomic (no two processes' INC targets share a
-    line), with the registers' owner-only [S_p] slots and the strict
-    READ's [Res_p] in plain padded slots.  INC costs two atomic loads,
-    one fenced store and two plain stores; nothing allocates. *)
-module Int = struct
-  type t = {
-    regs : Rrw.Int.t array;  (** R[p], padded single-writer registers *)
-    res : int array;  (** plain padded Res_p slots; -1 = none *)
-    nprocs : int;
-  }
-
-  let create ~nprocs =
-    Enc.check_nprocs nprocs;
-    {
-      regs = Array.init nprocs (fun _ -> Rrw.Int.create ~nprocs 0);
-      res = Pad.flat_make nprocs (-1);
-      nprocs;
-    }
-
-  (* the nested register's READ + WRITE steps are inlined (under -opaque
-     each [Rrw.Int] call would be an indirect [caml_apply]); the
-     crash-point sequence is identical to the call-based version *)
-  let[@inline] inc_cp cp t ~pid =
-    let reg = t.regs.(pid) in
-    point cp;
-    let temp = Atomic.get reg.Rrw.Int.r in  (* line 2: nested READ *)
-    let v = temp + 1 in
-    (* lines 3-4: nested WRITE (Algorithm 1 lines 2-5) *)
-    point cp;
-    let prev = Atomic.get reg.Rrw.Int.r in
-    point cp;
-    reg.Rrw.Int.s.(slot pid) <- (prev lsl 1) lor 1;
-    point cp;
-    Atomic.set reg.Rrw.Int.r v;
-    point cp;
-    reg.Rrw.Int.s.(slot pid) <- v lsl 1
-
-  let inc ?(cp = Crash.none) t ~pid = inc_cp cp t ~pid
-
-  let inc_recover ?(cp = Crash.none) t ~pid ~li_before_write =
-    if li_before_write then inc_cp cp t ~pid else ()
-
-  (* register-level recovery for a crash inside the nested WRITE; [v] is
-     the intended value (temp + 1), which the system's LI metadata
-     preserves — the drill harness supplies it *)
-  let reg_write_recover ?(cp = Crash.none) t ~pid v =
-    Rrw.Int.write_recover_cp cp t.regs.(pid) ~pid v
-
-  let reg_read ?(cp = Crash.none) t ~pid = Rrw.Int.read_cp cp t.regs.(pid)
-
-  let read_cp cp t ~pid =
-    let val_ = ref 0 in
-    for i = 0 to t.nprocs - 1 do
-      point cp;
-      val_ := !val_ + Atomic.get t.regs.(i).Rrw.Int.r  (* lines 12-14 *)
-    done;
-    point cp;
-    t.res.(slot pid) <- !val_;  (* line 15, owner-only plain slot *)
-    !val_
-
-  let read ?(cp = Crash.none) t ~pid = read_cp cp t ~pid
-  let read_recover ?(cp = Crash.none) t ~pid = read_cp cp t ~pid
-  let response t ~pid = t.res.(slot pid)
 end

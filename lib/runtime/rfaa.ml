@@ -1,20 +1,24 @@
 (** Recoverable fetch-and-add on real multicore, nested on the strict CAS
     ({!Rscas}) — the native counterpart of the simulator's
     {!Objects.Faa_obj}, using the same persisted per-attempt tag
-    protocol.
+    protocol: an attempt bumps its tag [seq], records [<seq, value
+    read>] in [att], runs the strict CAS tagged [seq], and on success
+    records [<seq, response>] in [own].
 
     The [committed] flag plays the role the machine's [LI_p] plays in
     simulation: the caller's wrapper (the "system") keeps it across the
     crash and passes it to {!recover} — it is set exactly when the
     attempt's tag has been persisted (the commit point).
 
-    {!Int} nests on {!Rscas.Int} and keeps all per-process metadata
-    ([seq]/[att]/[own]) in {e plain} padded slots: the metadata is
+    All per-process metadata ([seq]/[att]/[own]) lives in {e plain}
+    padded slots (layout per process: seq, att_seq, att_v, own_seq,
+    own_v — all within the process's own cache line): the metadata is
     owner-only (written by [p], read by [p]'s recovery on the same
     domain).  A <seq, value> pair is two plain stores with no crash
     point between them — crashes fire only at [Crash.point], so the
     pair is crash-atomic, and the pair's seq slot is written second so
-    a torn pair is simply invisible. *)
+    a torn pair is simply invisible.  Allocation-free on the crash-free
+    path. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, the Pad
@@ -30,164 +34,94 @@ let[@inline] id_of c = (c lsr 48) - 1
 let[@inline] res_pack ~seq ret = (seq lsl 1) lor (if ret then 1 else 0)
 
 type t = {
-  c : int Rscas.t;
-  seq : int Atomic.t array;  (** per-process attempt tags *)
-  att : (int * int) Atomic.t array;  (** per-process <seq, value read> *)
-  own : (int * int) Atomic.t array;  (** per-process <seq, response> *)
-  nprocs : int;
+  c : Rscas.t;
+  meta : int array;  (** flat padded: seq, att_seq, att_v, own_seq, own_v *)
 }
 
 let create ~nprocs ?(init = 0) () =
-  {
-    c = Rscas.create ~nprocs init;
-    seq = Array.init nprocs (fun _ -> Atomic.make 0);
-    att = Array.init nprocs (fun _ -> Atomic.make (-1, 0));
-    own = Array.init nprocs (fun _ -> Atomic.make (-1, 0));
-    nprocs;
-  }
+  let meta = Pad.flat_make nprocs 0 in
+  for p = 0 to nprocs - 1 do
+    let b = slot p in
+    meta.(b + 1) <- -1;
+    (* att_seq *)
+    meta.(b + 3) <- -1 (* own_seq *)
+  done;
+  { c = Rscas.create ~nprocs init; meta }
 
-let read ?(cp = Crash.none) t = Rscas.read ~cp t.c
+let read ?(cp = Crash.none) t = Rscas.read_cp cp t.c
 
-(* one attempt: returns (Some prev) on success, None on CAS failure *)
-let attempt_cp cp t ~pid ~delta ~committed =
-  point cp;
-  let s = Atomic.get t.seq.(pid) + 1 in
-  point cp;
-  Atomic.set t.seq.(pid) s;
-  (match committed with Some r -> r := true | None -> ());
-  let (_, v) as content = Rscas.read_content_cp cp t.c in
-  point cp;
-  Atomic.set t.att.(pid) (s, v);
-  if Rscas.cas_content_cp cp t.c ~pid ~content ~new_:(v + delta) ~seq:s then begin
-    point cp;
-    Atomic.set t.own.(pid) (s, v);
-    Some v
-  end
-  else None
-
+(* One attempt per loop iteration: bump and persist the tag (the commit
+   point), record <seq, value read> in [att], run the strict CAS tagged
+   with it, and on success record <seq, response> in [own].  The attempt
+   is inlined into the retry loop (returning [Some v] from a helper
+   would be the hot path's only allocation), and so is the nested
+   strict-CAS step ([Rscas.read_content] + [Rscas.cas_content] with its
+   response persist): under -opaque each [Rscas] call would be an
+   indirect [caml_apply].  The crash-point sequence is identical to the
+   call-based version. *)
 let rec faa_cp cp committed t ~pid delta =
   (match committed with Some r -> r := false | None -> ());
-  match attempt_cp cp t ~pid ~delta ~committed with
-  | Some v -> v
-  | None -> faa_cp cp committed t ~pid delta
+  let b = slot pid in
+  point cp;
+  let s = t.meta.(b) + 1 in
+  point cp;
+  t.meta.(b) <- s;
+  (match committed with Some r -> r := true | None -> ());
+  let sc = t.c in
+  point cp;
+  let content = Atomic.get sc.Rscas.c in
+  let v = value content in
+  point cp;
+  t.meta.(b + 2) <- v;
+  t.meta.(b + 1) <- s;
+  let id = id_of content in
+  if id >= 0 then begin
+    point cp;
+    sc.Rscas.r.(slot2 ~n:sc.Rscas.nprocs id pid) <- v
+  end;
+  point cp;
+  let ok = Atomic.compare_and_set sc.Rscas.c content (pack ~id:pid (v + delta)) in
+  point cp;
+  sc.Rscas.res.(slot pid) <- res_pack ~seq:s ok;
+  if ok then begin
+    point cp;
+    t.meta.(b + 4) <- v;
+    t.meta.(b + 3) <- s;
+    v
+  end
+  else faa_cp cp committed t ~pid delta
 
 let faa ?(cp = Crash.none) ?committed t ~pid delta = faa_cp cp committed t ~pid delta
 
-(** [FAA.RECOVER].  [committed] is the wrapper-preserved commit flag of
-    the {e latest} attempt (false if the crash predates the tag
-    persistence, in which case the whole operation re-executes — safe,
-    since an uncommitted attempt invoked no CAS and a preceding committed
-    attempt only retries after a persisted failure). *)
+(* [FAA.RECOVER].  [committed] is the wrapper-preserved commit flag of
+   the {e latest} attempt (false if the crash predates the tag
+   persistence, in which case the whole operation re-executes — safe,
+   since an uncommitted attempt invoked no CAS and a preceding committed
+   attempt only retries after a persisted failure). *)
 let recover ?(cp = Crash.none) ?(committed = true) t ~pid delta =
   if not committed then faa_cp cp None t ~pid delta
   else begin
+    let b = slot pid in
     point cp;
-    let s = Atomic.get t.seq.(pid) in
+    let s = t.meta.(b) in
     point cp;
-    let os, ov = Atomic.get t.own.(pid) in
-    if os = s then ov
+    if t.meta.(b + 3) = s then t.meta.(b + 4)
     else begin
       point cp;
-      let ats, atv = Atomic.get t.att.(pid) in
-      if ats <> s then
+      if t.meta.(b + 1) <> s then
         (* the attempt never reached its CAS (the att write precedes it) *)
         faa_cp cp None t ~pid delta
       else begin
         (* the CAS may have been invoked and even have taken effect with
            its response lost mid-persist: ask the CAS level for evidence *)
+        let atv = t.meta.(b + 2) in
         match Rscas.outcome_cp cp t.c ~pid ~new_:(atv + delta) ~seq:s with
         | Some true ->
           point cp;
-          Atomic.set t.own.(pid) (s, atv);
+          t.meta.(b + 4) <- atv;
+          t.meta.(b + 3) <- s;
           atv
         | Some false | None -> faa_cp cp None t ~pid delta
       end
     end
   end
-
-(** Unboxed int specialization on {!Rscas.Int}; per-process metadata in
-    plain padded slots (layout per process: seq, att_seq, att_v,
-    own_seq, own_v — all within the process's own cache line).
-    Allocation-free on the crash-free path. *)
-module Int = struct
-  type t = {
-    c : Rscas.Int.t;
-    meta : int array;  (** flat padded: seq, att_seq, att_v, own_seq, own_v *)
-  }
-
-  let create ~nprocs ?(init = 0) () =
-    let meta = Pad.flat_make nprocs 0 in
-    for p = 0 to nprocs - 1 do
-      let b = slot p in
-      meta.(b + 1) <- -1;
-      (* att_seq *)
-      meta.(b + 3) <- -1 (* own_seq *)
-    done;
-    { c = Rscas.Int.create ~nprocs init; meta }
-
-  let read ?(cp = Crash.none) t = Rscas.Int.read_cp cp t.c
-
-  (* the attempt is inlined into the retry loop (the polymorphic code's
-     [attempt_cp] returns an option; boxing [Some v] per op would be the
-     hot path's only allocation), and so is the nested strict-CAS step
-     ([read_content] + [cas_content] + response persist): under -opaque
-     each [Rscas.Int] call would be an indirect [caml_apply].  The
-     crash-point sequence is identical to the call-based version. *)
-  let rec faa_cp cp committed t ~pid delta =
-    (match committed with Some r -> r := false | None -> ());
-    let b = slot pid in
-    point cp;
-    let s = t.meta.(b) + 1 in
-    point cp;
-    t.meta.(b) <- s;
-    (match committed with Some r -> r := true | None -> ());
-    let sc = t.c in
-    point cp;
-    let content = Atomic.get sc.Rscas.Int.c in
-    let v = value content in
-    point cp;
-    t.meta.(b + 2) <- v;
-    t.meta.(b + 1) <- s;
-    let id = id_of content in
-    if id >= 0 then begin
-      point cp;
-      sc.Rscas.Int.r.(slot2 ~n:sc.Rscas.Int.nprocs id pid) <- v
-    end;
-    point cp;
-    let ok = Atomic.compare_and_set sc.Rscas.Int.c content (pack ~id:pid (v + delta)) in
-    point cp;
-    sc.Rscas.Int.res.(slot pid) <- res_pack ~seq:s ok;
-    if ok then begin
-      point cp;
-      t.meta.(b + 4) <- v;
-      t.meta.(b + 3) <- s;
-      v
-    end
-    else faa_cp cp committed t ~pid delta
-
-  let faa ?(cp = Crash.none) ?committed t ~pid delta = faa_cp cp committed t ~pid delta
-
-  let recover ?(cp = Crash.none) ?(committed = true) t ~pid delta =
-    if not committed then faa_cp cp None t ~pid delta
-    else begin
-      let b = slot pid in
-      point cp;
-      let s = t.meta.(b) in
-      point cp;
-      if t.meta.(b + 3) = s then t.meta.(b + 4)
-      else begin
-        point cp;
-        if t.meta.(b + 1) <> s then faa_cp cp None t ~pid delta
-        else begin
-          let atv = t.meta.(b + 2) in
-          match Rscas.Int.outcome_cp cp t.c ~pid ~new_:(atv + delta) ~seq:s with
-          | Some true ->
-            point cp;
-            t.meta.(b + 4) <- atv;
-            t.meta.(b + 3) <- s;
-            atv
-          | Some false | None -> faa_cp cp None t ~pid delta
-        end
-      end
-    end
-end

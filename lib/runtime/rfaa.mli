@@ -1,14 +1,16 @@
 (** Recoverable fetch-and-add on real multicore, nested on {!Rscas} with
     the persisted per-attempt tag protocol.  The [committed] flag is
     wrapper-preserved system metadata: set exactly when the current
-    attempt's tag has been persisted. *)
+    attempt's tag has been persisted.
+
+    Per-process [seq]/[att]/[own] metadata lives in plain padded slots
+    (owner-only state; <seq, value> pairs are crash-atomic because no
+    crash point separates their two stores).  Allocation-free on the
+    crash-free path. *)
 
 type t = {
-  c : int Rscas.t;
-  seq : int Atomic.t array;
-  att : (int * int) Atomic.t array;  (** <seq, value read by the attempt> *)
-  own : (int * int) Atomic.t array;  (** <seq, response> *)
-  nprocs : int;
+  c : Rscas.t;
+  meta : int array;  (** flat padded: seq, att_seq, att_v, own_seq, own_v *)
 }
 
 val create : nprocs:int -> ?init:int -> unit -> t
@@ -20,19 +22,3 @@ val faa : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int -> int
 val recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int -> int
 (** [FAA.RECOVER] with the wrapper-preserved commit flag of the latest
     attempt. *)
-
-(** Unboxed int specialization on {!Rscas.Int}: per-process [seq]/[att]/
-    [own] metadata in plain padded slots (owner-only state; <seq, value>
-    pairs are crash-atomic because no crash point separates their two
-    stores).  Allocation-free on the crash-free path. *)
-module Int : sig
-  type t = {
-    c : Rscas.Int.t;
-    meta : int array;
-  }
-
-  val create : nprocs:int -> ?init:int -> unit -> t
-  val read : ?cp:Crash.t -> t -> int
-  val faa : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int -> int
-  val recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int -> int
-end

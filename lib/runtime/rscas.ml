@@ -6,11 +6,12 @@
     invocations; a recovering caller can then decide from [res.(pid)]
     whether its pending CAS completed and with which response.
 
-    {!Int} is the unboxed specialization the derived FAA builds on:
-    packed content, flat plain helping matrix (memory-model argument in
-    rcas.ml), and [res] as {e plain} padded slots — [Res_p] is
-    owner-only state (written by [p], read by [p]'s recovery on the
-    same domain), so it needs no fence. *)
+    Packed content and flat plain helping matrix as in {!Rcas}
+    (memory-model argument in rcas.ml); [res] holds packed <seq, ret>
+    ({!Enc.res_pack}) in {e plain} padded slots — [Res_p] is owner-only
+    state (written by [p], read by [p]'s recovery on the same domain),
+    so it needs no fence.  Allocation-free on every path; values are
+    48-bit signed, [seq] tags non-negative 61-bit. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, the Pad
@@ -27,98 +28,96 @@ let[@inline] res_pack ~seq ret = (seq lsl 1) lor (if ret then 1 else 0)
 let[@inline] res_seq r = r asr 1
 let[@inline] res_ret r = r land 1 = 1
 
-type 'a t = {
-  c : (int * 'a) Atomic.t;  (** <last successful writer (-1 = null), value> *)
-  r : 'a option Atomic.t array array;
-  res : (int * bool) Atomic.t array;  (** per-process <seq, ret>; seq -1 = none *)
+type t = {
+  c : int Atomic.t;  (** packed <last successful writer (-1 = null), value> *)
+  r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
+  res : int array;  (** plain padded slots, packed <seq, ret> *)
   nprocs : int;
 }
 
-let null_id = -1
-
 let create ~nprocs init =
+  Enc.check_nprocs nprocs;
   {
-    c = Atomic.make (null_id, init);
-    r = Array.init nprocs (fun _ -> Array.init nprocs (fun _ -> Atomic.make None));
-    res = Array.init nprocs (fun _ -> Atomic.make (-1, false));
+    c = Pad.make_int (pack ~id:(-1) init);
+    r = Pad.flat2_make nprocs Enc.none;
+    res = Pad.flat_make nprocs Enc.res_none;
     nprocs;
   }
 
 let[@inline] read_cp cp t =
   point cp;
-  snd (Atomic.get t.c)
+  value (Atomic.get t.c)
 
 let read ?(cp = Crash.none) t = read_cp cp t
 
-(* read the full <id, value> content (needed by retry loops that CAS on
-   the physical content) *)
+(* the packed content is itself the retry-loop token *)
 let[@inline] read_content_cp cp t =
   point cp;
   Atomic.get t.c
 
 let read_content ?(cp = Crash.none) t = read_content_cp cp t
 
-let persist_cp cp t ~pid ~seq ret =
+let[@inline] persist_cp cp t ~pid ~seq ret =
   point cp;
-  Atomic.set t.res.(pid) (seq, ret);
+  t.res.(slot pid) <- res_pack ~seq ret;
   ret
 
 let persist ?(cp = Crash.none) t ~pid ~seq ret = persist_cp cp t ~pid ~seq ret
 
 let cas_cp cp t ~pid ~old ~new_ ~seq =
   point cp;
-  let (id, v) as content = Atomic.get t.c in
+  let content = Atomic.get t.c in
+  let v = value content in
   if v <> old then persist_cp cp t ~pid ~seq false
   else begin
-    if id <> null_id then begin
+    let id = id_of content in
+    if id >= 0 then begin
       point cp;
-      Atomic.set t.r.(id).(pid) (Some v)
+      t.r.(slot2 ~n:t.nprocs id pid) <- v
     end;
     point cp;
-    let ok = Atomic.compare_and_set t.c content (pid, new_) in
+    let ok = Atomic.compare_and_set t.c content (pack ~id:pid new_) in
     persist_cp cp t ~pid ~seq ok
   end
 
 let cas ?(cp = Crash.none) t ~pid ~old ~new_ ~seq = cas_cp cp t ~pid ~old ~new_ ~seq
 
-(** Like {!cas} but comparing against (and swapping from) the exact
-    content previously obtained with {!read_content} — what retry loops
-    need, since OCaml's [Atomic.compare_and_set] is physical. *)
+(* like [cas_cp] from a content previously obtained with [read_content]:
+   what retry loops need, since the CAS must swap from exactly the
+   content the attempt read *)
 let cas_content_cp cp t ~pid ~content ~new_ ~seq =
-  let id, _v = content in
-  if id <> null_id then begin
+  let id = id_of content in
+  if id >= 0 then begin
     point cp;
-    Atomic.set t.r.(id).(pid) (Some (snd content))
+    t.r.(slot2 ~n:t.nprocs id pid) <- value content
   end;
   point cp;
-  let ok = Atomic.compare_and_set t.c content (pid, new_) in
+  let ok = Atomic.compare_and_set t.c content (pack ~id:pid new_) in
   persist_cp cp t ~pid ~seq ok
 
 let cas_content ?(cp = Crash.none) t ~pid ~content ~new_ ~seq =
   cas_content_cp cp t ~pid ~content ~new_ ~seq
 
-(** Evidence-only verdict for the CAS invocation tagged [seq] with value
-    [new_]: [Some r] if the persisted response, [C]'s contents or the
-    helping matrix row decide it (persisting the verdict on the way out);
-    [None] if there is no evidence — by the paper's Lemma 3 argument the
-    cas then never took effect and the caller may safely re-execute at
-    its own level.  This is what a {e nesting} caller's recovery needs
-    (the machine gets it for free from the recovery cascade; native code
-    must ask explicitly). *)
+(* Evidence-only verdict for the CAS invocation tagged [seq] with value
+   [new_]: [Some r] if the persisted response, [C]'s contents or the
+   helping matrix row decide it (persisting the verdict on the way out);
+   [None] if there is no evidence — by the paper's Lemma 3 argument the
+   cas then never took effect and the caller may safely re-execute at its
+   own level.  This is what a {e nesting} caller's recovery needs (the
+   machine gets it for free from the recovery cascade; native code must
+   ask explicitly). *)
 let outcome_cp cp t ~pid ~new_ ~seq =
   point cp;
-  let s, r = Atomic.get t.res.(pid) in
-  if s = seq then Some r
+  let res = t.res.(slot pid) in
+  if res_seq res = seq then Some (res_ret res)
   else begin
     point cp;
-    if Atomic.get t.c = (pid, new_) then Some (persist_cp cp t ~pid ~seq true)
+    if Atomic.get t.c = pack ~id:pid new_ then Some (persist_cp cp t ~pid ~seq true)
     else begin
       let found = ref false in
       for j = 0 to t.nprocs - 1 do
         point cp;
-        match Atomic.get t.r.(pid).(j) with
-        | Some v when v = new_ -> found := true
-        | _ -> ()
+        if t.r.(slot2 ~n:t.nprocs pid j) = new_ then found := true
       done;
       if !found then Some (persist_cp cp t ~pid ~seq true) else None
     end
@@ -130,102 +129,3 @@ let cas_recover ?(cp = Crash.none) t ~pid ~old ~new_ ~seq =
   match outcome_cp cp t ~pid ~new_ ~seq with
   | Some r -> r
   | None -> cas_cp cp t ~pid ~old ~new_ ~seq
-
-(** Unboxed int specialization: packed <id, value> content in one
-    padded atomic; flat stride-padded plain helping matrix; [res] as
-    plain padded slots packing <seq, ret> ({!Enc.res_pack}).
-    Allocation-free on every path; values are 48-bit signed, [seq] tags
-    non-negative 61-bit. *)
-module Int = struct
-  type t = {
-    c : int Atomic.t;  (** packed <id, value> *)
-    r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
-    res : int array;  (** plain padded slots, packed <seq, ret> *)
-    nprocs : int;
-  }
-
-  let create ~nprocs init =
-    Enc.check_nprocs nprocs;
-    {
-      c = Pad.make_int (pack ~id:null_id init);
-      r = Pad.flat2_make nprocs Enc.none;
-      res = Pad.flat_make nprocs Enc.res_none;
-      nprocs;
-    }
-
-  let[@inline] read_cp cp t =
-    point cp;
-    value (Atomic.get t.c)
-
-  let read ?(cp = Crash.none) t = read_cp cp t
-
-  (* the packed content is itself the retry-loop token *)
-  let[@inline] read_content_cp cp t =
-    point cp;
-    Atomic.get t.c
-
-  let read_content ?(cp = Crash.none) t = read_content_cp cp t
-
-  let[@inline] persist_cp cp t ~pid ~seq ret =
-    point cp;
-    t.res.(slot pid) <- res_pack ~seq ret;
-    ret
-
-  let persist ?(cp = Crash.none) t ~pid ~seq ret = persist_cp cp t ~pid ~seq ret
-
-  let cas_cp cp t ~pid ~old ~new_ ~seq =
-    point cp;
-    let content = Atomic.get t.c in
-    let v = value content in
-    if v <> old then persist_cp cp t ~pid ~seq false
-    else begin
-      let id = id_of content in
-      if id >= 0 then begin
-        point cp;
-        t.r.(slot2 ~n:t.nprocs id pid) <- v
-      end;
-      point cp;
-      let ok = Atomic.compare_and_set t.c content (pack ~id:pid new_) in
-      persist_cp cp t ~pid ~seq ok
-    end
-
-  let cas ?(cp = Crash.none) t ~pid ~old ~new_ ~seq = cas_cp cp t ~pid ~old ~new_ ~seq
-
-  let cas_content_cp cp t ~pid ~content ~new_ ~seq =
-    let id = id_of content in
-    if id >= 0 then begin
-      point cp;
-      t.r.(slot2 ~n:t.nprocs id pid) <- value content
-    end;
-    point cp;
-    let ok = Atomic.compare_and_set t.c content (pack ~id:pid new_) in
-    persist_cp cp t ~pid ~seq ok
-
-  let cas_content ?(cp = Crash.none) t ~pid ~content ~new_ ~seq =
-    cas_content_cp cp t ~pid ~content ~new_ ~seq
-
-  let outcome_cp cp t ~pid ~new_ ~seq =
-    point cp;
-    let res = t.res.(slot pid) in
-    if res_seq res = seq then Some (res_ret res)
-    else begin
-      point cp;
-      if Atomic.get t.c = pack ~id:pid new_ then
-        Some (persist_cp cp t ~pid ~seq true)
-      else begin
-        let found = ref false in
-        for j = 0 to t.nprocs - 1 do
-          point cp;
-          if t.r.(slot2 ~n:t.nprocs pid j) = new_ then found := true
-        done;
-        if !found then Some (persist_cp cp t ~pid ~seq true) else None
-      end
-    end
-
-  let outcome ?(cp = Crash.none) t ~pid ~new_ ~seq = outcome_cp cp t ~pid ~new_ ~seq
-
-  let cas_recover ?(cp = Crash.none) t ~pid ~old ~new_ ~seq =
-    match outcome_cp cp t ~pid ~new_ ~seq with
-    | Some r -> r
-    | None -> cas_cp cp t ~pid ~old ~new_ ~seq
-end

@@ -1,40 +1,45 @@
 (** Strict recoverable CAS on real multicore: {!Rcas} plus per-invocation
     tagged response persistence, mirroring the simulator's
     {!Objects.Scas_obj}.  The caller supplies a [seq] tag, distinct and
-    non-negative across its invocations.  The [_cp] variants take the
-    crash point positionally (optional re-passing allocates). *)
+    non-negative across its invocations.
 
-type 'a t = {
-  c : (int * 'a) Atomic.t;  (** <last successful writer (-1 = null), value> *)
-  r : 'a option Atomic.t array array;  (** helping matrix *)
-  res : (int * bool) Atomic.t array;  (** per-process <seq, ret> *)
+    Packed <id, value> content in one padded atomic; flat stride-padded
+    plain helping matrix (memory-model argument in rcas.ml); [res] as
+    plain padded slots (owner-only state).  Allocation-free on every
+    path; values 48-bit signed.  The [_cp] variants take the crash point
+    positionally (optional re-passing allocates). *)
+
+type t = {
+  c : int Atomic.t;  (** packed <last successful writer (-1 = null), value> *)
+  r : int array;  (** flat padded helping matrix, [Enc.none] = empty *)
+  res : int array;  (** per-process packed <seq, ret>, [Enc.res_none] = none *)
   nprocs : int;
 }
 
-val null_id : int
-val create : nprocs:int -> 'a -> 'a t
-val read : ?cp:Crash.t -> 'a t -> 'a
+val create : nprocs:int -> int -> t
+val read : ?cp:Crash.t -> t -> int
 
-val read_content : ?cp:Crash.t -> 'a t -> int * 'a
-(** The full <id, value> content, for retry loops that CAS on the
-    physical content. *)
+val read_content : ?cp:Crash.t -> t -> int
+(** The packed <id, value> content — itself the retry-loop token
+    ([Enc.value]/[Enc.id] decode it). *)
 
-val persist : ?cp:Crash.t -> 'a t -> pid:int -> seq:int -> bool -> bool
+val persist : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool -> bool
 (** Persist [<seq, ret>] into [res.(pid)], returning [ret]. *)
 
-val cas : ?cp:Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> seq:int -> bool
+val cas : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> seq:int -> bool
 (** Algorithm 2's CAS, persisting [<seq, ret>] before returning. *)
 
 val cas_content :
-  ?cp:Crash.t -> 'a t -> pid:int -> content:int * 'a -> new_:'a -> seq:int -> bool
-(** Like {!cas} but from a content previously obtained with
-    {!read_content} (OCaml's [Atomic.compare_and_set] is physical). *)
+  ?cp:Crash.t -> t -> pid:int -> content:int -> new_:int -> seq:int -> bool
+(** Like {!cas} but swapping from a content previously obtained with
+    {!read_content}, as retry loops need. *)
 
-val cas_recover : ?cp:Crash.t -> 'a t -> pid:int -> old:'a -> new_:'a -> seq:int -> bool
+val cas_recover :
+  ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> seq:int -> bool
 (** [CAS.RECOVER]: answer from the persisted verdict or the evidence, or
     re-execute. *)
 
-val outcome : ?cp:Crash.t -> 'a t -> pid:int -> new_:'a -> seq:int -> bool option
+val outcome : ?cp:Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option
 (** Evidence-only verdict for the invocation tagged [seq]: [Some r] if
     the persisted response, [C]'s contents or the helping row decide it
     (persisting on the way out); [None] when there is no evidence — by
@@ -42,44 +47,10 @@ val outcome : ?cp:Crash.t -> 'a t -> pid:int -> new_:'a -> seq:int -> bool optio
     recoveries need this (the machine gets it from the recovery cascade;
     native code must ask). *)
 
-val read_content_cp : Crash.t -> 'a t -> int * 'a
-val cas_content_cp : Crash.t -> 'a t -> pid:int -> content:int * 'a -> new_:'a -> seq:int -> bool
-val outcome_cp : Crash.t -> 'a t -> pid:int -> new_:'a -> seq:int -> bool option
+val read_cp : Crash.t -> t -> int
+val read_content_cp : Crash.t -> t -> int
 
-(** Unboxed int specialization: packed <id, value> content in one padded
-    atomic; flat stride-padded plain helping matrix (memory-model
-    argument in rcas.ml); [res] as plain padded slots (owner-only
-    state).  Allocation-free on every path; values 48-bit signed. *)
-module Int : sig
-  type t = {
-    c : int Atomic.t;
-    r : int array;
-    res : int array;
-    nprocs : int;
-  }
+val cas_content_cp :
+  Crash.t -> t -> pid:int -> content:int -> new_:int -> seq:int -> bool
 
-  val create : nprocs:int -> int -> t
-  val read : ?cp:Crash.t -> t -> int
-
-  val read_content : ?cp:Crash.t -> t -> int
-  (** The packed <id, value> content — itself the retry-loop token
-      ([Enc.value]/[Enc.id] decode it). *)
-
-  val persist : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool -> bool
-  val cas : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> seq:int -> bool
-
-  val cas_content :
-    ?cp:Crash.t -> t -> pid:int -> content:int -> new_:int -> seq:int -> bool
-
-  val cas_recover :
-    ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> seq:int -> bool
-
-  val outcome : ?cp:Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option
-  val read_cp : Crash.t -> t -> int
-  val read_content_cp : Crash.t -> t -> int
-
-  val cas_content_cp :
-    Crash.t -> t -> pid:int -> content:int -> new_:int -> seq:int -> bool
-
-  val outcome_cp : Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option
-end
+val outcome_cp : Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option

@@ -1,57 +1,35 @@
-(** Recoverable Treiber stack on real multicore, nested on {!Rscas}; the
-    whole stack lives in the CAS cell as a writer-stamped immutable
-    list. *)
-
-type 'a response = Pushed | Popped of 'a | Empty
-
-type 'a t = {
-  c : ((int * int) * 'a list) Rscas.t;
-  seq : int Atomic.t array;
-  att : (int * ('a response * ((int * int) * 'a list))) Atomic.t array;
-  own : (int * 'a response) Atomic.t array;
-  nprocs : int;
-}
-
-val create : nprocs:int -> unit -> 'a t
-val peek : ?cp:Crash.t -> 'a t -> 'a option
-val push : ?cp:Crash.t -> ?committed:bool ref -> 'a t -> pid:int -> 'a -> 'a response
-val pop : ?cp:Crash.t -> ?committed:bool ref -> 'a t -> pid:int -> 'a response
-
-val push_recover :
-  ?cp:Crash.t -> ?committed:bool -> 'a t -> pid:int -> 'a -> 'a response
-
-val pop_recover : ?cp:Crash.t -> ?committed:bool -> 'a t -> pid:int -> 'a response
-
-(** Unboxed int specialization: immutable node chain behind a
+(** Recoverable Treiber stack on real multicore, nested on {!Rscas}'s
+    persisted-tag protocol: an immutable node chain behind a
     freshly-allocated stamped head record per installed content
     ([stamp = (seq lsl 13) lor pid] keeps contents writer-unique), the
     strict-CAS layer inlined with physical CAS on the head pointer and
     stamp-equality evidence checks.  Responses are packed ints; a
     push+pop pair allocates three small blocks. *)
-module Int : sig
-  type node = { nv : int; next : node }
-  type head = { stamp : int; top : node }
 
-  type t = {
-    c : head Atomic.t;
-    r : head array;
-    res : int array;
-    meta : int array;
-    nprocs : int;
-  }
+type response = Pushed | Popped of int | Empty
 
-  val resp_pushed : int
-  val resp_empty : int
-  val resp_popped : int -> int
+type node = { nv : int; next : node }
+type head = { stamp : int; top : node }
 
-  val decode : int -> int response
-  (** Unpack a response for assertions/pretty-printing (allocates for
-      [Popped]). *)
+type t = {
+  c : head Atomic.t;
+  r : head array;
+  res : int array;
+  meta : int array;
+  nprocs : int;
+}
 
-  val create : nprocs:int -> unit -> t
-  val peek : ?cp:Crash.t -> t -> int option
-  val push : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int -> int
-  val pop : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int
-  val push_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int -> int
-  val pop_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int
-end
+val resp_pushed : int
+val resp_empty : int
+val resp_popped : int -> int
+
+val decode : int -> response
+(** Unpack a response for assertions/pretty-printing (allocates for
+    [Popped]). *)
+
+val create : nprocs:int -> unit -> t
+val peek : ?cp:Crash.t -> t -> int option
+val push : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int -> int
+val pop : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int
+val push_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int -> int
+val pop_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int

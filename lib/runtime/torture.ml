@@ -265,12 +265,12 @@ let rcounter_inc ~rng ~crash_prob ~stats ?obs ?watchdog ?hb (c : Rcounter.t) ~pi
   let pending_write = ref None in
   let body ~cp =
     Crash.point cp;
-    let temp = Rrw.read c.Rcounter.regs.(pid) in
+    let temp = Rrw.Int.read c.Rcounter.regs.(pid) in
     (* line 2 *)
     let v = temp + 1 in
     pending_write := Some v;
     (* the write of line 4: its argument is now system metadata *)
-    Rrw.write ~cp c.Rcounter.regs.(pid) ~pid v
+    Rrw.Int.write ~cp c.Rcounter.regs.(pid) ~pid v
   in
   let recover ~cp ~traversed =
     match !pending_write with
@@ -280,7 +280,7 @@ let rcounter_inc ~rng ~crash_prob ~stats ?obs ?watchdog ?hb (c : Rcounter.t) ~pi
     | Some v ->
       (* crash at or after the nested write's invocation: the register's
          recovery linearizes it exactly once; INC then just returns *)
-      Rrw.write_recover ~cp c.Rcounter.regs.(pid) ~pid v
+      Rrw.Int.write_recover ~cp c.Rcounter.regs.(pid) ~pid v
   in
   with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb ~op:body ~recover ()
 
@@ -291,14 +291,4 @@ let rtas ~rng ~crash_prob ~stats ?obs ?watchdog ?hb t ~pid =
     ~recover:(fun ~cp ~traversed ->
       ignore traversed;
       Rtas.recover ~cp t ~pid)
-    ()
-
-(** A recoverable CAS under random crashes; the wrapper holds [old] and
-    [new_]. *)
-let rcas ~rng ~crash_prob ~stats ?obs ?watchdog ?hb c ~pid ~old ~new_ =
-  with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb
-    ~op:(fun ~cp -> Rcas.cas ~cp c ~pid ~old ~new_)
-    ~recover:(fun ~cp ~traversed ->
-      ignore traversed;
-      Rcas.cas_recover ~cp c ~pid ~old ~new_)
     ()

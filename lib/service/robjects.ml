@@ -25,11 +25,11 @@ let kind_name = function
 let hist_buckets = 8
 
 type obj =
-  | Ocounter of Rcounter.Int.t
-  | Ofaa of Rfaa.Int.t
-  | Ocas of Rcas.Int.t
-  | Omax of Rcas.Int.t
-  | Ohist of Rfaa.Int.t array
+  | Ocounter of Rcounter.t
+  | Ofaa of Rfaa.t
+  | Ocas of Rcas.t
+  | Omax of Rcas.t
+  | Ohist of Rfaa.t array
 
 type t = { objs : obj array }
 
@@ -47,11 +47,11 @@ let create ~keys =
     objs =
       Array.init keys (fun i ->
           match kind_of_index i with
-          | Counter -> Ocounter (Rcounter.Int.create ~nprocs:1)
-          | Faa -> Ofaa (Rfaa.Int.create ~nprocs:1 ())
-          | Cas -> Ocas (Rcas.Int.create ~nprocs:1 0)
-          | Max -> Omax (Rcas.Int.create ~nprocs:1 0)
-          | Hist -> Ohist (Array.init hist_buckets (fun _ -> Rfaa.Int.create ~nprocs:1 ())));
+          | Counter -> Ocounter (Rcounter.create ~nprocs:1)
+          | Faa -> Ofaa (Rfaa.create ~nprocs:1 ())
+          | Cas -> Ocas (Rcas.create ~nprocs:1 0)
+          | Max -> Omax (Rcas.create ~nprocs:1 0)
+          | Hist -> Ohist (Array.init hist_buckets (fun _ -> Rfaa.create ~nprocs:1 ())));
   }
 
 let keys t = Array.length t.objs
@@ -101,7 +101,7 @@ let end_op p = p.p_active <- false
 
 let hist_read ~cp bs =
   let s = ref 0 in
-  Array.iter (fun b -> s := !s + Rfaa.Int.read ~cp b) bs;
+  Array.iter (fun b -> s := !s + Rfaa.read ~cp b) bs;
   !s
 
 (* The first attempt.  May raise [Crash.Crashed]; the [pending] slot
@@ -110,9 +110,9 @@ let exec t ~cp p =
   let o = t.objs.(p.p_key) in
   if p.p_read then
     match o with
-    | Ocounter c -> Rcounter.Int.read ~cp c ~pid:0
-    | Ofaa f -> Rfaa.Int.read ~cp f
-    | Ocas c | Omax c -> Rcas.Int.read ~cp c
+    | Ocounter c -> Rcounter.read ~cp c ~pid:0
+    | Ofaa f -> Rfaa.read ~cp f
+    | Ocas c | Omax c -> Rcas.read ~cp c
     | Ohist bs -> hist_read ~cp bs
   else
     match o with
@@ -121,44 +121,44 @@ let exec t ~cp p =
          wrapper: the value of the nested WRITE becomes system metadata
          the moment the write is invoked *)
       Crash.point cp;
-      let temp = Rrw.Int.read ~cp c.Rcounter.Int.regs.(0) in
+      let temp = Rrw.Int.read ~cp c.Rcounter.regs.(0) in
       let v = temp + 1 in
       p.p_val <- v;
       p.p_stage <- 1;
-      Rrw.Int.write ~cp c.Rcounter.Int.regs.(0) ~pid:0 v;
+      Rrw.Int.write ~cp c.Rcounter.regs.(0) ~pid:0 v;
       v
     | Ofaa f ->
       let delta = max 1 p.p_arg in
-      Rfaa.Int.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
+      Rfaa.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
     | Ocas c ->
       (* bump: read v, CAS v -> v+1.  Single writer, so the CAS always
          applies; new values strictly increase (distinct, as Rcas
          assumes). *)
       Crash.point cp;
-      let old = Rcas.Int.read ~cp c in
+      let old = Rcas.read ~cp c in
       p.p_old <- old;
       p.p_val <- old + 1;
       p.p_stage <- 1;
-      ignore (Rcas.Int.cas ~cp c ~pid:0 ~old ~new_:(old + 1));
+      ignore (Rcas.cas ~cp c ~pid:0 ~old ~new_:(old + 1));
       old + 1
     | Omax m ->
       (* install the candidate iff it exceeds the current maximum —
          installed values strictly increase, keeping Rcas's distinct-
          new-values assumption *)
       Crash.point cp;
-      let cur = Rcas.Int.read ~cp m in
+      let cur = Rcas.read ~cp m in
       let cand = p.p_arg in
       if cand <= cur then cur
       else begin
         p.p_old <- cur;
         p.p_val <- cand;
         p.p_stage <- 1;
-        ignore (Rcas.Int.cas ~cp m ~pid:0 ~old:cur ~new_:cand);
+        ignore (Rcas.cas ~cp m ~pid:0 ~old:cur ~new_:cand);
         cand
       end
     | Ohist bs ->
       let b = p.p_arg land (hist_buckets - 1) in
-      Rfaa.Int.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
+      Rfaa.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
 
 (* Recovery of the in-flight operation.  May itself crash (the shard
    re-invokes under its watchdog); every branch is re-entrant. *)
@@ -166,9 +166,9 @@ let rec recover t ~cp p =
   let o = t.objs.(p.p_key) in
   if p.p_read then
     match o with
-    | Ocounter c -> Rcounter.Int.read_recover ~cp c ~pid:0
-    | Ofaa f -> Rfaa.Int.read ~cp f (* reads are effect-free: re-execute *)
-    | Ocas c | Omax c -> Rcas.Int.read_recover ~cp c
+    | Ocounter c -> Rcounter.read_recover ~cp c ~pid:0
+    | Ofaa f -> Rfaa.read ~cp f (* reads are effect-free: re-execute *)
+    | Ocas c | Omax c -> Rcas.read_recover ~cp c
     | Ohist bs -> hist_read ~cp bs
   else
     match o with
@@ -177,32 +177,32 @@ let rec recover t ~cp p =
       else begin
         (* crash at or after the nested WRITE's invocation: the
            register's recovery linearizes it exactly once *)
-        Rrw.Int.write_recover ~cp c.Rcounter.Int.regs.(0) ~pid:0 p.p_val;
+        Rrw.Int.write_recover ~cp c.Rcounter.regs.(0) ~pid:0 p.p_val;
         p.p_val
       end
     | Ofaa f ->
       let delta = max 1 p.p_arg in
-      if !(p.p_flag) then Rfaa.Int.recover ~cp ~committed:true f ~pid:0 delta + delta
+      if !(p.p_flag) then Rfaa.recover ~cp ~committed:true f ~pid:0 delta + delta
       else
         (* the attempt's tag was never persisted, so its effect cannot
            have happened: re-run, keeping the wrapper flag current *)
-        Rfaa.Int.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
+        Rfaa.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
     | Ocas c ->
       if p.p_stage = 0 then recover_reexec t ~cp p
       else begin
-        ignore (Rcas.Int.cas_recover ~cp c ~pid:0 ~old:p.p_old ~new_:p.p_val);
+        ignore (Rcas.cas_recover ~cp c ~pid:0 ~old:p.p_old ~new_:p.p_val);
         p.p_val
       end
     | Omax m ->
       if p.p_stage = 0 then recover_reexec t ~cp p
       else begin
-        ignore (Rcas.Int.cas_recover ~cp m ~pid:0 ~old:p.p_old ~new_:p.p_val);
+        ignore (Rcas.cas_recover ~cp m ~pid:0 ~old:p.p_old ~new_:p.p_val);
         p.p_val
       end
     | Ohist bs ->
       let b = p.p_arg land (hist_buckets - 1) in
-      if !(p.p_flag) then Rfaa.Int.recover ~cp ~committed:true bs.(b) ~pid:0 1 + 1
-      else Rfaa.Int.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
+      if !(p.p_flag) then Rfaa.recover ~cp ~committed:true bs.(b) ~pid:0 1 + 1
+      else Rfaa.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
 
 and recover_reexec t ~cp p =
   (* crashed before any nested mutation began: plain re-execution *)
@@ -225,7 +225,7 @@ let apply_expected expected p =
 (* Quiescent final state (shard healthy, worker joined). *)
 let final_value t key =
   match t.objs.(key) with
-  | Ocounter c -> Rcounter.Int.read c ~pid:0
-  | Ofaa f -> Rfaa.Int.read f
-  | Ocas c | Omax c -> Rcas.Int.read c
+  | Ocounter c -> Rcounter.read c ~pid:0
+  | Ofaa f -> Rfaa.read f
+  | Ocas c | Omax c -> Rcas.read c
   | Ohist bs -> hist_read ~cp:Crash.none bs

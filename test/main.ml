@@ -23,7 +23,6 @@ let () =
       ("impossibility", Test_impossibility.suite);
       ("runtime", Test_runtime.suite);
       ("runtime-ext", Test_runtime_extensions.suite);
-      ("native-vs-vm", Test_native_vs_vm.suite);
       ("conformance", Test_conformance.suite);
       ("pstack", Test_pstack.suite);
       ("sync", Test_sync.suite);

@@ -16,15 +16,18 @@
    (granted/released or aborted/refused): a crash before its CAS can
    prove anything legitimately aborts, but the two operations must then
    agree, and no third vector (e.g. acquire granted, release refused) is
-   ever admissible.
+   ever admissible.  A native schedule may also end in observation steps
+   that read state no response shows — the T&S's persisted [Res_p], the
+   stack's top after PUSH/POP — so the table pins those effects at every
+   crash position too.
 
    The two backends count positions differently — the simulator steps
    individual memory accesses of the pseudocode interpreter, the native
    code its [Crash.point] markers — so the comparison is on the abstract
    response vectors, which the table makes identical up to value
    encoding (the simulated CAS cell holds [<id, value>] pairs, so its
-   READ answers the tagged pair where the native int twin answers the
-   raw int). *)
+   READ answers the tagged pair where the native object answers the raw
+   int). *)
 
 open Machine
 open Runtime
@@ -64,6 +67,10 @@ type nstep = {
          the system's [LI_p] role, which algorithms such as the counter
          need to know whether their nested WRITE had started *)
 }
+
+(* an observation step: reads native state after the operations and
+   traverses no crash point, so no crash ever lands in it *)
+let observe nlabel f = { nlabel; nop = (fun _ -> f ()); nrecover = (fun _ -> f ()) }
 
 (* how many crash points a crash-free run of the schedule traverses
    (arm far past the end; [traversed] must be read before [disarm]
@@ -173,17 +180,17 @@ let cas_row =
     native =
       Some
         (fun () ->
-          let c = Rcas.Int.create ~nprocs:1 0 in
+          let c = Rcas.create ~nprocs:1 0 in
           [
             {
               nlabel = "CAS";
-              nop = (fun cp -> bool (Rcas.Int.cas ~cp c ~pid:0 ~old:0 ~new_:1));
-              nrecover = (fun _ -> bool (Rcas.Int.cas_recover c ~pid:0 ~old:0 ~new_:1));
+              nop = (fun cp -> bool (Rcas.cas ~cp c ~pid:0 ~old:0 ~new_:1));
+              nrecover = (fun _ -> bool (Rcas.cas_recover c ~pid:0 ~old:0 ~new_:1));
             };
             {
               nlabel = "READ";
-              nop = (fun cp -> int (Rcas.Int.read ~cp c));
-              nrecover = (fun _ -> int (Rcas.Int.read_recover c));
+              nop = (fun cp -> int (Rcas.read ~cp c));
+              nrecover = (fun _ -> int (Rcas.read_recover c));
             };
           ]);
     script =
@@ -203,18 +210,18 @@ let scas_row =
     native =
       Some
         (fun () ->
-          let c = Rscas.Int.create ~nprocs:1 0 in
+          let c = Rscas.create ~nprocs:1 0 in
           [
             {
               nlabel = "CAS";
-              nop = (fun cp -> bool (Rscas.Int.cas ~cp c ~pid:0 ~old:0 ~new_:1 ~seq:1));
+              nop = (fun cp -> bool (Rscas.cas ~cp c ~pid:0 ~old:0 ~new_:1 ~seq:1));
               nrecover =
-                (fun _ -> bool (Rscas.Int.cas_recover c ~pid:0 ~old:0 ~new_:1 ~seq:1));
+                (fun _ -> bool (Rscas.cas_recover c ~pid:0 ~old:0 ~new_:1 ~seq:1));
             };
             {
               nlabel = "READ";
-              nop = (fun cp -> int (Rscas.Int.read ~cp c));
-              nrecover = (fun _ -> int (Rscas.Int.read c));
+              nop = (fun cp -> int (Rscas.read ~cp c));
+              nrecover = (fun _ -> int (Rscas.read c));
             };
           ]);
     script =
@@ -241,10 +248,11 @@ let tas_row =
               nop = (fun cp -> int (Rtas.test_and_set ~cp t ~pid:0));
               nrecover = (fun _ -> int (Rtas.recover t ~pid:0));
             };
+            observe "Res_p" (fun () -> int (Rtas.response t ~pid:0));
           ]);
     script =
       (fun sim -> Workload.Opgen.tas_ops (Objects.Tas_obj.make sim ~name:"T"));
-    admissible_native = [ [ ("T&S", int 0) ] ];
+    admissible_native = [ [ ("T&S", int 0); ("Res_p", int 0) ] ];
     admissible_vm = [ [ ("T&S", int 0) ] ];
   }
 
@@ -254,13 +262,13 @@ let counter_row =
     native =
       Some
         (fun () ->
-          let c = Rcounter.Int.create ~nprocs:1 in
+          let c = Rcounter.create ~nprocs:1 in
           [
             {
               nlabel = "INC";
               nop =
                 (fun cp ->
-                  Rcounter.Int.inc ~cp c ~pid:0;
+                  Rcounter.inc ~cp c ~pid:0;
                   ack);
               nrecover =
                 (fun lp ->
@@ -270,17 +278,17 @@ let counter_row =
                      must be recovered first, with its intended value
                      temp + 1 = 1 — the [LI_p] knowledge the system
                      supplies in the paper's model *)
-                  if lp <= 1 then Rcounter.Int.inc_recover c ~pid:0 ~li_before_write:true
+                  if lp <= 1 then Rcounter.inc_recover c ~pid:0 ~li_before_write:true
                   else begin
-                    Rcounter.Int.reg_write_recover c ~pid:0 1;
-                    Rcounter.Int.inc_recover c ~pid:0 ~li_before_write:false
+                    Rcounter.reg_write_recover c ~pid:0 1;
+                    Rcounter.inc_recover c ~pid:0 ~li_before_write:false
                   end;
                   ack);
             };
             {
               nlabel = "READ";
-              nop = (fun cp -> int (Rcounter.Int.read ~cp c ~pid:0));
-              nrecover = (fun _ -> int (Rcounter.Int.read_recover c ~pid:0));
+              nop = (fun cp -> int (Rcounter.read ~cp c ~pid:0));
+              nrecover = (fun _ -> int (Rcounter.read_recover c ~pid:0));
             };
           ]);
     script =
@@ -297,18 +305,18 @@ let faa_row =
     native =
       Some
         (fun () ->
-          let f = Rfaa.Int.create ~nprocs:1 () in
+          let f = Rfaa.create ~nprocs:1 () in
           let committed = ref false in
           [
             {
               nlabel = "FAA";
-              nop = (fun cp -> int (Rfaa.Int.faa ~cp ~committed f ~pid:0 3));
-              nrecover = (fun _ -> int (Rfaa.Int.recover ~committed:!committed f ~pid:0 3));
+              nop = (fun cp -> int (Rfaa.faa ~cp ~committed f ~pid:0 3));
+              nrecover = (fun _ -> int (Rfaa.recover ~committed:!committed f ~pid:0 3));
             };
             {
               nlabel = "READ";
-              nop = (fun cp -> int (Rfaa.Int.read ~cp f));
-              nrecover = (fun _ -> int (Rfaa.Int.read f));
+              nop = (fun cp -> int (Rfaa.read ~cp f));
+              nrecover = (fun _ -> int (Rfaa.read f));
             };
           ]);
     script =
@@ -330,34 +338,37 @@ let stack_row =
     native =
       Some
         (fun () ->
-          let s = Rstack.Int.create ~nprocs:1 () in
+          let s = Rstack.create ~nprocs:1 () in
           let c_push = ref false and c_pop = ref false in
           [
             {
               nlabel = "PUSH";
               nop =
                 (fun cp ->
-                  of_response (Rstack.Int.decode (Rstack.Int.push ~cp ~committed:c_push s ~pid:0 7)));
+                  of_response (Rstack.decode (Rstack.push ~cp ~committed:c_push s ~pid:0 7)));
               nrecover =
                 (fun _ ->
                   of_response
-                    (Rstack.Int.decode (Rstack.Int.push_recover ~committed:!c_push s ~pid:0 7)));
+                    (Rstack.decode (Rstack.push_recover ~committed:!c_push s ~pid:0 7)));
             };
             {
               nlabel = "POP";
               nop =
                 (fun cp ->
-                  of_response (Rstack.Int.decode (Rstack.Int.pop ~cp ~committed:c_pop s ~pid:0)));
+                  of_response (Rstack.decode (Rstack.pop ~cp ~committed:c_pop s ~pid:0)));
               nrecover =
                 (fun _ ->
-                  of_response (Rstack.Int.decode (Rstack.Int.pop_recover ~committed:!c_pop s ~pid:0)));
+                  of_response (Rstack.decode (Rstack.pop_recover ~committed:!c_pop s ~pid:0)));
             };
+            (* empty again: the pop took effect exactly once *)
+            observe "TOP" (fun () ->
+                match Rstack.peek s with Some v -> int v | None -> Nvm.Value.Null);
           ]);
     script =
       (fun sim ->
         let inst = Objects.Stack_obj.make sim ~name:"S" in
         [ (inst, "PUSH", Sim.Args [| int 7 |]); (inst, "POP", Sim.Args [||]) ]);
-    admissible_native = [ [ ("PUSH", ack); ("POP", int 7) ] ];
+    admissible_native = [ [ ("PUSH", ack); ("POP", int 7); ("TOP", Nvm.Value.Null) ] ];
     admissible_vm = [ [ ("PUSH", ack); ("POP", int 7) ] ];
   }
 

@@ -306,13 +306,12 @@ let test_jobs_dedup_matrix () =
    persistence masks are on the trail).  After a random excursion and
    the undo, the machine must have the clone's fingerprint (which covers
    the persisted view under explicit persist) and history.  It must also
-   keep matching a fresh machine replayed down the same prefix along a
-   common continuation, which exposes any counter the undo failed to
-   restore (call ids, the junk stream).  The continuation runs against
-   the replayed machine rather than the clone: a clone gives each
-   scrambled environment its own copy of the junk generator, while the
-   original shares the machine's, so the two draw different junk once a
-   later crash advances the shared stream. *)
+   keep matching both the clone and a fresh machine replayed down the
+   same prefix along a common continuation, which exposes any counter
+   the undo failed to restore (call ids, the junk stream) and any state
+   the clone failed to copy exactly — such as scrambled environments
+   that stopped sharing the machine's junk generator, so that a later
+   crash advanced the streams apart. *)
 let walk ~crashes sim choices =
   let cfg = { Explore.default_config with max_crashes = 2; crash_procs = [ 0; 1 ] } in
   List.iter
@@ -330,7 +329,7 @@ let walk ~crashes sim choices =
 let prop_mark_undo_matches_clone =
   let scenarios = Array.of_list (Workload.Scenarios.all_paper ~nprocs:2 ()) in
   QCheck2.Test.make ~name:"Sim.undo_to restores the machine a clone took at the mark"
-    ~count:200
+    ~count:1000
     ~print:
       QCheck2.Print.(
         tup5 (fun k -> scenarios.(k).Workload.Trial.scen_name) bool (list int) (list int)
@@ -365,8 +364,9 @@ let prop_mark_undo_matches_clone =
       same sim oracle && same sim replayed
       &&
       (walk ~crashes:(ref at_mark) sim continuation;
+       walk ~crashes:(ref at_mark) oracle continuation;
        walk ~crashes:(ref at_mark) replayed continuation;
-       same sim replayed))
+       same sim oracle && same sim replayed))
 
 (* {2 Incremental checking} *)
 

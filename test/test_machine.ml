@@ -27,7 +27,7 @@ let test_env_scramble () =
 let test_env_copy_isolated () =
   let e = Env.create () in
   Env.set e "x" (Nvm.Value.Int 1);
-  let e2 = Env.copy e in
+  let e2 = Env.copy ~junk:(Junk.create 0) e in
   Env.set e2 "x" (Nvm.Value.Int 2);
   Alcotest.check value "original unchanged" (Int 1) (Env.get e "x")
 

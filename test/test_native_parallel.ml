@@ -22,28 +22,28 @@ let skip_if_single () = if domains_available < 2 then Alcotest.skip ()
    duplicated or phantom success breaks the equality. *)
 let test_cas_one_winner_per_generation () =
   skip_if_single ();
-  let c = Rcas.Int.create ~nprocs:racers 0 in
+  let c = Rcas.create ~nprocs:racers 0 in
   let iters = 2_000 in
   let wins = Pad.flat_make racers 0 in
   ignore
     (Par.run ~domains:racers ~iters (fun ~pid ~i:_ ->
-         let v = Rcas.Int.read c in
-         if Rcas.Int.cas c ~pid ~old:v ~new_:(v + 1) then
+         let v = Rcas.read c in
+         if Rcas.cas c ~pid ~old:v ~new_:(v + 1) then
            wins.(Pad.slot pid) <- wins.(Pad.slot pid) + 1));
   let total = ref 0 in
   for p = 0 to racers - 1 do
     total := !total + wins.(Pad.slot p)
   done;
   Alcotest.(check bool) "somebody won" true (!total > 0);
-  Alcotest.(check int) "final value = total successful CASes" !total (Rcas.Int.read c)
+  Alcotest.(check int) "final value = total successful CASes" !total (Rcas.read c)
 
 let test_counter_conservation () =
   skip_if_single ();
-  let t = Rcounter.Int.create ~nprocs:racers in
+  let t = Rcounter.create ~nprocs:racers in
   let iters = 5_000 in
-  ignore (Par.run ~domains:racers ~iters (fun ~pid ~i:_ -> Rcounter.Int.inc t ~pid));
+  ignore (Par.run ~domains:racers ~iters (fun ~pid ~i:_ -> Rcounter.inc t ~pid));
   Alcotest.(check int) "total = sum of per-domain incs" (racers * iters)
-    (Rcounter.Int.read t ~pid:0)
+    (Rcounter.read t ~pid:0)
 
 let test_tas_one_winner () =
   skip_if_single ();
@@ -75,11 +75,11 @@ let prop_faa_conservation =
     (QCheck2.Gen.int_range 50 2_000) (fun iters ->
       if domains_available < 2 then true
       else begin
-        let f = Rfaa.Int.create ~nprocs:racers () in
+        let f = Rfaa.create ~nprocs:racers () in
         ignore
           (Par.run ~domains:racers ~iters (fun ~pid ~i:_ ->
-               ignore (Rfaa.Int.faa f ~pid (pid + 1))));
-        Rfaa.Int.read f = iters * (racers * (racers + 1) / 2)
+               ignore (Rfaa.faa f ~pid (pid + 1))));
+        Rfaa.read f = iters * (racers * (racers + 1) / 2)
       end)
 
 let suite =

@@ -133,13 +133,6 @@ let test_parallel_tas_unique_winner () =
   ignore r;
   Alcotest.(check int) "exactly one winner across domains" 1 (Atomic.get wins)
 
-let test_parallel_counter_conservation () =
-  let domains = min 4 (Par.max_domains ()) in
-  let iters = 2_000 in
-  let c = Rcounter.create ~nprocs:domains in
-  let _ = Par.run ~domains ~iters (fun ~pid ~i -> ignore i; Rcounter.inc c ~pid) in
-  Alcotest.(check int) "all increments counted" (domains * iters) (Rcounter.read c ~pid:0)
-
 let test_parallel_recoverable_register_last_write_wins () =
   let domains = min 4 (Par.max_domains ()) in
   let iters = 1_000 in
@@ -235,7 +228,6 @@ let suite =
     Alcotest.test_case "rtas: crash positions solo" `Quick test_rtas_crash_positions_solo;
     Alcotest.test_case "rtas: strict response" `Quick test_rtas_strict_response_persisted;
     Alcotest.test_case "parallel tas: unique winner" `Slow test_parallel_tas_unique_winner;
-    Alcotest.test_case "parallel counter: conservation" `Slow test_parallel_counter_conservation;
     Alcotest.test_case "parallel register: last write wins" `Slow test_parallel_recoverable_register_last_write_wins;
     Alcotest.test_case "parallel cas: successful chain" `Slow test_parallel_rcas_successful_cas_count;
     Alcotest.test_case "parallel counter: crash torture" `Slow test_parallel_counter_crash_torture;

@@ -6,14 +6,17 @@ open Runtime
 
 (* {2 Strict CAS} *)
 
+(* the persisted <seq, ret> of process [pid] *)
+let res c pid =
+  let r = c.Rscas.res.(Pad.slot pid) in
+  (Enc.res_seq r, Enc.res_ret r)
+
 let test_rscas_persists_response () =
   let c = Rscas.create ~nprocs:2 0 in
   Alcotest.(check bool) "cas wins" true (Rscas.cas c ~pid:0 ~old:0 ~new_:1 ~seq:5);
-  Alcotest.(check (pair int bool)) "response persisted" (5, true)
-    (Atomic.get c.Rscas.res.(0));
+  Alcotest.(check (pair int bool)) "response persisted" (5, true) (res c 0);
   Alcotest.(check bool) "failing cas" false (Rscas.cas c ~pid:1 ~old:0 ~new_:2 ~seq:3);
-  Alcotest.(check (pair int bool)) "failure persisted" (3, false)
-    (Atomic.get c.Rscas.res.(1))
+  Alcotest.(check (pair int bool)) "failure persisted" (3, false) (res c 1)
 
 let test_rscas_recover_from_tag () =
   let c = Rscas.create ~nprocs:2 0 in
@@ -80,15 +83,17 @@ let test_rfaa_parallel_conservation () =
 
 (* {2 Stack} *)
 
+let pop s ~pid = Rstack.decode (Rstack.pop s ~pid)
+
 let test_rstack_lifo () =
   let s = Rstack.create ~nprocs:1 () in
-  Alcotest.(check bool) "empty pop" true (Rstack.pop s ~pid:0 = Rstack.Empty);
+  Alcotest.(check bool) "empty pop" true (pop s ~pid:0 = Rstack.Empty);
   ignore (Rstack.push s ~pid:0 1);
   ignore (Rstack.push s ~pid:0 2);
   Alcotest.(check (option int)) "peek" (Some 2) (Rstack.peek s);
-  Alcotest.(check bool) "pop 2" true (Rstack.pop s ~pid:0 = Rstack.Popped 2);
-  Alcotest.(check bool) "pop 1" true (Rstack.pop s ~pid:0 = Rstack.Popped 1);
-  Alcotest.(check bool) "empty again" true (Rstack.pop s ~pid:0 = Rstack.Empty)
+  Alcotest.(check bool) "pop 2" true (pop s ~pid:0 = Rstack.Popped 2);
+  Alcotest.(check bool) "pop 1" true (pop s ~pid:0 = Rstack.Popped 1);
+  Alcotest.(check bool) "empty again" true (pop s ~pid:0 = Rstack.Empty)
 
 let test_rstack_crash_positions () =
   for k = 0 to 11 do
@@ -98,17 +103,18 @@ let test_rstack_crash_positions () =
     let committed = ref false in
     Crash.arm cp k;
     let resp =
-      match Rstack.pop ~cp ~committed s ~pid:0 with
-      | r -> r
-      | exception Crash.Crashed ->
-        Crash.disarm cp;
-        Rstack.pop_recover ~committed:!committed s ~pid:0
+      Rstack.decode
+        (match Rstack.pop ~cp ~committed s ~pid:0 with
+        | r -> r
+        | exception Crash.Crashed ->
+          Crash.disarm cp;
+          Rstack.pop_recover ~committed:!committed s ~pid:0)
     in
     Alcotest.(check bool) (Printf.sprintf "popped 7 at %d" k) true (resp = Rstack.Popped 7);
     Alcotest.(check bool)
       (Printf.sprintf "stack empty at %d" k)
       true
-      (Rstack.pop s ~pid:0 = Rstack.Empty)
+      (pop s ~pid:0 = Rstack.Empty)
   done
 
 let test_rstack_parallel_exactly_once () =
@@ -120,13 +126,13 @@ let test_rstack_parallel_exactly_once () =
     Par.run ~domains ~iters:(2 * per) (fun ~pid ~i ->
         if i < per then ignore (Rstack.push s ~pid ((pid * 1_000_000) + i))
         else
-          match Rstack.pop s ~pid with
+          match pop s ~pid with
           | Rstack.Popped v -> popped.(pid) := v :: !(popped.(pid))
           | _ -> ())
   in
   (* drain what is left *)
   let rec drain acc =
-    match Rstack.pop s ~pid:0 with
+    match pop s ~pid:0 with
     | Rstack.Popped v -> drain (v :: acc)
     | _ -> acc
   in
