@@ -81,13 +81,22 @@ let frame_of (f : Sim.frame) =
     ff_args = f.Sim.f_args;
   }
 
+(* A frame's fields other than its locals and arguments, in hashing
+   order; shared by the fingerprint hash and the pid-erased process
+   hashes of the symmetry reduction. *)
+let hash_frame_head h ~obj ~op ~recovery ~interrupted ~pc ~li ~env_junk =
+  let h = mix h obj in
+  let h = mix h (Hashtbl.hash op) in
+  let h = mix h (Bool.to_int recovery lor (Bool.to_int interrupted lsl 1)) in
+  let h = mix h pc in
+  let h = mix h li in
+  mix h (match env_junk with None -> 0x5851 | Some s -> s)
+
 let hash_frame h f =
-  let h = mix h f.ff_obj in
-  let h = mix h (Hashtbl.hash f.ff_op) in
-  let h = mix h (Bool.to_int f.ff_recovery lor (Bool.to_int f.ff_interrupted lsl 1)) in
-  let h = mix h f.ff_pc in
-  let h = mix h f.ff_li in
-  let h = mix h (match f.ff_env_junk with None -> 0x5851 | Some s -> s) in
+  let h =
+    hash_frame_head h ~obj:f.ff_obj ~op:f.ff_op ~recovery:f.ff_recovery
+      ~interrupted:f.ff_interrupted ~pc:f.ff_pc ~li:f.ff_li ~env_junk:f.ff_env_junk
+  in
   let h = hash_value_list h f.ff_env in
   Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) h f.ff_args
 
@@ -355,50 +364,87 @@ let map_proc_values f p =
     pf_stack = List.map (map_frame_values f) p.pf_stack;
   }
 
+(* Pid erasure relative to process [own]: [erased_value refs own at v]
+   is [Nvm.Value.hash] of [v] with [Pid own] replaced by an own token
+   and every other pid by an other token, computed without building the
+   erased value (the [Pair] case mirrors [Nvm.Value.hash]).  Each other
+   pid [q] that indexes [refs] is also recorded: [at], a hash of where
+   [v] sits, is added to [refs.(q)] ([[||]] records nothing).  Renaming
+   every pid by a permutation [pi] — [own] and the indices of [refs]
+   included — changes neither the result nor the record: that
+   equivariance is all the canonical form below needs. *)
+let own_hash = Nvm.Value.hash (Nvm.Value.Str "\001own")
+let other_hash = Nvm.Value.hash (Nvm.Value.Str "\001other")
+
+let rec erased_value refs own at v =
+  match v with
+  | Nvm.Value.Pid q ->
+    if q = own then own_hash
+    else begin
+      if q >= 0 && q < Array.length refs then refs.(q) <- refs.(q) + at;
+      other_hash
+    end
+  | Nvm.Value.Pair (a, b) ->
+    (erased_value refs own (mix at 1) a * 65599) + erased_value refs own (mix at 2) b
+  | v -> Nvm.Value.hash v
+
+let rec erased_bindings refs own h = function
+  | [] -> h
+  | (k, v) :: tl ->
+    let h = mix h (Hashtbl.hash k) in
+    erased_bindings refs own (mix h (erased_value refs own h v)) tl
+
+let erased_args refs own h args =
+  let h = ref h in
+  for i = 0 to Array.length args - 1 do
+    h := mix !h (erased_value refs own !h args.(i))
+  done;
+  !h
+
+let erased_frame refs own h ~obj ~op ~recovery ~interrupted ~pc ~li ~env_junk ~env ~args =
+  let h = hash_frame_head h ~obj ~op ~recovery ~interrupted ~pc ~li ~env_junk in
+  erased_args refs own (erased_bindings refs own h env) args
+
+let rec erased_stack refs own h frame = function
+  | [] -> h
+  | f :: tl -> erased_stack refs own (frame refs own h f) frame tl
+
+(* The one fold behind both pid-erased process hashes: over a live
+   process ([erased_proc_hash]) and over a fingerprint's process (the
+   canonical form's key); [frame] reads one frame of either kind. *)
+let erased_proc refs own ~crashed ~script ~results ~stack ~frame =
+  let h = mix (mix 0x9e3779b9 (Bool.to_int crashed)) script in
+  erased_stack refs own (erased_bindings refs own h results) frame stack
+
 let erased_proc_hash sim p =
-  let own = Nvm.Value.Str "\001own" and other = Nvm.Value.Str "\001other" in
-  let rec erase v =
-    match v with
-    | Nvm.Value.Pid q -> if q = p then own else other
-    | Nvm.Value.Pair (a, b) -> Nvm.Value.Pair (erase a, erase b)
-    | v -> v
-  in
-  hash_proc 0x9e3779b9 (map_proc_values erase (proc_of (Sim.proc sim p)))
+  let pr = Sim.proc sim p in
+  erased_proc [||] p
+    ~crashed:(match pr.Sim.status with Sim.Ready -> false | Sim.Crashed -> true)
+    ~script:(List.length pr.Sim.script) ~results:pr.Sim.results ~stack:pr.Sim.stack
+    ~frame:(fun refs own h (f : Sim.frame) ->
+      erased_frame refs own h ~obj:f.Sim.f_obj.Objdef.id ~op:f.Sim.f_op.Objdef.op_name
+        ~recovery:(match f.Sim.f_phase with Sim.Body -> false | Sim.Recovery -> true)
+        ~interrupted:f.Sim.f_interrupted ~pc:f.Sim.f_pc ~li:f.Sim.f_li
+        ~env_junk:(Env.junk_state f.Sim.f_env) ~env:(Env.bindings f.Sim.f_env)
+        ~args:f.Sim.f_args)
 
 module Symmetry = struct
   type group = {
     g_n : int;
-    g_perms : int array list;  (** non-identity members of the group *)
+    g_crash : bool array;
+        (** the crash-enabled set: members permute it and its complement
+            separately *)
+    g_slots : int array;
+        (** the crash-enabled pids ascending, then the others ascending:
+            the positions the canonical form fills in key order *)
     g_arrays : int list;
     g_matrices : int list;
+    g_private : bool array;
+        (** the root memory's cells inside some pid array or matrix, which
+            the group moves; every other cell it renames in place *)
   }
 
-  let degree g = 1 + List.length g.g_perms
   let max_group = 5040 (* 7! — beyond this canonicalisation costs more than it prunes *)
-
-  (* All non-identity permutations of 0..n-1 mapping the [keep] set onto
-     itself (crash-enabled processes must stay crash-enabled). *)
-  let perms_of n keep =
-    let acc = ref [] in
-    let pi = Array.make n (-1) in
-    let used = Array.make n false in
-    let rec go i =
-      if i = n then begin
-        if not (Array.for_all Fun.id (Array.mapi (fun k j -> k = j) pi)) then
-          acc := Array.copy pi :: !acc
-      end
-      else
-        for j = 0 to n - 1 do
-          if (not used.(j)) && keep.(i) = keep.(j) then begin
-            used.(j) <- true;
-            pi.(i) <- j;
-            go (i + 1);
-            used.(j) <- false
-          end
-        done
-    in
-    go 0;
-    List.rev !acc
 
   (* A script is symmetric when, after renaming the process's own pid to
      a neutral token, every process runs the same program.  Arguments
@@ -430,6 +476,16 @@ module Symmetry = struct
     in
     all pr.Sim.script
 
+  (* Crash junk must commute with the group too.  A [Lure] pool naming
+     a pid is refused: its values enter locals unrenamed.  [Scramble] is
+     accepted although [Junk.scramble_next] draws [Pid (0..15)]: the
+     group action renames a drawn pid once it is stored in a local, but
+     not the pids the stream will draw later, so a configuration and its
+     permuted image can scramble a later crash to values that are not
+     each other's images.  No argument covers that case: the claim that
+     the quotiented verdict equals the unquotiented one under [Scramble]
+     rests on the bug-zoo pins in test/test_store.ml, which compare the
+     two on every mutant with crashes enabled. *)
   let junk_pid_free sim =
     match Sim.junk_strategy sim with
     | Junk.Scramble | Junk.Zeros | Junk.Ones | Junk.MaxInt -> true
@@ -447,6 +503,10 @@ module Symmetry = struct
       r := !r * i
     done;
     !r
+
+  let degree g =
+    let k = Array.fold_left (fun k c -> if c then k + 1 else k) 0 g.g_crash in
+    fact k * fact (g.g_n - k)
 
   let detect ?(crashes_possible = true) ~crash_procs sim =
     let n = Sim.nprocs sim in
@@ -486,25 +546,45 @@ module Symmetry = struct
        || not (junk_pid_free sim)
     then None
     else
-      let keep = Array.init n (fun p -> List.mem p crash_procs) in
-      match perms_of n keep with
-      | [] -> None
-      | perms ->
-        let arrays, matrices =
-          List.fold_left
-            (fun (ars, mats) (i : Objdef.instance) ->
-              match i.Objdef.sym with
-              | None -> (ars, mats)
-              | Some s -> (s.Objdef.pid_arrays @ ars, s.Objdef.pid_matrices @ mats))
-            ([], []) insts
-        in
-        Some { g_n = n; g_perms = perms; g_arrays = arrays; g_matrices = matrices }
+      let crash = Array.init n (fun p -> List.mem p crash_procs) in
+      let pids = List.init n Fun.id in
+      let arrays, matrices =
+        List.fold_left
+          (fun (ars, mats) (i : Objdef.instance) ->
+            match i.Objdef.sym with
+            | None -> (ars, mats)
+            | Some s -> (s.Objdef.pid_arrays @ ars, s.Objdef.pid_matrices @ mats))
+          ([], []) insts
+      in
+      (* the cells [permute] moves: those of every array or matrix that
+         fits in memory *)
+      let private_cells = Array.make (Nvm.Memory.size (Sim.mem sim)) false in
+      let mark base len =
+        if base >= 0 && base + len <= Array.length private_cells then
+          Array.fill private_cells base len true
+      in
+      List.iter (fun base -> mark base n) arrays;
+      List.iter (fun base -> mark base (n * n)) matrices;
+      let g =
+        {
+          g_n = n;
+          g_crash = crash;
+          g_slots =
+            Array.of_list
+              (List.filter (fun p -> crash.(p)) pids @ List.filter (fun p -> not crash.(p)) pids);
+          g_arrays = arrays;
+          g_matrices = matrices;
+          g_private = private_cells;
+        }
+      in
+      if degree g = 1 then None else Some g
 
   (* Apply a permutation to a fingerprint: rename every Pid value, move
      per-process array cells to the slot of the renamed owner, move
      matrix cells likewise in both coordinates, and relocate each
-     process's control state.  The junk stream and the extra path
-     context are pid-free by construction, so they pass through. *)
+     process's control state.  The junk-stream state and the extra path
+     context are plain integers and pass through (see [junk_pid_free]
+     for the pids the stream draws). *)
   let permute g pi fp =
     let n = g.g_n in
     let renamed = Array.map (rename_value pi) fp.fp_mem in
@@ -546,12 +626,97 @@ module Symmetry = struct
       fp_extra = fp.fp_extra;
     }
 
+  (* Process [p]'s own key: its pid-erased control state and its own
+     cell of every pid array.  Where another process's pid occurs in them
+     is recorded in [refs] (see [erased_value]). *)
+  let own_key g refs fp p =
+    let n = g.g_n and mem = fp.fp_mem in
+    let pf = fp.fp_procs.(p) in
+    let h =
+      erased_proc refs p ~crashed:pf.pf_crashed ~script:pf.pf_script ~results:pf.pf_results
+        ~stack:pf.pf_stack ~frame:(fun refs own h f ->
+          erased_frame refs own h ~obj:f.ff_obj ~op:f.ff_op ~recovery:f.ff_recovery
+            ~interrupted:f.ff_interrupted ~pc:f.ff_pc ~li:f.ff_li ~env_junk:f.ff_env_junk
+            ~env:f.ff_env ~args:f.ff_args)
+    in
+    let rec arrays h = function
+      | [] -> h
+      | base :: tl ->
+        arrays
+          (if base >= 0 && base + n <= Array.length mem then
+             mix h (erased_value refs p h mem.(base + p))
+           else h)
+          tl
+    in
+    arrays h g.g_arrays
+
+  (* The key of every process: its own key, refined by where the other
+     processes and the shared memory cells (those outside every pid
+     array and matrix, which the group renames in place) mention its
+     pid.  Equivariant: the key of [permute g pi fp] at [pi.(p)] is the
+     key of [fp] at [p]. *)
+  let keys g fp =
+    let n = g.g_n and mem = fp.fp_mem in
+    let refs = Array.make n 0 in
+    let own = Array.init n (own_key g refs fp) in
+    for a = 0 to Array.length mem - 1 do
+      if a >= Array.length g.g_private || not g.g_private.(a) then
+        ignore (erased_value refs (-1) (mix 0x2545 a) mem.(a))
+    done;
+    Array.map2 mix own refs
+
+  (* Sort the processes by key within each crash class; the candidates
+     are the members that send the i-th process of that order to the
+     i-th slot of [g_slots], one per arrangement of each block of tied
+     keys.  Applying any member to [fp] permutes the keys with it, so the
+     set of candidate images is the same for every member of the orbit,
+     and so is its least element by [order]. *)
   let canonical g fp =
-    if Array.length fp.fp_procs <> g.g_n then fp
-    else
-      List.fold_left
-        (fun best pi ->
-          let cand = permute g pi fp in
-          if order cand best < 0 then cand else best)
-        fp g.g_perms
+    let n = g.g_n in
+    if Array.length fp.fp_procs <> n then fp
+    else begin
+      let key = keys g fp in
+      let cmp a b =
+        if g.g_crash.(a) <> g.g_crash.(b) then Bool.compare g.g_crash.(b) g.g_crash.(a)
+        else Int.compare key.(a) key.(b)
+      in
+      let ord = Array.copy g.g_slots in
+      Array.sort cmp ord;
+      (* [last.(i)]: end of the block of tied keys holding position [i] *)
+      let last = Array.make n (n - 1) in
+      for i = n - 2 downto 0 do
+        last.(i) <- (if cmp ord.(i) ord.(i + 1) = 0 then last.(i + 1) else i)
+      done;
+      let pi = Array.make n 0 in
+      let best = ref None in
+      let consider () =
+        let id = ref true in
+        for i = 0 to n - 1 do
+          pi.(ord.(i)) <- g.g_slots.(i);
+          if ord.(i) <> g.g_slots.(i) then id := false
+        done;
+        let cand = if !id then fp else permute g pi fp in
+        match !best with
+        | Some b when order b cand <= 0 -> ()
+        | _ -> best := Some cand
+      in
+      let swap i j =
+        let t = ord.(i) in
+        ord.(i) <- ord.(j);
+        ord.(j) <- t
+      in
+      (* every arrangement of every tie block, by swapping position [i]
+         with each later position of its block *)
+      let rec arrange i =
+        if i = n then consider ()
+        else
+          for j = i to last.(i) do
+            swap i j;
+            arrange (i + 1);
+            swap i j
+          done
+      in
+      arrange 0;
+      Option.get !best
+    end
 end

@@ -79,9 +79,9 @@ end
     the group of process permutations that provably commute with every
     machine step.  {!detect} checks the soundness conditions on the root
     configuration (identical per-process scripts up to own-pid renaming,
-    pid-oblivious object declarations ({!Objdef.sym_spec}), pid-free
-    junk strategy, permutations preserving the crash-enabled set);
-    {!canonical} then maps a fingerprint to the least element of its
+    pid-oblivious object declarations ({!Objdef.sym_spec}), no pid in a
+    junk pool, permutations preserving the crash-enabled set);
+    {!canonical} then maps a fingerprint to one representative of its
     orbit so the visited store deduplicates whole orbits.  See
     docs/model.md for the soundness argument. *)
 module Symmetry : sig
@@ -95,10 +95,27 @@ module Symmetry : sig
       crash-free exploration. *)
 
   val degree : group -> int
-  (** Order of the group (including the identity). *)
+  (** Order of the group, [k! * (n - k)!] for [n] processes of which
+      [k] are crash-enabled: the group permutes the crash-enabled set
+      and its complement separately. *)
+
+  val permute : group -> int array -> t -> t
+  (** The group action: [permute g pi fp] renames process [p] to
+      [pi.(p)] — its control state moves to slot [pi.(p)], its cells of
+      the declared pid arrays and matrices move with it, and every [Pid]
+      value is renamed.  [pi] must be a member of [g] (a permutation of
+      [0..n-1] that maps the crash-enabled set onto itself). *)
 
   val canonical : group -> t -> t
-  (** Least fingerprint of the orbit under the group's permutations
-      (deterministic: independent of domain, schedule or insertion
-      order). *)
+  (** The orbit's representative: equal for two fingerprints exactly
+      when one is the [permute] image of the other.  Each process gets a
+      key — a hash of its state with pids erased to own/other, refined
+      by where the other processes and the shared memory mention its
+      pid — that moves with the process under the group action.  The
+      candidates are the members that sort the processes by key within
+      each crash class (one member unless keys tie); the result is the
+      least candidate image by a fixed total order, and [fp] itself,
+      built at no cost, when the only candidate is the identity.
+      Deterministic: independent of domain, schedule or insertion
+      order. *)
 end

@@ -184,15 +184,18 @@ let test_zoo_verdicts_pinned_crash_free () =
           (stats_q.Explore.nodes <= stats_g.Explore.nodes))
     Objects.Zoo.all
 
-(* The canonical map itself: idempotent, orbit-minimal on the sound
-   scenario whose quotient T8 measures. *)
-let test_canonical_idempotent () =
-  let nprocs = 3 in
+let tas_scenario ~nprocs =
   let sim = Sim.create ~nprocs () in
-  let inst = Objects.Tas_obj.make sim ~name:"T" in
+  let t = Objects.Tas_obj.make sim ~name:"T" in
   for p = 0 to nprocs - 1 do
-    Sim.set_script sim p (Workload.Opgen.tas_ops inst)
+    Sim.set_script sim p (Workload.Opgen.tas_ops t)
   done;
+  sim
+
+(* The canonical map at the root of a symmetric scenario, where every
+   process ties: idempotent, and the group is the full one. *)
+let test_canonical_idempotent () =
+  let sim = tas_scenario ~nprocs:3 in
   let cfg = { Explore.default_config with max_crashes = 0 } in
   match Explore.symmetry_group cfg sim with
   | None -> Alcotest.fail "symmetric tas scenario not detected"
@@ -202,6 +205,121 @@ let test_canonical_idempotent () =
     let c = F.Symmetry.canonical g fp in
     Alcotest.(check bool) "canonical is idempotent" true
       (F.equal c (F.Symmetry.canonical g c))
+
+(* {1 The quotient, pinned}
+
+   Node, terminal and dup counts of dedup + symmetry searches (the
+   incremental NRL check, 400-step bound, one crash): the quotient must
+   stay exactly the same set of orbits whatever representative the
+   canonical form picks.  The split crash-class rows exercise the
+   per-class ordering of the canonical form. *)
+
+(* Each process WRITEs its own tagged value to one recoverable register,
+   then READs it back when [reads]. *)
+let rw_scenario ~nprocs ~reads =
+  let sim = Sim.create ~nprocs () in
+  let r = Objects.Rw_obj.make sim ~name:"R" in
+  for p = 0 to nprocs - 1 do
+    Sim.set_script sim p
+      ((r, "WRITE", Sim.Args [| Workload.Opgen.tagged p 0 |])
+      :: (if reads then [ (r, "READ", Sim.Args [||]) ] else []))
+  done;
+  sim
+
+let quotient_cfg crash_procs =
+  {
+    Explore.default_config with
+    max_steps = 400;
+    max_crashes = (if crash_procs = [] then 0 else 1);
+    crash_procs;
+  }
+
+let quotient_pin ~build ~crash_procs (nodes, terminals, dup) () =
+  let cfg = quotient_cfg crash_procs in
+  let sim = build () in
+  Alcotest.(check bool) "quotient active" true (Explore.symmetry_group cfg sim <> None);
+  let viol, st =
+    Explore.find_violation ~cfg ~dedup:true
+      ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
+      ~check:Workload.Check.nrl_violation sim
+  in
+  Alcotest.(check bool) "no violation" true (viol = None);
+  Alcotest.(check (list int))
+    "nodes / terminals / truncated / dup"
+    [ nodes; terminals; 0; dup ]
+    [ st.Explore.nodes; st.Explore.terminals; st.Explore.truncated; st.Explore.dup ]
+
+let quotient_pins =
+  let rw n ~reads () = rw_scenario ~nprocs:n ~reads in
+  let tas n () = tas_scenario ~nprocs:n in
+  [
+    ("rw3x1 crash all", `Quick, rw 3 ~reads:false, [ 0; 1; 2 ], (4_828, 27, 3_565));
+    ("rw4x1 crash {0,1}", `Slow, rw 4 ~reads:false, [ 0; 1 ], (107_574, 42, 96_337));
+    ("rw4x1 crash {0}", `Slow, rw 4 ~reads:false, [ 0 ], (40_770, 24, 37_165));
+    ("rw3x2 crash {0,2}", `Quick, rw 3 ~reads:true, [ 0; 2 ], (27_122, 137, 15_794));
+    ("tas3 crash-free", `Quick, tas 3, [], (652, 1, 448));
+    ("tas4 crash-free", `Quick, tas 4, [], (2_863, 1, 2_583));
+  ]
+  |> List.map (fun (name, speed, build, crash_procs, pins) ->
+         Alcotest.test_case ("quotient pin " ^ name) speed
+           (quotient_pin ~build ~crash_procs pins))
+
+(* {1 The canonical form is an orbit invariant}
+
+   For states the explorer actually visits, every permutation of the
+   group (one that keeps the crash-enabled set) must leave the canonical
+   form unchanged, and canonicalising twice must change nothing.  Unlike
+   the root, where every process ties, these states separate the
+   processes, so a canonical form that ignored the process keys or
+   ordered them wrongly would fail here. *)
+
+(* Every permutation of 0..n-1 that maps [keep] onto itself. *)
+let group_members n keep =
+  let rec perms = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun t -> x :: t) (perms (List.filter (( <> ) x) l)))
+        l
+  in
+  perms (List.init n Fun.id)
+  |> List.map Array.of_list
+  |> List.filter (fun pi ->
+         Array.for_all Fun.id (Array.mapi (fun p q -> List.mem p keep = List.mem q keep) pi))
+
+let orbit_invariance ~nprocs ~crash_procs ~nodes () =
+  let cfg = quotient_cfg crash_procs in
+  let root = rw_scenario ~nprocs ~reads:false in
+  let g = Option.get (Explore.symmetry_group cfg root) in
+  let members = group_members nprocs crash_procs in
+  Alcotest.(check int) "degree = members" (List.length members) (F.Symmetry.degree g);
+  (* every configuration the quotiented search steps to, so the sample
+     spans the orbits rather than one corner of the tree *)
+  let states = ref [] in
+  ignore
+    (Explore.dfs ~cfg ~dedup:true
+       ~budget:{ Explore.no_budget with max_nodes = Some nodes }
+       ~on_step:(fun s -> states := F.of_sim s :: !states)
+       ~on_terminal:ignore root);
+  Alcotest.(check bool) "states sampled" true (List.length !states >= nodes);
+  let moved = ref 0 in
+  List.iter
+    (fun x ->
+      let c = F.Symmetry.canonical g x in
+      if not (F.equal c x) then incr moved;
+      if not (F.equal c (F.Symmetry.canonical g c)) then
+        Alcotest.failf "canonical not idempotent on %s" (F.to_string x);
+      List.iter
+        (fun pi ->
+          let y = F.Symmetry.permute g pi x in
+          if not (F.equal c (F.Symmetry.canonical g y)) then
+            Alcotest.failf "canonical differs on %s and its image under [%s]" (F.to_string x)
+              (String.concat ";" (Array.to_list (Array.map string_of_int pi))))
+        members)
+    !states;
+  (* the sample must include states whose canonical form is a proper
+     permutation, or the invariance above is vacuous *)
+  Alcotest.(check bool) "some states canonicalise to another orbit member" true (!moved > 0)
 
 let suite =
   [
@@ -214,4 +332,9 @@ let suite =
       test_zoo_verdicts_pinned_crash_free;
     Alcotest.test_case "canonical map idempotent, full group" `Quick
       test_canonical_idempotent;
+    Alcotest.test_case "orbit invariance rw3x1 all" `Quick
+      (orbit_invariance ~nprocs:3 ~crash_procs:[ 0; 1; 2 ] ~nodes:5_000);
+    Alcotest.test_case "orbit invariance rw4x1 {0,1}" `Quick
+      (orbit_invariance ~nprocs:4 ~crash_procs:[ 0; 1 ] ~nodes:3_000);
   ]
+  @ quotient_pins
