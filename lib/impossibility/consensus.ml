@@ -27,7 +27,6 @@
       candidate, and none for the CAS-based algorithm. *)
 
 open Machine.Program
-module Table = Machine.Fingerprint.Table
 
 (** [p]'s fixed proposal in the two-process analysis instance. *)
 let proposal p = Nvm.Value.Pair (Nvm.Value.Pid p, Nvm.Value.Int 1)
@@ -43,18 +42,7 @@ let setup maker =
   done;
   sim
 
-(* {1 Decision valency} *)
-
-type t = {
-  memo : int Table.t;
-      (** configuration fingerprint -> bitmask of processes whose
-          proposal can become the decision *)
-  mutable configs : int;
-}
-
-let create () = { memo = Table.create 4096; configs = 0 }
-
-(* proposals already returned by completed DECIDEs in this configuration *)
+(* The outcome mask: proposals already returned by completed DECIDEs. *)
 let decided_mask sim =
   let n = Machine.Sim.nprocs sim in
   let m = ref 0 in
@@ -68,98 +56,6 @@ let decided_mask sim =
   done;
   !m
 
-(** Bitmask of processes whose proposal is decided in some crash-free
-    execution from [sim]'s configuration. *)
-let rec decision_mask t sim =
-  let key = Machine.Fingerprint.of_sim sim in
-  match Table.find_opt t.memo key with
-  | Some m -> m
-  | None ->
-    t.configs <- t.configs + 1;
-    (* break cycles pessimistically, as in {!Valency.zero_mask} *)
-    Table.replace t.memo key 0;
-    let m = ref (decided_mask sim) in
-    for p = 0 to Machine.Sim.nprocs sim - 1 do
-      if Machine.Sim.enabled sim p then begin
-        let s = Machine.Sim.clone sim in
-        Machine.Sim.step s p;
-        m := !m lor decision_mask t s
-      end
-    done;
-    Table.replace t.memo key !m;
-    !m
-
-type verdict = Bivalent of int list | Univalent of int | Undecided
-
-let classify t sim =
-  let m = decision_mask t sim in
-  let procs =
-    List.filter (fun p -> m land (1 lsl p) <> 0) (List.init (Machine.Sim.nprocs sim) Fun.id)
-  in
-  match procs with [] -> Undecided | [ p ] -> Univalent p | ps -> Bivalent ps
-
-let pp_verdict ppf = function
-  | Bivalent ps -> Fmt.pf ppf "bivalent {%a}" Fmt.(list ~sep:comma int) ps
-  | Univalent p -> Fmt.pf ppf "p%d's proposal fixed" p
-  | Undecided -> Fmt.string ppf "no execution decides"
-
-type critical = {
-  sim : Machine.Sim.t;
-  depth : int;
-  steps : Valency.pending_step list;
-}
-
-(** Walk inside the bivalent region until every enabled step is
-    univalent.  A sound protocol ends poised at its decision steps; a
-    broken one can instead end in a terminal where both proposals were
-    {e returned} — disagreement, which keeps the configuration formally
-    bivalent with nothing enabled. *)
-let find_critical ?(max_depth = 500) t sim0 =
-  let rec walk sim depth =
-    if depth > max_depth then None
-    else begin
-      let enabled =
-        List.filter (fun p -> Machine.Sim.enabled sim p)
-          (List.init (Machine.Sim.nprocs sim) Fun.id)
-      in
-      let children =
-        List.map
-          (fun p ->
-            let s = Machine.Sim.clone sim in
-            Machine.Sim.step s p;
-            (p, s))
-          enabled
-      in
-      let bivalent_children =
-        List.filter
-          (fun (_, s) -> match classify t s with Bivalent _ -> true | _ -> false)
-          children
-      in
-      match bivalent_children with
-      | [] ->
-        let steps = List.filter_map (fun p -> Valency.pending_step sim p) enabled in
-        Some { sim; depth; steps }
-      | (_, s) :: _ -> walk s (depth + 1)
-    end
-  in
-  match classify t sim0 with Bivalent _ -> walk sim0 0 | _ -> None
-
-(* {1 Candidate protocols} *)
-
-(* Run [p] solo (including its recovery) to completion, bounded. *)
-let solo_run sim p ~bound =
-  let steps = ref 0 in
-  while
-    !steps < bound
-    && Machine.Sim.results sim p = []
-    && (Machine.Sim.enabled sim p || Machine.Sim.can_recover sim p)
-  do
-    if Machine.Sim.can_recover sim p then Machine.Sim.recover sim p
-    else Machine.Sim.step sim p;
-    incr steps
-  done;
-  match Machine.Sim.results sim p with (_, v) :: _ -> Some v | [] -> None
-
 type crash_extension = {
   decision_p : Nvm.Value.t option;  (** p0's decision after the crash, [None] if blocked *)
   decision_q : Nvm.Value.t option;
@@ -168,7 +64,7 @@ type crash_extension = {
 
 (* From the critical configuration: both critical steps, crash p0,
    recover, run both to completion. *)
-let crash_experiment critical_sim ~bound =
+let crash_experiment critical_sim =
   let s = Machine.Sim.clone critical_sim in
   if not (Machine.Sim.enabled s 0 && Machine.Sim.enabled s 1) then None
   else begin
@@ -176,8 +72,8 @@ let crash_experiment critical_sim ~bound =
     Machine.Sim.step s 1;
     Machine.Sim.crash s 0;
     Machine.Sim.recover s 0;
-    let d0 = solo_run s 0 ~bound in
-    let d1 = solo_run s 1 ~bound in
+    let d0 = Valency.solo_run s 0 in
+    let d1 = Valency.solo_run s 1 in
     Some
       {
         decision_p = d0;
@@ -186,6 +82,8 @@ let crash_experiment critical_sim ~bound =
           (match d0, d1 with Some a, Some b -> Nvm.Value.equal a b | _ -> false);
       }
   end
+
+(* {1 Candidate protocols} *)
 
 let op name body recover = (name, { Machine.Objdef.op_name = name; body; recover })
 
@@ -242,14 +140,9 @@ let rw_turn sim ~name =
   Machine.Objdef.register (Machine.Sim.registry sim) ~otype:"consensus" ~name
     [ op "DECIDE" body recover ]
 
-type candidate = {
-  cand_name : string;
-  make : Machine.Sim.t -> name:string -> Machine.Objdef.instance;
-}
-
 let candidates =
   [
-    { cand_name = "rw-first"; make = (fun sim ~name -> rw_first sim ~name) };
+    { Candidates.cand_name = "rw-first"; make = (fun sim ~name -> rw_first sim ~name) };
     { cand_name = "rw-turn"; make = (fun sim ~name -> rw_turn sim ~name) };
   ]
 
@@ -260,6 +153,7 @@ type report = {
   base_objects : string;  (** "read/write" or "cas" *)
   initial_bivalent : bool;
   configs_explored : int;
+  back_edges : int;  (** crash-free cycles met by the valency engine *)
   critical_depth : int option;
   critical_steps_are_cas_on_same_object : bool option;
   crash_extension : crash_extension option;
@@ -268,67 +162,30 @@ type report = {
   explored_truncated : int;
 }
 
-let spec_for sim o =
-  let inst = Machine.Objdef.find (Machine.Sim.registry sim) o in
-  Linearize.Spec.of_otype inst.Machine.Objdef.otype
-
-let analyze ?(solo_bound = 300) ?(explore_steps = 120) ~name ~base_objects maker =
-  let t = create () in
-  let sim0 = setup maker in
-  let initial_bivalent =
-    match classify t sim0 with Bivalent _ -> true | _ -> false
-  in
-  let critical = find_critical t (setup maker) in
-  let critical_depth = Option.map (fun c -> c.depth) critical in
-  let critical_same =
-    Option.map
-      (fun c ->
-        match c.steps with
-        | [ a; b ] ->
-          a.Valency.ps_kind = "cas" && b.Valency.ps_kind = "cas"
-          && a.Valency.ps_addr = b.Valency.ps_addr
-        | _ -> false)
-      critical
-  in
-  let crash_ext =
-    Option.bind critical (fun c -> crash_experiment c.sim ~bound:solo_bound)
-  in
-  let cfg =
-    {
-      Machine.Explore.default_config with
-      max_steps = explore_steps;
-      max_crashes = 1;
-      crash_procs = [ 0 ];
-      crash_mid_op_only = true;
-    }
-  in
-  let check sim =
-    let r =
-      Linearize.Nrl.check ~spec_for:(spec_for sim) ~nprocs:(Machine.Sim.nprocs sim)
-        (Machine.Sim.history sim)
-    in
-    if Linearize.Nrl.ok r then None else Some (Linearize.Nrl.explain r)
-  in
-  let violation, stats = Machine.Explore.find_violation ~cfg ~check (setup maker) in
+let analyze ~name ~base_objects maker =
+  let a = Valency.analyze ~outcome:decided_mask ~kind:"cas" ~exhaustive:true (setup maker) in
   {
     algorithm = name;
     base_objects;
-    initial_bivalent;
-    configs_explored = t.configs;
-    critical_depth;
-    critical_steps_are_cas_on_same_object = critical_same;
-    crash_extension = crash_ext;
-    violation = Option.map snd violation;
-    explored_terminals = stats.Machine.Explore.terminals;
-    explored_truncated = stats.Machine.Explore.truncated;
+    initial_bivalent = a.Valency.initial_bivalent;
+    configs_explored = a.Valency.configs_explored;
+    back_edges = a.Valency.back_edges;
+    critical_depth = Option.map (fun c -> c.Valency.depth) a.Valency.critical;
+    critical_steps_are_cas_on_same_object = a.Valency.critical_steps_same;
+    crash_extension =
+      Option.bind a.Valency.critical (fun c -> crash_experiment c.Valency.sim);
+    violation = a.Valency.violation;
+    explored_terminals = a.Valency.explored.Machine.Explore.terminals;
+    explored_truncated = a.Valency.explored.Machine.Explore.truncated;
   }
 
 let analyze_golab () =
   analyze ~name:"Golab CAS decide (Consensus_obj)" ~base_objects:"cas"
     (fun sim ~name -> Objects.Consensus_obj.make sim ~name)
 
-let analyze_candidate c =
-  analyze ~name:("candidate " ^ c.cand_name) ~base_objects:"read/write" c.make
+let analyze_candidate (c : Candidates.candidate) =
+  analyze ~name:("candidate " ^ c.Candidates.cand_name) ~base_objects:"read/write"
+    c.Candidates.make
 
 let pp_report ppf r =
   Fmt.pf ppf "@[<v>%s (base objects: %s):@," r.algorithm r.base_objects;

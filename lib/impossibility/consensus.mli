@@ -16,45 +16,9 @@ val proposal : int -> Nvm.Value.t
 val setup : (Machine.Sim.t -> name:string -> Machine.Objdef.instance) -> Machine.Sim.t
 (** Two processes, each scripted to DECIDE its own proposal. *)
 
-(** {1 Decision valency} *)
-
-type t = {
-  memo : int Machine.Fingerprint.Table.t;
-      (** configuration fingerprint -> decidable-proposal bitmask *)
-  mutable configs : int;
-}
-
-val create : unit -> t
-
-val decision_mask : t -> Machine.Sim.t -> int
-(** Bitmask of processes whose proposal is decided in some crash-free
-    execution from this configuration. *)
-
-type verdict = Bivalent of int list | Univalent of int | Undecided
-
-val classify : t -> Machine.Sim.t -> verdict
-val pp_verdict : verdict Fmt.t
-
-type critical = {
-  sim : Machine.Sim.t;
-  depth : int;
-  steps : Valency.pending_step list;
-}
-
-val find_critical : ?max_depth:int -> t -> Machine.Sim.t -> critical option
-(** Walk inside the bivalent region until every enabled step is
-    univalent.  A broken protocol can instead end in a terminal whose
-    processes already disagreed (both proposals decided, nothing
-    enabled, [steps = []]). *)
-
 (** {1 Candidates and the analysis} *)
 
-type candidate = {
-  cand_name : string;
-  make : Machine.Sim.t -> name:string -> Machine.Objdef.instance;
-}
-
-val candidates : candidate list
+val candidates : Candidates.candidate list
 (** Read/write-only candidates with wait-free recovery, each refuted by
     a concrete agreement violation. *)
 
@@ -69,6 +33,7 @@ type report = {
   base_objects : string;
   initial_bivalent : bool;
   configs_explored : int;
+  back_edges : int;  (** crash-free cycles met by the valency engine *)
   critical_depth : int option;
   critical_steps_are_cas_on_same_object : bool option;
   crash_extension : crash_extension option;
@@ -78,13 +43,11 @@ type report = {
 }
 
 val analyze :
-  ?solo_bound:int ->
-  ?explore_steps:int ->
   name:string ->
   base_objects:string ->
   (Machine.Sim.t -> name:string -> Machine.Objdef.instance) ->
   report
 
 val analyze_golab : unit -> report
-val analyze_candidate : candidate -> report
+val analyze_candidate : Candidates.candidate -> report
 val pp_report : report Fmt.t

@@ -34,6 +34,7 @@ type report = {
   recovery_wait_free : bool;  (** claimed property of the implementation *)
   initial_bivalent : bool;
   configs_explored : int;
+  back_edges : int;  (** crash-free cycles met by the valency engine *)
   critical_depth : int option;
   critical_steps_are_tas_on_same_object : bool option;
   crash_extension : crash_extension option;
@@ -51,21 +52,6 @@ let setup maker =
     Machine.Sim.set_script sim p [ (inst, "T&S", Machine.Sim.Args [||]) ]
   done;
   sim
-
-(* Run [p] solo for at most [bound] steps or until it has completed its
-   operation; returns its T&S response if completed. *)
-let solo_run sim p ~bound =
-  let steps = ref 0 in
-  while
-    !steps < bound
-    && Machine.Sim.results sim p = []
-    && (Machine.Sim.enabled sim p || Machine.Sim.can_recover sim p)
-  do
-    if Machine.Sim.can_recover sim p then Machine.Sim.recover sim p
-    else Machine.Sim.step sim p;
-    incr steps
-  done;
-  match Machine.Sim.results sim p with (_, v) :: _ -> Some v | [] -> None
 
 (* Advance [p] until it is about to execute its pending t&s (kind "t&s"),
    then execute that one step.  Returns false if p never reaches a t&s. *)
@@ -86,7 +72,7 @@ let step_through_tas sim p ~bound =
   in
   go 0
 
-let crash_experiment critical_sim ~bound =
+let crash_experiment critical_sim =
   let run order =
     let s = Machine.Sim.clone critical_sim in
     let first, second = order in
@@ -97,7 +83,7 @@ let crash_experiment critical_sim ~bound =
     else begin
       Machine.Sim.crash s 0;
       Machine.Sim.recover s 0;
-      Some (solo_run s 0 ~bound)
+      Some (Valency.solo_run s 0)
     end
   in
   let ret_pq = run (0, 1) in
@@ -112,66 +98,32 @@ let crash_experiment critical_sim ~bound =
       (match a, b with Some x, Some y -> Nvm.Value.equal x y | None, None -> true | _ -> false);
   }
 
-let spec_for sim o =
-  let inst = Machine.Objdef.find (Machine.Sim.registry sim) o in
-  Linearize.Spec.of_otype inst.Machine.Objdef.otype
+(* The outcome mask: processes whose T&S returned 0. *)
+let returned_zero sim =
+  let m = ref 0 in
+  for p = 0 to Machine.Sim.nprocs sim - 1 do
+    if List.exists (fun (_, v) -> Nvm.Value.equal v (Nvm.Value.Int 0)) (Machine.Sim.results sim p)
+    then m := !m lor (1 lsl p)
+  done;
+  !m
 
 (** Analyse one implementation.  [recovery_wait_free] documents the claimed
     property (true for the candidates, false for Algorithm 3). *)
-let analyze ?(solo_bound = 300) ?(explore_steps = 120) ?(exhaustive = true) ~name
-    ~recovery_wait_free maker =
-  let v = Valency.create () in
-  let sim0 = setup maker in
-  let initial_bivalent =
-    match Valency.classify v sim0 with Valency.Bivalent _ -> true | _ -> false
-  in
-  let critical = Valency.find_critical v (setup maker) in
-  let critical_depth = Option.map (fun c -> c.Valency.depth) critical in
-  let critical_same =
-    Option.map
-      (fun c ->
-        match c.Valency.steps with
-        | [ a; b ] ->
-          a.Valency.ps_kind = "t&s" && b.Valency.ps_kind = "t&s"
-          && a.Valency.ps_addr = b.Valency.ps_addr
-        | _ -> false)
-      critical
-  in
-  let crash_ext =
-    Option.map (fun c -> crash_experiment c.Valency.sim ~bound:solo_bound) critical
-  in
-  (* bounded exhaustive search for an NRL violation with one crash of p0 *)
-  let cfg =
-    {
-      Machine.Explore.default_config with
-      max_steps = explore_steps;
-      max_crashes = 1;
-      crash_procs = [ 0 ];
-      crash_mid_op_only = true;
-    }
-  in
-  let check sim =
-    let r =
-      Linearize.Nrl.check ~spec_for:(spec_for sim) ~nprocs:(Machine.Sim.nprocs sim)
-        (Machine.Sim.history sim)
-    in
-    if Linearize.Nrl.ok r then None else Some (Linearize.Nrl.explain r)
-  in
-  let violation, stats =
-    if exhaustive then Machine.Explore.find_violation ~cfg ~check (setup maker)
-    else (None, Machine.Explore.zero_stats ())
-  in
+let analyze ?(exhaustive = true) ~name ~recovery_wait_free maker =
+  let a = Valency.analyze ~outcome:returned_zero ~kind:"t&s" ~exhaustive (setup maker) in
   {
     algorithm = name;
     recovery_wait_free;
-    initial_bivalent;
-    configs_explored = v.Valency.configs;
-    critical_depth;
-    critical_steps_are_tas_on_same_object = critical_same;
-    crash_extension = crash_ext;
-    violation = Option.map snd violation;
-    explored_terminals = stats.Machine.Explore.terminals;
-    explored_truncated = stats.Machine.Explore.truncated;
+    initial_bivalent = a.Valency.initial_bivalent;
+    configs_explored = a.Valency.configs_explored;
+    back_edges = a.Valency.back_edges;
+    critical_depth = Option.map (fun c -> c.Valency.depth) a.Valency.critical;
+    critical_steps_are_tas_on_same_object = a.Valency.critical_steps_same;
+    crash_extension =
+      Option.map (fun c -> crash_experiment c.Valency.sim) a.Valency.critical;
+    violation = a.Valency.violation;
+    explored_terminals = a.Valency.explored.Machine.Explore.terminals;
+    explored_truncated = a.Valency.explored.Machine.Explore.truncated;
   }
 
 (** Algorithm 3 has busy-waiting recovery, so the exhaustive schedule

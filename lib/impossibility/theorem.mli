@@ -24,6 +24,7 @@ type report = {
   recovery_wait_free : bool;  (** the implementation's claimed property *)
   initial_bivalent : bool;
   configs_explored : int;
+  back_edges : int;  (** crash-free cycles met by the valency engine *)
   critical_depth : int option;
   critical_steps_are_tas_on_same_object : bool option;
   crash_extension : crash_extension option;
@@ -32,12 +33,13 @@ type report = {
   explored_truncated : int;
 }
 
+val returned_zero : Machine.Sim.t -> int
+(** The valency outcome: bitmask of processes whose T&S returned 0. *)
+
 val setup : (Machine.Sim.t -> name:string -> Machine.Objdef.instance) -> Machine.Sim.t
 (** Two processes, each scripted to perform a single T&S. *)
 
 val analyze :
-  ?solo_bound:int ->
-  ?explore_steps:int ->
   ?exhaustive:bool ->
   name:string ->
   recovery_wait_free:bool ->

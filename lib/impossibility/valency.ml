@@ -1,75 +1,88 @@
-(** Valency analysis over crash-free executions, following the proof of
-    Theorem 4.
+(** The valency engine shared by Theorem 4 and the recoverable-consensus
+    analysis.
 
-    A configuration [C] is {e p-valent} if there is a crash-free execution
-    starting from [C] in which [p] returns 0 or has already returned 0;
-    {e bivalent} if it is p-valent for two distinct processes, and
-    {e univalent} otherwise.  The analysis enumerates every reachable
-    crash-free configuration (memoised on the canonical state key) and
-    computes, for each, the set of processes that can return 0. *)
+    A configuration's {e outcome mask} is a caller-supplied bitmask over
+    processes: those that returned 0 (Theorem 4), or those whose proposal
+    was decided (consensus).  A configuration is {e p-valent} if some
+    crash-free execution from it reaches a configuration whose outcome
+    mask contains [p]; {e bivalent} if p-valent for two distinct
+    processes, and {e univalent} otherwise.  The engine enumerates every
+    reachable crash-free configuration, memoised on its
+    {!Machine.Fingerprint}, backtracking on one trailed machine with
+    {!Machine.Sim.mark}/{!Machine.Sim.undo_to}. *)
 
+module Sim = Machine.Sim
 module Table = Machine.Fingerprint.Table
 
+type entry = In_progress | Mask of int
+
 type t = {
-  memo : int Table.t;
-      (** configuration fingerprint -> bitmask of processes that can return 0 *)
+  outcome : Sim.t -> int;
+  memo : entry Table.t;
   mutable configs : int;
+  mutable back_edges : int;
 }
 
-let create () = { memo = Table.create 4096; configs = 0 }
+let create ~outcome = { outcome; memo = Table.create 4096; configs = 0; back_edges = 0 }
 
-let returned_zero sim p =
-  List.exists (fun (_, v) -> Nvm.Value.equal v (Nvm.Value.Int 0)) (Machine.Sim.results sim p)
+(* A trailed private copy: the engine's only clone on entry. *)
+let trailed sim =
+  let s = Sim.clone sim in
+  Sim.enable_trail s;
+  s
 
-(** Bitmask of processes that can return 0 in some crash-free execution
-    from [sim]'s configuration. *)
-let rec zero_mask t sim =
+(* [f ()] after [p]'s next step, with the step undone afterwards. *)
+let after_step sim p f =
+  let m = Sim.mark sim in
+  Sim.step sim p;
+  let r = f () in
+  Sim.undo_to sim m;
+  r
+
+let enabled sim = List.filter (Sim.enabled sim) (List.init (Sim.nprocs sim) Fun.id)
+
+(* Reachable outcome mask of the trailed [sim]'s configuration.  A
+   revisit of a configuration still on the DFS stack is a back edge
+   (a crash-free cycle): it contributes nothing on this branch, so the
+   masks memoised inside the cycle may under-approximate. *)
+let rec reach t sim =
   let key = Machine.Fingerprint.of_sim sim in
   match Table.find_opt t.memo key with
-  | Some m -> m
+  | Some (Mask m) -> m
+  | Some In_progress ->
+    t.back_edges <- t.back_edges + 1;
+    0
   | None ->
     t.configs <- t.configs + 1;
-    (* break cycles (busy-wait loops) pessimistically: a revisited
-       configuration contributes nothing new on this branch *)
-    Table.replace t.memo key 0;
-    let base =
-      let m = ref 0 in
-      for p = 0 to Machine.Sim.nprocs sim - 1 do
-        if returned_zero sim p then m := !m lor (1 lsl p)
-      done;
-      !m
+    Table.replace t.memo key In_progress;
+    let m =
+      List.fold_left
+        (fun m p -> m lor after_step sim p (fun () -> reach t sim))
+        (t.outcome sim) (enabled sim)
     in
-    let m = ref base in
-    for p = 0 to Machine.Sim.nprocs sim - 1 do
-      if Machine.Sim.enabled sim p then begin
-        let s = Machine.Sim.clone sim in
-        Machine.Sim.step s p;
-        m := !m lor zero_mask t s
-      end
-    done;
-    Table.replace t.memo key !m;
-    !m
+    Table.replace t.memo key (Mask m);
+    m
+
+let mask t sim = reach t (trailed sim)
 
 type verdict = Bivalent of int list | Univalent of int | Zerovalent
 
-let classify t sim =
-  let m = zero_mask t sim in
-  let procs =
-    List.filter (fun p -> m land (1 lsl p) <> 0) (List.init (Machine.Sim.nprocs sim) Fun.id)
-  in
-  match procs with
+let verdict_of_mask ~nprocs m =
+  match List.filter (fun p -> m land (1 lsl p) <> 0) (List.init nprocs Fun.id) with
   | [] -> Zerovalent
   | [ p ] -> Univalent p
   | ps -> Bivalent ps
 
+let classify t sim = verdict_of_mask ~nprocs:(Sim.nprocs sim) (mask t sim)
+
 let pp_verdict ppf = function
   | Bivalent ps -> Fmt.pf ppf "bivalent {%a}" Fmt.(list ~sep:comma int) ps
   | Univalent p -> Fmt.pf ppf "p%d-valent" p
-  | Zerovalent -> Fmt.string ppf "no process can return 0"
+  | Zerovalent -> Fmt.string ppf "no outcome reachable"
 
 (** Information about the next step each process would take, used to verify
     the critical-step claim of the proof (both processes must be about to
-    apply [t&s] to the same base object). *)
+    apply the same primitive to the same base object). *)
 type pending_step = {
   ps_pid : int;
   ps_kind : string;  (** "read" | "write" | "t&s" | "cas" | "local" | ... *)
@@ -77,17 +90,17 @@ type pending_step = {
 }
 
 let pending_step sim p =
-  let pr = Machine.Sim.proc sim p in
-  match pr.Machine.Sim.stack with
+  let pr = Sim.proc sim p in
+  match pr.Sim.stack with
   | [] -> None
   | f :: _ ->
-    let prog = Machine.Sim.current_program f in
-    if f.Machine.Sim.f_pc >= Machine.Program.length prog then None
+    let prog = Sim.current_program f in
+    if f.Sim.f_pc >= Machine.Program.length prog then None
     else
-      let ctx = Machine.Sim.ctx_of sim f p in
-      let env = f.Machine.Sim.f_env in
+      let ctx = Sim.ctx_of sim f p in
+      let env = f.Sim.f_env in
       let kind, addr =
-        match Machine.Program.instr prog f.Machine.Sim.f_pc with
+        match Machine.Program.instr prog f.Sim.f_pc with
         | Machine.Program.Read (_, a) -> ("read", Some (a ctx env))
         | Machine.Program.Write (a, _) -> ("write", Some (a ctx env))
         | Machine.Program.Cas_prim (_, a, _, _) -> ("cas", Some (a ctx env))
@@ -103,42 +116,100 @@ let pending_step sim p =
       Some { ps_pid = p; ps_kind = kind; ps_addr = addr }
 
 type critical = {
-  sim : Machine.Sim.t;  (** the critical configuration *)
+  sim : Sim.t;  (** the critical configuration *)
   depth : int;  (** steps from the initial configuration *)
   steps : pending_step list;  (** the processes' pending (critical) steps *)
 }
 
+let bivalent t sim =
+  match verdict_of_mask ~nprocs:(Sim.nprocs sim) (reach t sim) with
+  | Bivalent _ -> true
+  | _ -> false
+
+let max_depth = 500
+
 (** Search for a {e critical} configuration: a bivalent configuration every
     enabled step of which leads to a univalent configuration.  Follows the
-    proof: keep extending inside the bivalent region; because the T&S
-    operation is wait-free the region is finite and a critical
-    configuration must exist. *)
-let find_critical ?(max_depth = 500) t sim0 =
-  let rec walk sim depth =
+    proof: keep extending the trailed [sim], bivalent on entry, inside the
+    bivalent region; because the operation is wait-free the region is
+    finite and a critical configuration must exist.  A broken protocol
+    can instead end in a terminal whose outcome mask is already bivalent
+    (consensus disagreement: nothing enabled, [steps = []]).  Gives up
+    past [max_depth] steps. *)
+let find_critical t sim =
+  let rec walk depth =
     if depth > max_depth then None
-    else begin
-      let enabled =
-        List.filter (fun p -> Machine.Sim.enabled sim p)
-          (List.init (Machine.Sim.nprocs sim) Fun.id)
-      in
-      let children =
-        List.map
-          (fun p ->
-            let s = Machine.Sim.clone sim in
-            Machine.Sim.step s p;
-            (p, s))
-          enabled
-      in
-      let bivalent_children =
-        List.filter
-          (fun (_, s) -> match classify t s with Bivalent _ -> true | _ -> false)
-          children
-      in
-      match bivalent_children with
-      | [] ->
-        let steps = List.filter_map (fun p -> pending_step sim p) enabled in
-        Some { sim; depth; steps }
-      | (_, s) :: _ -> walk s (depth + 1)
-    end
+    else
+      let ps = enabled sim in
+      match List.find_opt (fun p -> after_step sim p (fun () -> bivalent t sim)) ps with
+      | Some p ->
+        Sim.step sim p;
+        walk (depth + 1)
+      | None ->
+        Some { sim = Sim.clone sim; depth; steps = List.filter_map (pending_step sim) ps }
   in
-  match classify t sim0 with Bivalent _ -> walk sim0 0 | _ -> None
+  walk 0
+
+let solo_bound = 300
+
+(* Run [p] solo (including its recovery) for at most [solo_bound] steps
+   or until it has completed its operation; its response, if completed. *)
+let solo_run sim p =
+  let steps = ref 0 in
+  while
+    !steps < solo_bound
+    && Sim.results sim p = []
+    && (Sim.enabled sim p || Sim.can_recover sim p)
+  do
+    if Sim.can_recover sim p then Sim.recover sim p else Sim.step sim p;
+    incr steps
+  done;
+  match Sim.results sim p with (_, v) :: _ -> Some v | [] -> None
+
+type analysis = {
+  initial_bivalent : bool;
+  configs_explored : int;
+  back_edges : int;
+  critical : critical option;
+  critical_steps_same : bool option;
+  violation : string option;
+  explored : Machine.Explore.stats;
+}
+
+let analyze ~outcome ~kind ~exhaustive sim0 =
+  let t = create ~outcome in
+  let sim = trailed sim0 in
+  let initial_bivalent = bivalent t sim in
+  let critical = if initial_bivalent then find_critical t sim else None in
+  let critical_steps_same =
+    Option.map
+      (fun c ->
+        match c.steps with
+        | [ a; b ] -> a.ps_kind = kind && b.ps_kind = kind && a.ps_addr = b.ps_addr
+        | _ -> false)
+      critical
+  in
+  (* bounded exhaustive search for an NRL violation with one crash of p0 *)
+  let cfg =
+    {
+      Machine.Explore.default_config with
+      max_steps = 120;
+      max_crashes = 1;
+      crash_procs = [ 0 ];
+      crash_mid_op_only = true;
+    }
+  in
+  let violation, explored =
+    if exhaustive then
+      Machine.Explore.find_violation ~cfg ~check:Workload.Check.nrl_violation sim0
+    else (None, Machine.Explore.zero_stats ())
+  in
+  {
+    initial_bivalent;
+    configs_explored = t.configs;
+    back_edges = t.back_edges;
+    critical;
+    critical_steps_same;
+    violation = Option.map snd violation;
+    explored;
+  }

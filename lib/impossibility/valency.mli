@@ -1,24 +1,31 @@
-(** Valency analysis over crash-free executions, following the proof of
-    Theorem 4.
+(** The valency engine shared by Theorem 4 ({!Theorem}) and the
+    recoverable-consensus analysis ({!Consensus}).
 
-    A configuration is {e p-valent} if some crash-free execution from it
-    has [p] return 0 (or [p] already did); {e bivalent} if p-valent for
-    two distinct processes.  The analysis enumerates reachable crash-free
-    configurations with memoisation.  It assumes loop-free operation
-    bodies (true of every TAS implementation analysed; busy-wait loops
-    appear only in recovery code, which crash-free executions never
-    run). *)
+    A configuration's {e outcome mask} is supplied by the caller: the
+    processes that returned 0 (Theorem 4) or whose proposal was decided
+    (consensus).  A configuration is {e p-valent} if some crash-free
+    execution from it reaches an outcome mask containing [p];
+    {e bivalent} if p-valent for two distinct processes.  The engine
+    enumerates reachable crash-free configurations with memoisation,
+    backtracking on one trailed copy of the machine. *)
+
+type entry
+(** A memo entry: a finished mask, or "in progress" (on the DFS stack). *)
 
 type t = {
-  memo : int Machine.Fingerprint.Table.t;
-      (** configuration fingerprint -> zero-returner bitmask *)
+  outcome : Machine.Sim.t -> int;  (** the per-configuration base mask *)
+  memo : entry Machine.Fingerprint.Table.t;
   mutable configs : int;  (** distinct configurations explored *)
+  mutable back_edges : int;
+      (** revisits of in-progress configurations (crash-free cycles).
+          Nonzero means the memoised masks may under-approximate. *)
 }
 
-val create : unit -> t
+val create : outcome:(Machine.Sim.t -> int) -> t
 
-val zero_mask : t -> Machine.Sim.t -> int
-(** Bitmask of processes that can return 0 from this configuration. *)
+val mask : t -> Machine.Sim.t -> int
+(** Bitmask of processes [p] such that some crash-free execution from
+    this configuration reaches an outcome mask containing [p]. *)
 
 type verdict = Bivalent of int list | Univalent of int | Zerovalent
 
@@ -35,12 +42,39 @@ type pending_step = {
 
 val pending_step : Machine.Sim.t -> int -> pending_step option
 
+(** A critical configuration: bivalent, and every enabled step leads to
+    a univalent one.  A broken consensus protocol can instead end in a
+    terminal where both proposals were already decided ([steps = []]). *)
 type critical = {
   sim : Machine.Sim.t;  (** the critical configuration *)
-  depth : int;
+  depth : int;  (** steps from the initial configuration *)
   steps : pending_step list;  (** the processes' pending (critical) steps *)
 }
 
-val find_critical : ?max_depth:int -> t -> Machine.Sim.t -> critical option
-(** Walk inside the bivalent region until reaching a configuration whose
-    every enabled step leads to a univalent configuration. *)
+val solo_run : Machine.Sim.t -> int -> Nvm.Value.t option
+(** Run a process solo, recovering it when crashed, for at most 300
+    steps or until its operation completes; its response, if any. *)
+
+(** The analysis skeleton both reports are built from. *)
+type analysis = {
+  initial_bivalent : bool;
+  configs_explored : int;
+  back_edges : int;
+  critical : critical option;
+      (** the end of the walk inside the bivalent region *)
+  critical_steps_same : bool option;
+      (** both critical steps are [kind] on one base object *)
+  violation : string option;  (** from the one-crash bounded search *)
+  explored : Machine.Explore.stats;
+}
+
+val analyze :
+  outcome:(Machine.Sim.t -> int) ->
+  kind:string ->
+  exhaustive:bool ->
+  Machine.Sim.t ->
+  analysis
+(** Initial bivalence, the critical walk, the critical-step check for
+    [kind], and (if [exhaustive]) a search for an NRL violation over
+    schedules of at most 120 steps where process 0 crashes once
+    mid-operation. *)

@@ -9,9 +9,7 @@
 
     The representation is structural (no string building) and the hash
     is computed once at construction, so taking a fingerprint at every
-    node of an exploration is affordable.  This module generalises the
-    serialisation the impossibility analysis used privately; see
-    {!Impossibility.Statekey} for the string-keyed compatibility layer. *)
+    node of an exploration is affordable. *)
 
 type t
 

@@ -1,5 +1,6 @@
 (* Golden/expect tests for the nrlsim CLI: the help surface, the shape of
-   the --stats counter section, and the exit-code contract pinned in
+   the --stats counter section, the byte-exact [theorem] report, and the
+   exit-code contract pinned in
    docs/cli.md (0 clean, 2 violation found, 3 budget/signal cut short,
    124 command-line error).
 
@@ -10,18 +11,22 @@
 
 let exe = Filename.concat (Filename.concat ".." "bin") "nrlsim.exe"
 
-(* Run [exe args], capturing combined stdout+stderr and the exit code. *)
-let run_cli args =
+(* Run [exe args], capturing the output selected by [redirect] (appended
+   to the command line) and the exit code. *)
+let run_cli_redirect redirect args =
   let out = Filename.temp_file "nrl_cli" ".out" in
   let cmd =
-    Printf.sprintf "%s > %s 2>&1"
+    Printf.sprintf "%s > %s%s"
       (Filename.quote_command exe args)
-      (Filename.quote out)
+      (Filename.quote out) redirect
   in
   let code = Sys.command cmd in
   let output = In_channel.with_open_bin out In_channel.input_all in
   Sys.remove out;
   (code, output)
+
+(* Combined stdout+stderr. *)
+let run_cli = run_cli_redirect " 2>&1"
 
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
@@ -166,6 +171,16 @@ let test_run_stats_counter_section () =
       Alcotest.(check bool) (n ^ " present") true (List.mem n names))
     [ "sim.steps"; "sim.crashes"; "sim.recoveries"; "nrl.checks" ]
 
+(* {2 The theorem report, byte for byte} *)
+
+(* theorem.expected pins every number of the report: configurations
+   explored, critical depths, crash extensions and violation strings. *)
+let test_theorem_golden () =
+  let code, out = run_cli_redirect "" [ "theorem" ] in
+  Alcotest.(check int) "theorem exits 0" 0 code;
+  let expected = In_channel.with_open_bin "theorem.expected" In_channel.input_all in
+  Alcotest.(check string) "stdout matches theorem.expected" expected out
+
 (* {2 Exit codes (docs/cli.md)} *)
 
 let test_exit_0_clean () =
@@ -239,4 +254,5 @@ let suite =
     Alcotest.test_case "exit 3 on budget exhaustion" `Quick test_exit_3_budget;
     Alcotest.test_case "exit 124 on CLI errors" `Quick test_exit_124_cli_errors;
     Alcotest.test_case "printed reproducers replay" `Quick test_replay_roundtrip;
+    Alcotest.test_case "theorem stdout matches golden" `Quick test_theorem_golden;
   ]

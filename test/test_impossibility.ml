@@ -13,7 +13,8 @@ let test_critical_config_paper () =
   Alcotest.(check bool) "critical configuration exists" true (r.Theorem.critical_depth <> None);
   Alcotest.(check (option bool))
     "critical steps are t&s on the same base object" (Some true)
-    r.Theorem.critical_steps_are_tas_on_same_object
+    r.Theorem.critical_steps_are_tas_on_same_object;
+  Alcotest.(check int) "no crash-free cycles" 0 r.Theorem.back_edges
 
 let test_paper_recovery_blocks () =
   let r = Theorem.analyze_paper_algorithm () in
@@ -30,6 +31,9 @@ let test_candidates_refuted () =
       Alcotest.(check bool)
         (c.Candidates.cand_name ^ ": initial bivalent")
         true r.Theorem.initial_bivalent;
+      Alcotest.(check int)
+        (c.Candidates.cand_name ^ ": no crash-free cycles")
+        0 r.Theorem.back_edges;
       (match r.Theorem.crash_extension with
       | Some e ->
         Alcotest.(check bool)
@@ -50,6 +54,7 @@ let test_candidates_refuted () =
 let test_consensus_golab_clean () =
   let r = Consensus.analyze_golab () in
   Alcotest.(check bool) "initial bivalent" true r.Consensus.initial_bivalent;
+  Alcotest.(check int) "no crash-free cycles" 0 r.Consensus.back_edges;
   Alcotest.(check bool) "critical configuration exists" true
     (r.Consensus.critical_depth <> None);
   Alcotest.(check (option bool))
@@ -69,13 +74,16 @@ let test_consensus_rw_candidates_refuted () =
     (fun c ->
       let r = Consensus.analyze_candidate c in
       Alcotest.(check bool)
-        (c.Consensus.cand_name ^ ": initial bivalent")
+        (c.Candidates.cand_name ^ ": initial bivalent")
         true r.Consensus.initial_bivalent;
+      Alcotest.(check int)
+        (c.Candidates.cand_name ^ ": no crash-free cycles")
+        0 r.Consensus.back_edges;
       Alcotest.(check (option bool))
-        (c.Consensus.cand_name ^ ": critical steps are not a cas pair")
+        (c.Candidates.cand_name ^ ": critical steps are not a cas pair")
         (Some false) r.Consensus.critical_steps_are_cas_on_same_object;
       Alcotest.(check bool)
-        (c.Consensus.cand_name ^ ": concrete NRL violation found")
+        (c.Candidates.cand_name ^ ": concrete NRL violation found")
         true
         (r.Consensus.violation <> None))
     Consensus.candidates
@@ -86,7 +94,7 @@ let test_valency_zero_mask_solo () =
   let sim = Machine.Sim.create ~nprocs:1 () in
   let inst = Objects.Tas_obj.make sim ~name:"T" in
   Machine.Sim.set_script sim 0 [ (inst, "T&S", Machine.Sim.Args [||]) ];
-  let v = Valency.create () in
+  let v = Valency.create ~outcome:Theorem.returned_zero in
   (match Valency.classify v sim with
   | Valency.Univalent 0 -> ()
   | other -> Alcotest.failf "expected p0-valent, got %a" Valency.pp_verdict other);
@@ -103,11 +111,13 @@ let test_statekey_distinguishes () =
   in
   let a = mk () in
   let b = mk () in
-  Alcotest.(check string) "identical configs, identical keys" (Statekey.of_sim a)
-    (Statekey.of_sim b);
+  let key = Machine.Fingerprint.of_sim in
+  Alcotest.(check string) "identical configs, identical keys"
+    (Machine.Fingerprint.to_string (key a))
+    (Machine.Fingerprint.to_string (key b));
   Machine.Sim.step b 0;
   Alcotest.(check bool) "different configs, different keys" true
-    (Statekey.of_sim a <> Statekey.of_sim b)
+    (not (Machine.Fingerprint.equal (key a) (key b)))
 
 let test_pending_step_detects_tas () =
   let sim = Machine.Sim.create ~nprocs:1 () in
@@ -119,6 +129,26 @@ let test_pending_step_detects_tas () =
     Alcotest.(check string) "kind" "t&s" s.Valency.ps_kind;
     Alcotest.(check bool) "address known" true (s.Valency.ps_addr <> None)
   | None -> Alcotest.fail "expected a pending step"
+
+let test_valency_counts_back_edges () =
+  (* a crash-free busy-wait on a cell nobody writes: the loop revisits a
+     configuration still on the DFS stack *)
+  let sim = Machine.Sim.create ~nprocs:1 () in
+  let c = Nvm.Memory.alloc ~name:"S.c" (Machine.Sim.mem sim) (Nvm.Value.Int 0) in
+  let open Machine.Program in
+  let body =
+    make ~name:"SPIN"
+      [ (2, Read ("x", at c)); (3, Branch_if (eq (local "x") (int 0), 2)); (4, Ret (int 0)) ]
+  in
+  let recover = make ~name:"SPIN.RECOVER" [ (6, Resume 2) ] in
+  let inst =
+    Machine.Objdef.register (Machine.Sim.registry sim) ~otype:"spin" ~name:"S"
+      [ ("SPIN", { Machine.Objdef.op_name = "SPIN"; body; recover }) ]
+  in
+  Machine.Sim.set_script sim 0 [ (inst, "SPIN", Machine.Sim.Args [||]) ];
+  let v = Valency.create ~outcome:Theorem.returned_zero in
+  Alcotest.(check int) "no process returns" 0 (Valency.mask v sim);
+  Alcotest.(check bool) "the spin loop is a back edge" true (v.Valency.back_edges > 0)
 
 let suite =
   [
@@ -133,4 +163,5 @@ let suite =
     Alcotest.test_case "solo valency" `Quick test_valency_zero_mask_solo;
     Alcotest.test_case "state keys" `Quick test_statekey_distinguishes;
     Alcotest.test_case "pending step detection" `Quick test_pending_step_detects_tas;
+    Alcotest.test_case "crash-free cycles counted" `Quick test_valency_counts_back_edges;
   ]
