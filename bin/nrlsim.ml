@@ -695,7 +695,7 @@ let fuzz_cmd =
       & opt (some string) None
       & info [ "corpus" ] ~docv:"FILE"
           ~doc:
-            "Persist the campaign to $(docv) (NDJSON, schema nrl-corpus/1, atomic \
+            "Persist the campaign to $(docv) (NDJSON, schema nrl-corpus/2, atomic \
              write-then-rename; see docs/fuzzing.md): coverage-increasing seeds, \
              violations with shrunk reproducers, and resumable progress.")
   in

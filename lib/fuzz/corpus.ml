@@ -1,4 +1,4 @@
-(** On-disk fuzzing corpus: NDJSON, schema ["nrl-corpus/1"].
+(** On-disk fuzzing corpus: NDJSON, schema ["nrl-corpus/2"].
 
     The file is the campaign's whole resumable state: the stamp of what
     was being fuzzed, one record per coverage-increasing seed (with the
@@ -10,11 +10,17 @@
     (write-to-temporary then rename), loads are strict, and nothing
     nondeterministic (no timestamps) is written, so a fixed-seed campaign
     produces a byte-identical file however often it is re-run or
-    resumed. *)
+    resumed.
+
+    Schema 2 differs from 1 only in where the [cov] hashes come from:
+    {!Machine.Fingerprint.hash} changed from a structural hash to a hash
+    of the packed key, so the hashes of a schema-1 file name no state a
+    current run can reach.  Such a file is refused, not resumed against
+    a dead coverage set. *)
 
 module Json = Machine.Checkpoint.Json
 
-let schema_version = "nrl-corpus/1"
+let schema_version = "nrl-corpus/2"
 
 type entry = {
   e_index : int;
@@ -129,7 +135,13 @@ let load path =
     try
       let j = Json.parse header in
       let schema = Json.to_string (Json.member "schema" j) in
-      if schema <> schema_version then
+      if schema = "nrl-corpus/1" then
+        Error
+          (Printf.sprintf
+             "%s: schema %S holds coverage hashes of an earlier fingerprint encoding; start a \
+              new corpus (expected %S)"
+             path schema schema_version)
+      else if schema <> schema_version then
         Error (Printf.sprintf "%s: schema %S, expected %S" path schema schema_version)
       else begin
         let stamp = ref [] and entries = ref [] and violations = ref [] in

@@ -1,4 +1,4 @@
-(** On-disk fuzzing corpus: NDJSON, schema ["nrl-corpus/1"] (documented
+(** On-disk fuzzing corpus: NDJSON, schema ["nrl-corpus/2"] (documented
     field by field in docs/fuzzing.md).
 
     The corpus is the campaign's whole resumable state: a stamp of what
@@ -13,7 +13,7 @@
     or resumed. *)
 
 val schema_version : string
-(** ["nrl-corpus/1"]. *)
+(** ["nrl-corpus/2"]. *)
 
 type entry = {
   e_index : int;  (** seed index within the campaign *)
@@ -60,4 +60,6 @@ val save : path:string -> t -> unit
 
 val load : string -> (t, string) result
 (** Parse a corpus file; [Error] describes unreadable files, malformed
-    records and schema mismatches. *)
+    records and schema mismatches.  Schema ["nrl-corpus/1"] files are
+    refused: their coverage hashes predate the current fingerprint
+    hash. *)

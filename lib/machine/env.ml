@@ -91,8 +91,11 @@ let scramble t junk =
     answers unbound lookups from this stream. *)
 let junk_state t = Option.map Junk.state t.junk
 
+(* keys are unique, so ordering by key alone is a total order *)
 let bindings t =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
 
 let pp ppf t =
   Fmt.pf ppf "{%a}"

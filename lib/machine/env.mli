@@ -47,7 +47,7 @@ val scramble : t -> Junk.t -> unit
     switch the environment into scrambled mode. *)
 
 val bindings : t -> (string * Nvm.Value.t) list
-(** Sorted bindings, for state hashing and debugging. *)
+(** Bindings sorted by name, for state fingerprints and debugging. *)
 
 val junk_state : t -> int option
 (** [Some s] iff the environment is in post-crash (scrambled) mode, where

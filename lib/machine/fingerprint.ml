@@ -1,4 +1,4 @@
-(** Canonical structural fingerprint of a machine configuration.
+(** Canonical fingerprint of a machine configuration.
 
     A fingerprint covers everything that determines the machine's future
     behaviour: the persistent memory contents, the junk-generator state
@@ -12,12 +12,12 @@
     event sequences even when they were reached by different
     interleavings.
 
-    Unlike the string serialisation previously private to the
-    impossibility analysis, the representation here is structural — no
-    intermediate strings are built — with the hash computed once at
-    construction, so fingerprints are cheap enough to take at every node
-    of an exploration.  {!Store} packages a sharded, mutex-protected
-    visited-set over fingerprints for use from multiple domains. *)
+    A fingerprint carries two forms of the same content: a structural
+    view (read by the printer and the symmetry reduction) and a packed
+    {e key}, one byte string that encodes every compared field
+    injectively.  Equality, ordering and the hash read only the key, and
+    {!Store} keeps only the key and its hash, so the visited set is a
+    heap of strings the major GC marks without scanning. *)
 
 type frame_fp = {
   ff_obj : int;  (** instance id *)
@@ -39,14 +39,13 @@ type proc_fp = {
 }
 
 type t = {
-  fp_hash : int;
+  fp_hash : int;  (** [hash_key fp_key] *)
+  fp_key : string;  (** [encode] of the fields below *)
   fp_mem : Nvm.Value.t array;
   fp_pmem : Nvm.Value.t array;
       (** persisted view of each cell under the explicit-persist model
           ([Nvm.Memory.psnapshot]); [[||]] in instant mode, where the
-          volatile view is the persisted view — keeping instant-mode
-          fingerprints (hash, equality, serialisation) byte-identical
-          to the pre-persist-model ones *)
+          volatile view is the persisted view *)
   fp_owner : int array;
       (** pending-writer pid per cell, [-1] = clean ([Nvm.Memory.owners]);
           [[||]] in instant mode.  Needed because a dirty cell's future
@@ -62,11 +61,190 @@ type t = {
 
 let hash t = t.fp_hash
 
-(* FNV-style mixing; Value.hash does the per-value work *)
-let mix h k = ((h * 0x01000193) lxor k) land max_int
+(* {1 The key}
 
-let hash_value_list h l =
-  List.fold_left (fun h (s, v) -> mix (mix h (Hashtbl.hash s)) (Nvm.Value.hash v)) h l
+   Every field is self-delimiting — zig-zag LEB128 integers (junk-stream
+   states as fixed eight-byte words), a tag byte per value, a length
+   before every string, list and array — so the concatenation is
+   injective: two keys are equal exactly when the structural views are.
+   Each domain reuses one writer; [reserve] makes room once per field so
+   the byte stores need no bounds check, and the finished key is copied
+   out. *)
+
+type writer = { mutable buf : bytes; mutable pos : int }
+
+let key_writer = Domain.DLS.new_key (fun () -> { buf = Bytes.create 1024; pos = 0 })
+
+let[@inline never] grow w n =
+  let b = Bytes.create (2 * (Bytes.length w.buf + n)) in
+  Bytes.blit w.buf 0 b 0 w.pos;
+  w.buf <- b
+
+let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
+
+(* room for a tag byte and a 63-bit integer in LEB128 (9 bytes) *)
+let value_room = 10
+
+let[@inline] put_byte w c =
+  let p = w.pos in
+  Bytes.unsafe_set w.buf p c;
+  w.pos <- p + 1
+
+let[@inline never] put_long w z =
+  let buf = w.buf in
+  let z = ref z and p = ref w.pos in
+  while !z land lnot 0x7f <> 0 do
+    Bytes.unsafe_set buf !p (Char.unsafe_chr (!z land 0x7f lor 0x80));
+    incr p;
+    z := !z lsr 7
+  done;
+  Bytes.unsafe_set buf !p (Char.unsafe_chr !z);
+  w.pos <- !p + 1
+
+(* zig-zag, then LEB128; most integers here take the one-byte path *)
+let[@inline] put_int w n =
+  let z = (n lsl 1) lxor (n asr 62) in
+  if z land lnot 0x7f = 0 then put_byte w (Char.unsafe_chr z) else put_long w z
+
+let add_int w n =
+  reserve w value_room;
+  put_int w n
+
+let add_string w s =
+  let n = String.length s in
+  reserve w (value_room + n);
+  put_int w n;
+  (* names and short strings: a loop beats the C call of a blit *)
+  let buf = w.buf and p = w.pos in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set buf (p + i) (String.unsafe_get s i)
+  done;
+  w.pos <- p + n
+
+let rec add_value w (v : Nvm.Value.t) =
+  reserve w value_room;
+  match v with
+  | Null -> put_byte w '\000'
+  | Bool false -> put_byte w '\001'
+  | Bool true -> put_byte w '\002'
+  | Int i ->
+    put_byte w '\003';
+    put_int w i
+  | Pid p ->
+    put_byte w '\004';
+    put_int w p
+  | Str s ->
+    put_byte w '\005';
+    add_string w s
+  | Pair (x, y) ->
+    put_byte w '\006';
+    add_value w x;
+    add_value w y
+
+let add_values w a =
+  add_int w (Array.length a);
+  for i = 0 to Array.length a - 1 do
+    add_value w (Array.unsafe_get a i)
+  done
+
+(* Junk-stream states are spread over all 63 bits, so they take a fixed
+   eight bytes rather than nine LEB128 ones. *)
+let put_word w n =
+  let p = w.pos in
+  Bytes.set_int64_le w.buf p (Int64.of_int n);
+  w.pos <- p + 8
+
+let rec add_binding_list w = function
+  | [] -> ()
+  | (k, v) :: tl ->
+    add_string w k;
+    add_value w v;
+    add_binding_list w tl
+
+let add_bindings w l =
+  add_int w (List.length l);
+  add_binding_list w l
+
+let add_frame w f =
+  add_int w f.ff_obj;
+  add_string w f.ff_op;
+  reserve w (4 * value_room);
+  put_int w (Bool.to_int f.ff_recovery lor (Bool.to_int f.ff_interrupted lsl 1));
+  put_int w f.ff_pc;
+  put_int w f.ff_li;
+  (match f.ff_env_junk with
+  | None -> put_byte w '\000'
+  | Some s ->
+    put_byte w '\001';
+    put_word w s);
+  add_bindings w f.ff_env;
+  add_values w f.ff_args
+
+let rec add_frame_list w = function
+  | [] -> ()
+  | f :: tl ->
+    add_frame w f;
+    add_frame_list w tl
+
+let encode ~mem ~pmem ~owner ~junk ~extra ~procs =
+  let w = Domain.DLS.get key_writer in
+  w.pos <- 0;
+  add_values w mem;
+  add_values w pmem;
+  add_int w (Array.length owner);
+  for a = 0 to Array.length owner - 1 do
+    add_int w (Array.unsafe_get owner a)
+  done;
+  reserve w (3 * value_room);
+  put_word w junk;
+  put_int w extra;
+  put_int w (Array.length procs);
+  for i = 0 to Array.length procs - 1 do
+    let p = Array.unsafe_get procs i in
+    reserve w (2 * value_room);
+    put_int w (Bool.to_int p.pf_crashed);
+    put_int w p.pf_script;
+    add_bindings w p.pf_results;
+    add_int w (List.length p.pf_stack);
+    add_frame_list w p.pf_stack
+  done;
+  Bytes.sub_string w.buf 0 w.pos
+
+(* A 63-bit hash of the key's bytes, read little-endian seven at a time
+   so that each word fits an [int] whole, finished by an avalanche step:
+   the store takes its shard from the low bits, which a multiplicative
+   mix alone leaves depending on the low input bits only. *)
+let hash_key s =
+  let n = String.length s in
+  let h = ref (n lxor 0x2545_F491_4F6C_DD1D) in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let w = Int64.to_int (String.get_int64_le s !i) land 0xFF_FFFF_FFFF_FFFF in
+    h := (!h lxor w) * 0x3F58_476D_1CE4_E5B9;
+    h := !h lxor (!h lsr 29);
+    i := !i + 7
+  done;
+  while !i < n do
+    h := (!h lxor Char.code (String.unsafe_get s !i)) * 0x0100_0000_01B3;
+    incr i
+  done;
+  let h = !h in
+  let h = (h lxor (h lsr 31)) * 0x14D0_49BB_1331_11EB in
+  let h = (h lxor (h lsr 29)) * 0x3F58_476D_1CE4_E5B9 in
+  h lxor (h lsr 32)
+
+let make ~mem ~pmem ~owner ~junk ~extra ~procs =
+  let fp_key = encode ~mem ~pmem ~owner ~junk ~extra ~procs in
+  {
+    fp_hash = hash_key fp_key;
+    fp_key;
+    fp_mem = mem;
+    fp_pmem = pmem;
+    fp_owner = owner;
+    fp_junk = junk;
+    fp_procs = procs;
+    fp_extra = extra;
+  }
 
 let frame_of (f : Sim.frame) =
   {
@@ -81,25 +259,6 @@ let frame_of (f : Sim.frame) =
     ff_args = f.Sim.f_args;
   }
 
-(* A frame's fields other than its locals and arguments, in hashing
-   order; shared by the fingerprint hash and the pid-erased process
-   hashes of the symmetry reduction. *)
-let hash_frame_head h ~obj ~op ~recovery ~interrupted ~pc ~li ~env_junk =
-  let h = mix h obj in
-  let h = mix h (Hashtbl.hash op) in
-  let h = mix h (Bool.to_int recovery lor (Bool.to_int interrupted lsl 1)) in
-  let h = mix h pc in
-  let h = mix h li in
-  mix h (match env_junk with None -> 0x5851 | Some s -> s)
-
-let hash_frame h f =
-  let h =
-    hash_frame_head h ~obj:f.ff_obj ~op:f.ff_op ~recovery:f.ff_recovery
-      ~interrupted:f.ff_interrupted ~pc:f.ff_pc ~li:f.ff_li ~env_junk:f.ff_env_junk
-  in
-  let h = hash_value_list h f.ff_env in
-  Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) h f.ff_args
-
 let proc_of (pr : Sim.proc) =
   {
     pf_crashed = (match pr.Sim.status with Sim.Ready -> false | Sim.Crashed -> true);
@@ -108,40 +267,19 @@ let proc_of (pr : Sim.proc) =
     pf_stack = List.map frame_of pr.Sim.stack;
   }
 
-let hash_proc h p =
-  let h = mix h (Bool.to_int p.pf_crashed) in
-  let h = mix h p.pf_script in
-  let h = hash_value_list h p.pf_results in
-  List.fold_left hash_frame h p.pf_stack
-
-let hash_of ~mem ~pmem ~owner ~junk ~extra ~procs =
-  let h = Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) 0x811c9dc5 mem in
-  (* both folds are no-ops in instant mode (empty arrays), so instant
-     hashes are unchanged from the pre-persist-model scheme *)
-  let h = Array.fold_left (fun h v -> mix h (Nvm.Value.hash v)) h pmem in
-  let h = Array.fold_left (fun h o -> mix h (o + 2)) h owner in
-  let h = mix h junk in
-  let h = mix h extra in
-  Array.fold_left hash_proc h procs
-
 let of_sim ?(extra = 0) sim =
-  let fp_mem = Nvm.Memory.snapshot (Sim.mem sim) in
-  let fp_pmem = Nvm.Memory.psnapshot (Sim.mem sim) in
-  let fp_owner = Nvm.Memory.owners (Sim.mem sim) in
-  let fp_junk = Sim.junk_state sim in
-  let fp_procs = Array.init (Sim.nprocs sim) (fun p -> proc_of (Sim.proc sim p)) in
-  let fp_hash =
-    hash_of ~mem:fp_mem ~pmem:fp_pmem ~owner:fp_owner ~junk:fp_junk ~extra ~procs:fp_procs
-  in
-  { fp_hash; fp_mem; fp_pmem; fp_owner; fp_junk; fp_procs; fp_extra = extra }
+  let mem = Sim.mem sim in
+  make ~mem:(Nvm.Memory.snapshot mem) ~pmem:(Nvm.Memory.psnapshot mem)
+    ~owner:(Nvm.Memory.owners mem) ~junk:(Sim.junk_state sim) ~extra
+    ~procs:(Array.init (Sim.nprocs sim) (fun p -> proc_of (Sim.proc sim p)))
 
-(* Components are immutable first-order data (ints, bools, strings,
-   values), so structural polymorphic equality is exact; the precomputed
-   hash screens out almost all mismatches first. *)
-let equal a b =
-  a.fp_hash = b.fp_hash && a.fp_junk = b.fp_junk && a.fp_extra = b.fp_extra
-  && a.fp_mem = b.fp_mem && a.fp_pmem = b.fp_pmem && a.fp_owner = b.fp_owner
-  && a.fp_procs = b.fp_procs
+let equal a b = a.fp_hash = b.fp_hash && String.equal a.fp_key b.fp_key
+
+(* A deterministic total order, consistent with [equal]; used to pick
+   the canonical representative of an orbit. *)
+let order a b =
+  let c = Int.compare a.fp_hash b.fp_hash in
+  if c <> 0 then c else String.compare a.fp_key b.fp_key
 
 module Table = Hashtbl.Make (struct
   type nonrec t = t
@@ -218,17 +356,17 @@ let to_string t =
 (** Lock-free sharded visited-set, safe to share across domains.
 
     Each shard is an ordered chain of open-addressing segments of
-    [fp option Atomic.t] slots.  Insertion probes the segments in one
-    fixed global order — oldest segment first, and within each segment a
-    bounded window of slots starting at a position derived from the
-    fingerprint hash — and claims the first empty slot with a CAS.
-    Because slots are monotone ([None] → [Some fp], never mutated
-    again) and two equal fingerprints share the exact same probe
-    sequence, they serialise on the first CAS-able slot of that
-    sequence: whichever CAS wins inserts, and the loser re-reads the
-    very slot it lost and observes the duplicate.  So [add] returns
-    [true] exactly once per distinct fingerprint with no locks on the
-    fast path.
+    [slot Atomic.t] cells, a slot holding a fingerprint's hash and key
+    and nothing else.  Insertion probes the segments in one fixed global
+    order — oldest segment first, and within each segment a bounded
+    window of slots starting at a position derived from the hash — and
+    claims the first empty slot with a CAS.  Because slots are monotone
+    ([Empty] → [Key], never mutated again) and two equal fingerprints
+    share the exact same probe sequence, they serialise on the first
+    CAS-able slot of that sequence: whichever CAS wins inserts, and the
+    loser re-reads the very slot it lost and observes the duplicate.  So
+    [add] returns [true] exactly once per distinct fingerprint with no
+    locks on the fast path.
 
     When every window in the chain is full, the shard grows by
     appending a segment of twice the last size — the only step taken
@@ -238,8 +376,10 @@ let to_string t =
 module Store = struct
   type fp = t
 
+  type slot = Empty | Key of int * string  (** hash, key *)
+
   type shard = {
-    mutable segs : fp option Atomic.t array array;
+    mutable segs : slot Atomic.t array array;
         (** oldest first; written only under [lock], read without it —
             the probe re-reads via [Atomic] slot operations only *)
     lock : Mutex.t;
@@ -264,7 +404,7 @@ module Store = struct
       shards =
         Array.init (1 lsl bits) (fun _ ->
             {
-              segs = [| Array.init initial_segment (fun _ -> Atomic.make None) |];
+              segs = [| Array.init initial_segment (fun _ -> Atomic.make Empty) |];
               lock = Mutex.create ();
               count = Atomic.make 0;
             });
@@ -274,28 +414,28 @@ module Store = struct
 
   type verdict = Fresh | Dup | Full
 
-  let probe t segs (fp : fp) =
-    let key = fp.fp_hash lsr t.shard_bits in
+  let probe t segs h k =
+    let pos = h lsr t.shard_bits in
     let nsegs = Array.length segs in
     let verdict = ref Full in
     let s = ref 0 in
     while !verdict = Full && !s < nsegs do
       let seg = segs.(!s) in
       let m = Array.length seg in
-      let base = key mod m in
+      let base = pos mod m in
       let window = min probe_window m in
       let i = ref 0 in
       while !verdict = Full && !i < window do
         let slot = seg.((base + !i) mod m) in
         (match Atomic.get slot with
-        | Some v -> if equal v fp then verdict := Dup
-        | None ->
-          if Atomic.compare_and_set slot None (Some fp) then verdict := Fresh
+        | Key (h', k') -> if h' = h && String.equal k' k then verdict := Dup
+        | Empty ->
+          if Atomic.compare_and_set slot Empty (Key (h, k)) then verdict := Fresh
           else begin
             Atomic.incr t.contention;
             (* the slot is monotone: re-read what beat us *)
             match Atomic.get slot with
-            | Some v when equal v fp -> verdict := Dup
+            | Key (h', k') when h' = h && String.equal k' k -> verdict := Dup
             | _ -> ()
           end);
         incr i
@@ -308,7 +448,7 @@ module Store = struct
   let rec add t (fp : fp) =
     let sh = t.shards.(fp.fp_hash land ((1 lsl t.shard_bits) - 1)) in
     let segs = sh.segs in
-    match probe t segs fp with
+    match probe t segs fp.fp_hash fp.fp_key with
     | Fresh ->
       Atomic.incr sh.count;
       true
@@ -317,7 +457,7 @@ module Store = struct
       Mutex.lock sh.lock;
       (if sh.segs == segs then
          let last = segs.(Array.length segs - 1) in
-         let grown = Array.init (2 * Array.length last) (fun _ -> Atomic.make None) in
+         let grown = Array.init (2 * Array.length last) (fun _ -> Atomic.make Empty) in
          sh.segs <- Array.append segs [| grown |]);
       Mutex.unlock sh.lock;
       add t fp
@@ -333,16 +473,20 @@ end
 (* -------------------------------------------------------------------- *)
 (* Process-id symmetry reduction                                         *)
 
-(* Deterministic total order on fingerprints: hash first (cheap screen),
-   then structural comparison of the immutable first-order components.
-   Used to pick the canonical representative of an orbit. *)
-let order a b =
-  let c = Int.compare a.fp_hash b.fp_hash in
-  if c <> 0 then c
-  else
-    Stdlib.compare
-      (a.fp_junk, a.fp_extra, a.fp_mem, a.fp_pmem, a.fp_owner, a.fp_procs)
-      (b.fp_junk, b.fp_extra, b.fp_mem, b.fp_pmem, b.fp_owner, b.fp_procs)
+(* FNV-style mixing for the pid-erased process hashes below, which pick
+   the explorer's partial-order tie-break and order the processes of the
+   canonical form; [Value.hash] does the per-value work. *)
+let mix h k = ((h * 0x01000193) lxor k) land max_int
+
+(* A frame's fields other than its locals and arguments, in hashing
+   order, for the pid-erased process hashes below. *)
+let hash_frame_head h ~obj ~op ~recovery ~interrupted ~pc ~li ~env_junk =
+  let h = mix h obj in
+  let h = mix h (Hashtbl.hash op) in
+  let h = mix h (Bool.to_int recovery lor (Bool.to_int interrupted lsl 1)) in
+  let h = mix h pc in
+  let h = mix h li in
+  mix h (match env_junk with None -> 0x5851 | Some s -> s)
 
 let rec rename_value pi v =
   match v with
@@ -612,19 +756,7 @@ module Symmetry = struct
     (* symmetry reduction is disabled under the explicit-persist model
        (see Explore.symmetry_group), so the persisted-view arrays are
        always empty here and pass through unchanged *)
-    let fp_hash =
-      hash_of ~mem ~pmem:fp.fp_pmem ~owner:fp.fp_owner ~junk:fp.fp_junk ~extra:fp.fp_extra
-        ~procs
-    in
-    {
-      fp_hash;
-      fp_mem = mem;
-      fp_pmem = fp.fp_pmem;
-      fp_owner = fp.fp_owner;
-      fp_junk = fp.fp_junk;
-      fp_procs = procs;
-      fp_extra = fp.fp_extra;
-    }
+    make ~mem ~pmem:fp.fp_pmem ~owner:fp.fp_owner ~junk:fp.fp_junk ~extra:fp.fp_extra ~procs
 
   (* Process [p]'s own key: its pid-erased control state and its own
      cell of every pid array.  Where another process's pid occurs in them

@@ -1,4 +1,4 @@
-(** Canonical structural fingerprint of a machine configuration.
+(** Canonical fingerprint of a machine configuration.
 
     Covers everything that determines future behaviour — persistent
     memory, junk-generator state, and per-process control state (status,
@@ -7,9 +7,13 @@
     two configurations with equal fingerprints generate identical future
     event sequences even when reached by different interleavings.
 
-    The representation is structural (no string building) and the hash
-    is computed once at construction, so taking a fingerprint at every
-    node of an exploration is affordable. *)
+    A fingerprint holds a structural view of that state (read by
+    {!to_string} and {!Symmetry}) and a packed {e key}: one byte string
+    that encodes every compared field injectively — tagged values,
+    integers as zig-zag LEB128 or fixed words, length-prefixed strings
+    and lists, process locals in key order.  {!equal}, {!hash} and the
+    {!Store} read only the key; the hash is a 63-bit hash of its bytes,
+    computed once at construction. *)
 
 type t
 
@@ -21,7 +25,10 @@ val of_sim : ?extra:int -> Sim.t -> t
     search statistics depend on traversal order. *)
 
 val equal : t -> t -> bool
+(** Hash, then the keys' bytes. *)
+
 val hash : t -> int
+(** A 63-bit hash of the key, avalanched so its low bits spread. *)
 
 val to_string : t -> string
 (** Printable canonical serialisation (diagnostics, string-keyed maps). *)
@@ -36,9 +43,11 @@ val erased_proc_hash : Sim.t -> int -> int
     under symmetry reduction (see {!Explore}). *)
 
 (** Lock-free sharded visited-set over fingerprints, shared by all
-    exploring domains.  Each shard is an ordered chain of
-    open-addressing segments whose slots are [Atomic] and monotone
-    ([None] → inserted fingerprint, never changed again); insertion
+    exploring domains.  A slot holds a fingerprint's hash and key only,
+    never its structural view, so the visited set is a heap of strings
+    that the major GC marks without scanning.  Each shard is an ordered
+    chain of open-addressing segments whose slots are [Atomic] and
+    monotone (empty → inserted key, never changed again); insertion
     probes the chain in one fixed global order and claims the first
     empty slot by CAS, so equal fingerprints — which share the same
     probe sequence — serialise on a single slot and [add] answers

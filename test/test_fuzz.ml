@@ -197,8 +197,29 @@ let test_corpus_load_errors () =
   | Ok _ -> Alcotest.fail "loaded a missing file");
   reject "empty.ndjson" "";
   reject "schema.ndjson" "{\"schema\":\"nrl-corpus/999\"}\n";
-  reject "junk.ndjson" "{\"schema\":\"nrl-corpus/1\"}\nnot json\n";
-  reject "unknown.ndjson" "{\"schema\":\"nrl-corpus/1\"}\n{\"type\":\"mystery\"}\n"
+  reject "junk.ndjson" "{\"schema\":\"nrl-corpus/2\"}\nnot json\n";
+  reject "unknown.ndjson" "{\"schema\":\"nrl-corpus/2\"}\n{\"type\":\"mystery\"}\n";
+  (* a schema-1 corpus is refused even when every record is well formed:
+     its coverage hashes come from an earlier fingerprint hash *)
+  let c =
+    {
+      Corpus.stamp = [ ("base_seed", "1") ];
+      entries = [ { Corpus.e_index = 0; e_desc = "d"; e_cov = [ 7; 11 ] } ];
+      violations = [];
+      next = 1;
+      stats = { Corpus.zero_stats with runs = 1; new_coverage = 2; corpus_entries = 1 };
+      result = None;
+    }
+  in
+  let v2 = Corpus.to_string c in
+  let p = tmp "v2.ndjson" in
+  Out_channel.with_open_bin p (fun oc -> output_string oc v2);
+  (match Corpus.load p with
+  | Ok l -> Alcotest.(check int) "schema 2 loads" 1 (List.length l.Corpus.entries)
+  | Error m -> Alcotest.fail m);
+  Sys.remove p;
+  let nl = String.index v2 '\n' in
+  reject "v1.ndjson" ("{\"schema\":\"nrl-corpus/1\"}" ^ String.sub v2 nl (String.length v2 - nl))
 
 let test_campaign_byte_identical_rerun () =
   let a = tmp "id_a.ndjson" and b = tmp "id_b.ndjson" in

@@ -79,6 +79,104 @@ let test_shard_distribution () =
         Alcotest.failf "shard %d holds %d inserts (mean %d): hash is not spreading" i sz mean)
     sizes
 
+(* {1 The packed key}
+
+   Equality, ordering and the store read only the packed key, so the
+   key encoder must be injective on exactly the fields the structural
+   view holds.  The structural printer [F.to_string] is the reference:
+   on every configuration an explicit-persist search steps to (persisted
+   view, owners, crashed processes and scrambled locals included), two
+   fingerprints must be [F.equal] exactly when they print the same. *)
+
+(* The fingerprint of every configuration a dedup search of register 2x2
+   under explicit persistence, one crash on process 0, steps to
+   (repeats included). *)
+let explicit_states () =
+  let root = Sim.create ~persist:Nvm.Memory.Explicit ~nprocs:2 () in
+  (Workload.Scenarios.register ~nprocs:2 ~ops:2 ()).Workload.Trial.build root;
+  let cfg = { Explore.default_config with max_steps = 100; crash_procs = [ 0 ] } in
+  let states = ref [] in
+  ignore
+    (Explore.dfs ~cfg ~dedup:true
+       ~on_step:(fun s -> states := F.of_sim s :: !states)
+       ~on_terminal:ignore root);
+  !states
+
+let test_key_injective () =
+  let states = explicit_states () in
+  let by_print = Hashtbl.create 4096 and by_key = F.Table.create 4096 in
+  List.iter
+    (fun fp ->
+      let printed = F.to_string fp in
+      (match Hashtbl.find_opt by_print printed with
+      | Some rep ->
+        if not (F.equal rep fp) then Alcotest.failf "same print, unequal keys: %s" printed
+      | None -> Hashtbl.add by_print printed fp);
+      F.Table.replace by_key fp ())
+    states;
+  (* equal prints imply equal keys (above); as many key classes as print
+     classes means equal keys imply equal prints *)
+  Alcotest.(check int) "key classes = print classes" (Hashtbl.length by_print)
+    (F.Table.length by_key);
+  Alcotest.(check bool) "states span many classes" true (F.Table.length by_key > 1_000)
+
+(* Pairs of configurations that differ in one field only. *)
+let test_key_separates_fields () =
+  let unequal what a b =
+    Alcotest.(check bool) (what ^ ": prints differ") true (F.to_string a <> F.to_string b);
+    Alcotest.(check bool) (what ^ ": keys differ") false (F.equal a b)
+  in
+  let explicit_cell () =
+    let sim = Sim.create ~persist:Nvm.Memory.Explicit ~nprocs:2 () in
+    let m = Sim.mem sim in
+    (sim, m, Nvm.Memory.alloc m Nvm.Value.Null)
+  in
+  let written_by p =
+    let sim, m, a = explicit_cell () in
+    Nvm.Memory.set_current_pid m p;
+    Nvm.Memory.write m a (Nvm.Value.Int 5);
+    F.of_sim sim
+  in
+  unequal "owner cell" (written_by 0) (written_by 1);
+  let persisted_before v =
+    let sim, m, a = explicit_cell () in
+    Nvm.Memory.set_current_pid m 0;
+    Nvm.Memory.write m a v;
+    Nvm.Memory.flush m a;
+    Nvm.Memory.write m a (Nvm.Value.Int 5);
+    F.of_sim sim
+  in
+  unequal "persisted cell" (persisted_before (Nvm.Value.Int 3))
+    (persisted_before (Nvm.Value.Int 4));
+  let with_env env =
+    let sim = Sim.create ~nprocs:1 () in
+    (Workload.Scenarios.register ~nprocs:1 ~ops:1 ()).Workload.Trial.build sim;
+    Machine.Schedule.apply sim (Machine.Schedule.Dstep 0);
+    (match (Sim.proc sim 0).Sim.stack with
+    | f :: _ -> f.Sim.f_env <- env ()
+    | [] -> Alcotest.fail "no frame after the first step");
+    F.of_sim sim
+  in
+  let scrambled seed () = Machine.Env.create_post_crash (Machine.Junk.create seed) in
+  unequal "env junk state" (with_env (scrambled 1)) (with_env (scrambled 2));
+  unequal "env mode" (with_env Machine.Env.create) (with_env (scrambled 1));
+  let sim = Sim.create ~nprocs:2 () in
+  unequal "extra" (F.of_sim ~extra:0 sim) (F.of_sim ~extra:1 sim)
+
+(* The store takes the shard from the low hash bits: the hash of real
+   explicit-persist keys must spread over them. *)
+let test_shard_balance_explicit () =
+  let store = F.Store.create ~shards:64 () in
+  List.iter (fun fp -> ignore (F.Store.add store fp)) (explicit_states ());
+  let sizes = F.Store.shard_sizes store in
+  let n = F.Store.cardinal store in
+  let mean = float_of_int n /. float_of_int (Array.length sizes) in
+  Array.iteri
+    (fun i sz ->
+      if float_of_int sz > 2.0 *. mean then
+        Alcotest.failf "shard %d holds %d of %d keys (mean %.1f)" i sz n mean)
+    sizes
+
 (* {1 Symmetry soundness on the bug zoo} *)
 
 (* Symmetric workloads per base algorithm: every process runs the same
@@ -327,6 +425,9 @@ let suite =
     Alcotest.test_case "shard count rounds to a power of two" `Quick test_shard_rounding;
     QCheck_alcotest.to_alcotest prop_concurrent_inserts;
     Alcotest.test_case "shard distribution is sane" `Quick test_shard_distribution;
+    Alcotest.test_case "key injective on explicit states" `Quick test_key_injective;
+    Alcotest.test_case "key separates single fields" `Quick test_key_separates_fields;
+    Alcotest.test_case "shard balance on explicit keys" `Quick test_shard_balance_explicit;
     Alcotest.test_case "zoo verdicts pinned, crashes enabled" `Slow test_zoo_verdicts_pinned;
     Alcotest.test_case "zoo verdicts pinned, crash-free" `Slow
       test_zoo_verdicts_pinned_crash_free;
