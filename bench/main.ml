@@ -78,23 +78,14 @@ let section tag title =
   current_section := tag;
   Printf.printf "\n== %s: %s ==\n%!" tag title
 
-(* {1 Bechamel helper: estimated ns/op for a thunk} *)
+(* {1 ns/op for a thunk}
+
+   Timed by the one sampler the native suite also uses
+   ([Runtime.Bench_native.estimate_ns]: median of calibrated batches on
+   the monotonic clock), so rows both documents name are comparable. *)
 
 let estimate_ns name fn =
-  let open Bechamel in
-  let test = Test.make ~name (Staged.stage fn) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.4) ~kde:None () in
-  let tbl = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-  let results =
-    Analyze.all
-      (Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock tbl
-  in
-  let ns =
-    match Hashtbl.fold (fun _ v acc -> v :: acc) results [] with
-    | [ ols ] -> (match Analyze.OLS.estimates ols with Some (t :: _) -> t | _ -> nan)
-    | _ -> nan
-  in
+  let ns = Runtime.Bench_native.estimate_ns (fun () -> ignore (Sys.opaque_identity (fn ()))) in
   record_ns name ns;
   ns
 
@@ -401,7 +392,7 @@ let t5 () =
    should cost percents, not multiples. *)
 let t6 () =
   section "T6" "explore jobs scaling, work-stealing (register, 3 procs, 1 op, 1 crash)";
-  (* the bechamel sections leave a large fragmented major heap that would
+  (* the earlier sections leave a large fragmented major heap that would
      throttle the allocation-heavy search: measure from a compacted heap *)
   Gc.compact ();
   let nprocs = 3 and ops = 1 in

@@ -1282,14 +1282,8 @@ let bench_service_cmd =
         modes = rows;
       }
     in
-    let rendered = Service.Service_json.render doc in
-    if json then print_string rendered;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc)
-      out;
+    if json then print_string (Service.Service_json.render doc);
+    Option.iter (fun path -> Service.Service_json.write ~path doc) out;
     obs_finish ~stats ~tracer:None obs;
     let bad = List.filter (fun m -> service_result_unhealthy m.Service.Service_json.m_result) rows in
     List.iter (fun m -> report_violations m.Service.Service_json.m_result) bad;

@@ -1,38 +1,18 @@
-(** On-disk fuzzing corpus: NDJSON, schema ["nrl-corpus/2"].
-
-    The file is the campaign's whole resumable state: the stamp of what
-    was being fuzzed, one record per coverage-increasing seed (with the
-    fingerprint hashes it discovered, so the global coverage set
-    reconstructs exactly on resume), one record per violation (with its
-    shrunk reproducer), a progress record with the next index and the
-    running statistics, and — once the campaign ran its budget — a result
-    record.  Like {!Machine.Checkpoint}: saves are atomic
-    (write-to-temporary then rename), loads are strict, and nothing
-    nondeterministic (no timestamps) is written, so a fixed-seed campaign
-    produces a byte-identical file however often it is re-run or
-    resumed.
-
-    Schema 2 differs from 1 only in where the [cov] hashes come from:
-    {!Machine.Fingerprint.hash} changed from a structural hash to a hash
-    of the packed key, so the hashes of a schema-1 file name no state a
-    current run can reach.  Such a file is refused, not resumed against
-    a dead coverage set. *)
-
-module Json = Machine.Checkpoint.Json
+module Json = Obs.Json
 
 let schema_version = "nrl-corpus/2"
 
 type entry = {
   e_index : int;
   e_desc : string;
-  e_cov : int list;  (** fingerprint hashes this run saw first, in order *)
+  e_cov : int list;
 }
 
 type violation = {
   x_index : int;
   x_desc : string;
   x_reason : string;
-  x_shrunk : string option;  (** minimised descriptor, when shrinking ran *)
+  x_shrunk : string option;
   x_shrunk_reason : string option;
   x_shrink_steps : int;
 }
@@ -49,92 +29,76 @@ let zero_stats = { runs = 0; new_coverage = 0; violations = 0; shrink_steps = 0;
 
 type t = {
   stamp : (string * string) list;
-  entries : entry list;  (** in discovery order *)
-  violations : violation list;  (** in discovery order *)
-  next : int;  (** first seed index not yet run *)
+  entries : entry list;
+  violations : violation list;
+  next : int;
   stats : stats;
   result : (string * string) option;
 }
 
 (* {2 Writing} *)
 
-let esc = Machine.Checkpoint.json_escape
+let records t =
+  let open Json in
+  let record ty fields = Obj (("type", Str ty) :: fields) in
+  let entry e =
+    record "entry"
+      [
+        ("index", Int e.e_index);
+        ("desc", Str e.e_desc);
+        ("cov", Arr (List.map (fun h -> Int h) e.e_cov));
+      ]
+  in
+  let violation x =
+    let shrunk =
+      match x.x_shrunk, x.x_shrunk_reason with
+      | Some d, Some r -> [ ("shrunk", Str d); ("shrunk_reason", Str r) ]
+      | _ -> []
+    in
+    record "violation"
+      ([ ("index", Int x.x_index); ("desc", Str x.x_desc); ("reason", Str x.x_reason) ]
+      @ shrunk
+      @ [ ("shrink_steps", Int x.x_shrink_steps) ])
+  in
+  let progress =
+    record "progress"
+      [
+        ("next", Int t.next);
+        ("runs", Int t.stats.runs);
+        ("new_coverage", Int t.stats.new_coverage);
+        ("violations", Int t.stats.violations);
+        ("shrink_steps", Int t.stats.shrink_steps);
+        ("corpus_entries", Int t.stats.corpus_entries);
+      ]
+  in
+  List.concat
+    [
+      [ Obj [ ("schema", Str schema_version) ] ];
+      List.map (fun (k, v) -> record "stamp" [ ("key", Str k); ("value", Str v) ]) t.stamp;
+      List.map entry t.entries;
+      List.map violation t.violations;
+      [ progress ];
+      (match t.result with
+      | Some (verdict, detail) ->
+        [ record "result" [ ("verdict", Str verdict); ("detail", Str detail) ] ]
+      | None -> []);
+    ]
 
-let buf_entry b e =
-  Buffer.add_string b
-    (Printf.sprintf "{\"type\":\"entry\",\"index\":%d,\"desc\":\"%s\",\"cov\":[" e.e_index
-       (esc e.e_desc));
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int h))
-    e.e_cov;
-  Buffer.add_string b "]}\n"
+let to_string t = Json.to_ndjson (records t)
 
-let buf_violation b x =
-  Buffer.add_string b
-    (Printf.sprintf "{\"type\":\"violation\",\"index\":%d,\"desc\":\"%s\",\"reason\":\"%s\""
-       x.x_index (esc x.x_desc) (esc x.x_reason));
-  (match x.x_shrunk, x.x_shrunk_reason with
-  | Some d, Some r ->
-    Buffer.add_string b
-      (Printf.sprintf ",\"shrunk\":\"%s\",\"shrunk_reason\":\"%s\"" (esc d) (esc r))
-  | _ -> ());
-  Buffer.add_string b (Printf.sprintf ",\"shrink_steps\":%d}\n" x.x_shrink_steps)
-
-let to_string t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "{\"schema\":\"%s\"}\n" schema_version);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"type\":\"stamp\",\"key\":\"%s\",\"value\":\"%s\"}\n" (esc k) (esc v)))
-    t.stamp;
-  List.iter (buf_entry b) t.entries;
-  List.iter (buf_violation b) t.violations;
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"progress\",\"next\":%d,\"runs\":%d,\"new_coverage\":%d,\"violations\":%d,\"shrink_steps\":%d,\"corpus_entries\":%d}\n"
-       t.next t.stats.runs t.stats.new_coverage t.stats.violations t.stats.shrink_steps
-       t.stats.corpus_entries);
-  (match t.result with
-  | Some (verdict, detail) ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"type\":\"result\",\"verdict\":\"%s\",\"detail\":\"%s\"}\n" (esc verdict)
-         (esc detail))
-  | None -> ());
-  Buffer.contents b
-
-let save ~path t =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (to_string t);
-  close_out oc;
-  Sys.rename tmp path
+let save ~path t = Json.write_file ~path (to_string t)
 
 (* {2 Reading} *)
 
 let load path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             let l = input_line ic in
-             if String.trim l <> "" then lines := l :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
+  match Json.read_ndjson path with
   | exception Sys_error m -> Error m
+  | exception Json.Bad m -> Error (Printf.sprintf "%s: %s" path m)
   | [] -> Error (path ^ ": empty corpus")
   | header :: rest -> (
+    let str k j = Json.to_string (Json.member k j) and int k j = Json.to_int (Json.member k j) in
     try
-      let j = Json.parse header in
-      let schema = Json.to_string (Json.member "schema" j) in
+      let schema = str "schema" header in
       if schema = "nrl-corpus/1" then
         Error
           (Printf.sprintf
@@ -144,65 +108,53 @@ let load path =
       else if schema <> schema_version then
         Error (Printf.sprintf "%s: schema %S, expected %S" path schema schema_version)
       else begin
-        let stamp = ref [] and entries = ref [] and violations = ref [] in
-        let next = ref 0 and stats = ref zero_stats and result = ref None in
-        List.iter
-          (fun line ->
-            let j = Json.parse line in
-            match Json.to_string (Json.member "type" j) with
-            | "stamp" ->
-              stamp :=
-                (Json.to_string (Json.member "key" j), Json.to_string (Json.member "value" j))
-                :: !stamp
-            | "entry" ->
-              entries :=
-                {
-                  e_index = Json.to_int (Json.member "index" j);
-                  e_desc = Json.to_string (Json.member "desc" j);
-                  e_cov = List.map Json.to_int (Json.to_list (Json.member "cov" j));
-                }
-                :: !entries
-            | "violation" ->
-              let opt_str k =
-                match Json.member k j with
-                | s -> Some (Json.to_string s)
-                | exception Json.Bad _ -> None
-              in
-              violations :=
-                {
-                  x_index = Json.to_int (Json.member "index" j);
-                  x_desc = Json.to_string (Json.member "desc" j);
-                  x_reason = Json.to_string (Json.member "reason" j);
-                  x_shrunk = opt_str "shrunk";
-                  x_shrunk_reason = opt_str "shrunk_reason";
-                  x_shrink_steps = Json.to_int (Json.member "shrink_steps" j);
-                }
-                :: !violations
-            | "progress" ->
-              next := Json.to_int (Json.member "next" j);
-              stats :=
-                {
-                  runs = Json.to_int (Json.member "runs" j);
-                  new_coverage = Json.to_int (Json.member "new_coverage" j);
-                  violations = Json.to_int (Json.member "violations" j);
-                  shrink_steps = Json.to_int (Json.member "shrink_steps" j);
-                  corpus_entries = Json.to_int (Json.member "corpus_entries" j);
-                }
-            | "result" ->
-              result :=
-                Some
-                  ( Json.to_string (Json.member "verdict" j),
-                    Json.to_string (Json.member "detail" j) )
-            | other -> raise (Json.Bad (Printf.sprintf "unknown record type %S" other)))
-          rest;
+        let record t j =
+          match str "type" j with
+          | "stamp" -> { t with stamp = (str "key" j, str "value" j) :: t.stamp }
+          | "entry" ->
+            let e_cov = List.map Json.to_int (Json.to_list (Json.member "cov" j)) in
+            let e = { e_index = int "index" j; e_desc = str "desc" j; e_cov } in
+            { t with entries = e :: t.entries }
+          | "violation" ->
+            let opt k =
+              match Json.member k j with v -> Some (Json.to_string v) | exception Json.Bad _ -> None
+            in
+            let x =
+              {
+                x_index = int "index" j;
+                x_desc = str "desc" j;
+                x_reason = str "reason" j;
+                x_shrunk = opt "shrunk";
+                x_shrunk_reason = opt "shrunk_reason";
+                x_shrink_steps = int "shrink_steps" j;
+              }
+            in
+            { t with violations = x :: t.violations }
+          | "progress" ->
+            let stats =
+              {
+                runs = int "runs" j;
+                new_coverage = int "new_coverage" j;
+                violations = int "violations" j;
+                shrink_steps = int "shrink_steps" j;
+                corpus_entries = int "corpus_entries" j;
+              }
+            in
+            { t with next = int "next" j; stats }
+          | "result" -> { t with result = Some (str "verdict" j, str "detail" j) }
+          | other -> raise (Json.Bad (Printf.sprintf "unknown record type %S" other))
+        in
+        let t =
+          List.fold_left record
+            { stamp = []; entries = []; violations = []; next = 0; stats = zero_stats; result = None }
+            rest
+        in
         Ok
           {
-            stamp = List.rev !stamp;
-            entries = List.rev !entries;
-            violations = List.rev !violations;
-            next = !next;
-            stats = !stats;
-            result = !result;
+            t with
+            stamp = List.rev t.stamp;
+            entries = List.rev t.entries;
+            violations = List.rev t.violations;
           }
       end
     with

@@ -226,8 +226,9 @@ let run ?obs ?collect d =
       ~system_crash_prob:(float_of_int d.system_pm /. 1000.0)
       ~seed:d.sched_seed ()
   in
-  (* masked to 53 bits so corpus hashes survive the JSON float round-trip
-     exactly (doubles represent integers up to 2^53) *)
+  (* masked to 53 bits: any JSON reader that holds numbers as doubles
+     reads corpus hashes exactly (Obs.Json itself parses ints exactly),
+     and the mask is part of every stored hash, so it stays *)
   let touch () =
     match collect with
     | None -> ()

@@ -71,7 +71,7 @@ val run : ?obs:Obs.Metrics.t -> ?collect:(int -> unit) -> t -> verdict
     drive the seeded random schedule to completion or [max_steps], then
     {!judge}.  [collect] receives the configuration fingerprint hash
     after every applied decision — the campaign's coverage signal —
-    masked to 53 bits so corpus files round-trip it exactly through
-    JSON doubles.
+    masked to 53 bits so corpus files round-trip it exactly even
+    through readers that hold JSON numbers as doubles.
     Deterministic: equal descriptors yield equal verdicts and equal
     [collect] sequences. *)

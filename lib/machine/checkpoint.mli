@@ -16,8 +16,11 @@
     version 2 persists only the pending task set (totals/metrics cover
     exactly the completed work); version-1 files, which carried the full
     partition with per-task done flags, are still accepted by {!load}.
-    {!save} is atomic (write-to-temporary, then [Sys.rename]): a kill
-    mid-save leaves the previous valid checkpoint. *)
+    The format is append-free: every {!save} rewrites the whole file.
+    Records are printed and parsed by {!Obs.Json}; metric lines use
+    {!Obs.Metrics.record}.  {!save} goes through {!Obs.Json.write_file}
+    (write-to-temporary, then [Sys.rename]): a kill mid-save leaves the
+    previous valid checkpoint. *)
 
 val schema_version : string
 (** ["nrl-checkpoint/3"], the version {!save} writes.  {!load} also
@@ -64,39 +67,6 @@ val save : path:string -> t -> unit
 val load : string -> (t, string) result
 (** Parse a checkpoint file; [Error] describes unreadable files,
     malformed records and schema mismatches. *)
-
-(** The minimal JSON toolkit the checkpoint reader/writer is built on:
-    a recursive-descent parser for the subset our own NDJSON writers
-    emit, plus the escaping they all share.  Exposed so sibling NDJSON
-    formats (the fuzzer's corpus, tests) parse with the same code
-    instead of growing parser clones. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  val parse : string -> t
-  (** @raise Bad on anything outside the supported subset. *)
-
-  val member : string -> t -> t
-  (** Field of an object.  @raise Bad if missing or not an object. *)
-
-  val to_int : t -> int
-  val to_string : t -> string
-  val to_bool : t -> bool
-  val to_list : t -> t list
-end
-
-val json_escape : string -> string
-(** The escaping discipline shared by every NDJSON writer in this
-    codebase (same as {!Obs.Trace}): ASCII control characters, quotes
-    and backslashes. *)
 
 (**/**)
 

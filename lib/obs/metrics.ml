@@ -164,3 +164,35 @@ let merge ~into src =
         if h.h_max > d.h_max then d.h_max <- h.h_max;
         Array.iteri (fun i n -> d.h_buckets.(i) <- d.h_buckets.(i) + n) h.h_buckets)
     entries
+
+let record name (v : view) =
+  let open Json in
+  let kind, fields =
+    match v with
+    | Counter n -> ("counter", [ ("value", Int n) ])
+    | Timer { ns; intervals } -> ("timer", [ ("ns", Int ns); ("intervals", Int intervals) ])
+    | Histogram { count; sum; max_value; buckets } ->
+      let bucket (le, n) = Obj [ ("le", Int le); ("n", Int n) ] in
+      ( "histogram",
+        [
+          ("count", Int count);
+          ("sum", Int sum);
+          ("max", Int max_value);
+          ("buckets", Arr (List.map bucket buckets));
+        ] )
+  in
+  Obj (("type", Str kind) :: ("name", Str name) :: fields)
+
+let of_record j =
+  let int j k = Json.to_int (Json.member k j) in
+  let v =
+    match Json.to_string (Json.member "type" j) with
+    | "counter" -> Counter (int j "value")
+    | "timer" -> Timer { ns = int j "ns"; intervals = int j "intervals" }
+    | "histogram" ->
+      let buckets = Json.to_list (Json.member "buckets" j) in
+      let buckets = List.map (fun b -> (int b "le", int b "n")) buckets in
+      Histogram { count = int j "count"; sum = int j "sum"; max_value = int j "max"; buckets }
+    | ty -> raise (Json.Bad (Printf.sprintf "not a metric record: type %S" ty))
+  in
+  (Json.to_string (Json.member "name" j), v)

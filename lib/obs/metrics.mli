@@ -79,6 +79,17 @@ val view : t -> string -> view option
 val to_list : t -> (string * view) list
 (** Every metric in the registry, sorted by name. *)
 
+val record : string -> view -> Json.t
+(** The metric record of one named view, as both [nrl-trace/1] traces
+    and checkpoints store it:
+    [{"type":"counter","name":n,"value":v}],
+    [{"type":"timer","name":n,"ns":ns,"intervals":k}] or
+    [{"type":"histogram","name":n,"count":c,"sum":s,"max":m,"buckets":[{"le":le,"n":k},...]}]. *)
+
+val of_record : Json.t -> string * view
+(** Inverse of {!record}.
+    @raise Json.Bad on a record of another type or with missing fields. *)
+
 val merge : into:t -> t -> unit
 (** Add every metric of the source registry into [into], creating
     missing names.  Counters and timers add; histograms add bucket-wise

@@ -4,42 +4,23 @@ type value = Bool of bool | Int of int | Float of float | Str of string
 
 type t = { oc : out_channel; m : Mutex.t; mutable closed : bool }
 
-(* Same escaping discipline as Workload.Bench_json (which this library
-   cannot depend on): ASCII control characters escaped, everything else
-   passed through. *)
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_of_value = function
+  | Bool b -> Json.Bool b
+  | Int i -> Json.Int i
+  | Float f -> Json.Num f
+  | Str s -> Json.Str s
 
-let number f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null" else Printf.sprintf "%.17g" f
-
-let value_str = function
-  | Bool b -> if b then "true" else "false"
-  | Int i -> string_of_int i
-  | Float f -> number f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
-
-let fields_str fs =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (value_str v)) fs)
+let with_fields head fs =
+  Json.Obj
+    (if fs = [] then head
+     else head @ [ ("fields", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) fs)) ])
 
 (* Flush after every record: the sink's guarantee is that a run killed at
    any point — including by an uncatchable SIGKILL — leaves a parseable
    NDJSON prefix on disk, never a line cut mid-record by stdlib
    buffering. *)
-let line t s =
+let line t j =
+  let s = Json.to_line j in
   Mutex.lock t.m;
   if not t.closed then begin
     output_string t.oc s;
@@ -57,8 +38,12 @@ let rec create ~path =
      call {!close}. *)
   at_exit (fun () -> close t);
   line t
-    (Printf.sprintf "{\"schema\":\"%s\",\"type\":\"meta\",\"clock\":\"ns-since-process-start\"}"
-       schema_version);
+    (Json.Obj
+       [
+         ("schema", Json.Str schema_version);
+         ("type", Json.Str "meta");
+         ("clock", Json.Str "ns-since-process-start");
+       ]);
   t
 
 and close t =
@@ -71,35 +56,19 @@ and close t =
 
 let event ?ts_ns t ~name fs =
   let ts = match ts_ns with Some ts -> ts | None -> Clock.now_ns () in
-  let payload = if fs = [] then "" else Printf.sprintf ",\"fields\":{%s}" (fields_str fs) in
   line t
-    (Printf.sprintf "{\"type\":\"event\",\"name\":\"%s\",\"ts_ns\":%d%s}" (escape name) ts payload)
+    (with_fields [ ("type", Json.Str "event"); ("name", Json.Str name); ("ts_ns", Json.Int ts) ] fs)
 
 let span t ~name ~start_ns ~dur_ns fs =
-  let payload = if fs = [] then "" else Printf.sprintf ",\"fields\":{%s}" (fields_str fs) in
   line t
-    (Printf.sprintf "{\"type\":\"span\",\"name\":\"%s\",\"start_ns\":%d,\"dur_ns\":%d%s}"
-       (escape name) start_ns dur_ns payload)
+    (with_fields
+       [
+         ("type", Json.Str "span");
+         ("name", Json.Str name);
+         ("start_ns", Json.Int start_ns);
+         ("dur_ns", Json.Int dur_ns);
+       ]
+       fs)
 
 let metrics t reg =
-  List.iter
-    (fun (name, v) ->
-      let name = escape name in
-      match (v : Metrics.view) with
-      | Metrics.Counter n ->
-        line t (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}" name n)
-      | Metrics.Timer { ns; intervals } ->
-        line t
-          (Printf.sprintf "{\"type\":\"timer\",\"name\":\"%s\",\"ns\":%d,\"intervals\":%d}" name
-             ns intervals)
-      | Metrics.Histogram { count; sum; max_value; buckets } ->
-        let bs =
-          String.concat ","
-            (List.map (fun (le, n) -> Printf.sprintf "{\"le\":%d,\"n\":%d}" le n) buckets)
-        in
-        line t
-          (Printf.sprintf
-             "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\"max\":%d,\"buckets\":[%s]}"
-             name count sum max_value bs))
-    (Metrics.to_list reg)
-
+  List.iter (fun (name, v) -> line t (Metrics.record name v)) (Metrics.to_list reg)

@@ -1,8 +1,8 @@
 (** NDJSON trace sink: one JSON object per line, schema ["nrl-trace/1"].
 
-    The format follows the {!Workload.Bench_json} conventions (plain
-    ASCII escaping, [nan]/[inf] rendered as [null]) but is a stream, not
-    a document: tools can tail a trace while the run is still going.
+    Every record is a {!Json.t} printed by {!Json.to_line} (metric lines
+    by {!Metrics.record}); the format is a stream, not a document: tools
+    can tail a trace while the run is still going.
     The first line is always a [meta] record carrying the schema tag and
     the clock contract; subsequent lines are [event], [span] and —
     usually at the end of the run — one line per metric ([counter],

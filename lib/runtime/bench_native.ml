@@ -3,9 +3,10 @@
     throughput sweep over the recoverable objects and their plain
     baselines.
 
-    Everything here is hand-rolled on the monotonic {!Obs.Clock} —
-    bechamel stays a test-only dependency of the bechamel-based harness
-    in bench/, which [nrlsim] must not link.  Latency is the median of
+    Everything here is hand-rolled on the monotonic {!Obs.Clock}, and
+    {!estimate_ns} is the one ns/op sampler of the repo: the bench
+    harness (bench/main.ml) and the e2e bench time through it too.
+    Latency is the median of
     [repeats] equal batches (calibrated to at least [min_batch_ns] per
     batch); allocation is the {!Gc.minor_words} delta across a long loop
     divided by the iteration count, so the measurement's own float boxes
@@ -70,8 +71,9 @@ module Plain_stack = struct
 end
 
 (* ---- single-domain latency and allocation rows ----
-   Row names are shared with the bechamel harness (bench/main.ml) so the
-   two documents can be cross-read. *)
+   Row names are shared with the bench harness (bench/main.ml), which
+   times with the same [estimate_ns], so the two documents can be
+   cross-read. *)
 
 let lat_nprocs = 4
 

@@ -1,7 +1,8 @@
 (** The native benchmark suite behind [nrlsim bench-native]:
     single-domain latency and allocation rows plus the memento-style
     contended/uncontended throughput sweep.  Hand-rolled on the
-    monotonic {!Obs.Clock} — no bechamel dependency.  See
+    monotonic {!Obs.Clock}.  {!estimate_ns} is the repo's one ns/op
+    sampler: bench/main.ml times its latency tables through it too.  See
     docs/native.md for the methodology. *)
 
 val estimate_ns : ?repeats:int -> ?min_batch_ns:int -> (unit -> unit) -> float

@@ -1,32 +1,10 @@
-(** Machine-readable output of the native benchmark suite: the
-    [BENCH_native.json] document [nrlsim bench-native] writes, tracked
-    across PRs as a CI artifact.
-
-    Schema ["nrl-native/1"]:
-
-    - [domains_available]: [Domain.recommended_domain_count ()] on the
-      measuring host — read it before trusting any scaling row (a
-      1-core container still produces the document, honestly);
-    - [duration_s]: the per-cell measured window of the throughput
-      suite;
-    - [throughput]: one row per (object, impl, mode, width, domains)
-      cell, with the summed per-domain op counters, the measured
-      window and the derived rate.  For CAS objects [ops] counts
-      {e attempts} (a read + CAS pair), not successes;
-    - [latency]: single-domain ns/op rows (median-of-batches on the
-      monotonic clock), names shared with the bechamel harness's
-      BENCH_explore.json so the two can be cross-read;
-    - [alloc_per_op]: minor-heap words allocated per operation
-      ([Gc.minor_words] deltas) — the hot-path allocation-freedom
-      evidence. *)
-
 let schema_version = "nrl-native/1"
 
 type tp_row = {
-  tp_object : string;  (** ["cas"], ["counter"], ["faa"] or ["stack"] *)
-  tp_impl : string;  (** ["recoverable"] or ["plain"] *)
-  tp_mode : string;  (** ["contended"] or ["uncontended"] *)
-  tp_width : int;  (** number of locations in the contention array *)
+  tp_object : string;
+  tp_impl : string;
+  tp_mode : string;
+  tp_width : int;
   tp_domains : int;
   tp_ops : int;
   tp_seconds : float;
@@ -45,57 +23,32 @@ type t = {
   alloc_per_op : alloc_row list;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let to_json t =
+  let open Obs.Json in
+  let tp r =
+    Obj
+      [
+        ("object", Str r.tp_object);
+        ("impl", Str r.tp_impl);
+        ("mode", Str r.tp_mode);
+        ("width", Int r.tp_width);
+        ("domains", Int r.tp_domains);
+        ("ops", Int r.tp_ops);
+        ("seconds", Num r.tp_seconds);
+        ("ops_per_sec", Num r.tp_ops_per_sec);
+      ]
+  in
+  let ns r = Obj [ ("name", Str r.ns_name); ("ns", Num r.ns_ns) ] in
+  let alloc r = Obj [ ("name", Str r.al_name); ("words", Num r.al_words) ] in
+  Obj
+    [
+      ("schema", Str schema_version);
+      ("domains_available", Int t.domains_available);
+      ("duration_s", Num t.duration_s);
+      ("throughput", Arr (List.map tp t.throughput));
+      ("latency", Arr (List.map ns t.latency));
+      ("alloc_per_op", Arr (List.map alloc t.alloc_per_op));
+    ]
 
-(* infinities (a zero-duration window) have no JSON literal: emit null *)
-let number v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
-let add_rows buf rows render =
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (render r);
-      Buffer.add_string buf (if i = List.length rows - 1 then "\n" else ",\n"))
-    rows
-
-let render t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_available\": %d,\n" t.domains_available);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"duration_s\": %s,\n" (number t.duration_s));
-  Buffer.add_string buf "  \"throughput\": [\n";
-  add_rows buf t.throughput (fun r ->
-      Printf.sprintf
-        "    {\"object\": \"%s\", \"impl\": \"%s\", \"mode\": \"%s\", \"width\": %d, \
-         \"domains\": %d, \"ops\": %d, \"seconds\": %s, \"ops_per_sec\": %s}"
-        (escape r.tp_object) (escape r.tp_impl) (escape r.tp_mode) r.tp_width
-        r.tp_domains r.tp_ops (number r.tp_seconds) (number r.tp_ops_per_sec));
-  Buffer.add_string buf "  ],\n  \"latency\": [\n";
-  add_rows buf t.latency (fun r ->
-      Printf.sprintf "    {\"name\": \"%s\", \"ns\": %s}" (escape r.ns_name)
-        (number r.ns_ns));
-  Buffer.add_string buf "  ],\n  \"alloc_per_op\": [\n";
-  add_rows buf t.alloc_per_op (fun r ->
-      Printf.sprintf "    {\"name\": \"%s\", \"words\": %s}" (escape r.al_name)
-        (number r.al_words));
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write ~path t =
-  let oc = open_out path in
-  output_string oc (render t);
-  close_out oc
+let render t = Obs.Json.to_doc (to_json t)
+let write ~path t = Obs.Json.write_file ~path (render t)

@@ -1,7 +1,25 @@
-(** The [BENCH_native.json] document (schema ["nrl-native/1"]) written
-    by [nrlsim bench-native]: native-runtime throughput, latency and
-    allocation rows.  Self-contained writer — the bench harness's
-    {!Workload.Bench_json} is its sibling for the simulator suite. *)
+(** Machine-readable output of the native benchmark suite: the
+    [BENCH_native.json] document [nrlsim bench-native] writes, tracked
+    across PRs as a CI artifact; {!Workload.Bench_json} is its sibling
+    for the simulator suite.
+
+    Schema ["nrl-native/1"], printed by {!Obs.Json.to_doc}:
+
+    - [domains_available]: [Domain.recommended_domain_count ()] on the
+      measuring host — read it before trusting any scaling row (a
+      1-core container still produces the document, honestly);
+    - [duration_s]: the per-cell measured window of the throughput
+      suite;
+    - [throughput]: one row per (object, impl, mode, width, domains)
+      cell, with the summed per-domain op counters, the measured
+      window and the derived rate.  For CAS objects [ops] counts
+      {e attempts} (a read + CAS pair), not successes;
+    - [latency]: single-domain ns/op rows ({!Bench_native.estimate_ns}),
+      names shared with the bench harness's BENCH_explore.json, which
+      uses the same sampler, so the two can be cross-read;
+    - [alloc_per_op]: minor-heap words allocated per operation
+      ([Gc.minor_words] deltas) — the hot-path allocation-freedom
+      evidence. *)
 
 val schema_version : string
 

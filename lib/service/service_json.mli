@@ -1,8 +1,10 @@
 (** Machine-readable output of the service bench: the
     [BENCH_service.json] document (schema ["nrl-service/1"]) that
-    [nrlsim bench-service] writes and CI tracks as an artifact.
+    [nrlsim bench-service] writes and CI tracks as an artifact, printed
+    by {!Obs.Json.to_doc}.
 
-    Per-mode rows carry the crash/recovery ledger (on a healthy run
+    [config] holds the knobs the run was configured with.  Per-mode
+    rows carry the crash/recovery ledger (on a healthy run
     [crashes = recoveries = schedule_len] and
     [conservation_violations = 0]), the client-observed outcome
     counters, ok-throughput, latency and recovery-time-to-healthy
@@ -26,4 +28,8 @@ type t = {
 }
 
 val render : t -> string
-(** The complete JSON document, trailing newline included. *)
+(** The complete JSON document ({!Obs.Json.to_doc}), trailing newline
+    included. *)
+
+val write : path:string -> t -> unit
+(** {!render} to [path] through {!Obs.Json.write_file}. *)

@@ -1,31 +1,3 @@
-(** Machine-readable benchmark output: the [BENCH_explore.json] document
-    the bench harness writes with [--json], tracked across PRs as a CI
-    artifact.
-
-    Schema ["nrl-bench/5"]:
-
-    - [domains_available]: [Domain.recommended_domain_count ()] on the
-      measuring host — read it before trusting any jobs-scaling row;
-    - [ns_per_op]: one row per latency estimate (tables T1-T4 and the
-      figure sweeps that fit an OLS model), [{section; name; ns}] with
-      [ns = null] when the fit failed;
-    - [persist_events]: table T5 — shared accesses (the model's persist
-      events) per operation at each process count;
-    - [explore]: tables T6 (work-stealing jobs scaling), T7 (check-mode
-      throughput), T8 (process-symmetry quotienting) and T9 (instant vs
-      explicit persistency), each row carrying the full engine
-      configuration ([jobs]/[dedup]/[mode]/[symmetry]/[persist]) plus the
-      statistics, the persist-cost columns ([flushes]/[fences] executed
-      across the whole search — always 0 under the instant model) and
-      the derived [nodes_per_sec] / [terminals_per_sec] rates.
-
-    Version 4 also carried a [trail] field on [explore] rows (in-place
-    backtracking vs the since-removed clone-per-branch engine); version
-    3 lacked the [persist]/[flushes]/[fences] fields on [explore] rows;
-    version 2 also lacked [symmetry]; version 1 had only [ns_per_op]
-    (left empty by the explore-only CI smoke run) and [explore] rows
-    without the [section]/[trail]/[mode] fields. *)
-
 let schema_version = "nrl-bench/5"
 
 type ns_row = { ns_section : string; ns_name : string; ns_ns : float }
@@ -33,17 +5,17 @@ type ns_row = { ns_section : string; ns_name : string; ns_ns : float }
 type persist_row = { pe_op : string; pe_nprocs : int; pe_accesses : int }
 
 type explore_row = {
-  er_section : string;  (** ["T6"], ["T7"], ["T8"] or ["T9"] *)
+  er_section : string;
   er_scenario : string;
   er_nprocs : int;
   er_ops : int;
   er_jobs : int;
   er_dedup : bool;
-  er_sym : bool;  (** process-symmetry quotienting active for this run *)
-  er_mode : string;  (** ["dfs"], ["check-terminal"] or ["check-incremental"] *)
-  er_persist : string;  (** ["instant"] or ["explicit"] *)
-  er_flushes : int;  (** flush pseudo-ops executed across the search *)
-  er_fences : int;  (** fence pseudo-ops executed across the search *)
+  er_sym : bool;
+  er_mode : string;
+  er_persist : string;
+  er_flushes : int;
+  er_fences : int;
   er_terminals : int;
   er_nodes : int;
   er_dup : int;
@@ -57,65 +29,44 @@ type t = {
   explore : explore_row list;
 }
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* nan (a failed OLS fit) and infinities (a zero-duration measurement)
-   have no JSON literal: emit null *)
-let number v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
 let rate num seconds = if seconds > 0. then float_of_int num /. seconds else nan
 
-let add_rows buf rows render =
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (render r);
-      Buffer.add_string buf (if i = List.length rows - 1 then "\n" else ",\n"))
-    rows
+let to_json t =
+  let open Obs.Json in
+  let ns r = Obj [ ("section", Str r.ns_section); ("name", Str r.ns_name); ("ns", Num r.ns_ns) ] in
+  let persist r =
+    Obj [ ("op", Str r.pe_op); ("nprocs", Int r.pe_nprocs); ("accesses", Int r.pe_accesses) ]
+  in
+  let explore r =
+    Obj
+      [
+        ("section", Str r.er_section);
+        ("scenario", Str r.er_scenario);
+        ("nprocs", Int r.er_nprocs);
+        ("ops", Int r.er_ops);
+        ("jobs", Int r.er_jobs);
+        ("dedup", Bool r.er_dedup);
+        ("symmetry", Bool r.er_sym);
+        ("mode", Str r.er_mode);
+        ("persist", Str r.er_persist);
+        ("flushes", Int r.er_flushes);
+        ("fences", Int r.er_fences);
+        ("terminals", Int r.er_terminals);
+        ("nodes", Int r.er_nodes);
+        ("dup", Int r.er_dup);
+        ("seconds", Num r.er_seconds);
+        ("nodes_per_sec", Num (rate r.er_nodes r.er_seconds));
+        ("terminals_per_sec", Num (rate r.er_terminals r.er_seconds));
+      ]
+  in
+  Obj
+    [
+      ("schema", Str schema_version);
+      ("domains_available", Int t.domains_available);
+      ("ns_per_op", Arr (List.map ns t.ns_per_op));
+      ("persist_events", Arr (List.map persist t.persist_events));
+      ("explore", Arr (List.map explore t.explore));
+    ]
 
-let render t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"schema\": \"%s\",\n" schema_version);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains_available\": %d,\n" t.domains_available);
-  Buffer.add_string buf "  \"ns_per_op\": [\n";
-  add_rows buf t.ns_per_op (fun r ->
-      Printf.sprintf "    {\"section\": \"%s\", \"name\": \"%s\", \"ns\": %s}"
-        (escape r.ns_section) (escape r.ns_name) (number r.ns_ns));
-  Buffer.add_string buf "  ],\n  \"persist_events\": [\n";
-  add_rows buf t.persist_events (fun r ->
-      Printf.sprintf "    {\"op\": \"%s\", \"nprocs\": %d, \"accesses\": %d}"
-        (escape r.pe_op) r.pe_nprocs r.pe_accesses);
-  Buffer.add_string buf "  ],\n  \"explore\": [\n";
-  add_rows buf t.explore (fun r ->
-      Printf.sprintf
-        "    {\"section\": \"%s\", \"scenario\": \"%s\", \"nprocs\": %d, \"ops\": %d, \
-         \"jobs\": %d, \"dedup\": %b, \"symmetry\": %b, \"mode\": \"%s\", \
-         \"persist\": \"%s\", \"flushes\": %d, \"fences\": %d, \
-         \"terminals\": %d, \"nodes\": %d, \"dup\": %d, \"seconds\": %s, \
-         \"nodes_per_sec\": %s, \"terminals_per_sec\": %s}"
-        (escape r.er_section) (escape r.er_scenario) r.er_nprocs r.er_ops r.er_jobs
-        r.er_dedup r.er_sym (escape r.er_mode) (escape r.er_persist)
-        r.er_flushes r.er_fences r.er_terminals r.er_nodes r.er_dup
-        (number r.er_seconds)
-        (number (rate r.er_nodes r.er_seconds))
-        (number (rate r.er_terminals r.er_seconds)));
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write ~path t =
-  let oc = open_out path in
-  output_string oc (render t);
-  close_out oc
+let render t = Obs.Json.to_doc (to_json t)
+let write ~path t = Obs.Json.write_file ~path (render t)

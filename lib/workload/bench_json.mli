@@ -1,7 +1,25 @@
 (** Machine-readable benchmark output: the [BENCH_explore.json] document
     the bench harness writes with [--json], tracked across PRs as a CI
     artifact.  Living in the library (rather than the harness) so the
-    test suite can validate the emitted schema. *)
+    test suite can validate the emitted schema.
+
+    Schema ["nrl-bench/5"], printed by {!Obs.Json.to_doc}:
+
+    - [domains_available]: [Domain.recommended_domain_count ()] on the
+      measuring host — read it before trusting any jobs-scaling row;
+    - [ns_per_op]: one row per latency estimate (tables T1-T4, T12 and
+      the F3 sweep, timed by [Runtime.Bench_native.estimate_ns]; the
+      throughput sections record [1e9 / rate]), [{section; name; ns}]
+      with [ns = null] when there is no finite estimate;
+    - [persist_events]: table T5 — shared accesses (the model's persist
+      events) per operation at each process count;
+    - [explore]: tables T6 (work-stealing jobs scaling), T7 (check-mode
+      throughput), T8 (process-symmetry quotienting), T9 (instant vs
+      explicit persistency) and T12, each row carrying the full engine
+      configuration ([jobs]/[dedup]/[mode]/[symmetry]/[persist]) plus the
+      statistics, the persist-cost columns ([flushes]/[fences] executed
+      across the whole search — always 0 under the instant model) and
+      the derived [nodes_per_sec] / [terminals_per_sec] rates. *)
 
 val schema_version : string
 (** ["nrl-bench/5"].  Version 4 also carried a [trail] field on

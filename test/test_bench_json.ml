@@ -1,148 +1,50 @@
 (* The machine-readable benchmark schema (Workload.Bench_json): the
-   document CI archives as BENCH_explore.json must parse as JSON and
-   carry the fields downstream tooling keys on.  Validated with a small
-   self-contained JSON reader (the repo deliberately has no JSON
-   dependency). *)
+   document CI archives as BENCH_explore.json must parse as strict JSON
+   (with Obs.Json, the one parser every reader in the repo shares) and
+   carry the fields downstream tooling keys on; so must the checked-in
+   artifact. *)
 
 module B = Workload.Bench_json
 
-(* {1 A minimal JSON reader} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then raise (Bad "unexpected end of input");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    let g = next () in
-    if g <> c then raise (Bad (Printf.sprintf "expected %c, got %c at %d" c g !pos))
-  in
-  let literal lit v =
-    String.iter expect lit;
-    v
-  in
-  let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-        (match next () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          let h = String.init 4 (fun _ -> next ()) in
-          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ h) land 0xff))
-        | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-        go ()
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let numchar = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> numchar c | None -> false) do
-      incr pos
-    done;
-    if !pos = start then raise (Bad "empty number");
-    Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' ->
-      expect '"';
-      Str (string_body ())
-    | Some '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          expect '"';
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | c -> raise (Bad (Printf.sprintf "bad object separator %c" c))
-        in
-        members []
-    | Some '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then (incr pos; Arr [])
-      else
-        let rec elems acc =
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | c -> raise (Bad (Printf.sprintf "bad array separator %c" c))
-        in
-        elems []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage");
-  v
-
-let field name = function
-  | Obj kvs -> (
-    match List.assoc_opt name kvs with
-    | Some v -> v
-    | None -> raise (Bad ("missing field " ^ name)))
-  | _ -> raise (Bad "not an object")
-
-let as_arr = function Arr l -> l | _ -> raise (Bad "not an array")
-let as_str = function Str s -> s | _ -> raise (Bad "not a string")
-let as_num = function Num f -> f | _ -> raise (Bad "not a number")
-let as_bool = function Bool b -> b | _ -> raise (Bad "not a bool")
+open Obs.Json
 
 (* {1 A representative document} *)
 
 let sample () =
+  let t6 =
+    {
+      B.er_section = "T6";
+      er_scenario = "register";
+      er_nprocs = 3;
+      er_ops = 1;
+      er_jobs = 2;
+      er_dedup = false;
+      er_sym = false;
+      er_mode = "check-terminal";
+      er_persist = "instant";
+      er_flushes = 0;
+      er_fences = 0;
+      er_terminals = 45002;
+      er_nodes = 265631;
+      er_dup = 0;
+      er_seconds = 0.5;
+    }
+  in
+  let t7 =
+    {
+      t6 with
+      B.er_section = "T7";
+      er_jobs = 1;
+      er_sym = true;
+      er_mode = "dfs";
+      er_persist = "explicit";
+      er_flushes = 5021;
+      er_fences = 12;
+      er_terminals = 10;
+      er_nodes = 100;
+      er_seconds = 0.;
+    }
+  in
   {
     B.domains_available = 2;
     ns_per_op =
@@ -151,89 +53,53 @@ let sample () =
         { B.ns_section = "T4"; ns_name = "machine step only"; ns_ns = nan };
       ];
     persist_events = [ { B.pe_op = "register WRITE"; pe_nprocs = 2; pe_accesses = 3 } ];
-    explore =
-      [
-        {
-          B.er_section = "T6";
-          er_scenario = "register";
-          er_nprocs = 3;
-          er_ops = 1;
-          er_jobs = 2;
-          er_dedup = false;
-          er_sym = false;
-          er_mode = "check-terminal";
-          er_persist = "instant";
-          er_flushes = 0;
-          er_fences = 0;
-          er_terminals = 45002;
-          er_nodes = 265631;
-          er_dup = 0;
-          er_seconds = 0.5;
-        };
-        {
-          B.er_section = "T7";
-          er_scenario = "register";
-          er_nprocs = 3;
-          er_ops = 1;
-          er_jobs = 1;
-          er_dedup = false;
-          er_sym = true;
-          er_mode = "dfs";
-          er_persist = "explicit";
-          er_flushes = 5021;
-          er_fences = 12;
-          er_terminals = 10;
-          er_nodes = 100;
-          er_dup = 0;
-          er_seconds = 0.;
-        };
-      ];
+    explore = [ t6; t7 ];
   }
 
 let test_parses_and_keys () =
   let doc = parse (B.render (sample ())) in
-  Alcotest.(check string) "schema tag" B.schema_version (as_str (field "schema" doc));
-  Alcotest.(check int) "domains" 2 (int_of_float (as_num (field "domains_available" doc)));
-  let ns = as_arr (field "ns_per_op" doc) in
+  Alcotest.(check string) "schema tag" B.schema_version (to_string (member "schema" doc));
+  Alcotest.(check int) "domains" 2 (to_int (member "domains_available" doc));
+  let ns = to_list (member "ns_per_op" doc) in
   Alcotest.(check int) "ns rows survive (array non-empty)" 2 (List.length ns);
   let r0 = List.hd ns in
-  Alcotest.(check string) "ns section" "T1" (as_str (field "section" r0));
+  Alcotest.(check string) "ns section" "T1" (to_string (member "section" r0));
   Alcotest.(check string) "escaped name round-trips" "plain \"write\""
-    (as_str (field "name" r0));
-  Alcotest.(check bool) "ns value" true (as_num (field "ns" r0) = 12.5);
-  Alcotest.(check bool) "nan becomes null" true (field "ns" (List.nth ns 1) = Null);
-  let pe = List.hd (as_arr (field "persist_events" doc)) in
-  Alcotest.(check string) "persist op" "register WRITE" (as_str (field "op" pe));
-  Alcotest.(check int) "persist accesses" 3 (int_of_float (as_num (field "accesses" pe)))
+    (to_string (member "name" r0));
+  Alcotest.(check bool) "ns value" true (to_float (member "ns" r0) = 12.5);
+  Alcotest.(check bool) "nan becomes null" true (member "ns" (List.nth ns 1) = Null);
+  let pe = List.hd (to_list (member "persist_events" doc)) in
+  Alcotest.(check string) "persist op" "register WRITE" (to_string (member "op" pe));
+  Alcotest.(check int) "persist accesses" 3 (to_int (member "accesses" pe))
 
 let test_explore_rows () =
   let doc = parse (B.render (sample ())) in
-  let rows = as_arr (field "explore" doc) in
+  let rows = to_list (member "explore" doc) in
   Alcotest.(check int) "both sections present" 2 (List.length rows);
   let t6 = List.hd rows and t7 = List.nth rows 1 in
-  Alcotest.(check string) "T6 tagged" "T6" (as_str (field "section" t6));
+  Alcotest.(check string) "T6 tagged" "T6" (to_string (member "section" t6));
   Alcotest.(check bool) "no trail key since nrl-bench/5" false
     (match t6 with Obj kvs -> List.mem_assoc "trail" kvs | _ -> true);
-  Alcotest.(check bool) "symmetry recorded (off)" false (as_bool (field "symmetry" t6));
-  Alcotest.(check bool) "symmetry recorded (on)" true (as_bool (field "symmetry" t7));
-  Alcotest.(check string) "mode recorded" "check-terminal" (as_str (field "mode" t6));
+  Alcotest.(check bool) "symmetry recorded (off)" false (to_bool (member "symmetry" t6));
+  Alcotest.(check bool) "symmetry recorded (on)" true (to_bool (member "symmetry" t7));
+  Alcotest.(check string) "mode recorded" "check-terminal" (to_string (member "mode" t6));
   Alcotest.(check string) "persist model recorded (instant)" "instant"
-    (as_str (field "persist" t6));
+    (to_string (member "persist" t6));
   Alcotest.(check int) "instant rows carry zero flushes" 0
-    (int_of_float (as_num (field "flushes" t6)));
+    (to_int (member "flushes" t6));
   Alcotest.(check string) "persist model recorded (explicit)" "explicit"
-    (as_str (field "persist" t7));
+    (to_string (member "persist" t7));
   Alcotest.(check int) "flush count survives" 5021
-    (int_of_float (as_num (field "flushes" t7)));
+    (to_int (member "flushes" t7));
   Alcotest.(check int) "fence count survives" 12
-    (int_of_float (as_num (field "fences" t7)));
+    (to_int (member "fences" t7));
   Alcotest.(check bool) "nodes/s derived" true
-    (Float.abs (as_num (field "nodes_per_sec" t6) -. (265631. /. 0.5)) < 1.);
+    (Float.abs (to_float (member "nodes_per_sec" t6) -. (265631. /. 0.5)) < 1.);
   Alcotest.(check bool) "terminals/s derived" true
-    (Float.abs (as_num (field "terminals_per_sec" t6) -. (45002. /. 0.5)) < 1.);
-  Alcotest.(check string) "T7 enumeration row" "dfs" (as_str (field "mode" t7));
+    (Float.abs (to_float (member "terminals_per_sec" t6) -. (45002. /. 0.5)) < 1.);
+  Alcotest.(check string) "T7 enumeration row" "dfs" (to_string (member "mode" t7));
   Alcotest.(check bool) "zero-duration rate is null, not inf" true
-    (field "nodes_per_sec" t7 = Null)
+    (member "nodes_per_sec" t7 = Null)
 
 let test_empty_arrays_parse () =
   let doc =
@@ -241,12 +107,36 @@ let test_empty_arrays_parse () =
       (B.render
          { B.domains_available = 1; ns_per_op = []; persist_events = []; explore = [] })
   in
-  Alcotest.(check int) "empty ns array" 0 (List.length (as_arr (field "ns_per_op" doc)));
-  Alcotest.(check int) "empty explore array" 0 (List.length (as_arr (field "explore" doc)))
+  Alcotest.(check int) "empty ns array" 0 (List.length (to_list (member "ns_per_op" doc)));
+  Alcotest.(check int) "empty explore array" 0 (List.length (to_list (member "explore" doc)))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* the tracked artifact, whatever wrote it, parses strictly and carries
+   the keys the CI greps and trend scripts read *)
+let test_checked_in_artifact () =
+  let doc = parse (read_file "../BENCH_explore.json") in
+  Alcotest.(check string) "schema tag" B.schema_version (to_string (member "schema" doc));
+  Alcotest.(check bool) "domains honest" true (to_int (member "domains_available" doc) >= 1);
+  let ns = to_list (member "ns_per_op" doc) in
+  Alcotest.(check bool) "ns rows present" true (ns <> []);
+  List.iter
+    (fun r ->
+      ignore (to_string (member "section" r));
+      ignore (to_string (member "name" r));
+      match member "ns" r with Null -> () | v -> ignore (to_float v))
+    ns;
+  List.iter
+    (fun r ->
+      ignore (to_string (member "persist" r));
+      ignore (to_bool (member "symmetry" r));
+      ignore (to_int (member "nodes" r)))
+    (to_list (member "explore" doc))
 
 let suite =
   [
     Alcotest.test_case "document parses; ns and persist rows" `Quick test_parses_and_keys;
     Alcotest.test_case "explore rows carry mode/rates" `Quick test_explore_rows;
     Alcotest.test_case "empty arrays stay valid JSON" `Quick test_empty_arrays_parse;
+    Alcotest.test_case "checked-in BENCH_explore.json parses" `Quick test_checked_in_artifact;
   ]

@@ -1,146 +1,11 @@
 (* The BENCH_native.json document ([nrlsim bench-native --json]) must
    stay parseable by strict JSON consumers — the CI trend scripts read
    it with stock parsers.  Mirrors test_bench_json.ml (the simulator
-   suite's document) with the same self-contained parser so the test
-   depends on no json library. *)
+   suite's document), parsing with the same strict Obs.Json. *)
 
 module B = Runtime.Bench_native_json
 
-(* {1 A tiny strict JSON parser} *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then raise (Bad "eof");
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      incr pos;
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    let g = next () in
-    if g <> c then raise (Bad (Printf.sprintf "expected %c, got %c" c g))
-  in
-  let literal lit v =
-    String.iter expect lit;
-    v
-  in
-  let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-        match next () with
-        | '"' ->
-          Buffer.add_char b '"';
-          go ()
-        | '\\' ->
-          Buffer.add_char b '\\';
-          go ()
-        | 'n' ->
-          Buffer.add_char b '\n';
-          go ()
-        | 'u' ->
-          let h = String.sub s !pos 4 in
-          pos := !pos + 4;
-          Buffer.add_char b (Char.chr (int_of_string ("0x" ^ h) land 0xff));
-          go ()
-        | c -> raise (Bad (Printf.sprintf "bad escape %c" c)))
-      | c ->
-        Buffer.add_char b c;
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    let is_num c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while !pos < n && is_num s.[!pos] do
-      incr pos
-    done;
-    if !pos = start then raise (Bad "expected a value");
-    Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' ->
-      expect '"';
-      Str (string_body ())
-    | Some '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then (incr pos; Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          expect '"';
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> members ((k, v) :: acc)
-          | '}' -> Obj (List.rev ((k, v) :: acc))
-          | c -> raise (Bad (Printf.sprintf "bad object separator %c" c))
-        in
-        members []
-    | Some '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then (incr pos; Arr [])
-      else
-        let rec elems acc =
-          let v = value () in
-          skip_ws ();
-          match next () with
-          | ',' -> elems (v :: acc)
-          | ']' -> Arr (List.rev (v :: acc))
-          | c -> raise (Bad (Printf.sprintf "bad array separator %c" c))
-        in
-        elems []
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | _ -> number ()
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then raise (Bad "trailing garbage");
-  v
-
-let field name = function
-  | Obj kvs -> (
-    match List.assoc_opt name kvs with
-    | Some v -> v
-    | None -> raise (Bad ("missing field " ^ name)))
-  | _ -> raise (Bad "not an object")
-
-let as_arr = function Arr l -> l | _ -> raise (Bad "not an array")
-let as_str = function Str s -> s | _ -> raise (Bad "not a string")
-let as_num = function Num f -> f | _ -> raise (Bad "not a number")
+open Obs.Json
 
 (* {1 A representative document} *)
 
@@ -185,43 +50,43 @@ let sample () =
 
 let test_parses_and_keys () =
   let doc = parse (B.render (sample ())) in
-  Alcotest.(check string) "schema tag" B.schema_version (as_str (field "schema" doc));
+  Alcotest.(check string) "schema tag" B.schema_version (to_string (member "schema" doc));
   Alcotest.(check int) "domains honest" 4
-    (int_of_float (as_num (field "domains_available" doc)));
+    (to_int (member "domains_available" doc));
   Alcotest.(check bool) "duration recorded" true
-    (as_num (field "duration_s" doc) = 0.25)
+    (to_float (member "duration_s" doc) = 0.25)
 
 let test_throughput_rows () =
   let doc = parse (B.render (sample ())) in
-  let rows = as_arr (field "throughput" doc) in
+  let rows = to_list (member "throughput" doc) in
   Alcotest.(check int) "both rows survive" 2 (List.length rows);
   let r0 = List.hd rows in
-  Alcotest.(check string) "object" "cas" (as_str (field "object" r0));
-  Alcotest.(check string) "impl" "recoverable" (as_str (field "impl" r0));
-  Alcotest.(check string) "mode" "contended" (as_str (field "mode" r0));
-  Alcotest.(check int) "width" 1 (int_of_float (as_num (field "width" r0)));
-  Alcotest.(check int) "domains" 2 (int_of_float (as_num (field "domains" r0)));
-  Alcotest.(check int) "ops" 1_000_000 (int_of_float (as_num (field "ops" r0)));
-  Alcotest.(check bool) "rate" true (as_num (field "ops_per_sec" r0) = 4_000_000.);
+  Alcotest.(check string) "object" "cas" (to_string (member "object" r0));
+  Alcotest.(check string) "impl" "recoverable" (to_string (member "impl" r0));
+  Alcotest.(check string) "mode" "contended" (to_string (member "mode" r0));
+  Alcotest.(check int) "width" 1 (to_int (member "width" r0));
+  Alcotest.(check int) "domains" 2 (to_int (member "domains" r0));
+  Alcotest.(check int) "ops" 1_000_000 (to_int (member "ops" r0));
+  Alcotest.(check bool) "rate" true (to_float (member "ops_per_sec" r0) = 4_000_000.);
   let r1 = List.nth rows 1 in
   Alcotest.(check bool) "infinite rate becomes null, not inf" true
-    (field "ops_per_sec" r1 = Null)
+    (member "ops_per_sec" r1 = Null)
 
 let test_latency_and_alloc_rows () =
   let doc = parse (B.render (sample ())) in
-  let ns = as_arr (field "latency" doc) in
+  let ns = to_list (member "latency" doc) in
   let r0 = List.hd ns in
   Alcotest.(check string) "latency names shared with BENCH_explore"
-    "recoverable t&s (fresh, win)" (as_str (field "name" r0));
-  Alcotest.(check bool) "ns value" true (as_num (field "ns" r0) = 49.2);
+    "recoverable t&s (fresh, win)" (to_string (member "name" r0));
+  Alcotest.(check bool) "ns value" true (to_float (member "ns" r0) = 49.2);
   Alcotest.(check string) "escaped name round-trips" "with \"quotes\""
-    (as_str (field "name" (List.nth ns 1)));
-  Alcotest.(check bool) "nan becomes null" true (field "ns" (List.nth ns 1) = Null);
-  let al = as_arr (field "alloc_per_op" doc) in
+    (to_string (member "name" (List.nth ns 1)));
+  Alcotest.(check bool) "nan becomes null" true (member "ns" (List.nth ns 1) = Null);
+  let al = to_list (member "alloc_per_op" doc) in
   Alcotest.(check bool) "alloc-free row is 0.0" true
-    (as_num (field "words" (List.hd al)) = 0.);
+    (to_float (member "words" (List.hd al)) = 0.);
   Alcotest.(check bool) "stack allocation documented" true
-    (as_num (field "words" (List.nth al 1)) = 9.)
+    (to_float (member "words" (List.nth al 1)) = 9.)
 
 let test_empty_arrays_parse () =
   let doc =
@@ -235,9 +100,26 @@ let test_empty_arrays_parse () =
            alloc_per_op = [];
          })
   in
-  Alcotest.(check int) "no throughput rows" 0 (List.length (as_arr (field "throughput" doc)));
-  Alcotest.(check int) "no latency rows" 0 (List.length (as_arr (field "latency" doc)));
-  Alcotest.(check int) "no alloc rows" 0 (List.length (as_arr (field "alloc_per_op" doc)))
+  Alcotest.(check int) "no throughput rows" 0 (List.length (to_list (member "throughput" doc)));
+  Alcotest.(check int) "no latency rows" 0 (List.length (to_list (member "latency" doc)));
+  Alcotest.(check int) "no alloc rows" 0 (List.length (to_list (member "alloc_per_op" doc)))
+
+let test_checked_in_artifact () =
+  let doc = parse (Test_bench_json.read_file "../BENCH_native.json") in
+  Alcotest.(check string) "schema tag" B.schema_version (to_string (member "schema" doc));
+  Alcotest.(check bool) "domains honest" true (to_int (member "domains_available" doc) >= 1);
+  List.iter
+    (fun r ->
+      ignore (to_string (member "object" r), to_int (member "ops" r));
+      ignore (to_float (member "ops_per_sec" r)))
+    (to_list (member "throughput" doc));
+  let ns name rows = List.find (fun r -> to_string (member "name" r) = name) rows in
+  let latency = to_list (member "latency" doc) in
+  (* the rows the CI latency gate reads *)
+  List.iter
+    (fun name -> Alcotest.(check bool) name true (to_float (member "ns" (ns name latency)) > 0.))
+    [ "recoverable faa"; "recoverable t&s (fresh, win)" ];
+  List.iter (fun r -> ignore (to_float (member "words" r))) (to_list (member "alloc_per_op" doc))
 
 let suite =
   [
@@ -245,4 +127,5 @@ let suite =
     Alcotest.test_case "throughput rows round-trip" `Quick test_throughput_rows;
     Alcotest.test_case "latency/alloc rows round-trip" `Quick test_latency_and_alloc_rows;
     Alcotest.test_case "empty arrays stay valid JSON" `Quick test_empty_arrays_parse;
+    Alcotest.test_case "checked-in BENCH_native.json parses" `Quick test_checked_in_artifact;
   ]

@@ -1,8 +1,9 @@
 (* The observability layer: registry semantics (merge is an exact sum),
    the engine-invariance contract (counter values identical across
-   --jobs, steals and kill-and-resume for the same workload), the NDJSON
-   trace schema (round-tripped through the same JSON reader that
-   validates the bench schema), the torture-harness counters, and
+   --jobs, steals and kill-and-resume for the same workload), the one
+   JSON codec (Obs.Json: strict RFC 8259 parsing, printing, the metric
+   record), the NDJSON trace schema (round-tripped through that codec),
+   the torture-harness counters, and
    catalogue coverage (a run cannot emit a metric name the catalogue
    does not document). *)
 
@@ -194,20 +195,101 @@ let test_counters_invariant_across_resume () =
         [ 1; 2 ])
     [ false; true ]
 
-(* {1 The NDJSON trace schema} *)
+(* {1 The JSON codec} *)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
+module J = Obs.Json
+
+let test_json_strict () =
+  List.iter
+    (fun input ->
+      match J.parse input with
+      | v -> Alcotest.failf "accepted %S as %s" input (J.to_line v)
+      | exception J.Bad _ -> ())
+    [
+      "[1.]"; "[01]"; "[+1]"; "[.5]"; "[-]"; "[1e]"; "[1,]"; "{\"a\":1,}"; "\"a\tb\"";
+      "\"\\ud800\""; "\"\\udc00\""; "\"\\u12g4\""; "\"\\x\""; "tru"; "[1] 2"; "";
+    ];
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) input expected (J.to_string (J.parse input)))
+    [
+      ("\"\\u4e2d\"", "\xe4\xb8\xad");
+      ("\"\\u00e9\"", "\xc3\xa9");
+      ("\"\\ud83d\\ude00\"", "\xf0\x9f\x98\x80");
+      ("\"\\u0041\\/\\b\\f\"", "A/\b\012");
+    ];
+  Alcotest.(check bool) "exponents and fractions are numbers" true
+    (J.parse " [-0.5e+2, 1E3, 0] " = J.Arr [ J.Num (-50.); J.Num 1000.; J.Int 0 ])
+
+let test_json_numbers () =
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "integers print exactly" (string_of_int i) (J.to_line (J.Int i));
+      Alcotest.(check bool) "and parse to the exact Int" true (J.parse (string_of_int i) = J.Int i))
+    [ max_int; min_int; 0; 0x1F_FFFF_FFFF_FFFF + 1 ];
+  Alcotest.(check bool) "an integer beyond int range is a Num" true
+    (J.parse "46116860184273879040" = J.Num 46116860184273879040.);
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) "float spelling" text (J.to_line (J.Num f));
+      Alcotest.(check bool) (text ^ " round-trips") true (J.parse text = J.Num f))
+    [
+      (12.5, "12.5"); (3., "3.0"); (0.1, "0.1"); (1e300, "1e+300"); (1. /. 3., "0.33333333333333331");
+    ];
+  List.iter
+    (fun f -> Alcotest.(check string) "non-finite is null" "null" (J.to_line (J.Num f)))
+    [ nan; infinity; neg_infinity ]
+
+let test_json_printers () =
+  let v =
+    J.Obj
+      [
+        ("s", J.Str "q\"b\\n\n\001\xc3\xa9");
+        ( "rows",
+          J.Arr [ J.Obj [ ("a", J.Int 1); ("b", J.Arr [ J.Bool true; J.Null ]) ]; J.Num 2.5 ] );
+        ("empty", J.Arr []);
+        ("o", J.Obj [ ("x", J.Num (-0.25)) ]);
+      ]
   in
-  go []
+  Alcotest.(check string) "compact line"
+    ({|{"s":"q\"b\\n\n\u0001|} ^ "\xc3\xa9"
+    ^ {|","rows":[{"a":1,"b":[true,null]},2.5],"empty":[],"o":{"x":-0.25}}|})
+    (J.to_line v);
+  Alcotest.(check string) "document layout"
+    ({|{
+  "s": "q\"b\\n\n\u0001|} ^ "\xc3\xa9" ^ {|",
+  "rows": [
+    {"a": 1, "b": [true, null]},
+    2.5
+  ],
+  "empty": [],
+  "o": {"x": -0.25}
+}
+|})
+    (J.to_doc v);
+  Alcotest.(check bool) "line parses back" true (J.parse (J.to_line v) = v);
+  Alcotest.(check bool) "document parses back" true (J.parse (J.to_doc v) = v)
 
-let obj_field name j = Test_bench_json.field name j
+let test_metric_records () =
+  List.iter
+    (fun (name, v) ->
+      let j = Obs.Metrics.record name v in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Obs.Metrics.of_record (J.parse (J.to_line j)) = (name, v)))
+    [
+      ("c", Obs.Metrics.Counter 7);
+      ("t", Obs.Metrics.Timer { ns = max_int; intervals = 3 });
+      ( "h",
+        Obs.Metrics.Histogram { count = 3; sum = 10; max_value = 8; buckets = [ (1, 1); (15, 2) ] } );
+      ("h0", Obs.Metrics.Histogram { count = 0; sum = 0; max_value = 0; buckets = [] });
+    ];
+  Alcotest.(check string) "counter record bytes" {|{"type":"counter","name":"c","value":7}|}
+    (J.to_line (Obs.Metrics.record "c" (Obs.Metrics.Counter 7)));
+  match Obs.Metrics.of_record (J.parse {|{"type":"task","name":"x"}|}) with
+  | _ -> Alcotest.fail "a task record decoded as a metric"
+  | exception J.Bad _ -> ()
+
+(* {1 The NDJSON trace schema} *)
 
 let test_trace_roundtrip () =
   let path = Filename.temp_file "nrl_trace" ".ndjson" in
@@ -227,50 +309,35 @@ let test_trace_roundtrip () =
   Obs.Trace.metrics tr reg;
   Obs.Trace.close tr;
   Obs.Trace.close tr (* idempotent *);
-  let lines = read_lines path in
-  Sys.remove path;
-  Alcotest.(check int) "line count" 6 (List.length lines);
   (* every line is a standalone JSON object with a "type" field *)
-  let parsed = List.map Test_bench_json.parse lines in
-  let typ j = Test_bench_json.as_str (obj_field "type" j) in
-  (match parsed with
-  | meta :: rest ->
-    Alcotest.(check string) "meta first" "meta" (typ meta);
-    Alcotest.(check string) "schema tag" Obs.Trace.schema_version
-      (Test_bench_json.as_str (obj_field "schema" meta));
-    Alcotest.(check string) "clock contract" "ns-since-process-start"
-      (Test_bench_json.as_str (obj_field "clock" meta));
-    let event = List.find (fun j -> typ j = "event") rest in
-    let fields = obj_field "fields" event in
-    Alcotest.(check string) "event name" "e"
-      (Test_bench_json.as_str (obj_field "name" event));
-    Alcotest.(check bool) "event has timestamp" true
-      (Test_bench_json.as_num (obj_field "ts_ns" event) >= 0.);
-    Alcotest.(check (float 0.)) "int field" 42. (Test_bench_json.as_num (obj_field "i" fields));
-    Alcotest.(check string) "escaped string survives" "quote\"back\\slash"
-      (Test_bench_json.as_str (obj_field "s" fields));
-    Alcotest.(check bool) "bool field" true
-      (Test_bench_json.as_bool (obj_field "b" fields));
-    (match obj_field "nan" fields with
-    | Test_bench_json.Null -> ()
-    | _ -> Alcotest.fail "nan must serialise as null");
-    let span = List.find (fun j -> typ j = "span") rest in
-    Alcotest.(check (float 0.)) "span start" 5. (Test_bench_json.as_num (obj_field "start_ns" span));
-    Alcotest.(check (float 0.)) "span duration" 7. (Test_bench_json.as_num (obj_field "dur_ns" span));
-    let counter = List.find (fun j -> typ j = "counter") rest in
-    Alcotest.(check string) "counter name" Obs.Names.explore_nodes
-      (Test_bench_json.as_str (obj_field "name" counter));
-    Alcotest.(check (float 0.)) "counter value" 42.
-      (Test_bench_json.as_num (obj_field "value" counter));
-    let timer = List.find (fun j -> typ j = "timer") rest in
-    Alcotest.(check (float 0.)) "timer ns" 1234. (Test_bench_json.as_num (obj_field "ns" timer));
-    let hist = List.find (fun j -> typ j = "histogram") rest in
-    (match obj_field "buckets" hist with
-    | Test_bench_json.Arr [ b ] ->
-      Alcotest.(check (float 0.)) "bucket le" 3. (Test_bench_json.as_num (obj_field "le" b));
-      Alcotest.(check (float 0.)) "bucket n" 1. (Test_bench_json.as_num (obj_field "n" b))
-    | _ -> Alcotest.fail "histogram buckets malformed")
-  | [] -> Alcotest.fail "empty trace")
+  let parsed = J.read_ndjson path in
+  Sys.remove path;
+  Alcotest.(check int) "line count" 6 (List.length parsed);
+  let str k j = J.to_string (J.member k j) and int k j = J.to_int (J.member k j) in
+  let typed ty = List.find (fun j -> str "type" j = ty) parsed in
+  let meta = List.hd parsed in
+  Alcotest.(check string) "meta first" "meta" (str "type" meta);
+  Alcotest.(check string) "schema tag" Obs.Trace.schema_version (str "schema" meta);
+  Alcotest.(check string) "clock contract" "ns-since-process-start" (str "clock" meta);
+  let event = typed "event" in
+  let fields = J.member "fields" event in
+  Alcotest.(check string) "event name" "e" (str "name" event);
+  Alcotest.(check bool) "event has timestamp" true (int "ts_ns" event >= 0);
+  Alcotest.(check int) "int field" 42 (int "i" fields);
+  Alcotest.(check string) "escaped string survives" "quote\"back\\slash" (str "s" fields);
+  Alcotest.(check bool) "bool field" true (J.to_bool (J.member "b" fields));
+  Alcotest.(check bool) "nan must serialise as null" true (J.member "nan" fields = J.Null);
+  let span = typed "span" in
+  Alcotest.(check int) "span start" 5 (int "start_ns" span);
+  Alcotest.(check int) "span duration" 7 (int "dur_ns" span);
+  Alcotest.(check bool) "metric lines decode" true
+    (List.map Obs.Metrics.of_record [ typed "counter"; typed "histogram"; typed "timer" ]
+    = [
+        (Obs.Names.explore_nodes, Obs.Metrics.Counter 42);
+        ( Obs.Names.trail_undo_depth,
+          Obs.Metrics.Histogram { count = 1; sum = 3; max_value = 3; buckets = [ (3, 1) ] } );
+        (Obs.Names.explore_time_total, Obs.Metrics.Timer { ns = 1234; intervals = 1 });
+      ])
 
 let test_explore_trace_is_schema_valid () =
   let path = Filename.temp_file "nrl_explore_trace" ".ndjson" in
@@ -285,20 +352,19 @@ let test_explore_trace_is_schema_valid () =
   in
   Obs.Trace.metrics tr reg;
   Obs.Trace.close tr;
-  let lines = read_lines path in
+  let parsed = J.read_ndjson path in
   Sys.remove path;
-  Alcotest.(check bool) "trace non-trivial" true (List.length lines > 3);
+  Alcotest.(check bool) "trace non-trivial" true (List.length parsed > 3);
   List.iteri
-    (fun i line ->
-      let j = Test_bench_json.parse line in
-      let typ = Test_bench_json.as_str (obj_field "type" j) in
+    (fun i j ->
+      let typ = J.to_string (J.member "type" j) in
       if i = 0 then Alcotest.(check string) "meta first" "meta" typ
       else
         Alcotest.(check bool)
           (Printf.sprintf "line %d has a known type (%s)" i typ)
           true
           (List.mem typ [ "event"; "span"; "counter"; "timer"; "histogram" ]))
-    lines
+    parsed
 
 (* {1 Catalogue coverage} *)
 
@@ -369,7 +435,7 @@ let test_progress_final_line () =
   Obs.Progress.tick p ~nodes:100 (* interval not elapsed: stays silent *);
   Obs.Progress.finish p ~nodes:123;
   close_out oc;
-  let lines = read_lines path in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
   Sys.remove path;
   match lines with
   | [ line ] ->
@@ -393,6 +459,10 @@ let suite =
       test_counters_invariant_under_steals;
     Alcotest.test_case "counters invariant across kill-and-resume" `Slow
       test_counters_invariant_across_resume;
+    Alcotest.test_case "json: strict RFC 8259 parsing" `Quick test_json_strict;
+    Alcotest.test_case "json: exact ints, shortest floats" `Quick test_json_numbers;
+    Alcotest.test_case "json: line and document printers" `Quick test_json_printers;
+    Alcotest.test_case "metric records round-trip" `Quick test_metric_records;
     Alcotest.test_case "trace round-trips through the JSON reader" `Quick test_trace_roundtrip;
     Alcotest.test_case "explorer trace is schema-valid" `Quick
       test_explore_trace_is_schema_valid;

@@ -146,6 +146,66 @@ let test_checkpoint_roundtrip () =
   | Ok got -> Alcotest.(check bool) "verdict survives" true (got = final));
   Sys.remove path
 
+(* Files as every schema version wrote them load to the same value; a
+   malformed line or an unknown schema is an [Error], never an exception. *)
+let test_checkpoint_schemas_load () =
+  let body =
+    {|{"type":"scenario","k":"scenario","v":"register"}
+{"type":"totals","nodes":42,"terminals":7,"truncated":1,"dup":3}
+{"type":"task","path":"s0 c1 r1 h","crashes":1,"done":true}
+{"type":"task","path":"s1","crashes":0,"done":false}
+{"type":"counter","name":"c","value":5}
+{"type":"timer","name":"t","ns":123,"intervals":2}
+{"type":"histogram","name":"h","count":3,"sum":10,"max":8,"buckets":[{"le":1,"n":1},{"le":15,"n":2}]}
+{"type":"result","verdict":"violation","reason":"tab\there \"q\" \u00e9"}
+|}
+  in
+  let task ck_path ck_crashes ck_done = { Checkpoint.ck_path; ck_crashes; ck_done } in
+  let expected =
+    {
+      Checkpoint.scenario = [ ("scenario", "register") ];
+      tasks =
+        [|
+          task [ Schedule.Dstep 0; Schedule.Dcrash 1; Schedule.Drecover 1; Schedule.Dhalt ] 1 true;
+          task [ Schedule.Dstep 1 ] 0 false;
+        |];
+      totals = { Checkpoint.ck_nodes = 42; ck_terminals = 7; ck_truncated = 1; ck_dup = 3 };
+      metrics =
+        [
+          ("c", Obs.Metrics.Counter 5);
+          ("t", Obs.Metrics.Timer { ns = 123; intervals = 2 });
+          ( "h",
+            Obs.Metrics.Histogram
+              { count = 3; sum = 10; max_value = 8; buckets = [ (1, 1); (15, 2) ] } );
+        ];
+      result = Some ("violation", "tab\there \"q\" \xc3\xa9");
+    }
+  in
+  let path = Filename.temp_file "nrl_ck_schema" ".ndjson" in
+  let load schema rest =
+    let oc = open_out path in
+    Printf.fprintf oc "{\"schema\":\"%s\",\"type\":\"meta\"}\n%s" schema rest;
+    close_out oc;
+    Checkpoint.load path
+  in
+  List.iter
+    (fun schema ->
+      match load schema body with
+      | Ok got -> Alcotest.(check bool) (schema ^ " loads") true (got = expected)
+      | Error e -> Alcotest.fail e)
+    [ "nrl-checkpoint/1"; "nrl-checkpoint/2"; "nrl-checkpoint/3" ];
+  List.iter
+    (fun (schema, rest) ->
+      match load schema rest with
+      | Ok _ -> Alcotest.failf "accepted %s" rest
+      | Error _ -> ())
+    [
+      ("nrl-checkpoint/9", "");
+      ("nrl-checkpoint/3", {|{"type":"totals","nodes":01,"terminals":7,"truncated":1,"dup":3}|});
+      ("nrl-checkpoint/3", {|{"type":"totals","nodes":4.5,"terminals":7,"truncated":1,"dup":3}|});
+    ];
+  Sys.remove path
+
 let test_resume_rejects_finalized () =
   let ck =
     {
@@ -506,6 +566,7 @@ let suite =
     Alcotest.test_case "visited cap degrades, never aborts" `Quick
       test_visited_cap_degrades_not_aborts;
     Alcotest.test_case "checkpoint round-trips" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint schemas 1-3 load" `Quick test_checkpoint_schemas_load;
     Alcotest.test_case "finalized checkpoints are not resumable" `Quick
       test_resume_rejects_finalized;
     Alcotest.test_case "kill-and-resume is deterministic (register)" `Quick

@@ -1,12 +1,12 @@
 (* The BENCH_service.json document (schema nrl-service/1): render a
-   real (small) engine run and parse it back with the strict JSON
-   parser from test_bench_native_json.ml, then audit the checked-in
+   real (small) engine run and parse it back with the strict Obs.Json
+   parser, then audit the checked-in
    top-level BENCH_service.json — the crash-adversarial acceptance
    artifact — for the healthy-ledger invariants: every row has
    [recoveries = crashes] and zero conservation violations, and the
    document as a whole records at least 50 survived crashes. *)
 
-module J = Test_bench_native_json
+module J = Obs.Json
 
 let small_cfg mode =
   {
@@ -41,57 +41,47 @@ let render_small () =
 let test_document_round_trips () =
   let doc = J.parse (render_small ()) in
   Alcotest.(check string) "schema tag" Service.Service_json.schema_version
-    (J.as_str (J.field "schema" doc));
+    (J.to_string (J.member "schema" doc));
   Alcotest.(check bool) "domains honest" true
-    (int_of_float (J.as_num (J.field "domains_available" doc)) >= 1);
-  Alcotest.(check int) "seed recorded" 3 (int_of_float (J.as_num (J.field "seed" doc)));
-  let cfg = J.field "config" doc in
-  Alcotest.(check int) "shards" 1 (int_of_float (J.as_num (J.field "shards" cfg)));
-  Alcotest.(check int) "sessions" 4 (int_of_float (J.as_num (J.field "sessions" cfg)));
-  Alcotest.(check bool) "skew" true (J.as_num (J.field "skew" cfg) = 0.99);
-  let rows = J.as_arr (J.field "modes" doc) in
+    (J.to_int (J.member "domains_available" doc) >= 1);
+  Alcotest.(check int) "seed recorded" 3 (J.to_int (J.member "seed" doc));
+  let cfg = J.member "config" doc in
+  Alcotest.(check int) "shards" 1 (J.to_int (J.member "shards" cfg));
+  Alcotest.(check int) "sessions" 4 (J.to_int (J.member "sessions" cfg));
+  Alcotest.(check bool) "skew" true (J.to_float (J.member "skew" cfg) = 0.99);
+  let rows = J.to_list (J.member "modes" doc) in
   Alcotest.(check int) "one row" 1 (List.length rows);
   let row = List.hd rows in
-  Alcotest.(check string) "mode name" "poisson" (J.as_str (J.field "mode" row));
-  let crashes = int_of_float (J.as_num (J.field "crashes" row)) in
-  Alcotest.(check int) "recoveries = crashes" crashes
-    (int_of_float (J.as_num (J.field "recoveries" row)));
+  Alcotest.(check string) "mode name" "poisson" (J.to_string (J.member "mode" row));
+  let crashes = J.to_int (J.member "crashes" row) in
+  Alcotest.(check int) "recoveries = crashes" crashes (J.to_int (J.member "recoveries" row));
   Alcotest.(check int) "schedule delivered in full" crashes
-    (int_of_float (J.as_num (J.field "schedule_len" row)));
-  Alcotest.(check int) "no violations" 0
-    (int_of_float (J.as_num (J.field "conservation_violations" row)));
-  let lat = J.field "latency_ns" row in
+    (J.to_int (J.member "schedule_len" row));
+  Alcotest.(check int) "no violations" 0 (J.to_int (J.member "conservation_violations" row));
   List.iter
-    (fun k -> ignore (J.as_num (J.field k lat)))
-    [ "count"; "p50_ns"; "p99_ns"; "max_ns"; "mean_ns" ];
-  let rec_h = J.field "recovery_ns" row in
-  List.iter
-    (fun k -> ignore (J.as_num (J.field k rec_h)))
-    [ "count"; "p50_ns"; "p99_ns"; "max_ns"; "mean_ns" ]
+    (fun h ->
+      List.iter
+        (fun k -> ignore (J.to_float (J.member k (J.member h row))))
+        [ "count"; "p50_ns"; "p99_ns"; "max_ns"; "mean_ns" ])
+    [ "latency_ns"; "recovery_ns" ]
 
 (* {1 The checked-in artifact} *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_checked_in_artifact () =
-  let doc = J.parse (read_file "../BENCH_service.json") in
-  Alcotest.(check string) "schema tag" "nrl-service/1" (J.as_str (J.field "schema" doc));
+  let doc = J.parse (Test_bench_json.read_file "../BENCH_service.json") in
+  Alcotest.(check string) "schema tag" "nrl-service/1" (J.to_string (J.member "schema" doc));
   Alcotest.(check bool) "domains honest" true
-    (int_of_float (J.as_num (J.field "domains_available" doc)) >= 1);
+    (J.to_int (J.member "domains_available" doc) >= 1);
   (* config block present with the knobs the bench ran with *)
-  let cfg = J.field "config" doc in
+  let cfg = J.member "config" doc in
   List.iter
-    (fun k -> ignore (J.as_num (J.field k cfg)))
+    (fun k -> ignore (J.to_float (J.member k cfg)))
     [
       "shards"; "sessions"; "client_domains"; "keys"; "skew"; "duration_s"; "deadline_ms";
       "queue_bound"; "shed_fraction"; "recrash_prob";
     ];
-  let rows = J.as_arr (J.field "modes" doc) in
-  let mode_names = List.map (fun r -> J.as_str (J.field "mode" r)) rows in
+  let rows = J.to_list (J.member "modes" doc) in
+  let mode_names = List.map (fun r -> J.to_string (J.member "mode" r)) rows in
   List.iter
     (fun m ->
       if not (List.mem m mode_names) then Alcotest.failf "mode %s missing from the artifact" m)
@@ -99,8 +89,8 @@ let test_checked_in_artifact () =
   let total_crashes = ref 0 in
   List.iter
     (fun row ->
-      let mode = J.as_str (J.field "mode" row) in
-      let geti k = int_of_float (J.as_num (J.field k row)) in
+      let mode = J.to_string (J.member "mode" row) in
+      let geti k = J.to_int (J.member k row) in
       let crashes = geti "crashes" in
       total_crashes := !total_crashes + crashes;
       Alcotest.(check int) (mode ^ ": recoveries = crashes") crashes (geti "recoveries");
@@ -112,11 +102,11 @@ let test_checked_in_artifact () =
         Alcotest.(check bool)
           (mode ^ ": recovery times recorded")
           true
-          (J.as_num (J.field "count" (J.field "recovery_ns" row)) >= float_of_int crashes)
+          (J.to_int (J.member "count" (J.member "recovery_ns" row)) >= crashes)
       end;
       Alcotest.(check bool) (mode ^ ": traffic flowed") true (geti "ok" > 0);
-      ignore (J.as_num (J.field "throughput_rps" row));
-      ignore (J.as_num (J.field "shed_rate" row)))
+      ignore (J.to_float (J.member "throughput_rps" row));
+      ignore (J.to_float (J.member "shed_rate" row)))
     rows;
   Alcotest.(check bool) "survived >= 50 injected crashes" true (!total_crashes >= 50)
 
