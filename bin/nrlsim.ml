@@ -8,17 +8,11 @@
      theorem  - the Theorem 4 analysis (valency, critical configs, refutation)
      list         - available scenarios
      bench-native - the native-runtime latency/allocation/throughput suite
-                    (BENCH_native.json, schema nrl-native/1) *)
+                    (BENCH_native.json, schema nrl-native/1)
+     serve, bench-service - the sharded recoverable-object service *)
 
 open Cmdliner
-
-let scenario_names =
-  [
-    "register"; "cas"; "tas"; "counter"; "elect"; "faa"; "stack"; "histogram"; "queue"; "max-register";
-    "mutex"; "mutex-pairs"; "consensus"; "pcall";
-    "naive-rw-optimistic"; "naive-rw-reexec";
-    "naive-cas-optimistic"; "naive-cas-reexec"; "naive-tas";
-  ]
+module S = Workload.Scenarios
 
 (* Zoo mutants double as scenarios (their workload shape comes from the
    base algorithm), so explore/run/check can target e.g.
@@ -41,30 +35,56 @@ let zoo_scenario kind ~nprocs ~ops =
       junk = "scramble";
     }
 
-let scenario_of_name name ~nprocs ~ops =
-  match name with
-  | "register" -> Workload.Scenarios.register ~nprocs ~ops ()
-  | "cas" -> Workload.Scenarios.cas ~nprocs ~ops ()
-  | "tas" -> Workload.Scenarios.tas ~nprocs ()
-  | "counter" -> Workload.Scenarios.counter ~nprocs ~ops ()
-  | "elect" -> Workload.Scenarios.elect ~nprocs ()
-  | "faa" -> Workload.Scenarios.faa ~nprocs ~ops ()
-  | "stack" -> Workload.Scenarios.stack ~nprocs ~ops ()
-  | "histogram" -> Workload.Scenarios.histogram ~nprocs ~ops ()
-  | "queue" -> Workload.Scenarios.queue ~nprocs ~ops ()
-  | "max-register" -> Workload.Scenarios.max_register ~nprocs ~ops ()
-  | "mutex" -> Workload.Scenarios.mutex ~nprocs ~ops ()
-  | "mutex-pairs" -> Workload.Scenarios.mutex_pairs ~nprocs ()
-  | "consensus" -> Workload.Scenarios.consensus ~nprocs ~ops ()
-  | "pcall" -> Workload.Scenarios.pcall ~nprocs ~ops ()
-  | "naive-rw-optimistic" -> Workload.Scenarios.naive_rw ~strategy:`Optimistic ~nprocs ~ops ()
-  | "naive-rw-reexec" -> Workload.Scenarios.naive_rw ~strategy:`Reexecute ~nprocs ~ops ()
-  | "naive-cas-optimistic" -> Workload.Scenarios.naive_cas ~strategy:`Optimistic ~nprocs ~ops ()
-  | "naive-cas-reexec" -> Workload.Scenarios.naive_cas ~strategy:`Reexecute ~nprocs ~ops ()
-  | "naive-tas" -> Workload.Scenarios.naive_tas ~nprocs ()
-  | other ->
-    if Objects.Zoo.find other <> None then zoo_scenario other ~nprocs ~ops
-    else invalid_arg (Printf.sprintf "unknown scenario %S (try: nrlsim list)" other)
+(* The named scenarios, in [nrlsim list] order; after them every zoo
+   mutant name is a scenario too ([zoo_scenario]). *)
+let scenarios =
+  [
+    ("register", fun ~nprocs ~ops -> S.register ~nprocs ~ops ());
+    ("cas", fun ~nprocs ~ops -> S.cas ~nprocs ~ops ());
+    ("tas", fun ~nprocs ~ops:_ -> S.tas ~nprocs ());
+    ("counter", fun ~nprocs ~ops -> S.counter ~nprocs ~ops ());
+    ("elect", fun ~nprocs ~ops:_ -> S.elect ~nprocs ());
+    ("faa", fun ~nprocs ~ops -> S.faa ~nprocs ~ops ());
+    ("stack", fun ~nprocs ~ops -> S.stack ~nprocs ~ops ());
+    ("histogram", fun ~nprocs ~ops -> S.histogram ~nprocs ~ops ());
+    ("queue", fun ~nprocs ~ops -> S.queue ~nprocs ~ops ());
+    ("max-register", fun ~nprocs ~ops -> S.max_register ~nprocs ~ops ());
+    ("mutex", fun ~nprocs ~ops -> S.mutex ~nprocs ~ops ());
+    ("mutex-pairs", fun ~nprocs ~ops:_ -> S.mutex_pairs ~nprocs ());
+    ("consensus", fun ~nprocs ~ops -> S.consensus ~nprocs ~ops ());
+    ("pcall", fun ~nprocs ~ops -> S.pcall ~nprocs ~ops ());
+    ("naive-rw-optimistic", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Optimistic ~nprocs ~ops ());
+    ("naive-rw-reexec", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Reexecute ~nprocs ~ops ());
+    ("naive-cas-optimistic", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Optimistic ~nprocs ~ops ());
+    ("naive-cas-reexec", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Reexecute ~nprocs ~ops ());
+    ("naive-tas", fun ~nprocs ~ops:_ -> S.naive_tas ~nprocs ());
+  ]
+
+let scenario_conv =
+  let parse name =
+    match List.assoc_opt name scenarios with
+    | Some build -> Ok (name, build)
+    | None when Objects.Zoo.find name <> None -> Ok (name, zoo_scenario name)
+    | None -> Error (`Msg (Printf.sprintf "unknown scenario %S (try: nrlsim list)" name))
+  in
+  Arg.conv (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
+
+(* [conv] restricted to the values [ok] accepts; [what] names that range
+   in the usage error *)
+let restrict conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = restrict Arg.int (fun n -> n >= 1) "a positive integer"
+let nonneg_int = restrict Arg.int (fun n -> n >= 0) "a non-negative integer"
+let pos_float = restrict Arg.float (fun x -> x > 0.0) "a positive number"
+let nonneg_float = restrict Arg.float (fun x -> x >= 0.0) "a non-negative number"
+let prob = restrict Arg.float (fun p -> p >= 0.0 && p <= 1.0) "a probability in [0, 1]"
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace every machine decision (very chatty).")
@@ -73,45 +93,98 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   if verbose then Logs.Src.set_level Machine.Schedule.src (Some Logs.Debug)
 
-(* common args *)
-let scenario_arg =
-  let doc = "Scenario name (see $(b,nrlsim list))." in
-  Arg.(value & pos 0 string "counter" & info [] ~docv:"SCENARIO" ~doc)
-
-let nprocs_arg =
-  Arg.(value & opt int 3 & info [ "n"; "nprocs" ] ~docv:"N" ~doc:"Number of processes.")
-
-let ops_arg =
-  Arg.(value & opt int 5 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
-
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let crash_prob_arg =
-  Arg.(value & opt float 0.08 & info [ "crash-prob" ] ~docv:"P" ~doc:"Crash probability per step.")
-
-let max_crashes_arg =
-  Arg.(value & opt int 6 & info [ "max-crashes" ] ~docv:"C" ~doc:"Crash budget per run.")
-
-let system_crash_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "system-crash-prob" ] ~docv:"P"
-        ~doc:"Probability of a full-system crash (all processes at once) per step.")
-
-let persist_model_arg =
+(* [all] adds explore's campaign over every strategy *)
+let junk_arg ~all =
+  let names = Machine.Junk.strategy_names @ if all then [ "all" ] else [] in
   Arg.(
     value
-    & opt (Arg.enum [ ("instant", Nvm.Memory.Instant); ("explicit", Nvm.Memory.Explicit) ])
-        Nvm.Memory.Instant
-    & info [ "persist-model" ] ~docv:"MODEL"
+    & opt (enum (List.map (fun s -> (s, s)) names)) "scramble"
+    & info [ "junk" ] ~docv:"STRATEGY"
         ~doc:
-          "Persistency model of the simulated NVRAM.  $(b,instant) is the paper's model: \
-           every write is durable the moment it completes.  $(b,explicit) gives every \
-           cell a volatile and a persisted value: writes stay pending until a flush or \
-           fence, and a full-system crash loses each pending write nondeterministically. \
-           See docs/memory-model.md.")
+          ("Adversarial junk strategy for crash-scrambled locals (see docs/resilience.md): "
+          ^ String.concat ", " names
+          ^ if all then "; $(b,all) runs a campaign over every strategy and compares verdicts."
+            else "."))
 
-(* observability args, shared by run and explore *)
+(* {1 Shared terms} *)
+
+(* One scenario instance: what run, check and explore all start from. *)
+type instance = {
+  name : string;
+  nprocs : int;
+  ops : int;
+  scen : Workload.Trial.scenario;
+  persist : Nvm.Memory.mode;
+}
+
+let instance_term =
+  let scenario_arg =
+    let doc = "Scenario name (see $(b,nrlsim list))." in
+    Arg.(
+      value
+      & pos 0 scenario_conv ("counter", List.assoc "counter" scenarios)
+      & info [] ~docv:"SCENARIO" ~doc)
+  in
+  let nprocs_arg =
+    Arg.(value & opt pos_int 3 & info [ "n"; "nprocs" ] ~docv:"N" ~doc:"Number of processes.")
+  in
+  let ops_arg =
+    Arg.(value & opt pos_int 5 & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
+  in
+  let persist_model_arg =
+    Arg.(
+      value
+      & opt (enum [ ("instant", Nvm.Memory.Instant); ("explicit", Nvm.Memory.Explicit) ])
+          Nvm.Memory.Instant
+      & info [ "persist-model" ] ~docv:"MODEL"
+          ~doc:
+            "Persistency model of the simulated NVRAM.  $(b,instant) is the paper's model: \
+             every write is durable the moment it completes.  $(b,explicit) gives every \
+             cell a volatile and a persisted value: writes stay pending until a flush or \
+             fence, and a full-system crash loses each pending write nondeterministically. \
+             See docs/memory-model.md.")
+  in
+  let make (name, build) nprocs ops persist =
+    { name; nprocs; ops; persist; scen = build ~nprocs ~ops }
+  in
+  Term.(const make $ scenario_arg $ nprocs_arg $ ops_arg $ persist_model_arg)
+
+(* The seeded crash policy of run and check.  One term for both, so every
+   failure seed a run batch prints replays under check with the same
+   flags. *)
+type policy = {
+  seed : int;
+  crash_prob : float;
+  max_crashes : int;
+  system_crash_prob : float;
+  junk : string;
+}
+
+let policy_term =
+  let crash_prob_arg =
+    Arg.(value & opt prob 0.08 & info [ "crash-prob" ] ~docv:"P" ~doc:"Crash probability per step.")
+  in
+  let max_crashes_arg =
+    Arg.(value & opt nonneg_int 6 & info [ "max-crashes" ] ~docv:"C" ~doc:"Crash budget per run.")
+  in
+  let system_crash_arg =
+    Arg.(
+      value & opt prob 0.0
+      & info [ "system-crash-prob" ] ~docv:"P"
+          ~doc:"Probability of a full-system crash (all processes at once) per step.")
+  in
+  let make seed crash_prob max_crashes system_crash_prob junk =
+    { seed; crash_prob; max_crashes; system_crash_prob; junk }
+  in
+  Term.(
+    const make $ seed_arg $ crash_prob_arg $ max_crashes_arg $ system_crash_arg
+    $ junk_arg ~all:false)
+
+(* --stats/--trace: the registry exists iff either asked for it *)
+type obs = { stats : bool; reg : Obs.Metrics.t option; tracer : Obs.Trace.t option }
+
 let stats_arg =
   Arg.(
     value & flag
@@ -121,14 +194,41 @@ let stats_arg =
            stdout.  Counter values are engine-invariant: identical for every $(b,--jobs) \
            setting.  See docs/observability.md.")
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write an NDJSON trace (schema nrl-trace/1: config events, phase spans, final \
-           metric values) to $(docv).  The schema is documented in docs/observability.md.")
+let make_obs stats trace =
+  {
+    stats;
+    reg = (if stats || trace <> None then Some (Obs.Metrics.create ()) else None);
+    tracer = Option.map (fun path -> Obs.Trace.create ~path) trace;
+  }
+
+let obs_term =
+  let trace_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Write an NDJSON trace (schema nrl-trace/1: config events, phase spans, final \
+             metric values) to $(docv).  The schema is documented in docs/observability.md.")
+  in
+  Term.(const make_obs $ stats_arg $ trace_arg)
+
+(* the service commands take --stats only *)
+let stats_term = Term.(const make_obs $ stats_arg $ const None)
+
+let trace_event o name fields = Option.iter (fun tr -> Obs.Trace.event tr ~name fields) o.tracer
+
+(* end-of-run: dump metrics into the trace, close it, print the summary *)
+let obs_finish ?(header = "") o =
+  (match o.reg, o.tracer with
+  | Some reg, Some tr -> Obs.Trace.metrics tr reg
+  | _ -> ());
+  Option.iter Obs.Trace.close o.tracer;
+  match o.reg with
+  | Some reg when o.stats ->
+    if header <> "" then Format.printf "%s@." header;
+    Format.printf "%a" Obs.Report.pp_summary reg
+  | _ -> ()
 
 let progress_arg =
   Arg.(
@@ -138,56 +238,55 @@ let progress_arg =
           "Print a progress line (nodes visited, rate, task completion, crude ETA) to \
            stderr roughly once per second.")
 
-(* [--stats]/[--trace] both want a registry; build one iff either asked *)
-let obs_of ~stats ~trace = if stats || trace <> None then Some (Obs.Metrics.create ()) else None
+(* SIGINT/SIGTERM flip a flag the long-running loops poll, so a kill ends
+   the run with its partial verdict instead of losing it. *)
+let stop_on_signals () =
+  let stop = Atomic.make false in
+  let graceful = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  Sys.set_signal Sys.sigint graceful;
+  Sys.set_signal Sys.sigterm graceful;
+  fun () -> Atomic.get stop
 
-(* end-of-run: dump metrics into the trace, close it, print the summary *)
-let obs_finish ?(header = "") ~stats ~tracer obs =
-  (match obs, tracer with
-  | Some reg, Some tr -> Obs.Trace.metrics tr reg
-  | _ -> ());
-  Option.iter Obs.Trace.close tracer;
-  match obs with
-  | Some reg when stats ->
-    if header <> "" then Format.printf "%s@." header;
-    Format.printf "%a" Obs.Report.pp_summary reg
-  | _ -> ()
+(* --json/--out of bench-native and bench-service *)
+let bench_output_term ~schema ~example =
+  Term.(
+    const (fun json out -> (json, out))
+    $ Arg.(
+        value & flag
+        & info [ "json" ]
+            ~doc:
+              (Printf.sprintf "Emit the %s JSON document on stdout instead of the report." schema))
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "out" ] ~docv:"FILE"
+            ~doc:(Printf.sprintf "Also write the JSON document to $(docv) (e.g. %s)." example)))
+
+let emit_json (json, out) ~render ~write doc =
+  if json then print_string (render doc);
+  Option.iter (fun path -> write ~path doc) out
 
 (* run *)
 let run_cmd =
   let trials_arg =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Number of trials.")
+    Arg.(value & opt pos_int 200 & info [ "trials" ] ~docv:"T" ~doc:"Number of trials.")
   in
-  let junk_arg =
-    let choices = List.map (fun s -> (s, s)) Machine.Junk.strategy_names in
-    Arg.(
-      value
-      & opt (Arg.enum choices) "scramble"
-      & info [ "junk" ] ~docv:"STRATEGY"
-          ~doc:"Adversarial junk strategy for crash-scrambled locals (see docs/resilience.md).")
-  in
-  let run name nprocs ops trials seed crash_prob max_crashes system_crash_prob persist
-      stats trace junk =
-    let scen = scenario_of_name name ~nprocs ~ops in
-    let obs = obs_of ~stats ~trace in
-    let tracer = Option.map (fun path -> Obs.Trace.create ~path) trace in
-    Option.iter
-      (fun tr ->
-        Obs.Trace.event tr ~name:"run.config"
-          [
-            ("scenario", Obs.Trace.Str name);
-            ("nprocs", Obs.Trace.Int nprocs);
-            ("ops", Obs.Trace.Int ops);
-            ("trials", Obs.Trace.Int trials);
-            ("seed", Obs.Trace.Int seed);
-            ("crash_prob", Obs.Trace.Float crash_prob);
-            ("max_crashes", Obs.Trace.Int max_crashes);
-          ])
-      tracer;
+  let run inst p trials o =
+    trace_event o "run.config"
+      [
+        ("scenario", Obs.Trace.Str inst.name);
+        ("nprocs", Obs.Trace.Int inst.nprocs);
+        ("ops", Obs.Trace.Int inst.ops);
+        ("trials", Obs.Trace.Int trials);
+        ("seed", Obs.Trace.Int p.seed);
+        ("crash_prob", Obs.Trace.Float p.crash_prob);
+        ("max_crashes", Obs.Trace.Int p.max_crashes);
+      ];
     let t0 = Obs.Clock.now_ns () in
     let s =
-      Workload.Trial.batch ~base_seed:seed ~crash_prob ~max_crashes
-        ~system_crash_prob ~persist ~junk ?obs ~trials scen
+      Workload.Trial.batch ~base_seed:p.seed ~crash_prob:p.crash_prob
+        ~max_crashes:p.max_crashes ~system_crash_prob:p.system_crash_prob
+        ~persist:inst.persist ~junk:p.junk ?obs:o.reg ~trials inst.scen
     in
     Option.iter
       (fun tr ->
@@ -198,32 +297,31 @@ let run_cmd =
             ("passed", Obs.Trace.Int s.Workload.Trial.passed);
             ("failed", Obs.Trace.Int s.Workload.Trial.failed);
           ])
-      tracer;
-    Format.printf "%s: %a@." scen.Workload.Trial.scen_name Workload.Trial.pp_summary s;
-    obs_finish ~stats ~tracer obs;
+      o.tracer;
+    Format.printf "%s: %a@." inst.scen.Workload.Trial.scen_name Workload.Trial.pp_summary s;
+    obs_finish o;
     if s.Workload.Trial.failed > 0 then exit 2
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Randomized crash-torture batch with NRL checking")
-    Term.(
-      const run $ scenario_arg $ nprocs_arg $ ops_arg $ trials_arg $ seed_arg
-      $ crash_prob_arg $ max_crashes_arg $ system_crash_arg $ persist_model_arg
-      $ stats_arg $ trace_arg $ junk_arg)
+    Term.(const run $ instance_term $ policy_term $ trials_arg $ obs_term)
 
 (* check *)
 let check_cmd =
   let dump_memory_arg =
     Arg.(value & flag & info [ "dump-memory" ] ~doc:"Print the final NVRAM contents.")
   in
-  let check name nprocs ops seed crash_prob max_crashes persist verbose dump_memory =
+  let check inst p verbose dump_memory =
     setup_logs verbose;
-    let scen = scenario_of_name name ~nprocs ~ops in
-    let sim, r = Workload.Trial.run ~seed ~crash_prob ~max_crashes ~persist scen in
+    let sim, r =
+      Workload.Trial.run ~seed:p.seed ~crash_prob:p.crash_prob ~max_crashes:p.max_crashes
+        ~system_crash_prob:p.system_crash_prob ~persist:inst.persist ~junk:p.junk inst.scen
+    in
     Format.printf "history:@.%a@." History.pp (Machine.Sim.history sim);
-    for p = 0 to nprocs - 1 do
-      Format.printf "p%d results: %a@." p
+    for pid = 0 to inst.nprocs - 1 do
+      Format.printf "p%d results: %a@." pid
         Fmt.(list ~sep:comma (pair ~sep:(any "=") string Nvm.Value.pp))
-        (Machine.Sim.results sim p)
+        (Machine.Sim.results sim pid)
     done;
     Format.printf "steps: %d, crashes: %d@." r.Workload.Trial.steps r.Workload.Trial.crashes;
     if dump_memory then
@@ -234,17 +332,17 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"One seeded run with the full history and NRL verdict")
-    Term.(
-      const check $ scenario_arg $ nprocs_arg $ ops_arg $ seed_arg $ crash_prob_arg
-      $ max_crashes_arg $ persist_model_arg $ verbose_arg $ dump_memory_arg)
+    Term.(const check $ instance_term $ policy_term $ verbose_arg $ dump_memory_arg)
 
 (* explore *)
 let explore_cmd =
   let steps_arg =
-    Arg.(value & opt int 100 & info [ "max-steps" ] ~docv:"S" ~doc:"Depth bound.")
+    Arg.(value & opt pos_int 100 & info [ "max-steps" ] ~docv:"S" ~doc:"Depth bound.")
   in
   let crashes_arg =
-    Arg.(value & opt int 1 & info [ "crashes" ] ~docv:"C" ~doc:"Crash budget (process 0 crashes).")
+    Arg.(
+      value & opt nonneg_int 1
+      & info [ "crashes" ] ~docv:"C" ~doc:"Crash budget (process 0 crashes).")
   in
   let jobs_arg =
     (* an int or the literal "auto" (resolved against the host's domain
@@ -273,12 +371,9 @@ let explore_cmd =
              the recommended domain count of this machine.")
   in
   let check_mode_arg =
-    let mode_conv =
-      Arg.enum [ ("terminal", `Terminal); ("incremental", `Incremental) ]
-    in
     Arg.(
       value
-      & opt mode_conv `Terminal
+      & opt (enum [ ("terminal", "terminal"); ("incremental", "incremental") ]) "terminal"
       & info [ "check-mode" ] ~docv:"MODE"
           ~doc:
             "$(b,terminal) re-checks the NRL condition on every complete execution from \
@@ -306,31 +401,37 @@ let explore_cmd =
              flag forces the unquotiented search — verdicts are identical, node/dedup \
              counts differ.")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:
-            "Wall-clock budget.  When it runs out the search stops with a structured \
-             partial verdict (exit code 3) instead of running to completion.")
-  in
-  let max_nodes_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-nodes" ] ~docv:"N"
-          ~doc:"Node budget: stop (exit code 3) after processing $(docv) schedule-tree nodes.")
-  in
-  let max_visited_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-visited" ] ~docv:"N"
-          ~doc:
-            "Cap the $(b,--dedup) visited store at $(docv) fingerprints.  Exceeding the \
-             cap is a degradation, not an abort: the store is dropped and the sweep \
-             continues without pruning.")
+  let budget_term =
+    let deadline_arg =
+      Arg.(
+        value
+        & opt (some nonneg_float) None
+        & info [ "deadline" ] ~docv:"SECS"
+            ~doc:
+              "Wall-clock budget.  When it runs out the search stops with a structured \
+               partial verdict (exit code 3) instead of running to completion.")
+    in
+    let max_nodes_arg =
+      Arg.(
+        value
+        & opt (some pos_int) None
+        & info [ "max-nodes" ] ~docv:"N"
+            ~doc:"Node budget: stop (exit code 3) after processing $(docv) schedule-tree nodes.")
+    in
+    let max_visited_arg =
+      Arg.(
+        value
+        & opt (some pos_int) None
+        & info [ "max-visited" ] ~docv:"N"
+            ~doc:
+              "Cap the $(b,--dedup) visited store at $(docv) fingerprints.  Exceeding the \
+               cap is a degradation, not an abort: the store is dropped and the sweep \
+               continues without pruning.")
+    in
+    let make deadline_s max_nodes max_visited =
+      { Machine.Explore.deadline_s; max_nodes; max_visited }
+    in
+    Term.(const make $ deadline_arg $ max_nodes_arg $ max_visited_arg)
   in
   let checkpoint_arg =
     Arg.(
@@ -344,7 +445,7 @@ let explore_cmd =
   in
   let checkpoint_interval_arg =
     Arg.(
-      value & opt float 5.0
+      value & opt nonneg_float 5.0
       & info [ "checkpoint-interval" ] ~docv:"SECS"
           ~doc:"Minimum seconds between periodic checkpoint saves.")
   in
@@ -359,18 +460,6 @@ let explore_cmd =
              strategy); the stamp recorded in the file is checked.  Saving continues to \
              the same file unless $(b,--checkpoint) overrides it.")
   in
-  let junk_arg =
-    let choices = List.map (fun s -> (s, s)) (Machine.Junk.strategy_names @ [ "all" ]) in
-    Arg.(
-      value
-      & opt (Arg.enum choices) "scramble"
-      & info [ "junk" ] ~docv:"STRATEGY"
-          ~doc:
-            (Printf.sprintf
-               "Adversarial junk strategy for crash-scrambled locals: %s, or $(b,all) to \
-                run a campaign sweeping every strategy and comparing verdicts."
-               (String.concat ", " Machine.Junk.strategy_names)))
-  in
   let no_flush_arg =
     Arg.(
       value & flag
@@ -382,23 +471,20 @@ let explore_cmd =
              linearizability when writes must be flushed explicitly.  See \
              docs/memory-model.md.")
   in
-  let explore name nprocs ops max_steps max_crashes jobs check_mode dedup no_symmetry
-      persist no_flush stats_flag trace progress deadline max_nodes max_visited checkpoint
-      checkpoint_interval resume junk =
+  let explore inst max_steps max_crashes jobs check_mode dedup no_symmetry no_flush o
+      progress budget checkpoint checkpoint_interval resume junk =
     let jobs_requested = jobs in
     let jobs = match jobs with `Auto -> Machine.Explore.auto_jobs () | `Jobs j -> j in
     let symmetry = not no_symmetry in
-    let check_mode_name =
-      match check_mode with `Terminal -> "terminal" | `Incremental -> "incremental"
-    in
     let mk_check_mode () =
-      match check_mode with
-      | `Terminal -> `Terminal
-      | `Incremental -> `Incremental (Workload.Check.nrl_incremental ())
+      if check_mode = "terminal" then `Terminal
+      else `Incremental (Workload.Check.nrl_incremental ())
     in
     let build junk_strategy =
-      let sim = Machine.Sim.create ~persist ~annotate:(not no_flush) ~nprocs () in
-      (scenario_of_name name ~nprocs ~ops).Workload.Trial.build sim;
+      let sim =
+        Machine.Sim.create ~persist:inst.persist ~annotate:(not no_flush) ~nprocs:inst.nprocs ()
+      in
+      inst.scen.Workload.Trial.build sim;
       if junk_strategy <> "scramble" then Machine.Sim.apply_junk_strategy sim junk_strategy;
       sim
     in
@@ -416,7 +502,7 @@ let explore_cmd =
       else None
     in
     let stats_header =
-      if not stats_flag then ""
+      if not o.stats then ""
       else
         Printf.sprintf "engine: jobs=%d%s (domains available: %d); symmetry=%s" jobs
           (match jobs_requested with `Auto -> " (auto)" | `Jobs _ -> "")
@@ -425,224 +511,158 @@ let explore_cmd =
           | Some d -> Printf.sprintf "on (quotient degree %d)" d
           | None -> if dedup && symmetry then "inactive" else "off")
     in
-    let obs = obs_of ~stats:stats_flag ~trace in
-    let tracer = Option.map (fun path -> Obs.Trace.create ~path) trace in
-    Option.iter
-      (fun tr ->
-        Obs.Trace.event tr ~name:"explore.config"
-          [
-            ("scenario", Obs.Trace.Str name);
-            ("nprocs", Obs.Trace.Int nprocs);
-            ("ops", Obs.Trace.Int ops);
-            ("max_steps", Obs.Trace.Int max_steps);
-            ("max_crashes", Obs.Trace.Int max_crashes);
-            ("jobs", Obs.Trace.Int jobs);
-            ("dedup", Obs.Trace.Bool dedup);
-            ("symmetry", Obs.Trace.Bool symmetry);
-            ("check_mode", Obs.Trace.Str check_mode_name);
-            ("junk", Obs.Trace.Str junk);
-            ( "persist_model",
-              Obs.Trace.Str
-                (match persist with
-                | Nvm.Memory.Instant -> "instant"
-                | Nvm.Memory.Explicit -> "explicit") );
-            ("annotate", Obs.Trace.Bool (not no_flush));
-          ])
-      tracer;
-    let prog =
-      if progress then Some (Obs.Progress.create ~label:"explore" ()) else None
+    trace_event o "explore.config"
+      [
+        ("scenario", Obs.Trace.Str inst.name);
+        ("nprocs", Obs.Trace.Int inst.nprocs);
+        ("ops", Obs.Trace.Int inst.ops);
+        ("max_steps", Obs.Trace.Int max_steps);
+        ("max_crashes", Obs.Trace.Int max_crashes);
+        ("jobs", Obs.Trace.Int jobs);
+        ("dedup", Obs.Trace.Bool dedup);
+        ("symmetry", Obs.Trace.Bool symmetry);
+        ("check_mode", Obs.Trace.Str check_mode);
+        ("junk", Obs.Trace.Str junk);
+        ( "persist_model",
+          Obs.Trace.Str (if inst.persist = Nvm.Memory.Instant then "instant" else "explicit") );
+        ("annotate", Obs.Trace.Bool (not no_flush));
+      ];
+    let stamp =
+      [
+        ("scenario", inst.name);
+        ("nprocs", string_of_int inst.nprocs);
+        ("ops", string_of_int inst.ops);
+        ("max_steps", string_of_int max_steps);
+        ("max_crashes", string_of_int max_crashes);
+        ("dedup", string_of_bool dedup);
+        ("symmetry", string_of_bool symmetry);
+        ("check_mode", check_mode);
+        ("junk", junk);
+      ]
+      (* stamped only under the explicit model so pre-existing instant
+         checkpoints keep resuming *)
+      @ (match inst.persist with
+        | Nvm.Memory.Instant -> []
+        | Nvm.Memory.Explicit ->
+          [ ("persist", "explicit"); ("annotate", string_of_bool (not no_flush)) ])
     in
-    let budget =
-      { Machine.Explore.deadline_s = deadline; max_nodes; max_visited }
+    let load_checkpoint path =
+      match Machine.Checkpoint.load path with
+      | Error msg ->
+        Format.eprintf "nrlsim: cannot resume from %s: %s@." path msg;
+        exit 124
+      | Ok { Machine.Checkpoint.result = Some (verdict, detail); _ } ->
+        (* the previous run finished; report its verdict, do not re-run *)
+        Format.printf "checkpoint %s is final: %s%s@." path verdict
+          (if detail = "" then "" else " (" ^ detail ^ ")");
+        exit (if verdict = "violation" then 2 else 0)
+      | Ok ck ->
+        let show kvs = String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) kvs) in
+        if List.sort compare ck.Machine.Checkpoint.scenario <> List.sort compare stamp then begin
+          Format.eprintf
+            "nrlsim: checkpoint %s was taken from a different scenario@.  saved:   %s@.  \
+             current: %s@."
+            path (show ck.Machine.Checkpoint.scenario) (show stamp);
+          exit 124
+        end;
+        ck
     in
-    let resilient =
-      deadline <> None || max_nodes <> None || max_visited <> None || checkpoint <> None
-      || resume <> None
-    in
-    let t0 = Obs.Clock.now_s () in
-    let print_clean stats =
-      Format.printf
-        "no violation: %d complete executions checked (%d truncated, %d nodes, %d deduped, \
-         %d jobs, %.1fs)@."
-        stats.Machine.Explore.terminals stats.Machine.Explore.truncated
-        stats.Machine.Explore.nodes stats.Machine.Explore.dup jobs
-        (Obs.Clock.now_s () -. t0)
-    in
-    if junk = "all" then begin
-      (* campaign mode: one budgeted sweep per strategy, verdicts compared *)
-      if checkpoint <> None || resume <> None then begin
+    (* Only a checkpoint or a resume needs the task pool's pending set
+       (Explore.sweep); every other search runs directly. *)
+    let pool =
+      match checkpoint, resume with
+      | None, None -> None
+      | _ when junk = "all" ->
         Format.eprintf
           "nrlsim: --junk all is a campaign over independent runs; it cannot be \
            checkpointed or resumed.  Pick one strategy.@.";
         exit 124
-      end;
-      let verdicts =
-        List.map
-          (fun strategy ->
-            let outcome, stats =
-              Machine.Explore.sweep ~cfg ~jobs ~dedup ~symmetry ?obs ?progress:prog
-                ?trace:tracer ~budget ~check_mode:(mk_check_mode ())
-                ~check:Workload.Check.nrl_violation (build strategy)
-            in
-            let verdict =
-              match outcome with
-              | Machine.Explore.Clean -> "clean"
-              | Machine.Explore.Violation (_, reason) -> "VIOLATION: " ^ reason
-              | Machine.Explore.Exhausted e ->
-                "exhausted (" ^ Machine.Explore.exhaust_reason_name e.Machine.Explore.ex_reason
-                ^ ")"
-            in
-            Format.printf "junk=%-8s %s (%d terminals, %d nodes)@." strategy verdict
-              stats.Machine.Explore.terminals stats.Machine.Explore.nodes;
-            (strategy, verdict, outcome))
-          Machine.Junk.strategy_names
-      in
-      obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs;
-      let heads = List.map (fun (_, v, _) -> v) verdicts in
-      (match heads with
-      | v0 :: rest when List.exists (fun v -> v <> v0) rest ->
-        Format.printf
-          "WARNING: verdict differs across junk strategies — the algorithm's recovery \
-           depends on the junk the crash produced.@."
-      | _ -> ());
-      let any p = List.exists (fun (_, _, o) -> p o) verdicts in
-      if any (function Machine.Explore.Violation _ -> true | _ -> false) then exit 2
-      else if any (function Machine.Explore.Exhausted _ -> true | _ -> false) then exit 3
-    end
-    else if resilient then begin
-      (* budgeted / checkpointed / resumable path: Explore.sweep with a
-         graceful-kill hook on SIGINT and SIGTERM *)
-      let stamp =
-        [
-          ("scenario", name);
-          ("nprocs", string_of_int nprocs);
-          ("ops", string_of_int ops);
-          ("max_steps", string_of_int max_steps);
-          ("max_crashes", string_of_int max_crashes);
-          ("dedup", string_of_bool dedup);
-          ("symmetry", string_of_bool symmetry);
-          ("check_mode", check_mode_name);
-          ("junk", junk);
-        ]
-        (* stamped only under the explicit model so pre-existing instant
-           checkpoints keep resuming *)
-        @ (match persist with
-          | Nvm.Memory.Instant -> []
-          | Nvm.Memory.Explicit ->
-            [ ("persist", "explicit"); ("annotate", string_of_bool (not no_flush)) ])
-      in
-      let ck_resume =
-        match resume with
-        | None -> None
-        | Some path -> (
-          match Machine.Checkpoint.load path with
-          | Error msg ->
-            Format.eprintf "nrlsim: cannot resume from %s: %s@." path msg;
-            exit 124
-          | Ok ck -> (
-            match ck.Machine.Checkpoint.result with
-            | Some (verdict, detail) ->
-              (* the previous run finished; report its verdict, do not re-run *)
-              Format.printf "checkpoint %s is final: %s%s@." path verdict
-                (if detail = "" then "" else " (" ^ detail ^ ")");
-              exit (if verdict = "violation" then 2 else 0)
-            | None ->
-              if
-                List.sort compare ck.Machine.Checkpoint.scenario
-                <> List.sort compare stamp
-              then begin
-                Format.eprintf
-                  "nrlsim: checkpoint %s was taken from a different scenario@.  saved:   \
-                   %s@.  current: %s@."
-                  path
-                  (String.concat ", "
-                     (List.map (fun (k, v) -> k ^ "=" ^ v) ck.Machine.Checkpoint.scenario))
-                  (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) stamp));
-                exit 124
-              end;
-              Some ck))
-      in
-      let ck_path =
-        match checkpoint, resume with
-        | Some p, _ -> Some p
-        | None, Some p -> Some p (* keep saving where we resumed from *)
-        | None, None -> None
-      in
-      let ck_spec =
-        Option.map
-          (fun cp_path ->
-            {
-              Machine.Explore.cp_path;
-              cp_interval_s = checkpoint_interval;
-              cp_scenario = stamp;
-            })
-          ck_path
-      in
-      let stop = Atomic.make false in
-      let graceful _ = Atomic.set stop true in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
-      let outcome, stats =
-        Machine.Explore.sweep ~cfg ~jobs ~dedup ~symmetry ?obs ?progress:prog ?trace:tracer
-          ~budget
-          ~should_stop:(fun () -> Atomic.get stop)
-          ?checkpoint:ck_spec ?resume:ck_resume ~check_mode:(mk_check_mode ())
-          ~check:Workload.Check.nrl_violation (build junk)
-      in
+      | _ ->
+        let ck = Option.map load_checkpoint resume in
+        (* without --checkpoint, keep saving where we resumed from *)
+        let cp_path = match checkpoint with Some p -> p | None -> Option.get resume in
+        Some
+          ( { Machine.Explore.cp_path; cp_interval_s = checkpoint_interval; cp_scenario = stamp },
+            ck )
+    in
+    let prog =
+      if progress then Some (Obs.Progress.create ~label:"explore" ()) else None
+    in
+    let should_stop = stop_on_signals () in
+    let search strategy =
+      let open Machine.Explore in
+      let check_mode = mk_check_mode () and check = Workload.Check.nrl_violation in
+      match pool with
+      | Some (spec, ck) ->
+        sweep ~cfg ~jobs ~dedup ~symmetry ?obs:o.reg ?progress:prog ?trace:o.tracer ~budget
+          ~should_stop ~checkpoint:spec ?resume:ck ~check_mode ~check (build strategy)
+      | None -> (
+        let cut = ref None in
+        match
+          find_violation ~cfg ~jobs ~dedup ~symmetry ?obs:o.reg ?progress:prog ?trace:o.tracer
+            ~budget ~should_stop ~on_exhausted:(fun e -> cut := Some e) ~check_mode ~check
+            (build strategy)
+        with
+        | Some (sim, reason), stats -> (Violation (sim, reason), stats)
+        | None, stats -> ((match !cut with Some e -> Exhausted e | None -> Clean), stats))
+    in
+    (* searches under [strategy] and prints its verdict ([label] prefixes
+       each campaign line); returns the exit code *)
+    let report ~label strategy =
+      let open Machine.Explore in
+      let t0 = Obs.Clock.now_s () in
+      let outcome, s = search strategy in
       match outcome with
-      | Machine.Explore.Violation (sim, reason) ->
-        obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs;
-        Format.printf "VIOLATION: %s@.history:@.%a@." reason History.pp
+      | Violation (sim, reason) ->
+        Format.printf "%sVIOLATION: %s@.history:@.%a@." label reason History.pp
           (Machine.Sim.history sim);
-        exit 2
-      | Machine.Explore.Clean ->
-        print_clean stats;
-        obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs
-      | Machine.Explore.Exhausted e ->
+        2
+      | Clean ->
         Format.printf
-          "exhausted (%s): %d complete executions checked so far (%d truncated, %d nodes, \
+          "%sno violation: %d complete executions checked (%d truncated, %d nodes, %d \
+           deduped, %d jobs, %.1fs)@."
+          label s.terminals s.truncated s.nodes s.dup jobs
+          (Obs.Clock.now_s () -. t0);
+        0
+      | Exhausted e ->
+        Format.printf
+          "%sexhausted (%s): %d complete executions checked so far (%d truncated, %d nodes, \
            %d deduped, %d tasks pending, %.1fs)%s@."
-          (Machine.Explore.exhaust_reason_name e.Machine.Explore.ex_reason)
-          stats.Machine.Explore.terminals stats.Machine.Explore.truncated
-          stats.Machine.Explore.nodes stats.Machine.Explore.dup
-          e.Machine.Explore.ex_frontier
+          label (exhaust_reason_name e.ex_reason) s.terminals s.truncated s.nodes s.dup
+          e.ex_frontier
           (Obs.Clock.now_s () -. t0)
-          (match e.Machine.Explore.ex_degraded with
-          | [] -> ""
-          | ds -> "; degraded: " ^ String.concat ", " ds);
-        (match ck_path with
-        | Some p when Sys.file_exists p ->
-          Format.printf "resume with: --resume %s@." p
+          (match e.ex_degraded with [] -> "" | ds -> "; degraded: " ^ String.concat ", " ds);
+        (match pool with
+        | Some (spec, _) when Sys.file_exists spec.cp_path ->
+          Format.printf "resume with: --resume %s@." spec.cp_path
         | _ -> ());
-        obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs;
-        exit 3
-    end
-    else begin
-      (* historical unbounded path, untouched semantics *)
-      let viol, stats =
-        Machine.Explore.find_violation ~cfg ~jobs ~dedup ~symmetry ?obs ?progress:prog
-          ?trace:tracer ~check_mode:(mk_check_mode ())
-          ~check:Workload.Check.nrl_violation (build junk)
-      in
-      match viol with
-      | Some (sim, reason) ->
-        obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs;
-        Format.printf "VIOLATION: %s@.history:@.%a@." reason History.pp
-          (Machine.Sim.history sim);
-        exit 2
-      | None ->
-        print_clean stats;
-        obs_finish ~header:stats_header ~stats:stats_flag ~tracer obs
-    end
+        3
+    in
+    let code =
+      if junk <> "all" then report ~label:"" junk
+      else begin
+        (* campaign: one search per strategy, verdicts compared *)
+        let codes =
+          List.map
+            (fun s -> report ~label:(Printf.sprintf "junk=%-8s " s) s)
+            Machine.Junk.strategy_names
+        in
+        if List.exists (fun c -> c <> List.hd codes) codes then
+          Format.printf
+            "WARNING: verdict differs across junk strategies — the algorithm's recovery \
+             depends on the junk the crash produced.@.";
+        if List.mem 2 codes then 2 else if List.mem 3 codes then 3 else 0
+      end
+    in
+    obs_finish ~header:stats_header o;
+    exit code
   in
   Cmd.v
     (Cmd.info "explore" ~doc:"Bounded exhaustive schedule exploration (use small instances)")
     Term.(
-      const explore $ scenario_arg $ nprocs_arg $ ops_arg $ steps_arg $ crashes_arg
-      $ jobs_arg $ check_mode_arg $ dedup_arg $ no_symmetry_arg
-      $ persist_model_arg $ no_flush_arg $ stats_arg $ trace_arg
-      $ progress_arg $ deadline_arg $ max_nodes_arg $ max_visited_arg $ checkpoint_arg
-      $ checkpoint_interval_arg $ resume_arg $ junk_arg)
+      const explore $ instance_term $ steps_arg $ crashes_arg $ jobs_arg $ check_mode_arg
+      $ dedup_arg $ no_symmetry_arg $ no_flush_arg $ obs_term $ progress_arg $ budget_term
+      $ checkpoint_arg $ checkpoint_interval_arg $ resume_arg $ junk_arg ~all:true)
 
 (* fuzz *)
 let fuzz_cmd =
@@ -658,7 +678,7 @@ let fuzz_cmd =
   in
   let seeds_arg =
     Arg.(
-      value & opt int 200
+      value & opt pos_int 200
       & info [ "seeds" ] ~docv:"N" ~doc:"Seed indices to run (the campaign's size).")
   in
   let budget_arg =
@@ -729,7 +749,7 @@ let fuzz_cmd =
   let zoo_budget_arg =
     Arg.(
       value
-      & opt int Fuzz.Campaign.default_zoo_budget
+      & opt pos_int Fuzz.Campaign.default_zoo_budget
       & info [ "zoo-budget" ] ~docv:"N" ~doc:"Seed budget per zoo mutant.")
   in
   let replay_arg =
@@ -741,45 +761,34 @@ let fuzz_cmd =
             "Re-run one scenario descriptor (the kind=...,n=...,seed=... form printed for \
              every reproducer) and report its verdict.  Exits 2 if it violates.")
   in
-  let fuzz kinds seeds base_seed budget corpus resume shrink zoo zoo_budget replay
-      stats_flag trace progress =
-    let obs = obs_of ~stats:stats_flag ~trace in
-    let tracer = Option.map (fun path -> Obs.Trace.create ~path) trace in
-    let finish () = obs_finish ~stats:stats_flag ~tracer obs in
+  let fuzz kinds seeds base_seed budget corpus resume shrink zoo zoo_budget replay o progress =
     let bad fmt =
       Format.kasprintf
         (fun m ->
           Format.eprintf "nrlsim: %s@." m;
-          Option.iter Obs.Trace.close tracer;
+          Option.iter Obs.Trace.close o.tracer;
           exit 124)
         fmt
     in
-    let stop = Atomic.make false in
-    let graceful _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
-    Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
+    let stopped = stop_on_signals () in
     let deadline = Option.map (fun b -> Obs.Clock.now_s () +. b) budget in
     let should_stop () =
-      Atomic.get stop
-      || match deadline with Some d -> Obs.Clock.now_s () > d | None -> false
+      stopped () || match deadline with Some d -> Obs.Clock.now_s () > d | None -> false
     in
-    Option.iter
-      (fun tr ->
-        Obs.Trace.event tr ~name:"fuzz.config"
-          [
-            ("kinds", Obs.Trace.Str (String.concat "," kinds));
-            ("seeds", Obs.Trace.Int seeds);
-            ("base_seed", Obs.Trace.Int base_seed);
-            ("zoo", Obs.Trace.Bool zoo);
-            ("shrink", Obs.Trace.Bool shrink);
-          ])
-      tracer;
+    trace_event o "fuzz.config"
+      [
+        ("kinds", Obs.Trace.Str (String.concat "," kinds));
+        ("seeds", Obs.Trace.Int seeds);
+        ("base_seed", Obs.Trace.Int base_seed);
+        ("zoo", Obs.Trace.Bool zoo);
+        ("shrink", Obs.Trace.Bool shrink);
+      ];
     match replay with
     | Some desc_s -> (
       match Fuzz.Gen.of_string desc_s with
       | Error m -> bad "%s" m
       | Ok d -> (
-        let v = Fuzz.Gen.run ?obs d in
+        let v = Fuzz.Gen.run ?obs:o.reg d in
         Format.printf "outcome: %s, %d steps@."
           (match v.Fuzz.Gen.v_outcome with
           | Machine.Schedule.Completed -> "completed"
@@ -789,19 +798,20 @@ let fuzz_cmd =
         match v.Fuzz.Gen.v_violation with
         | Some reason ->
           Format.printf "VIOLATION: %s@." reason;
-          finish ();
+          obs_finish o;
           exit 2
         | None ->
           Format.printf "no violation@.";
-          finish ()))
+          obs_finish o))
     | None ->
       let invalid = List.filter (fun k -> not (List.mem k Fuzz.Gen.all_kinds)) kinds in
       if invalid <> [] then
         bad "unknown kind(s): %s (known: %s)" (String.concat ", " invalid)
           (String.concat ", " Fuzz.Gen.all_kinds);
+      if resume && corpus = None then bad "--resume needs --corpus";
       if zoo then begin
         let dets =
-          Fuzz.Campaign.zoo ?obs ?trace:tracer ~should_stop ~shrink
+          Fuzz.Campaign.zoo ?obs:o.reg ?trace:o.tracer ~should_stop ~shrink
             ~budget_seeds:zoo_budget ~base_seed ()
         in
         List.iter (fun d -> Format.printf "%a@." Fuzz.Campaign.pp_detection d) dets;
@@ -810,7 +820,7 @@ let fuzz_cmd =
         in
         Format.printf "%d/%d mutants detected@." (List.length dets - missed)
           (List.length dets);
-        finish ();
+        obs_finish o;
         if should_stop () && missed > 0 then exit 3 else if missed > 0 then exit 2
       end
       else begin
@@ -825,7 +835,7 @@ let fuzz_cmd =
             resume;
           }
         in
-        match Fuzz.Campaign.run ?obs ?trace:tracer ?progress:prog ~should_stop cfg with
+        match Fuzz.Campaign.run ?obs:o.reg ?trace:o.tracer ?progress:prog ~should_stop cfg with
         | Error m -> bad "%s" m
         | Ok r ->
           let s = r.Fuzz.Campaign.r_stats in
@@ -847,11 +857,11 @@ let fuzz_cmd =
                     shrunk shrunk)
                 x.Fuzz.Corpus.x_shrunk)
             r.Fuzz.Campaign.r_violations;
-          (if (not r.Fuzz.Campaign.r_finished) && corpus <> None then
-             match corpus with
-             | Some p -> Format.printf "resume with: --corpus %s --resume@." p
-             | None -> ());
-          finish ();
+          (match corpus with
+          | Some p when not r.Fuzz.Campaign.r_finished ->
+            Format.printf "resume with: --corpus %s --resume@." p
+          | _ -> ());
+          obs_finish o;
           if r.Fuzz.Campaign.r_violations <> [] then exit 2
           else if not r.Fuzz.Campaign.r_finished then exit 3
       end
@@ -861,8 +871,7 @@ let fuzz_cmd =
        ~doc:"Coverage-guided scenario fuzzing with counterexample shrinking")
     Term.(
       const fuzz $ kinds_arg $ seeds_arg $ seed_arg $ budget_arg $ corpus_arg $ resume_arg
-      $ shrink_arg $ zoo_arg $ zoo_budget_arg $ replay_arg $ stats_arg $ trace_arg
-      $ progress_arg)
+      $ shrink_arg $ zoo_arg $ zoo_budget_arg $ replay_arg $ obs_term $ progress_arg)
 
 (* theorem *)
 let theorem_cmd =
@@ -896,40 +905,23 @@ let bench_native_cmd =
   let domains_arg =
     (* "1..4" (inclusive range) or a comma list "1,2,4" *)
     let domains_conv =
+      let ints = Arg.list pos_int in
+      let range = function
+        | [ lo; ""; hi ] -> (
+          match Arg.conv_parser pos_int lo, Arg.conv_parser pos_int hi with
+          | Ok lo, Ok hi when lo <= hi -> Some (List.init (hi - lo + 1) (fun i -> lo + i))
+          | _ -> None)
+        | _ -> None
+      in
       let parse s =
-        let fail () =
+        match range (String.split_on_char '.' s), Arg.conv_parser ints s with
+        | Some l, _ | None, Ok (_ :: _ as l) -> Ok l
+        | _ ->
           Error
             (`Msg
-              (Printf.sprintf
-                 "expected a range like 1..4 or a comma list like 1,2,4, got %S" s))
-        in
-        let ints l =
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | x :: rest -> (
-              match int_of_string_opt (String.trim x) with
-              | Some n when n >= 1 -> go (n :: acc) rest
-              | _ -> None)
-          in
-          go [] l
-        in
-        match String.index_opt s '.' with
-        | Some _ -> (
-          match String.split_on_char '.' s with
-          | [ lo; ""; hi ] | [ lo; hi ] -> (
-            match ints [ lo; hi ] with
-            | Some [ lo; hi ] when lo <= hi ->
-              Ok (List.init (hi - lo + 1) (fun i -> lo + i))
-            | _ -> fail ())
-          | _ -> fail ())
-        | None -> (
-          match ints (String.split_on_char ',' s) with
-          | Some (_ :: _ as l) -> Ok l
-          | _ -> fail ())
-      and print ppf l =
-        Format.pp_print_string ppf (String.concat "," (List.map string_of_int l))
+              (Printf.sprintf "expected a range like 1..4 or a comma list like 1,2,4, got %S" s))
       in
-      Arg.conv (parse, print)
+      Arg.conv (parse, Arg.conv_printer ints)
     in
     Arg.(
       value
@@ -942,7 +934,7 @@ let bench_native_cmd =
   in
   let width_arg =
     Arg.(
-      value & opt int 1
+      value & opt pos_int 1
       & info [ "width" ] ~docv:"W"
           ~doc:
             "Contention-array width of the contended mode (1 = every domain hammers one \
@@ -950,147 +942,86 @@ let bench_native_cmd =
   in
   let duration_arg =
     Arg.(
-      value & opt float 0.5
+      value & opt pos_float 0.5
       & info [ "duration" ] ~docv:"SECS" ~doc:"Measured window per throughput cell.")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the nrl-native/1 JSON document on stdout instead of the tables.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the JSON document to $(docv) (e.g. BENCH_native.json).")
-  in
-  let bench domains_list width duration json out =
-    if width < 1 then begin
-      Format.eprintf "nrlsim: --width must be at least 1@.";
-      exit 124
-    end;
-    if duration <= 0.0 then begin
-      Format.eprintf "nrlsim: --duration must be positive@.";
-      exit 124
-    end;
+  let bench domains_list width duration ((json, _) as output) =
     let cfg = { Runtime.Bench_native.domains_list; width; duration } in
     let log = if json then fun _ -> () else print_endline in
     if not json then
       Format.printf "domains available: %d@." (Domain.recommended_domain_count ());
     let doc = Runtime.Bench_native.run ~log cfg in
-    if json then print_string (Runtime.Bench_native_json.render doc);
-    Option.iter (fun path -> Runtime.Bench_native_json.write ~path doc) out
+    emit_json output ~render:Runtime.Bench_native_json.render
+      ~write:Runtime.Bench_native_json.write doc
   in
   Cmd.v
     (Cmd.info "bench-native"
        ~doc:
          "Native-runtime benchmark suite: single-domain latency and allocation rows plus \
           a memento-style contended/uncontended throughput sweep (schema nrl-native/1)")
-    Term.(const bench $ domains_arg $ width_arg $ duration_arg $ json_arg $ out_arg)
+    Term.(
+      const bench $ domains_arg $ width_arg $ duration_arg
+      $ bench_output_term ~schema:"nrl-native/1" ~example:"BENCH_native.json")
 
-(* service: flags shared by serve and bench-service *)
-let service_shards_arg =
-  Arg.(
-    value & opt int Service.Engine.default.Service.Engine.shards
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Number of shards (one worker domain each), keys distributed round-robin.")
-
-let service_sessions_arg =
-  Arg.(
-    value & opt int Service.Engine.default.Service.Engine.sessions
-    & info [ "sessions" ] ~docv:"N"
-        ~doc:"Closed-loop client sessions (each keeps one operation outstanding).")
-
-let service_client_domains_arg =
-  Arg.(
-    value & opt int Service.Engine.default.Service.Engine.client_domains
-    & info [ "client-domains" ] ~docv:"N"
-        ~doc:"Domains multiplexing the client sessions.")
-
-let service_keys_arg =
-  Arg.(
-    value & opt int Service.Engine.default.Service.Engine.keys
-    & info [ "keys" ] ~docv:"N"
-        ~doc:
-          "Keys in the namespace (object kinds counter/faa/cas/max/hist round-robin; \
-           clamped up to the shard count).")
-
-let service_skew_arg =
-  Arg.(
-    value & opt float Service.Engine.default.Service.Engine.skew
-    & info [ "skew" ] ~docv:"S"
-        ~doc:"Zipfian key skew (0 = uniform, 0.99 = classic hot-spot).")
-
-let service_crash_interval_arg =
-  Arg.(
-    value & opt float Service.Engine.default.Service.Engine.crash_interval
-    & info [ "crash-interval" ] ~docv:"SECS"
-        ~doc:"Mean seconds between shard kills (grid spacing for periodic/hot).")
-
-let service_deadline_arg =
-  Arg.(
-    value & opt float Service.Engine.default.Service.Engine.deadline_ms
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Per-attempt response deadline; timeouts retry with capped backoff.")
-
-let service_queue_bound_arg =
-  Arg.(
-    value & opt int Service.Engine.default.Service.Engine.queue_bound
-    & info [ "queue-bound" ] ~docv:"N"
-        ~doc:"Per-shard queue bound; submissions beyond it are rejected newest-first.")
-
-let service_shed_fraction_arg =
-  Arg.(
-    value & opt float Service.Engine.default.Service.Engine.shed_fraction
-    & info [ "shed-fraction" ] ~docv:"F"
-        ~doc:"Fraction of reads shed above the 3/4 queue-occupancy watermark.")
-
-let service_recrash_prob_arg =
-  Arg.(
-    value & opt float Service.Engine.default.Service.Engine.recrash_prob
-    & info [ "recrash-prob" ] ~docv:"P"
-        ~doc:"Probability each recovery attempt is itself hit by a crash.")
-
-let service_config ~shards ~sessions ~client_domains ~keys ~skew ~duration ~mode
-    ~crash_interval ~deadline_ms ~queue_bound ~shed_fraction ~recrash_prob ~seed =
-  if shards < 1 || sessions < 1 || client_domains < 1 || keys < 1 then begin
-    Format.eprintf "nrlsim: --shards/--sessions/--client-domains/--keys must be at least 1@.";
-    exit 124
-  end;
-  if duration < 0.0 || crash_interval <= 0.0 || deadline_ms <= 0.0 then begin
-    Format.eprintf "nrlsim: --duration must be >= 0, --crash-interval and --deadline-ms positive@.";
-    exit 124
-  end;
-  if shed_fraction < 0.0 || shed_fraction > 1.0 || recrash_prob < 0.0 || recrash_prob > 1.0
-  then begin
-    Format.eprintf "nrlsim: --shed-fraction and --recrash-prob must be within [0, 1]@.";
-    exit 124
-  end;
-  {
-    Service.Engine.shards;
-    sessions;
-    client_domains;
-    keys;
-    skew;
-    duration;
-    mode;
-    crash_interval;
-    deadline_ms;
-    queue_bound;
-    shed_fraction;
-    recrash_prob;
-    seed;
-  }
+(* service: the engine configuration serve and bench-service share, all
+   but the crash mode; [duration] is each command's own traffic window *)
+let service_config_term ~duration =
+  let d = Service.Engine.default in
+  let count name default doc = Arg.(value & opt pos_int default & info [ name ] ~docv:"N" ~doc) in
+  let make shards sessions client_domains keys skew duration crash_interval deadline_ms
+      queue_bound shed_fraction recrash_prob seed mode =
+    {
+      Service.Engine.shards;
+      sessions;
+      client_domains;
+      keys;
+      skew;
+      duration;
+      mode;
+      crash_interval;
+      deadline_ms;
+      queue_bound;
+      shed_fraction;
+      recrash_prob;
+      seed;
+    }
+  in
+  Term.(
+    const make
+    $ count "shards" d.shards
+        "Number of shards (one worker domain each), keys distributed round-robin."
+    $ count "sessions" d.sessions
+        "Closed-loop client sessions (each keeps one operation outstanding)."
+    $ count "client-domains" d.client_domains "Domains multiplexing the client sessions."
+    $ count "keys" d.keys
+        "Keys in the namespace (object kinds counter/faa/cas/max/hist round-robin; \
+         clamped up to the shard count)."
+    $ Arg.(
+        value & opt float d.skew
+        & info [ "skew" ] ~docv:"S" ~doc:"Zipfian key skew (0 = uniform, 0.99 = classic hot-spot).")
+    $ duration
+    $ Arg.(
+        value & opt pos_float d.crash_interval
+        & info [ "crash-interval" ] ~docv:"SECS"
+            ~doc:"Mean seconds between shard kills (grid spacing for periodic/hot).")
+    $ Arg.(
+        value & opt pos_float d.deadline_ms
+        & info [ "deadline-ms" ] ~docv:"MS"
+            ~doc:"Per-attempt response deadline; timeouts retry with capped backoff.")
+    $ count "queue-bound" d.queue_bound
+        "Per-shard queue bound; submissions beyond it are rejected newest-first."
+    $ Arg.(
+        value & opt prob d.shed_fraction
+        & info [ "shed-fraction" ] ~docv:"F"
+            ~doc:"Fraction of reads shed above the 3/4 queue-occupancy watermark.")
+    $ Arg.(
+        value & opt prob d.recrash_prob
+        & info [ "recrash-prob" ] ~docv:"P"
+            ~doc:"Probability each recovery attempt is itself hit by a crash.")
+    $ seed_arg)
 
 let service_mode_conv =
-  let parse s =
-    match Service.Adversary.mode_of_string (String.trim s) with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "expected none, periodic, poisson or hot, got %S" s))
-  and print ppf m = Format.pp_print_string ppf (Service.Adversary.mode_name m) in
-  Arg.conv (parse, print)
+  Arg.enum (List.map (fun m -> (Service.Adversary.mode_name m, m)) Service.Adversary.all_modes)
 
 let pp_service_result ppf (r : Service.Engine.result) =
   Format.fprintf ppf
@@ -1133,9 +1064,9 @@ let report_violations (r : Service.Engine.result) =
 let serve_cmd =
   let duration_arg =
     Arg.(
-      value & opt float 10.0
+      value & opt nonneg_float 10.0
       & info [ "duration" ] ~docv:"SECS"
-          ~doc:"How long to serve traffic; $(b,0) serves until interrupted (Ctrl-C).")
+          ~doc:"How long to serve traffic; $(b,0) serves until interrupted (SIGINT/SIGTERM).")
   in
   let crash_arg =
     Arg.(
@@ -1149,17 +1080,9 @@ let serve_cmd =
       value & opt float 1.0
       & info [ "status-interval" ] ~docv:"SECS" ~doc:"Seconds between status lines.")
   in
-  let serve shards sessions client_domains keys skew duration crash crash_interval
-      deadline_ms queue_bound shed_fraction recrash_prob seed status_interval stats =
-    let cfg =
-      service_config ~shards ~sessions ~client_domains ~keys ~skew ~duration ~mode:crash
-        ~crash_interval ~deadline_ms ~queue_bound ~shed_fraction ~recrash_prob ~seed
-    in
-    let obs = obs_of ~stats ~trace:None in
-    let interrupted = Atomic.make false in
-    let prev =
-      Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
-    in
+  let serve cfg crash status_interval o =
+    let cfg = cfg crash in
+    let should_stop = stop_on_signals () in
     let last_status = ref 0.0 in
     let on_tick elapsed shards =
       if elapsed -. !last_status >= status_interval then begin
@@ -1176,19 +1099,14 @@ let serve_cmd =
           (Array.length shards) queued
       end
     in
-    Format.printf "serving: %d shards, %d sessions, crash mode %s (seed %d)@." cfg.shards
-      cfg.sessions
+    Format.printf "serving: %d shards, %d sessions, crash mode %s (seed %d)@."
+      cfg.Service.Engine.shards cfg.Service.Engine.sessions
       (Service.Adversary.mode_name crash)
-      seed;
-    let r =
-      Service.Engine.run ?obs
-        ~should_stop:(fun () -> Atomic.get interrupted)
-        ~on_tick cfg
-    in
-    Sys.set_signal Sys.sigint prev;
+      cfg.Service.Engine.seed;
+    let r = Service.Engine.run ?obs:o.reg ~should_stop ~on_tick cfg in
     Format.printf "%a@." pp_service_result r;
     report_violations r;
-    obs_finish ~stats ~tracer:None obs;
+    obs_finish o;
     if service_result_unhealthy r then exit 2
   in
   Cmd.v
@@ -1197,94 +1115,50 @@ let serve_cmd =
          "Run the sharded recoverable-object service under live load (and, optionally, a \
           crash adversary), printing periodic status lines and a final SLO summary")
     Term.(
-      const serve $ service_shards_arg $ service_sessions_arg $ service_client_domains_arg
-      $ service_keys_arg $ service_skew_arg $ duration_arg $ crash_arg
-      $ service_crash_interval_arg $ service_deadline_arg $ service_queue_bound_arg
-      $ service_shed_fraction_arg $ service_recrash_prob_arg $ seed_arg
-      $ status_interval_arg $ stats_arg)
+      const serve $ service_config_term ~duration:duration_arg $ crash_arg
+      $ status_interval_arg $ stats_term)
 
 (* bench-service *)
 let bench_service_cmd =
   let duration_arg =
     Arg.(
-      value & opt float Service.Engine.default.Service.Engine.duration
+      value & opt pos_float Service.Engine.default.Service.Engine.duration
       & info [ "duration" ] ~docv:"SECS" ~doc:"Traffic window per crash mode.")
   in
   let crash_arg =
-    let modes_conv =
-      let parse s =
-        let parts = String.split_on_char ',' s in
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | p :: rest -> (
-            match Service.Adversary.mode_of_string (String.trim p) with
-            | Some m -> go (m :: acc) rest
-            | None ->
-              Error
-                (`Msg
-                  (Printf.sprintf
-                     "expected a comma list of none, periodic, poisson, hot; got %S" s)))
-        in
-        go [] parts
-      and print ppf l =
-        Format.pp_print_string ppf
-          (String.concat "," (List.map Service.Adversary.mode_name l))
-      in
-      Arg.conv (parse, print)
-    in
     Arg.(
       value
-      & opt modes_conv Service.Adversary.all_modes
+      & opt (list service_mode_conv) Service.Adversary.all_modes
       & info [ "crash" ] ~docv:"MODES"
           ~doc:
             "Crash modes to bench, a comma list of $(b,none), $(b,periodic), \
              $(b,poisson), $(b,hot) (one result row each).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the nrl-service/1 JSON document on stdout instead of the summaries.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the JSON document to $(docv) (e.g. BENCH_service.json).")
-  in
-  let bench shards sessions client_domains keys skew duration crashes crash_interval
-      deadline_ms queue_bound shed_fraction recrash_prob seed json out stats =
-    let cfg mode =
-      service_config ~shards ~sessions ~client_domains ~keys ~skew ~duration ~mode
-        ~crash_interval ~deadline_ms ~queue_bound ~shed_fraction ~recrash_prob ~seed
-    in
-    if duration <= 0.0 then begin
-      Format.eprintf "nrlsim: --duration must be positive@.";
-      exit 124
-    end;
-    let obs = obs_of ~stats ~trace:None in
+  let bench cfg crashes ((json, _) as output) o =
+    let config = cfg Service.Adversary.No_crash in
     if not json then
       Format.printf "domains available: %d@." (Domain.recommended_domain_count ());
     let rows =
       List.map
         (fun mode ->
-          let r = Service.Engine.run ?obs (cfg mode) in
+          let r = Service.Engine.run ?obs:o.reg (cfg mode) in
           if not json then Format.printf "%a@." pp_service_result r;
-          { Service.Service_json.m_result = r; m_crash_interval = crash_interval })
+          {
+            Service.Service_json.m_result = r;
+            m_crash_interval = config.Service.Engine.crash_interval;
+          })
         crashes
     in
     let doc =
       {
         Service.Service_json.domains_available = Domain.recommended_domain_count ();
-        seed;
-        config = cfg Service.Adversary.No_crash;
+        seed = config.Service.Engine.seed;
+        config;
         modes = rows;
       }
     in
-    if json then print_string (Service.Service_json.render doc);
-    Option.iter (fun path -> Service.Service_json.write ~path doc) out;
-    obs_finish ~stats ~tracer:None obs;
+    emit_json output ~render:Service.Service_json.render ~write:Service.Service_json.write doc;
+    obs_finish o;
     let bad = List.filter (fun m -> service_result_unhealthy m.Service.Service_json.m_result) rows in
     List.iter (fun m -> report_violations m.Service.Service_json.m_result) bad;
     if bad <> [] then exit 2
@@ -1296,16 +1170,14 @@ let bench_service_cmd =
           recoverable-object service, one row per crash mode, with the conservation \
           audit enforced (schema nrl-service/1)")
     Term.(
-      const bench $ service_shards_arg $ service_sessions_arg $ service_client_domains_arg
-      $ service_keys_arg $ service_skew_arg $ duration_arg $ crash_arg
-      $ service_crash_interval_arg $ service_deadline_arg $ service_queue_bound_arg
-      $ service_shed_fraction_arg $ service_recrash_prob_arg $ seed_arg $ json_arg
-      $ out_arg $ stats_arg)
+      const bench $ service_config_term ~duration:duration_arg $ crash_arg
+      $ bench_output_term ~schema:"nrl-service/1" ~example:"BENCH_service.json"
+      $ stats_term)
 
 (* list *)
 let list_cmd =
   let run () =
-    List.iter print_endline scenario_names;
+    List.iter (fun (name, _) -> print_endline name) scenarios;
     (* zoo mutants are scenarios too (explore/run/check accept them) *)
     List.iter (fun m -> print_endline m.Objects.Zoo.m_name) Objects.Zoo.all
   in

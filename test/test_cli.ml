@@ -212,13 +212,100 @@ let test_exit_124_cli_errors () =
       [ "bench-service"; "--duration"; "0" ];
       [ "bench-service"; "--crash"; "meteor" ];
       [ "serve"; "--shards"; "0" ];
+      [ "explore"; "nosuch" ];
+      [ "run"; "nosuch" ];
+      [ "fuzz"; "--resume" ];
+      (* one case per validated flag kind: counts, probabilities,
+         positive and non-negative durations *)
+      [ "run"; "register"; "-n"; "0"; "--trials"; "1" ];
+      [ "run"; "register"; "--trials"; "0" ];
+      [ "explore"; "register"; "-n"; "2"; "--ops"; "0" ];
+      [ "explore"; "register"; "-n"; "2"; "--max-steps"; "0" ];
+      [ "explore"; "register"; "--crashes=-1" ];
+      [ "fuzz"; "--seeds"; "0" ];
+      [ "run"; "register"; "--crash-prob"; "2" ];
+      [ "bench-native"; "--duration"; "0" ];
+      [ "explore"; "register"; "--deadline=-1" ];
     ]
   in
   List.iter
     (fun args ->
       let code, _ = run_cli args in
       Alcotest.(check int) (String.concat " " args ^ " exits 124") 124 code)
-    cases
+    cases;
+  (* the boundary values documented as valid stay accepted *)
+  List.iter
+    (fun (args, want) ->
+      let code, _ = run_cli args in
+      Alcotest.(check int) (String.concat " " args ^ " is accepted") want code)
+    [
+      ([ "run"; "register"; "--trials"; "1"; "--max-crashes"; "0"; "--system-crash-prob"; "0" ], 0);
+      ( [ "explore"; "register"; "-n"; "2"; "--ops"; "1"; "--crashes"; "0"; "--deadline"; "0";
+          "--checkpoint-interval"; "0" ],
+        3 );
+    ]
+
+(* The first "seed=N" printed by a failing run batch. *)
+let failure_seed out =
+  let marker = "first failure seed=" in
+  let rec find i =
+    if i + String.length marker > String.length out then
+      Alcotest.failf "no failure seed in:\n%s" out
+    else if String.sub out i (String.length marker) = marker then i + String.length marker
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from out start ':' in
+  String.sub out start (stop - start)
+
+let test_run_seed_replays_in_check () =
+  (* only a system crash loses pending writes under the explicit model,
+     so this batch fails solely through --system-crash-prob; check must
+     take the same flag to reproduce it *)
+  let flags =
+    [ "rw-write-skip-flush-r"; "-n"; "2"; "--ops"; "4"; "--persist-model"; "explicit";
+      "--system-crash-prob"; "0.05" ]
+  in
+  let code, out = run_cli (("run" :: flags) @ [ "--trials"; "40" ]) in
+  Alcotest.(check int) "failing batch exits 2" 2 code;
+  let seed = failure_seed out in
+  let code, out = run_cli (("check" :: flags) @ [ "--seed"; seed ]) in
+  Alcotest.(check int) ("check --seed " ^ seed ^ " exits 2") 2 code;
+  assert_contains out "NRL: "
+
+(* {2 One explore reporter for the direct search and the task pool} *)
+
+let test_explore_reporter () =
+  let ck = Filename.temp_file "nrl_cli" ".ck" in
+  (* [args] searched directly, then through the checkpointing task pool *)
+  let both args =
+    let direct = run_cli ("explore" :: args) in
+    let pooled = run_cli (("explore" :: args) @ [ "--checkpoint"; ck ]) in
+    (direct, pooled)
+  in
+  (* "no violation: ... (N jobs, 0.1s)" up to its wall-clock field *)
+  let up_to_clock out =
+    let line = List.hd (String.split_on_char '\n' out) in
+    String.sub line 0 (String.rindex line ',')
+  in
+  let (c1, o1), (c2, o2) = both [ "register"; "-n"; "2"; "--ops"; "1"; "--crashes"; "1" ] in
+  Alcotest.(check (pair int int)) "clean exits 0 both ways" (0, 0) (c1, c2);
+  assert_contains o1 "no violation: ";
+  Alcotest.(check string) "same clean summary both ways" (up_to_clock o1) (up_to_clock o2);
+  let (c1, o1), (c2, o2) =
+    both
+      [ "rw-write-skip-flush-r"; "-n"; "2"; "--ops"; "4"; "--persist-model"; "explicit"; "--dedup" ]
+  in
+  Alcotest.(check (pair int int)) "violation exits 2 both ways" (2, 2) (c1, c2);
+  assert_contains o1 "VIOLATION:";
+  assert_contains o2 "VIOLATION:";
+  let (c1, o1), (c2, o2) =
+    both [ "register"; "-n"; "2"; "--ops"; "1"; "--crashes"; "1"; "--max-nodes"; "500" ]
+  in
+  Alcotest.(check (pair int int)) "node budget exits 3 both ways" (3, 3) (c1, c2);
+  assert_contains o1 "exhausted (max-nodes)";
+  assert_contains o2 "exhausted (max-nodes)";
+  Sys.remove ck
 
 let test_replay_roundtrip () =
   (* a violating campaign prints a replay line; replaying it must violate *)
@@ -254,5 +341,8 @@ let suite =
     Alcotest.test_case "exit 3 on budget exhaustion" `Quick test_exit_3_budget;
     Alcotest.test_case "exit 124 on CLI errors" `Quick test_exit_124_cli_errors;
     Alcotest.test_case "printed reproducers replay" `Quick test_replay_roundtrip;
+    Alcotest.test_case "run failure seeds replay in check" `Quick
+      test_run_seed_replays_in_check;
+    Alcotest.test_case "one explore reporter, direct and pooled" `Quick test_explore_reporter;
     Alcotest.test_case "theorem stdout matches golden" `Quick test_theorem_golden;
   ]
