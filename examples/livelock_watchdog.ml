@@ -26,9 +26,7 @@ let () =
          while true do
            Runtime.Crash.point cp (* spins forever: never observes progress *)
          done)
-       ~recover:(fun ~cp ~traversed ->
-         ignore (cp, traversed);
-         ())
+       ~recover:(fun ~cp:_ -> ())
        ()
    with
   | () ->
@@ -58,9 +56,7 @@ let () =
   (match
      Runtime.Torture.with_crashes ~rng ~crash_prob:1.0 ~stats:stats2 ~watchdog:watchdog2
        ~op:always_crash
-       ~recover:(fun ~cp ~traversed ->
-         ignore traversed;
-         always_crash ~cp)
+       ~recover:always_crash
        ()
    with
   | () ->

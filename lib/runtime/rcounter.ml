@@ -3,17 +3,20 @@
 
     INC reads and rewrites the caller's own register through the
     recoverable operations; READ sums all registers and persists its
-    response in [Res_p] before returning (strict).  The recovery drill
-    interface mirrors the paper: [inc_recover] takes the [li] progress
-    marker ("had the WRITE of line 4 started?") which a real system would
-    keep in the per-process non-volatile [LI_p] slot — here the harness
-    supplies it, as the machine's scheduler does in simulation.
+    response in [Res_p] before returning (strict).  INC keeps its own
+    [LI_p] — "had the nested WRITE of line 4 started, and with which
+    value?" — in an owner-only word next to the register's [S_p] slot:
+    [0] at invocation, [(v lsl 1) lor 1] once the WRITE of [v] is
+    invoked (stored before the WRITE's first crash point).  So
+    [inc_recover] needs nothing but the process id: it either
+    re-executes (lines 7-8) or recovers the nested WRITE with [v] and
+    returns (line 10), as the paper's system cascade would.
 
     Each per-process register is a cache-line-padded atomic (no two
     processes' INC targets share a line), with the registers' owner-only
-    [S_p] slots and the strict READ's [Res_p] in plain padded slots.
-    INC costs two atomic loads, one fenced store and two plain stores;
-    nothing allocates. *)
+    [S_p] and [LI_p] words and the strict READ's [Res_p] in plain padded
+    slots.  INC costs two atomic loads, one fenced store and four plain
+    stores; nothing allocates. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, Pad.slot)
@@ -36,15 +39,21 @@ let create ~nprocs =
     nprocs;
   }
 
+(* INC's [LI_p]: the word after [S_p] on the owner's line of its own
+   register, which INC already writes *)
+let[@inline] li_slot pid = slot pid + 1
+
 (* the nested register's READ + WRITE steps are inlined (under -opaque
    each [Rrw.Int] call would be an indirect [caml_apply]); the
    crash-point sequence is identical to the call-based version *)
 let[@inline] inc_cp cp t ~pid =
   let reg = t.regs.(pid) in
+  reg.Rrw.Int.s.(li_slot pid) <- 0;
   point cp;
   let temp = Atomic.get reg.Rrw.Int.r in  (* line 2: nested READ *)
   let v = temp + 1 in
-  (* lines 3-4: nested WRITE (Algorithm 1 lines 2-5) *)
+  (* lines 3-4: nested WRITE (Algorithm 1 lines 2-5), invoked with [v] *)
+  reg.Rrw.Int.s.(li_slot pid) <- (v lsl 1) lor 1;
   point cp;
   let prev = Atomic.get reg.Rrw.Int.r in
   point cp;
@@ -56,19 +65,13 @@ let[@inline] inc_cp cp t ~pid =
 
 let inc ?(cp = Crash.none) t ~pid = inc_cp cp t ~pid
 
-(* [li_before_write] says whether the crash occurred before the nested
-   WRITE of line 4 started (the machine's [LI_p < 4] test): re-execute
-   (lines 7-8), else return (line 10) *)
-let inc_recover ?(cp = Crash.none) t ~pid ~li_before_write =
-  if li_before_write then inc_cp cp t ~pid else ()
-
-(* register-level recovery for a crash inside the nested WRITE; [v] is
-   the intended value (temp + 1), which the system's LI metadata
-   preserves — the drill harness supplies it *)
-let reg_write_recover ?(cp = Crash.none) t ~pid v =
-  Rrw.Int.write_recover_cp cp t.regs.(pid) ~pid v
-
-let reg_read ?(cp = Crash.none) t ~pid = Rrw.Int.read_cp cp t.regs.(pid)
+(* [INC.RECOVER]: before the nested WRITE started, re-execute (lines
+   7-8); otherwise run the WRITE's recovery with its persisted argument,
+   then return (line 10) *)
+let inc_recover ?(cp = Crash.none) t ~pid =
+  let li = t.regs.(pid).Rrw.Int.s.(li_slot pid) in
+  if li land 1 = 0 then inc_cp cp t ~pid
+  else Rrw.Int.write_recover_cp cp t.regs.(pid) ~pid (li asr 1)
 
 let read_cp cp t ~pid =
   let val_ = ref 0 in

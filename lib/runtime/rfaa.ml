@@ -5,20 +5,20 @@
     read>] in [att], runs the strict CAS tagged [seq], and on success
     records [<seq, response>] in [own].
 
-    The [committed] flag plays the role the machine's [LI_p] plays in
-    simulation: the caller's wrapper (the "system") keeps it across the
-    crash and passes it to {!recover} — it is set exactly when the
-    attempt's tag has been persisted (the commit point).
+    The operation keeps its own [LI_p]: a commit marker, cleared at
+    invocation and set exactly when the attempt's tag has been persisted
+    (the commit point), so {!recover} needs nothing but the operation's
+    arguments.
 
-    All per-process metadata ([seq]/[att]/[own]) lives in {e plain}
-    padded slots (layout per process: seq, att_seq, att_v, own_seq,
-    own_v — all within the process's own cache line): the metadata is
-    owner-only (written by [p], read by [p]'s recovery on the same
-    domain).  A <seq, value> pair is two plain stores with no crash
-    point between them — crashes fire only at [Crash.point], so the
-    pair is crash-atomic, and the pair's seq slot is written second so
-    a torn pair is simply invisible.  Allocation-free on the crash-free
-    path. *)
+    All per-process metadata ([seq]/[att]/[own] and the commit marker)
+    lives in {e plain} padded slots (layout per process: seq, att_seq,
+    att_v, own_seq, own_v, commit — all within the process's own cache
+    line): the metadata is owner-only (written by [p], read by [p]'s
+    recovery on the same domain).  A <seq, value> pair is two plain
+    stores with no crash point between them — crashes fire only at
+    [Crash.point], so the pair is crash-atomic, and the pair's seq slot
+    is written second so a torn pair is simply invisible.
+    Allocation-free on the crash-free path. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
    -opaque, which turns every cross-module call (Crash.point, the Pad
@@ -35,7 +35,7 @@ let[@inline] res_pack ~seq ret = (seq lsl 1) lor (if ret then 1 else 0)
 
 type t = {
   c : Rscas.t;
-  meta : int array;  (** flat padded: seq, att_seq, att_v, own_seq, own_v *)
+  meta : int array;  (** flat padded: seq, att_seq, att_v, own_seq, own_v, commit *)
 }
 
 let create ~nprocs ?(init = 0) () =
@@ -59,14 +59,14 @@ let read ?(cp = Crash.none) t = Rscas.read_cp cp t.c
    response persist): under -opaque each [Rscas] call would be an
    indirect [caml_apply].  The crash-point sequence is identical to the
    call-based version. *)
-let rec faa_cp cp committed t ~pid delta =
-  (match committed with Some r -> r := false | None -> ());
+let rec faa_cp cp t ~pid delta =
   let b = slot pid in
+  t.meta.(b + 5) <- 0;
   point cp;
   let s = t.meta.(b) + 1 in
   point cp;
   t.meta.(b) <- s;
-  (match committed with Some r -> r := true | None -> ());
+  t.meta.(b + 5) <- 1;
   let sc = t.c in
   point cp;
   let content = Atomic.get sc.Rscas.c in
@@ -89,19 +89,19 @@ let rec faa_cp cp committed t ~pid delta =
     t.meta.(b + 3) <- s;
     v
   end
-  else faa_cp cp committed t ~pid delta
+  else faa_cp cp t ~pid delta
 
-let faa ?(cp = Crash.none) ?committed t ~pid delta = faa_cp cp committed t ~pid delta
+let faa ?(cp = Crash.none) t ~pid delta = faa_cp cp t ~pid delta
 
-(* [FAA.RECOVER].  [committed] is the wrapper-preserved commit flag of
-   the {e latest} attempt (false if the crash predates the tag
-   persistence, in which case the whole operation re-executes — safe,
-   since an uncommitted attempt invoked no CAS and a preceding committed
-   attempt only retries after a persisted failure). *)
-let recover ?(cp = Crash.none) ?(committed = true) t ~pid delta =
-  if not committed then faa_cp cp None t ~pid delta
+(* [FAA.RECOVER].  The commit marker belongs to the {e latest} attempt:
+   clear if the crash predates the tag persistence, in which case the
+   whole operation re-executes — safe, since an uncommitted attempt
+   invoked no CAS and a preceding committed attempt only retries after a
+   persisted failure. *)
+let recover ?(cp = Crash.none) t ~pid delta =
+  let b = slot pid in
+  if t.meta.(b + 5) = 0 then faa_cp cp t ~pid delta
   else begin
-    let b = slot pid in
     point cp;
     let s = t.meta.(b) in
     point cp;
@@ -110,7 +110,7 @@ let recover ?(cp = Crash.none) ?(committed = true) t ~pid delta =
       point cp;
       if t.meta.(b + 1) <> s then
         (* the attempt never reached its CAS (the att write precedes it) *)
-        faa_cp cp None t ~pid delta
+        faa_cp cp t ~pid delta
       else begin
         (* the CAS may have been invoked and even have taken effect with
            its response lost mid-persist: ask the CAS level for evidence *)
@@ -121,7 +121,7 @@ let recover ?(cp = Crash.none) ?(committed = true) t ~pid delta =
           t.meta.(b + 4) <- atv;
           t.meta.(b + 3) <- s;
           atv
-        | Some false | None -> faa_cp cp None t ~pid delta
+        | Some false | None -> faa_cp cp t ~pid delta
       end
     end
   end

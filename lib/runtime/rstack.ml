@@ -11,9 +11,9 @@
     recovery evidence live in the stamp.
 
     Each attempt runs the persisted per-attempt tag protocol of {!Rfaa}:
-    bump the tag [seq] (the commit point; the [committed] flag is the
-    wrapper-preserved commit marker), record the would-be response in
-    [att], CAS, and record the response in [own].  The strict-CAS layer
+    bump the tag [seq] (the commit point, recorded in the operation's own
+    commit marker — its [LI_p]), record the would-be response in [att],
+    CAS, and record the response in [own].  The strict-CAS layer
     is inlined and specialized: physical CAS on the head pointer,
     helping matrix of head pointers in flat padded plain cells,
     <seq, ret> responses and per-process [seq]/[att]/[own] metadata in
@@ -52,7 +52,7 @@ type t = {
   c : head Atomic.t;  (** padded *)
   r : head array;  (** flat padded helping matrix, [no_evidence] = empty *)
   res : int array;  (** plain padded, packed <seq, ret> *)
-  meta : int array;  (** flat padded: seq, att_seq, att_resp, own_seq, own_resp *)
+  meta : int array;  (** flat padded: seq, att_seq, att_resp, own_seq, own_resp, commit *)
   nprocs : int;
 }
 
@@ -105,14 +105,14 @@ let[@inline] finish_cp cp t ~b ~s resp =
   t.meta.(b + 3) <- s;
   resp
 
-let rec push_cp cp committed t ~pid x =
-  (match committed with Some r -> r := false | None -> ());
+let rec push_cp cp t ~pid x =
   let b = slot pid in
+  t.meta.(b + 5) <- 0;
   point cp;
   let s = t.meta.(b) + 1 in
   point cp;
   t.meta.(b) <- s;
-  (match committed with Some r -> r := true | None -> ());
+  t.meta.(b + 5) <- 1;
   point cp;
   let h = Atomic.get t.c in
   let nh = { stamp = (s lsl 13) lor pid; top = { nv = x; next = h.top } } in
@@ -120,16 +120,16 @@ let rec push_cp cp committed t ~pid x =
   t.meta.(b + 2) <- resp_pushed;
   t.meta.(b + 1) <- s;
   if cas_head_cp cp t ~pid ~h ~nh ~s then finish_cp cp t ~b ~s resp_pushed
-  else push_cp cp committed t ~pid x
+  else push_cp cp t ~pid x
 
-let rec pop_cp cp committed t ~pid =
-  (match committed with Some r -> r := false | None -> ());
+let rec pop_cp cp t ~pid =
   let b = slot pid in
+  t.meta.(b + 5) <- 0;
   point cp;
   let s = t.meta.(b) + 1 in
   point cp;
   t.meta.(b) <- s;
-  (match committed with Some r -> r := true | None -> ());
+  t.meta.(b + 5) <- 1;
   point cp;
   let h = Atomic.get t.c in
   if h.top == nil then finish_cp cp t ~b ~s resp_empty
@@ -141,11 +141,11 @@ let rec pop_cp cp committed t ~pid =
     t.meta.(b + 2) <- resp;
     t.meta.(b + 1) <- s;
     if cas_head_cp cp t ~pid ~h ~nh ~s then finish_cp cp t ~b ~s resp
-    else pop_cp cp committed t ~pid
+    else pop_cp cp t ~pid
   end
 
-let push ?(cp = Crash.none) ?committed t ~pid x = push_cp cp committed t ~pid x
-let pop ?(cp = Crash.none) ?committed t ~pid = pop_cp cp committed t ~pid
+let push ?(cp = Crash.none) t ~pid x = push_cp cp t ~pid x
+let pop ?(cp = Crash.none) t ~pid = pop_cp cp t ~pid
 
 (* evidence-only verdict for the attempt stamped <pid, s>: the
    persisted <seq, ret>, the head in C, or the helping row decide;
@@ -177,14 +177,14 @@ let outcome_cp cp t ~pid ~s =
     end
   end
 
-(* the shared recovery: decide the latest attempt's fate from the
-   persisted tags, asking the CAS level for evidence when the crash may
-   have hit between the physical cas and the response persistence;
-   otherwise re-execute *)
-let recover_with cp ~committed ~redo t ~pid =
-  if not committed then redo ()
+(* the shared recovery: decide the latest attempt's fate from its
+   commit marker and persisted tags, asking the CAS level for evidence
+   when the crash may have hit between the physical cas and the response
+   persistence; otherwise re-execute *)
+let recover_with cp ~redo t ~pid =
+  let b = slot pid in
+  if t.meta.(b + 5) = 0 then redo ()
   else begin
-    let b = slot pid in
     point cp;
     let s = t.meta.(b) in
     point cp;
@@ -201,8 +201,8 @@ let recover_with cp ~committed ~redo t ~pid =
     end
   end
 
-let push_recover ?(cp = Crash.none) ?(committed = true) t ~pid x =
-  recover_with cp ~committed ~redo:(fun () -> push_cp cp None t ~pid x) t ~pid
+let push_recover ?(cp = Crash.none) t ~pid x =
+  recover_with cp ~redo:(fun () -> push_cp cp t ~pid x) t ~pid
 
-let pop_recover ?(cp = Crash.none) ?(committed = true) t ~pid =
-  recover_with cp ~committed ~redo:(fun () -> pop_cp cp None t ~pid) t ~pid
+let pop_recover ?(cp = Crash.none) t ~pid =
+  recover_with cp ~redo:(fun () -> pop_cp cp t ~pid) t ~pid

@@ -3,8 +3,10 @@
     freshly-allocated stamped head record per installed content
     ([stamp = (seq lsl 13) lor pid] keeps contents writer-unique), the
     strict-CAS layer inlined with physical CAS on the head pointer and
-    stamp-equality evidence checks.  Responses are packed ints; a
-    push+pop pair allocates three small blocks. *)
+    stamp-equality evidence checks.  Each operation keeps its own
+    [LI_p] (a commit marker on its process's metadata line), so the
+    recoveries take only the invocation's arguments.  Responses are
+    packed ints; a push+pop pair allocates three small blocks. *)
 
 type response = Pushed | Popped of int | Empty
 
@@ -29,7 +31,7 @@ val decode : int -> response
 
 val create : nprocs:int -> unit -> t
 val peek : ?cp:Crash.t -> t -> int option
-val push : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int -> int
-val pop : ?cp:Crash.t -> ?committed:bool ref -> t -> pid:int -> int
-val push_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int -> int
-val pop_recover : ?cp:Crash.t -> ?committed:bool -> t -> pid:int -> int
+val push : ?cp:Crash.t -> t -> pid:int -> int -> int
+val pop : ?cp:Crash.t -> t -> pid:int -> int
+val push_recover : ?cp:Crash.t -> t -> pid:int -> int -> int
+val pop_recover : ?cp:Crash.t -> t -> pid:int -> int

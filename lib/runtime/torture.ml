@@ -3,10 +3,11 @@
     Wraps each recoverable operation the way the paper's {e system} does:
     the wrapper (not the operation) holds the operation's arguments —
     they are "system metadata" that survives the crash — and, when an
-    armed crash point fires, consults how far the operation got
-    ({!Crash.traversed}) to invoke the right recovery function, exactly
-    as the model's [LI_p] does.  Crashes can hit the recovery functions
-    too (repeated failures); recovery is retried under a {e watchdog}:
+    armed crash point fires, invokes the operation's recovery with them.
+    How far the operation got (the model's [LI_p]) is the operation's
+    own persisted progress, read by its recovery, so the wrapper needs
+    nothing else.  Crashes can hit the recovery functions too
+    (repeated failures); recovery is retried under a {e watchdog}:
     bounded retries with deterministic backoff, plus a traversal fuse
     that converts a non-terminating recovery — exactly the failure mode
     Theorem 4 warns about — into a reported {!Recovery_stuck} failure
@@ -165,7 +166,7 @@ let meters_of reg =
   }
 
 (** Run [op] with a crash armed at a random position with probability
-    [crash_prob]; on a crash, call [recover ~traversed] (which may itself
+    [crash_prob]; on a crash, call [recover] (which may itself
     crash again at a random position) until the operation completes or
     the [watchdog] gives up ({!Recovery_stuck}).  Returns the operation's
     (or final recovery's) result.
@@ -227,13 +228,12 @@ let with_crashes ~rng ~crash_prob ~stats ?obs ?(watchdog = default_watchdog) ?hb
                stuck_traversed = Crash.traversed cp;
              })
       end;
-      let traversed = Crash.traversed cp in
       run_backoff watchdog.wd_backoff ~attempt;
       arm ();
       pulse ();
       stats.retries <- stats.retries + 1;
       bump (fun m -> m.tm_retries);
-      match recover ~cp ~traversed with
+      match recover ~cp with
       | v ->
         Crash.disarm cp;
         v
@@ -251,44 +251,20 @@ let with_crashes ~rng ~crash_prob ~stats ?obs ?(watchdog = default_watchdog) ?hb
 let rrw_write ~rng ~crash_prob ~stats ?obs ?watchdog ?hb reg ~pid v =
   with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb
     ~op:(fun ~cp -> Rrw.write ~cp reg ~pid v)
-    ~recover:(fun ~cp ~traversed ->
-      ignore traversed;
-      Rrw.write_recover ~cp reg ~pid v)
+    ~recover:(fun ~cp -> Rrw.write_recover ~cp reg ~pid v)
     ()
 
-(** A recoverable-counter INC under random crashes.  The wrapper
-    remembers the value the nested WRITE was invoked with (the system
-    preserves nested-operation arguments), so a crash inside the WRITE
-    first runs the register's recovery and then INC's, mirroring the
-    cascade. *)
-let rcounter_inc ~rng ~crash_prob ~stats ?obs ?watchdog ?hb (c : Rcounter.t) ~pid =
-  let pending_write = ref None in
-  let body ~cp =
-    Crash.point cp;
-    let temp = Rrw.Int.read c.Rcounter.regs.(pid) in
-    (* line 2 *)
-    let v = temp + 1 in
-    pending_write := Some v;
-    (* the write of line 4: its argument is now system metadata *)
-    Rrw.Int.write ~cp c.Rcounter.regs.(pid) ~pid v
-  in
-  let recover ~cp ~traversed =
-    match !pending_write with
-    | None ->
-      ignore traversed;
-      body ~cp (* crashed before the write started: re-execute *)
-    | Some v ->
-      (* crash at or after the nested write's invocation: the register's
-         recovery linearizes it exactly once; INC then just returns *)
-      Rrw.Int.write_recover ~cp c.Rcounter.regs.(pid) ~pid v
-  in
-  with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb ~op:body ~recover ()
+(** A recoverable-counter INC under random crashes; INC's recovery
+    finds its nested WRITE's progress in its own [LI_p]. *)
+let rcounter_inc ~rng ~crash_prob ~stats ?obs ?watchdog ?hb c ~pid =
+  with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb
+    ~op:(fun ~cp -> Rcounter.inc ~cp c ~pid)
+    ~recover:(fun ~cp -> Rcounter.inc_recover ~cp c ~pid)
+    ()
 
 (** A recoverable T&S under random crashes. *)
 let rtas ~rng ~crash_prob ~stats ?obs ?watchdog ?hb t ~pid =
   with_crashes ~rng ~crash_prob ~stats ?obs ?watchdog ?hb
     ~op:(fun ~cp -> Rtas.test_and_set ~cp t ~pid)
-    ~recover:(fun ~cp ~traversed ->
-      ignore traversed;
-      Rtas.recover ~cp t ~pid)
+    ~recover:(fun ~cp -> Rtas.recover ~cp t ~pid)
     ()

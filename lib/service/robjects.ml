@@ -2,12 +2,13 @@
    one shard worker (every object is created with nprocs = 1, pid 0 —
    the service's concurrency lives in the shard queues, not inside the
    objects).  The [pending] slot is the wrapper-held system metadata of
-   the paper's model: the in-flight operation's arguments and nested
-   progress survive a crash on the OCaml heap (the simulated NVRAM),
-   while the worker's locals are discarded with the raised
-   [Crash.Crashed], exactly like volatile registers. *)
+   the paper's model: the in-flight operation's arguments survive a
+   crash on the OCaml heap (the simulated NVRAM), while the worker's
+   locals are discarded with the raised [Crash.Crashed], exactly like
+   volatile registers.  The counter and FAA keep their own progress
+   ([LI_p]); the CAS bump and max are composed here, so [pending] keeps
+   their nested CAS's arguments too. *)
 
-module Rrw = Runtime.Rrw
 module Rcounter = Runtime.Rcounter
 module Rfaa = Runtime.Rfaa
 module Rcas = Runtime.Rcas
@@ -64,10 +65,9 @@ type pending = {
   mutable p_key : int;
   mutable p_read : bool;
   mutable p_arg : int;
-  mutable p_stage : int;  (** 0 = nested mutation not yet begun, 1 = begun *)
-  mutable p_val : int;  (** nested write value / CAS new value *)
-  mutable p_old : int;  (** CAS expected value *)
-  p_flag : bool ref;  (** Rfaa wrapper-preserved committed flag *)
+  mutable p_cas : bool;  (** the nested CAS of a bump/max was invoked *)
+  mutable p_old : int;  (** its expected value *)
+  mutable p_new : int;  (** its new value *)
 }
 
 let pending_create () =
@@ -76,10 +76,9 @@ let pending_create () =
     p_key = 0;
     p_read = false;
     p_arg = 0;
-    p_stage = 0;
-    p_val = 0;
+    p_cas = false;
     p_old = 0;
-    p_flag = ref false;
+    p_new = 0;
   }
 
 let begin_op p ~key op =
@@ -92,10 +91,7 @@ let begin_op p ~key op =
   | Update arg ->
     p.p_read <- false;
     p.p_arg <- arg);
-  p.p_stage <- 0;
-  p.p_val <- 0;
-  p.p_old <- 0;
-  p.p_flag := false
+  p.p_cas <- false
 
 let end_op p = p.p_active <- false
 
@@ -104,8 +100,27 @@ let hist_read ~cp bs =
   Array.iter (fun b -> s := !s + Rfaa.read ~cp b) bs;
   !s
 
-(* The first attempt.  May raise [Crash.Crashed]; the [pending] slot
-   then tells [recover] how far the nested operation got. *)
+let hist_bucket bs p = bs.(p.p_arg land (hist_buckets - 1))
+
+(* CAS bump and max: read, then CAS the candidate in (bump's is cur+1,
+   max's the argument) if it exceeds the current value.  Single writer,
+   so the CAS always applies, and installed values strictly increase —
+   distinct, as Rcas assumes.  The nested CAS's arguments become system
+   metadata the moment it is invoked. *)
+let cas_above ~cp ~bump c p =
+  let cur = Rcas.read ~cp c in
+  let cand = if bump then cur + 1 else p.p_arg in
+  if cand <= cur then cur
+  else begin
+    p.p_old <- cur;
+    p.p_new <- cand;
+    p.p_cas <- true;
+    ignore (Rcas.cas ~cp c ~pid:0 ~old:cur ~new_:cand);
+    cand
+  end
+
+(* The first attempt.  May raise [Crash.Crashed]; [recover] then
+   finishes the operation.  A counter update answers INC's ack (0). *)
 let exec t ~cp p =
   let o = t.objs.(p.p_key) in
   if p.p_read then
@@ -117,52 +132,18 @@ let exec t ~cp p =
   else
     match o with
     | Ocounter c ->
-      (* INC nested on the per-process register, as in the torture
-         wrapper: the value of the nested WRITE becomes system metadata
-         the moment the write is invoked *)
-      Crash.point cp;
-      let temp = Rrw.Int.read ~cp c.Rcounter.regs.(0) in
-      let v = temp + 1 in
-      p.p_val <- v;
-      p.p_stage <- 1;
-      Rrw.Int.write ~cp c.Rcounter.regs.(0) ~pid:0 v;
-      v
+      Rcounter.inc ~cp c ~pid:0;
+      0
     | Ofaa f ->
       let delta = max 1 p.p_arg in
-      Rfaa.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
-    | Ocas c ->
-      (* bump: read v, CAS v -> v+1.  Single writer, so the CAS always
-         applies; new values strictly increase (distinct, as Rcas
-         assumes). *)
-      Crash.point cp;
-      let old = Rcas.read ~cp c in
-      p.p_old <- old;
-      p.p_val <- old + 1;
-      p.p_stage <- 1;
-      ignore (Rcas.cas ~cp c ~pid:0 ~old ~new_:(old + 1));
-      old + 1
-    | Omax m ->
-      (* install the candidate iff it exceeds the current maximum —
-         installed values strictly increase, keeping Rcas's distinct-
-         new-values assumption *)
-      Crash.point cp;
-      let cur = Rcas.read ~cp m in
-      let cand = p.p_arg in
-      if cand <= cur then cur
-      else begin
-        p.p_old <- cur;
-        p.p_val <- cand;
-        p.p_stage <- 1;
-        ignore (Rcas.cas ~cp m ~pid:0 ~old:cur ~new_:cand);
-        cand
-      end
-    | Ohist bs ->
-      let b = p.p_arg land (hist_buckets - 1) in
-      Rfaa.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
+      Rfaa.faa ~cp f ~pid:0 delta + delta
+    | Ocas c -> cas_above ~cp ~bump:true c p
+    | Omax m -> cas_above ~cp ~bump:false m p
+    | Ohist bs -> Rfaa.faa ~cp (hist_bucket bs p) ~pid:0 1 + 1
 
 (* Recovery of the in-flight operation.  May itself crash (the shard
    re-invokes under its watchdog); every branch is re-entrant. *)
-let rec recover t ~cp p =
+let recover t ~cp p =
   let o = t.objs.(p.p_key) in
   if p.p_read then
     match o with
@@ -173,40 +154,17 @@ let rec recover t ~cp p =
   else
     match o with
     | Ocounter c ->
-      if p.p_stage = 0 then recover_reexec t ~cp p
-      else begin
-        (* crash at or after the nested WRITE's invocation: the
-           register's recovery linearizes it exactly once *)
-        Rrw.Int.write_recover ~cp c.Rcounter.regs.(0) ~pid:0 p.p_val;
-        p.p_val
-      end
+      Rcounter.inc_recover ~cp c ~pid:0;
+      0
     | Ofaa f ->
       let delta = max 1 p.p_arg in
-      if !(p.p_flag) then Rfaa.recover ~cp ~committed:true f ~pid:0 delta + delta
-      else
-        (* the attempt's tag was never persisted, so its effect cannot
-           have happened: re-run, keeping the wrapper flag current *)
-        Rfaa.faa ~cp ~committed:p.p_flag f ~pid:0 delta + delta
-    | Ocas c ->
-      if p.p_stage = 0 then recover_reexec t ~cp p
-      else begin
-        ignore (Rcas.cas_recover ~cp c ~pid:0 ~old:p.p_old ~new_:p.p_val);
-        p.p_val
-      end
-    | Omax m ->
-      if p.p_stage = 0 then recover_reexec t ~cp p
-      else begin
-        ignore (Rcas.cas_recover ~cp m ~pid:0 ~old:p.p_old ~new_:p.p_val);
-        p.p_val
-      end
-    | Ohist bs ->
-      let b = p.p_arg land (hist_buckets - 1) in
-      if !(p.p_flag) then Rfaa.recover ~cp ~committed:true bs.(b) ~pid:0 1 + 1
-      else Rfaa.faa ~cp ~committed:p.p_flag bs.(b) ~pid:0 1 + 1
-
-and recover_reexec t ~cp p =
-  (* crashed before any nested mutation began: plain re-execution *)
-  exec t ~cp p
+      Rfaa.recover ~cp f ~pid:0 delta + delta
+    | (Ocas c | Omax c) when p.p_cas ->
+      ignore (Rcas.cas_recover ~cp c ~pid:0 ~old:p.p_old ~new_:p.p_new);
+      p.p_new
+    | Ocas c -> cas_above ~cp ~bump:true c p
+    | Omax m -> cas_above ~cp ~bump:false m p
+    | Ohist bs -> Rfaa.recover ~cp (hist_bucket bs p) ~pid:0 1 + 1
 
 (* Conservation bookkeeping: the committed-effect total the object's
    final state must equal.  Called by the shard exactly once per

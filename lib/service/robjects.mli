@@ -3,10 +3,12 @@
     the service's concurrency lives in the shard queues).
 
     The {!pending} slot is the wrapper-held system metadata of the
-    paper's model: the in-flight operation's arguments and nested
-    progress survive a crash on the OCaml heap (the simulated NVRAM),
-    while locals are discarded with the raised
-    {!Runtime.Crash.Crashed}, exactly like volatile registers. *)
+    paper's model: the in-flight operation's arguments survive a crash
+    on the OCaml heap (the simulated NVRAM), while locals are discarded
+    with the raised {!Runtime.Crash.Crashed}, exactly like volatile
+    registers.  The counter and FAA keep their own progress ([LI_p]);
+    only the CAS bump and max, composed here over a nested CAS, keep
+    that CAS's arguments in the slot. *)
 
 (** Object kinds, assigned round-robin over the key space. *)
 type kind = Counter | Faa | Cas | Max | Hist
@@ -30,29 +32,22 @@ val kind_of_key : t -> int -> kind
     candidate [arg]; hist adds into bucket [arg mod hist_buckets]. *)
 type op = Read | Update of int
 
-type pending = {
-  mutable p_active : bool;
-  mutable p_key : int;
-  mutable p_read : bool;
-  mutable p_arg : int;
-  mutable p_stage : int;  (** 0 = nested mutation not yet begun, 1 = begun *)
-  mutable p_val : int;  (** nested write value / CAS new value *)
-  mutable p_old : int;  (** CAS expected value *)
-  p_flag : bool ref;  (** Rfaa wrapper-preserved committed flag *)
-}
+type pending
+(** The in-flight operation's arguments (and a composed update's nested
+    CAS arguments). *)
 
 val pending_create : unit -> pending
 
 val begin_op : pending -> key:int -> op -> unit
-(** Record the operation's arguments as system metadata and reset the
-    nested-progress fields. *)
+(** Record the operation's arguments as system metadata. *)
 
 val end_op : pending -> unit
 
 val exec : t -> cp:Runtime.Crash.t -> pending -> int
-(** The first attempt; returns the response.
+(** The first attempt; returns the response (a counter update answers
+    INC's ack, 0).
     @raise Runtime.Crash.Crashed when the armed crash point fires —
-    [pending] then tells {!recover} how far the nested operation got. *)
+    {!recover} then finishes the operation. *)
 
 val recover : t -> cp:Runtime.Crash.t -> pending -> int
 (** Recover the in-flight operation exactly once; every branch is

@@ -2,7 +2,8 @@
    backends runs the same deterministic solo schedule through
 
    - the native runtime (lib/runtime on real OCaml atomics), with a
-     crash/recovery drilled at every [Crash.point] of the schedule, and
+     crash drilled at every [Crash.point] of the schedule and a second
+     one at every [Crash.point] of the crashed operation's recovery, and
    - the simulator (lib/objects on the machine's simulated NVM), with a
      crash drilled after every machine step — under the Instant persist
      model, the Explicit model with individual crashes, and the Explicit
@@ -52,20 +53,17 @@ let steps sim p n =
 (* {2 The native drill}
 
    A native schedule is a list of steps; each step runs its operation
-   under a shared crash point and knows how to recover it.  One crash is
-   armed per run, at a global position [k] spanning the whole schedule:
-   whichever operation is in flight when point [k] is reached aborts,
-   its recovery runs (crash-free), and the remaining operations proceed
-   crash-free — exactly one crash per execution, at every possible
-   position. *)
+   under a shared crash point and recovers it from the operation's
+   arguments alone.  A crash is armed at a global position [k] spanning
+   the whole schedule: whichever operation is in flight when point [k]
+   is reached aborts, a second crash is armed at position [j] of its
+   recovery, and a recovery so crashed re-runs crash-free.  The other
+   operations proceed crash-free. *)
 
 type nstep = {
   nlabel : string;
   nop : Crash.t -> Nvm.Value.t;
-  nrecover : int -> Nvm.Value.t;
-      (* the argument is the crash position local to this operation —
-         the system's [LI_p] role, which algorithms such as the counter
-         need to know whether their nested WRITE had started *)
+  nrecover : Crash.t -> Nvm.Value.t;
 }
 
 (* an observation step: reads native state after the operations and
@@ -83,25 +81,33 @@ let native_positions mk =
   Crash.disarm cp;
   n
 
-(* run a fresh schedule with a crash armed at global position [k] *)
-let native_run mk k =
+(* run a fresh schedule with a crash armed at global position [k] and
+   one at position [j] of the crashed operation's recovery; also says
+   whether that second crash fired *)
+let native_run mk k j =
   let cp = Crash.create () in
+  let recrashed = ref false in
   Crash.arm cp k;
   let results =
     List.map
       (fun s ->
-        (* points consumed by the preceding steps; 0 once disarmed
-           (post-crash), when it is never used *)
-        let base = Crash.traversed cp in
         match s.nop cp with
         | r -> (s.nlabel, r)
         | exception Crash.Crashed ->
+          Crash.arm cp j;
+          let r =
+            try s.nrecover cp
+            with Crash.Crashed ->
+              Crash.disarm cp;
+              recrashed := true;
+              s.nrecover cp
+          in
           Crash.disarm cp;
-          (s.nlabel, s.nrecover (k - base)))
+          (s.nlabel, r))
       (mk ())
   in
   Crash.disarm cp;
-  results
+  (results, !recrashed)
 
 (* {2 The simulator drill} *)
 
@@ -156,14 +162,14 @@ let register_row =
                   Rrw.Int.write ~cp r ~pid:0 5;
                   ack);
               nrecover =
-                (fun _ ->
-                  Rrw.Int.write_recover r ~pid:0 5;
+                (fun cp ->
+                  Rrw.Int.write_recover ~cp r ~pid:0 5;
                   ack);
             };
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rrw.Int.read ~cp r));
-              nrecover = (fun _ -> int (Rrw.Int.read_recover r));
+              nrecover = (fun cp -> int (Rrw.Int.read_recover ~cp r));
             };
           ]);
     script =
@@ -185,12 +191,12 @@ let cas_row =
             {
               nlabel = "CAS";
               nop = (fun cp -> bool (Rcas.cas ~cp c ~pid:0 ~old:0 ~new_:1));
-              nrecover = (fun _ -> bool (Rcas.cas_recover c ~pid:0 ~old:0 ~new_:1));
+              nrecover = (fun cp -> bool (Rcas.cas_recover ~cp c ~pid:0 ~old:0 ~new_:1));
             };
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rcas.read ~cp c));
-              nrecover = (fun _ -> int (Rcas.read_recover c));
+              nrecover = (fun cp -> int (Rcas.read_recover ~cp c));
             };
           ]);
     script =
@@ -216,12 +222,12 @@ let scas_row =
               nlabel = "CAS";
               nop = (fun cp -> bool (Rscas.cas ~cp c ~pid:0 ~old:0 ~new_:1 ~seq:1));
               nrecover =
-                (fun _ -> bool (Rscas.cas_recover c ~pid:0 ~old:0 ~new_:1 ~seq:1));
+                (fun cp -> bool (Rscas.cas_recover ~cp c ~pid:0 ~old:0 ~new_:1 ~seq:1));
             };
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rscas.read ~cp c));
-              nrecover = (fun _ -> int (Rscas.read c));
+              nrecover = (fun cp -> int (Rscas.read ~cp c));
             };
           ]);
     script =
@@ -246,7 +252,7 @@ let tas_row =
             {
               nlabel = "T&S";
               nop = (fun cp -> int (Rtas.test_and_set ~cp t ~pid:0));
-              nrecover = (fun _ -> int (Rtas.recover t ~pid:0));
+              nrecover = (fun cp -> int (Rtas.recover ~cp t ~pid:0));
             };
             observe "Res_p" (fun () -> int (Rtas.response t ~pid:0));
           ]);
@@ -271,24 +277,14 @@ let counter_row =
                   Rcounter.inc ~cp c ~pid:0;
                   ack);
               nrecover =
-                (fun lp ->
-                  (* local positions 0-1 precede the nested WRITE of
-                     line 4 (the READ of line 2 and the write's entry
-                     point); from position 2 the WRITE is in flight and
-                     must be recovered first, with its intended value
-                     temp + 1 = 1 — the [LI_p] knowledge the system
-                     supplies in the paper's model *)
-                  if lp <= 1 then Rcounter.inc_recover c ~pid:0 ~li_before_write:true
-                  else begin
-                    Rcounter.reg_write_recover c ~pid:0 1;
-                    Rcounter.inc_recover c ~pid:0 ~li_before_write:false
-                  end;
+                (fun cp ->
+                  Rcounter.inc_recover ~cp c ~pid:0;
                   ack);
             };
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rcounter.read ~cp c ~pid:0));
-              nrecover = (fun _ -> int (Rcounter.read_recover c ~pid:0));
+              nrecover = (fun cp -> int (Rcounter.read_recover ~cp c ~pid:0));
             };
           ]);
     script =
@@ -306,17 +302,16 @@ let faa_row =
       Some
         (fun () ->
           let f = Rfaa.create ~nprocs:1 () in
-          let committed = ref false in
           [
             {
               nlabel = "FAA";
-              nop = (fun cp -> int (Rfaa.faa ~cp ~committed f ~pid:0 3));
-              nrecover = (fun _ -> int (Rfaa.recover ~committed:!committed f ~pid:0 3));
+              nop = (fun cp -> int (Rfaa.faa ~cp f ~pid:0 3));
+              nrecover = (fun cp -> int (Rfaa.recover ~cp f ~pid:0 3));
             };
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rfaa.read ~cp f));
-              nrecover = (fun _ -> int (Rfaa.read f));
+              nrecover = (fun cp -> int (Rfaa.read ~cp f));
             };
           ]);
     script =
@@ -339,26 +334,18 @@ let stack_row =
       Some
         (fun () ->
           let s = Rstack.create ~nprocs:1 () in
-          let c_push = ref false and c_pop = ref false in
           [
             {
               nlabel = "PUSH";
-              nop =
-                (fun cp ->
-                  of_response (Rstack.decode (Rstack.push ~cp ~committed:c_push s ~pid:0 7)));
+              nop = (fun cp -> of_response (Rstack.decode (Rstack.push ~cp s ~pid:0 7)));
               nrecover =
-                (fun _ ->
-                  of_response
-                    (Rstack.decode (Rstack.push_recover ~committed:!c_push s ~pid:0 7)));
+                (fun cp -> of_response (Rstack.decode (Rstack.push_recover ~cp s ~pid:0 7)));
             };
             {
               nlabel = "POP";
-              nop =
-                (fun cp ->
-                  of_response (Rstack.decode (Rstack.pop ~cp ~committed:c_pop s ~pid:0)));
+              nop = (fun cp -> of_response (Rstack.decode (Rstack.pop ~cp s ~pid:0)));
               nrecover =
-                (fun _ ->
-                  of_response (Rstack.decode (Rstack.pop_recover ~committed:!c_pop s ~pid:0)));
+                (fun cp -> of_response (Rstack.decode (Rstack.pop_recover ~cp s ~pid:0)));
             };
             (* empty again: the pop took effect exactly once *)
             observe "TOP" (fun () ->
@@ -393,12 +380,12 @@ let mutex_row =
             {
               nlabel = "ACQUIRE";
               nop = (fun cp -> bool (Rmutex.acquire ~cp m ~pid:0 ~seq:1));
-              nrecover = (fun _ -> bool (Rmutex.acquire_recover m ~pid:0 ~seq:1));
+              nrecover = (fun cp -> bool (Rmutex.acquire_recover ~cp m ~pid:0 ~seq:1));
             };
             {
               nlabel = "RELEASE";
               nop = (fun cp -> bool (Rmutex.release ~cp m ~pid:0 ~seq:2));
-              nrecover = (fun _ -> bool (Rmutex.release_recover m ~pid:0 ~seq:2));
+              nrecover = (fun cp -> bool (Rmutex.release_recover ~cp m ~pid:0 ~seq:2));
             };
           ]);
     script =
@@ -419,7 +406,7 @@ let consensus_row =
             {
               nlabel = "DECIDE";
               nop = (fun cp -> int (Rconsensus.decide ~cp c ~pid:0 ~seq:1 7));
-              nrecover = (fun _ -> int (Rconsensus.decide_recover c ~pid:0 ~seq:1 7));
+              nrecover = (fun cp -> int (Rconsensus.decide_recover ~cp c ~pid:0 ~seq:1 7));
             };
           ]);
     script =
@@ -476,15 +463,22 @@ let check_admissible ~msg admissible results =
   if not (List.exists matches admissible) then
     Alcotest.failf "%s: responses %a match no admissible vector" msg pp_results results
 
+(* every operation crash position [k], and for each every recovery
+   crash position [j] until the recovery no longer reaches [j] *)
 let drill_native row mk =
   let n = native_positions mk in
   Alcotest.(check bool)
     (row.kind ^ ": the native drill covers real positions")
     true (n > 0);
   for k = 0 to n do
-    check_admissible
-      ~msg:(Printf.sprintf "native %s, crash at %d" row.kind k)
-      row.admissible_native (native_run mk k)
+    let rec from j =
+      let results, recrashed = native_run mk k j in
+      check_admissible
+        ~msg:(Printf.sprintf "native %s, crash at %d, recovery crash at %d" row.kind k j)
+        row.admissible_native results;
+      if recrashed then from (j + 1)
+    in
+    from 0
   done
 
 let vm_modes =

@@ -442,9 +442,7 @@ let test_watchdog_retries_exhausted () =
   (match
      Runtime.Torture.with_crashes ~rng ~crash_prob:1.0 ~stats ~obs:reg ~watchdog
        ~op:always_crash
-       ~recover:(fun ~cp ~traversed ->
-         ignore traversed;
-         always_crash ~cp)
+       ~recover:always_crash
        ()
    with
   | () -> Alcotest.fail "expected Recovery_stuck"
@@ -479,9 +477,7 @@ let test_watchdog_livelock_fuse () =
          while true do
            Runtime.Crash.point cp
          done)
-       ~recover:(fun ~cp ~traversed ->
-         ignore (cp, traversed);
-         ())
+       ~recover:(fun ~cp:_ -> ())
        ()
    with
   | () -> Alcotest.fail "expected Recovery_stuck"

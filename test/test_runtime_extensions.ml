@@ -54,23 +54,22 @@ let test_rfaa_basics () =
   Alcotest.(check int) "read" 8 (Rfaa.read f)
 
 let test_rfaa_crash_positions () =
-  (* solo FAA crashed at every position, recovered via the wrapper
-     protocol: the delta applies exactly once and the response is the
+  (* solo FAA crashed at every position, recovered from nothing but its
+     arguments: the delta applies exactly once and the response is the
      previous value *)
   for k = 0 to 9 do
     let f = Rfaa.create ~nprocs:1 () in
     ignore (Rfaa.faa f ~pid:0 10) (* value now 10 *);
     let cp = Crash.create () in
-    let committed = ref false in
     Crash.arm cp k;
-    (match Rfaa.faa ~cp ~committed f ~pid:0 7 with
+    (match Rfaa.faa ~cp f ~pid:0 7 with
     | v -> Alcotest.(check int) (Printf.sprintf "no crash at %d" k) 10 v
     | exception Crash.Crashed ->
       Crash.disarm cp;
       Alcotest.(check int)
         (Printf.sprintf "recovered response at %d" k)
         10
-        (Rfaa.recover ~committed:!committed f ~pid:0 7));
+        (Rfaa.recover f ~pid:0 7));
     Alcotest.(check int) (Printf.sprintf "exactly-once at %d" k) 17 (Rfaa.read f)
   done
 
@@ -96,21 +95,34 @@ let test_rstack_lifo () =
   Alcotest.(check bool) "empty again" true (pop s ~pid:0 = Rstack.Empty)
 
 let test_rstack_crash_positions () =
+  (* PUSH and POP each crashed at every position over a non-empty stack,
+     recovered from nothing but their arguments: each applies exactly
+     once *)
+  let crashed k op recover =
+    let cp = Crash.create () in
+    Crash.arm cp k;
+    Rstack.decode
+      (match op cp with
+      | r -> r
+      | exception Crash.Crashed ->
+        Crash.disarm cp;
+        recover ())
+  in
   for k = 0 to 11 do
     let s = Rstack.create ~nprocs:1 () in
-    ignore (Rstack.push s ~pid:0 7);
-    let cp = Crash.create () in
-    let committed = ref false in
-    Crash.arm cp k;
+    ignore (Rstack.push s ~pid:0 1);
     let resp =
-      Rstack.decode
-        (match Rstack.pop ~cp ~committed s ~pid:0 with
-        | r -> r
-        | exception Crash.Crashed ->
-          Crash.disarm cp;
-          Rstack.pop_recover ~committed:!committed s ~pid:0)
+      crashed k (fun cp -> Rstack.push ~cp s ~pid:0 2) (fun () -> Rstack.push_recover s ~pid:0 2)
     in
-    Alcotest.(check bool) (Printf.sprintf "popped 7 at %d" k) true (resp = Rstack.Popped 7);
+    Alcotest.(check bool) (Printf.sprintf "pushed at %d" k) true (resp = Rstack.Pushed);
+    Alcotest.(check (option int)) (Printf.sprintf "top after push at %d" k) (Some 2)
+      (Rstack.peek s);
+    let resp =
+      crashed k (fun cp -> Rstack.pop ~cp s ~pid:0) (fun () -> Rstack.pop_recover s ~pid:0)
+    in
+    Alcotest.(check bool) (Printf.sprintf "popped 2 at %d" k) true (resp = Rstack.Popped 2);
+    Alcotest.(check bool) (Printf.sprintf "popped 1 after %d" k) true
+      (pop s ~pid:0 = Rstack.Popped 1);
     Alcotest.(check bool)
       (Printf.sprintf "stack empty at %d" k)
       true
