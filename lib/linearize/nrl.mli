@@ -50,6 +50,15 @@ val pp : result Fmt.t
     is detected at the earliest step that dooms every extension and is
     sticky from then on.
 
+    Per-object transitions are pure, so each object state memoises its
+    successors (by invocation and by response): every state derived
+    from one {!create} that reaches the same object state by another
+    interleaving reuses them, and each distinct closure is computed once
+    per root.  The memo retains one successor per distinct (object
+    state, event) reached, for as long as the root is alive.  It is
+    safe to share a root between domains: entries are published
+    atomically and never mutated.
+
     The verdict at a terminal history equals {!Nrl.check}'s on the same
     sequence of steps (the test suite cross-checks the pair on every
     exploration scenario); messages may be phrased differently. *)
@@ -69,9 +78,13 @@ module Incremental : sig
       [obs] counts the work into a metric registry: [nrl.inc.steps] once
       per call, [nrl.inc.res_transitions] once per response step that
       reaches the configuration closure, and [nrl.inc.memo.hits] /
-      [nrl.inc.memo.misses] for the closure's memo table.  The memo is
-      local to each response step, so the counts depend only on the step
-      sequence — identical wherever the same prefix is replayed. *)
+      [nrl.inc.memo.misses] for the closure's memo table.  The closure
+      memo is local to each response step and a transition-memo hit
+      replays the counts its closure recorded, so these depend only on
+      the step sequence — identical wherever the same prefix is
+      replayed.  [nrl.inc.closures] counts the closures actually
+      computed (transition-memo misses); it depends on which path
+      reached a state first. *)
 
   val steps : ?obs:Obs.Metrics.t -> t -> History.Step.t list -> t
   (** Fold a suffix of steps, in order, with [obs] applied to each. *)
@@ -84,6 +97,12 @@ module Incremental : sig
   (** [Some reason] once any folded prefix violated NRL (sticky);
       [None] means every completion of the consumed history by dropping
       still-pending operations satisfies NRL so far. *)
+
+  val shares_object_state : t -> t -> int -> bool
+  (** [shares_object_state a b obj]: [a] and [b] hold physically the
+      same automaton state for object [obj] (or neither tracks it).
+      Folding one event into one state twice yields shared successors;
+      this observes that. *)
 end
 
 val strictness_violations : History.t -> History.Step.t list

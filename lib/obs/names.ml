@@ -34,6 +34,7 @@ let nrl_inc_steps = "nrl.inc.steps"
 let nrl_inc_res_transitions = "nrl.inc.res_transitions"
 let nrl_inc_memo_hits = "nrl.inc.memo.hits"
 let nrl_inc_memo_misses = "nrl.inc.memo.misses"
+let nrl_inc_closures = "nrl.inc.closures"
 
 let fuzz_runs = "fuzz.runs"
 let fuzz_new_coverage = "fuzz.new_coverage"
@@ -93,9 +94,10 @@ let catalogue =
     (checker_memo_hits, Counter, true, "WGL search nodes skipped by the memo table");
     (checker_memo_misses, Counter, true, "WGL search nodes expanded");
     (nrl_inc_steps, Counter, true, "history steps folded into the incremental automaton");
-    (nrl_inc_res_transitions, Counter, true, "response-step closures run");
+    (nrl_inc_res_transitions, Counter, true, "response-step closures run (computed or replayed from the transition memo)");
     (nrl_inc_memo_hits, Counter, true, "closure nodes skipped by the per-event memo");
     (nrl_inc_memo_misses, Counter, true, "closure nodes expanded");
+    (nrl_inc_closures, Counter, false, "response-step closures computed (transition-memo misses)");
     (fuzz_runs, Counter, true, "fuzz scenarios executed (campaign runs plus shrink re-runs)");
     (fuzz_new_coverage, Counter, true, "state fingerprints visited for the first time in the campaign");
     (fuzz_violations, Counter, true, "fuzz runs judged NRL- or strictness-violating");

@@ -122,13 +122,20 @@ val nrl_inc_steps : string
 (** History steps folded into {!Linearize.Nrl.Incremental}. *)
 
 val nrl_inc_res_transitions : string
-(** Response-step closures run (the automaton's only search). *)
+(** Response-step closures run (the automaton's only search), whether
+    computed or replayed from the per-object transition memo. *)
 
 val nrl_inc_memo_hits : string
 (** Closure nodes skipped by the per-event memo table. *)
 
 val nrl_inc_memo_misses : string
 (** Closure nodes expanded. *)
+
+val nrl_inc_closures : string
+(** Response-step closures actually computed: the response transitions
+    that missed the per-object transition memo.  Not engine-invariant:
+    which path reaches a state first, and a lost publication race
+    between domains, decide how many are computed. *)
 
 (** {1 Scenario fuzzer} *)
 

@@ -61,7 +61,6 @@ let kind_of_key t key = kind_of_index (key mod Array.length t.objs)
 type op = Read | Update of int
 
 type pending = {
-  mutable p_active : bool;
   mutable p_key : int;
   mutable p_read : bool;
   mutable p_arg : int;
@@ -72,7 +71,6 @@ type pending = {
 
 let pending_create () =
   {
-    p_active = false;
     p_key = 0;
     p_read = false;
     p_arg = 0;
@@ -82,7 +80,6 @@ let pending_create () =
   }
 
 let begin_op p ~key op =
-  p.p_active <- true;
   p.p_key <- key;
   (match op with
   | Read ->
@@ -93,7 +90,7 @@ let begin_op p ~key op =
     p.p_arg <- arg);
   p.p_cas <- false
 
-let end_op p = p.p_active <- false
+let end_op (_ : pending) = ()
 
 let hist_read ~cp bs =
   let s = ref 0 in

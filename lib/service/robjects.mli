@@ -42,6 +42,9 @@ val begin_op : pending -> key:int -> op -> unit
 (** Record the operation's arguments as system metadata. *)
 
 val end_op : pending -> unit
+(** A no-op: a slot needs no closing, since {!begin_op} overwrites every
+    field the next operation reads.  Kept for callers that bracket an
+    operation with [begin_op]/[end_op]. *)
 
 val exec : t -> cp:Runtime.Crash.t -> pending -> int
 (** The first attempt; returns the response (a counter update answers

@@ -150,7 +150,6 @@ let counters t =
 
 let commit t rq result =
   Robjects.apply_expected t.expected t.pending;
-  Robjects.end_op t.pending;
   answer rq st_ok result
 
 (* Recovery pipeline for the one in-flight operation, bounded by the
@@ -167,7 +166,6 @@ let recover_inflight t cs rq =
          checking may flag this key — which is exactly the point. *)
       Obs.Metrics.Counter.incr cs.c_giveups;
       Obs.Metrics.Counter.incr cs.c_failures;
-      Robjects.end_op t.pending;
       answer rq st_failed 0
     end
     else begin

@@ -295,7 +295,17 @@ let counter_row =
     admissible_vm = [ [ ("INC", ack); ("READ", int 1) ] ];
   }
 
+(* the drilled FAA follows a completed one: on a fresh object a stale
+   commit marker and a missing one read alike, so a marker written
+   before the operation's tag persists would go unseen *)
 let faa_row =
+  let faa f label delta =
+    {
+      nlabel = label;
+      nop = (fun cp -> int (Rfaa.faa ~cp f ~pid:0 delta));
+      nrecover = (fun cp -> int (Rfaa.recover ~cp f ~pid:0 delta));
+    }
+  in
   {
     kind = "faa";
     native =
@@ -303,11 +313,8 @@ let faa_row =
         (fun () ->
           let f = Rfaa.create ~nprocs:1 () in
           [
-            {
-              nlabel = "FAA";
-              nop = (fun cp -> int (Rfaa.faa ~cp f ~pid:0 3));
-              nrecover = (fun cp -> int (Rfaa.recover ~cp f ~pid:0 3));
-            };
+            faa f "FAA 2" 2;
+            faa f "FAA" 3;
             {
               nlabel = "READ";
               nop = (fun cp -> int (Rfaa.read ~cp f));
@@ -317,9 +324,13 @@ let faa_row =
     script =
       (fun sim ->
         let inst = Objects.Faa_obj.make sim ~name:"F" in
-        [ (inst, "FAA", Sim.Args [| int 3 |]); (inst, "READ", Sim.Args [||]) ]);
-    admissible_native = [ [ ("FAA", int 0); ("READ", int 3) ] ];
-    admissible_vm = [ [ ("FAA", int 0); ("READ", int 3) ] ];
+        [
+          (inst, "FAA", Sim.Args [| int 2 |]);
+          (inst, "FAA", Sim.Args [| int 3 |]);
+          (inst, "READ", Sim.Args [||]);
+        ]);
+    admissible_native = [ [ ("FAA 2", int 0); ("FAA", int 2); ("READ", int 5) ] ];
+    admissible_vm = [ [ ("FAA", int 0); ("FAA", int 2); ("READ", int 5) ] ];
   }
 
 let stack_row =
@@ -451,14 +462,13 @@ let rows =
 
 let pp_results = Fmt.Dump.list (Fmt.Dump.pair Fmt.string Nvm.Value.pp)
 
+(* a vector matches step by step, in schedule order, so one label may
+   occur twice (the simulator labels a response by its operation name) *)
 let check_admissible ~msg admissible results =
   let matches vector =
-    List.for_all
-      (fun (label, v) ->
-        match List.assoc_opt label results with
-        | Some r -> Nvm.Value.equal r v
-        | None -> false)
-      vector
+    List.equal
+      (fun (label, v) (label', r) -> String.equal label label' && Nvm.Value.equal r v)
+      vector results
   in
   if not (List.exists matches admissible) then
     Alcotest.failf "%s: responses %a match no admissible vector" msg pp_results results

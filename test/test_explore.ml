@@ -141,11 +141,15 @@ let test_find_violation_reports_toy () =
 
 let stats_triple (s : Explore.stats) = (s.Explore.terminals, s.Explore.truncated, s.Explore.nodes)
 
+let counter_value reg name =
+  match Obs.Metrics.view reg name with Some (Obs.Metrics.Counter n) -> n | _ -> 0
+
 let seed_scenario name ~nprocs ~ops =
   let build =
     match name with
     | "register" -> (Workload.Scenarios.register ~nprocs ~ops ()).Workload.Trial.build
     | "cas" -> (Workload.Scenarios.cas ~nprocs ~ops ()).Workload.Trial.build
+    | "counter" -> (Workload.Scenarios.counter ~nprocs ~ops ()).Workload.Trial.build
     | "tas" -> (Workload.Scenarios.tas ~nprocs ()).Workload.Trial.build
     | "naive-rw-optimistic" ->
       (Workload.Scenarios.naive_rw ~strategy:`Optimistic ~nprocs ~ops ()).Workload.Trial.build
@@ -394,17 +398,46 @@ let test_incremental_matches_terminal () =
         Explore.find_violation ~cfg ~check_mode:`Terminal
           ~check:Workload.Check.nrl_violation (build ())
       in
+      let reg = Obs.Metrics.create () in
       let vi, si =
-        Explore.find_violation ~cfg
+        Explore.find_violation ~cfg ~obs:reg
           ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
           ~check:Workload.Check.nrl_violation (build ())
       in
       Alcotest.(check bool) (name ^ ": same verdict") (vt <> None) (vi <> None);
+      (* the transition memo computes a closure at most once per
+         response step that reaches one *)
+      Alcotest.(check bool)
+        (name ^ ": closures computed <= response transitions")
+        true
+        (counter_value reg Obs.Names.nrl_inc_closures
+        <= counter_value reg Obs.Names.nrl_inc_res_transitions);
       if vt = None then
         Alcotest.(check (triple int int int))
           (name ^ ": same clean-sweep stats")
           (stats_triple st) (stats_triple si))
     all_seed_scenarios
+
+(* Each distinct per-object transition is computed once per search.  At
+   jobs = 1 the DFS order decides which path computes it, so the count
+   is pinned; at jobs > 1 a domain that loses a publication race has
+   computed one more (nrl.inc.closures is not engine-invariant). *)
+let test_incremental_closures_pinned () =
+  List.iter
+    (fun (name, nprocs, ops, closures) ->
+      let reg = Obs.Metrics.create () in
+      let v, _ =
+        Explore.find_violation ~cfg:crashy_cfg ~jobs:1 ~obs:reg
+          ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
+          ~check:Workload.Check.nrl_violation
+          (seed_scenario name ~nprocs ~ops ())
+      in
+      Alcotest.(check bool) (name ^ ": clean") true (v = None);
+      Alcotest.(check int)
+        (Printf.sprintf "%s %dx%d: closures computed" name nprocs ops)
+        closures
+        (counter_value reg Obs.Names.nrl_inc_closures))
+    [ ("counter", 2, 1, 29); ("register", 3, 1, 31) ]
 
 let test_incremental_counterexample_is_violating () =
   (* the machine captured by the incremental mode must itself fail the
@@ -465,6 +498,8 @@ let suite =
     Alcotest.test_case "matrix: jobs x dedup" `Quick test_jobs_dedup_matrix;
     QCheck_alcotest.to_alcotest prop_mark_undo_matches_clone;
     Alcotest.test_case "incremental = terminal verdicts" `Quick test_incremental_matches_terminal;
+    Alcotest.test_case "incremental: closures computed pinned" `Quick
+      test_incremental_closures_pinned;
     Alcotest.test_case "incremental counterexample violates" `Quick
       test_incremental_counterexample_is_violating;
     Alcotest.test_case "on_step hook" `Quick test_on_step_hook_runs_per_decision;

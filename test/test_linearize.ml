@@ -577,6 +577,58 @@ let prop_nrl_matches_incremental_on_long_histories =
       in
       nrl h && incremental h && nrl corrupt = incremental corrupt)
 
+(* The transition memo: folding one event twice into one automaton state
+   reaches the physically same object state, counts a replayed closure
+   without computing it, and judges the step exactly as a fresh
+   automaton does (which computes every closure).  Checked at every
+   invocation and response of a nested counter run with crashes, and at
+   every response again with its value corrupted. *)
+let test_incremental_memo_shares_successors () =
+  let sim, _ =
+    Workload.Trial.run ~seed:5 ~crash_prob:0.05 (Workload.Scenarios.counter ~nprocs:2 ~ops:2 ())
+  in
+  let spec_for = Workload.Check.spec_for sim and nprocs = 2 in
+  let fold prefix = Nrl.Incremental.(steps (create ~spec_for ~nprocs) prefix) in
+  let check_at h i =
+    let prefix = Array.to_list (Array.sub h 0 i) and s = h.(i) in
+    let obj, is_res =
+      match s with
+      | History.Step.Inv { opref; _ } -> (opref.History.Step.obj, false)
+      | History.Step.Res { opref; _ } -> (opref.History.Step.obj, true)
+      | History.Step.Crash _ | History.Step.Rec _ -> assert false
+    in
+    let st = fold prefix in
+    let a = Nrl.Incremental.step st s in
+    let reg = Obs.Metrics.create () in
+    let b = Nrl.Incremental.step ~obs:reg st s in
+    let at = Printf.sprintf "step %d" i in
+    Alcotest.(check bool) (at ^ ": shared successor") true
+      (Nrl.Incremental.shares_object_state a b obj);
+    Alcotest.(check int) (at ^ ": replayed, not computed") 0
+      (counter_value reg Obs.Names.nrl_inc_closures);
+    Alcotest.(check int) (at ^ ": still counted as a transition")
+      (if is_res then 1 else 0)
+      (counter_value reg Obs.Names.nrl_inc_res_transitions);
+    let fresh = Nrl.Incremental.violation (fold (prefix @ [ s ])) in
+    Alcotest.(check (option string)) (at ^ ": verdict of a fresh automaton") fresh
+      (Nrl.Incremental.violation b);
+    fresh
+  in
+  let h = Machine.Sim.history sim in
+  Alcotest.(check bool) "the run crashed" true
+    (Array.exists (function History.Step.Crash _ -> true | _ -> false) h);
+  Array.iteri
+    (fun i s ->
+      match s with
+      | History.Step.Inv _ | History.Step.Res _ ->
+        Alcotest.(check (option string)) "clean run" None (check_at h i)
+      | History.Step.Crash _ | History.Step.Rec _ -> ())
+    h;
+  let caught =
+    List.filter (fun i -> check_at (bump_response h i) i <> None) (response_positions h)
+  in
+  Alcotest.(check bool) "some corrupted response is rejected" true (caught <> [])
+
 (* The stack object's own steps in N(H) of one seeded 3 x 8 run. *)
 let pinned_stack_history () =
   let sim, _ =
@@ -727,4 +779,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_counter_spec_model;
     QCheck_alcotest.to_alcotest prop_checker_on_machine_histories;
     QCheck_alcotest.to_alcotest prop_nrl_matches_incremental_on_long_histories;
+    Alcotest.test_case "incremental: memoised successors shared, verdicts unchanged" `Quick
+      test_incremental_memo_shares_successors;
   ]
