@@ -124,24 +124,13 @@ let t1 () =
 let t2 () =
   section "T2" "latency of recoverable vs plain CAS and TAS (1 domain)";
   let nprocs = 4 in
-  (* steady-state successful CAS: always CAS from the current value *)
-  let plain_c = Runtime.Rcas.Plain.create 0 in
-  let pc = ref 0 in
-  let plain_cas =
-    estimate_ns "plain cas" (fun () ->
-        let old = !pc in
-        let nw = old + 1 in
-        if Runtime.Rcas.Plain.cas plain_c ~old ~new_:nw then pc := nw)
-  in
-  let reco_c = Runtime.Rcas.create ~nprocs 0 in
-  let rc = ref 0 in
-  let reco_cas =
-    estimate_ns "recoverable cas" (fun () ->
-        let old = !rc in
-        let nw = old + 1 in
-        if Runtime.Rcas.cas reco_c ~pid:0 ~old ~new_:nw then rc := nw)
-  in
+  (* the rows bench-native also reports, timed through its own thunks *)
+  let shared = Runtime.Bench_native.latency_thunks () in
+  let shared_ns name = estimate_ns name (List.assoc name shared) in
+  let plain_cas = shared_ns "plain cas" in
+  let reco_cas = shared_ns "recoverable cas" in
   (* failed-CAS path (read + compare only) *)
+  let reco_c = Runtime.Rcas.create ~nprocs 0 in
   let reco_cas_fail =
     estimate_ns "recoverable cas (failing)" (fun () ->
         ignore (Runtime.Rcas.cas reco_c ~pid:1 ~old:(-1) ~new_:(-2)))
@@ -161,19 +150,10 @@ let t2 () =
         Runtime.Rtas.Plain.test_and_set (Runtime.Rtas.Plain.create ()))
   in
   let reco_alloc = estimate_ns "alloc reco tas" (fun () -> Runtime.Rtas.create ~nprocs) in
-  let reco_tas_win =
-    estimate_ns "recoverable t&s (fresh, win)" (fun () ->
-        Runtime.Rtas.test_and_set (Runtime.Rtas.create ~nprocs) ~pid:0)
-  in
+  let reco_tas_win = shared_ns "recoverable t&s (fresh, win)" in
   (* native retry-loop objects vs their conventional counterparts *)
-  let plain_faa_c = Atomic.make 0 in
-  let plain_faa =
-    estimate_ns "atomic faa" (fun () -> ignore (Atomic.fetch_and_add plain_faa_c 1))
-  in
-  let rfaa = Runtime.Rfaa.create ~nprocs () in
-  let reco_faa =
-    estimate_ns "recoverable faa" (fun () -> ignore (Runtime.Rfaa.faa rfaa ~pid:0 1))
-  in
+  let plain_faa = shared_ns "atomic faa" in
+  let reco_faa = shared_ns "recoverable faa" in
   let plain_stack = Atomic.make [] in
   let plain_push_pop =
     estimate_ns "plain list stack" (fun () ->

@@ -72,6 +72,13 @@ let register reg ~otype ~name ?(init_value = Nvm.Value.Null) ?(strict_cells = []
   Hashtbl.replace reg.tbl id inst;
   inst
 
+let replace_ops reg inst ops =
+  if not (Hashtbl.mem reg.tbl inst.id) then
+    invalid_arg (Printf.sprintf "Objdef.replace_ops: unknown object instance %d" inst.id);
+  let inst = { inst with ops } in
+  Hashtbl.replace reg.tbl inst.id inst;
+  inst
+
 let find reg id =
   match Hashtbl.find_opt reg.tbl id with
   | Some i -> i

@@ -79,6 +79,13 @@ val register :
   instance
 (** Allocate a fresh instance id and record the instance. *)
 
+val replace_ops : registry -> instance -> (string * op_def) list -> instance
+(** [replace_ops reg inst ops] records [inst] with [ops] in place of its
+    operations, under its existing id — nested [Invoke]s resolve through
+    the registry, so they reach the new programs.  Returns the updated
+    instance.
+    @raise Invalid_argument if [inst] is not registered in [reg]. *)
+
 val find : registry -> int -> instance
 (** @raise Invalid_argument on an unknown instance id. *)
 

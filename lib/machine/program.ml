@@ -65,6 +65,9 @@ type t = {
   code : instr array;
   lines : int array;  (** paper line number of each instruction *)
   line_to_pc : (int, int) Hashtbl.t;
+      (** where a branch or [Resume] naming a line lands: the pc of the
+          instruction carrying it, or — after {!edit} — of the
+          instruction that took a dropped line's or an anchor's place *)
 }
 
 let make ~name instrs =
@@ -84,6 +87,76 @@ let make ~name instrs =
    flush annotations only under the explicit-persist memory model, so
    the instant-mode programs stay byte-identical to the paper's. *)
 let only_if cond lines = if cond then lines else []
+
+type edit =
+  | Drop of int list
+  | Replace of int * instr
+  | Swap of int * int
+  | Insert_before of int * int * instr
+
+(* Edits work on a list of (line, instruction, landing labels) entries:
+   the labels are every line whose branch lands on the entry, so a
+   dropped entry hands its labels to the next kept one and an inserted
+   one takes its anchor's.  Labels of dropped trailing lines have no
+   landing place and are forgotten (a branch to one then raises, as to
+   any unknown line). *)
+let edit t edits =
+  let fail fmt = Printf.ksprintf invalid_arg ("Program.edit(%s): " ^^ fmt) t.prog_name in
+  let labels = Array.make (Array.length t.code) [] in
+  Hashtbl.iter (fun line pc -> labels.(pc) <- line :: labels.(pc)) t.line_to_pc;
+  let entries =
+    List.init (Array.length t.code) (fun pc -> (t.lines.(pc), t.code.(pc), labels.(pc)))
+  in
+  let has entries line = List.exists (fun (l, _, _) -> l = line) entries in
+  let require entries line =
+    if not (has entries line) then fail "no instruction at line %d" line
+  in
+  let instr_at entries line =
+    let _, i, _ = List.find (fun (l, _, _) -> l = line) entries in
+    i
+  in
+  let apply entries = function
+    | Drop lines ->
+      List.iter (require entries) lines;
+      let kept, _ =
+        List.fold_left
+          (fun (acc, pending) (l, i, ls) ->
+            if List.mem l lines then (acc, pending @ ls)
+            else ((l, i, pending @ ls) :: acc, []))
+          ([], []) entries
+      in
+      List.rev kept
+    | Replace (line, i) ->
+      require entries line;
+      List.map (fun ((l, _, ls) as e) -> if l = line then (l, i, ls) else e) entries
+    | Swap (a, b) ->
+      require entries a;
+      require entries b;
+      let ia = instr_at entries a and ib = instr_at entries b in
+      List.map
+        (fun ((l, _, ls) as e) ->
+          if l = a then (l, ib, ls) else if l = b then (l, ia, ls) else e)
+        entries
+    | Insert_before (anchor, line, i) ->
+      require entries anchor;
+      if has entries line || List.exists (fun (_, _, ls) -> List.mem line ls) entries then
+        fail "line %d already taken" line;
+      List.concat_map
+        (fun ((l, ai, ls) as e) ->
+          if l = anchor then [ (line, i, line :: ls); (l, ai, []) ] else [ e ])
+        entries
+  in
+  let entries = Array.of_list (List.fold_left apply entries edits) in
+  let line_to_pc = Hashtbl.create (Array.length entries) in
+  Array.iteri
+    (fun pc (_, _, ls) -> List.iter (fun l -> Hashtbl.replace line_to_pc l pc) ls)
+    entries;
+  {
+    prog_name = t.prog_name;
+    code = Array.map (fun (_, i, _) -> i) entries;
+    lines = Array.map (fun (l, _, _) -> l) entries;
+    line_to_pc;
+  }
 
 let name t = t.prog_name
 let length t = Array.length t.code

@@ -60,11 +60,31 @@ val make : name:string -> (int * instr) list -> t
     pairs.  Line numbers must be unique within the program.
     @raise Invalid_argument on duplicate line numbers. *)
 
-val only_if : bool -> (int * instr) list -> (int * instr) list
+val only_if : bool -> 'a list -> 'a list
 (** [only_if cond lines] is [lines] when [cond] and [[]] otherwise —
     the splice objects use to include flush annotations only under the
     explicit-persist memory model (see docs/memory-model.md), keeping
-    the instant-mode programs byte-identical to the paper's. *)
+    the instant-mode programs byte-identical to the paper's; the bug
+    zoo splices the edits of those annotations with it. *)
+
+(** One line edit of a program, naming instructions by paper line. *)
+type edit =
+  | Drop of int list
+      (** remove these instructions; a branch or [Resume] naming a
+          dropped line lands on the next kept instruction in program
+          order *)
+  | Replace of int * instr  (** the instruction at a line, replaced *)
+  | Swap of int * int  (** exchange two lines' instructions; labels stay *)
+  | Insert_before of int * int * instr
+      (** [Insert_before (anchor, line, i)] puts [i], labelled [line],
+          in the anchor's place: every branch that reached the anchor
+          reaches [i] first *)
+
+val edit : t -> edit list -> t
+(** [edit t edits] applies [edits] in order.  The bug zoo builds every
+    mutant as its sound object's programs under a few such edits.
+    @raise Invalid_argument when an edit names a line that carries no
+    instruction, or inserts a line that is already taken. *)
 
 val name : t -> string
 val length : t -> int

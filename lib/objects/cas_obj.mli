@@ -12,14 +12,6 @@ type cells = {
   n : int;
 }
 
-val cas_body : persist:bool -> cells -> Machine.Program.t
-val cas_recover : persist:bool -> cells -> Machine.Program.t
-val read_body : persist:bool -> cells -> Machine.Program.t
-val read_recover : persist:bool -> cells -> Machine.Program.t
-(** The transcribed programs over a given cell layout, with ([persist:true])
-    or without the explicit-persist flush annotations; exposed for the
-    mutation zoo ({!Zoo}). *)
-
 val make : Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Register a recoverable CAS instance (object type ["cas"], initial
     abstract value [null]). *)

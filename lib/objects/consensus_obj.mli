@@ -4,18 +4,6 @@
     survive crashes.  Proposals must be non-[null]; sequence numbers
     are per-process unique. *)
 
-type cells = {
-  c : Nvm.Memory.addr;  (** the decision cell: [null] until decided *)
-  res : Nvm.Memory.addr;  (** per-process DECIDE responses [<seq, d>] *)
-}
-
-val alloc_cells : Nvm.Memory.t -> nprocs:int -> name:string -> cells
-
-val decide_body : persist:bool -> cells -> Machine.Program.t
-val decide_recover : cells -> Machine.Program.t
-(** The transcribed body and recovery over a given cell layout; exposed
-    for the mutation zoo ({!Zoo}). *)
-
 val make : Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Register a recoverable consensus instance (object type
     ["consensus"]); DECIDE is strict with per-process [<seq, d>]

@@ -10,22 +10,6 @@
     persists a per-process commit marker before clearing the lock, so
     recovery never grants twice or frees another process's lock. *)
 
-type cells = {
-  l : Nvm.Memory.addr;  (** the lock: [null] free, [<p, seq>] held *)
-  s : Nvm.Memory.addr;  (** per-process release commit markers [S_p] *)
-  ares : Nvm.Memory.addr;  (** per-process ACQUIRE responses [<seq, ret>] *)
-  rres : Nvm.Memory.addr;  (** per-process RELEASE responses [<seq, ret>] *)
-}
-
-val alloc_cells : Nvm.Memory.t -> nprocs:int -> name:string -> cells
-
-val acquire_body : persist:bool -> cells -> Machine.Program.t
-val acquire_recover : persist:bool -> cells -> Machine.Program.t
-val release_body : persist:bool -> cells -> Machine.Program.t
-val release_recover : cells -> Machine.Program.t
-(** The transcribed bodies and recoveries over a given cell layout;
-    exposed for the mutation zoo ({!Zoo}). *)
-
 val make : Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Register a recoverable abortable-mutex instance (object type
     ["mutex"]); ACQUIRE and RELEASE are strict with per-process

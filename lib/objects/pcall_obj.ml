@@ -164,14 +164,14 @@ let read_recover c =
       (7, Resume 2);
     ]
 
-(** Allocate and register the parts of one pcall instance — the
-    persistent call stack, the per-process scratch registers, the
-    shared counter and the response cells — without registering the
-    pcall object itself; shared with the mutation zoo ({!Zoo}), which
-    pairs the same layout with mutated programs. *)
-let alloc_parts sim ~name =
+(** Create a pcall instance in [sim]'s memory, together with its
+    persistent call stack, per-process scratch registers and the shared
+    recoverable counter it drives.  Both operations take one argument —
+    a per-process-unique sequence number — and are strict. *)
+let make sim ~name =
   let mem = Machine.Sim.mem sim in
   let nprocs = Machine.Sim.nprocs sim in
+  let persist = Machine.Sim.persist_annotations sim in
   let scratch =
     Array.init nprocs (fun i ->
         Rw_obj.make ~init:(Nvm.Value.Int 0) sim
@@ -188,24 +188,13 @@ let alloc_parts sim ~name =
       readres = Nvm.Memory.alloc_array ~name:(name ^ ".ReadRes") mem nprocs Nvm.Value.Null;
     }
   in
-  (c, ctr :: Array.to_list scratch)
-
-let strict_cells c ~nprocs =
-  [
-    ("RUN", Array.init nprocs (fun i -> c.runres + i));
-    ("READ", Array.init nprocs (fun i -> c.readres + i));
-  ]
-
-(** Create a pcall instance in [sim]'s memory, together with its
-    persistent call stack, per-process scratch registers and the shared
-    recoverable counter it drives.  Both operations take one argument —
-    a per-process-unique sequence number — and are strict. *)
-let make sim ~name =
-  let nprocs = Machine.Sim.nprocs sim in
-  let persist = Machine.Sim.persist_annotations sim in
-  let c, subobjects = alloc_parts sim ~name in
   Machine.Objdef.register (Machine.Sim.registry sim) ~otype:"pcall" ~name
-    ~strict_cells:(strict_cells c ~nprocs) ~subobjects
+    ~strict_cells:
+      [
+        ("RUN", Array.init nprocs (fun i -> c.runres + i));
+        ("READ", Array.init nprocs (fun i -> c.readres + i));
+      ]
+    ~subobjects:(ctr :: Array.to_list scratch)
     [
       ( "RUN",
         {

@@ -7,30 +7,6 @@
     increments the shared counter exactly once; [READ seq] returns the
     counter's total. *)
 
-type cells = {
-  stk : Nvm.Pstack.t;  (** one explicit frame slot per process *)
-  scratch_ids : int array;  (** per-process recoverable scratch registers *)
-  ctr_id : int;  (** the shared recoverable counter *)
-  runres : Nvm.Memory.addr;  (** per-process RUN responses [<seq, ack>] *)
-  readres : Nvm.Memory.addr;  (** per-process READ responses [<seq, v>] *)
-}
-
-val alloc_parts :
-  Machine.Sim.t -> name:string -> cells * Machine.Objdef.instance list
-(** Allocate the stack, scratch registers, counter and response cells
-    for one instance, registering the sub-objects but not the pcall
-    object itself; returns the layout and the sub-object instances.
-    Exposed for the mutation zoo ({!Zoo}). *)
-
-val strict_cells : cells -> nprocs:int -> (string * Nvm.Memory.addr array) list
-
-val run_body : persist:bool -> cells -> Machine.Program.t
-val run_recover : persist:bool -> cells -> Machine.Program.t
-val read_body : persist:bool -> cells -> Machine.Program.t
-val read_recover : cells -> Machine.Program.t
-(** The transcribed bodies and recoveries over a given layout; exposed
-    for the mutation zoo ({!Zoo}). *)
-
 val make : Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Register a pcall instance (object type ["pcall"]) together with its
     persistent call stack, per-process scratch registers and shared

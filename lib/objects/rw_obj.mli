@@ -17,15 +17,6 @@ type cells = {
   s : Nvm.Memory.addr;  (** base of the per-process [S_p] pair array *)
 }
 
-val write_body : persist:bool -> cells -> Machine.Program.t
-val write_recover : persist:bool -> cells -> Machine.Program.t
-val read_body : persist:bool -> cells -> Machine.Program.t
-val read_recover : persist:bool -> cells -> Machine.Program.t
-(** The transcribed programs over a given cell layout, with ([persist:true])
-    or without the explicit-persist flush annotations.  Exposed so the
-    mutation zoo ({!Zoo}) can build one-line-off variants against the very
-    programs the sound object runs. *)
-
 val make :
   ?init:Nvm.Value.t -> Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Allocate the object's cells in the machine's memory and register the

@@ -5,20 +5,6 @@
     recovery function busy-waits on other processes' state — blocking
     that Theorem 4 proves unavoidable with these base objects. *)
 
-type cells = {
-  r : Nvm.Memory.addr;  (** per-process state array, values 0..4 *)
-  winner : Nvm.Memory.addr;
-  doorway : Nvm.Memory.addr;
-  t : Nvm.Memory.addr;  (** the base atomic t&s bit *)
-  res : Nvm.Memory.addr;  (** per-process persisted responses [Res_p] *)
-}
-
-val tas_body : persist:bool -> cells -> Machine.Program.t
-val tas_recover : ?readable_base:bool -> persist:bool -> cells -> Machine.Program.t
-(** The transcribed [T&S] body and recovery over a given cell layout, with
-    ([persist:true]) or without the explicit-persist flush annotations;
-    exposed for the mutation zoo ({!Zoo}). *)
-
 val make : ?readable_base:bool -> Machine.Sim.t -> name:string -> Machine.Objdef.instance
 (** Register a recoverable TAS instance (object type ["tas"]); [T&S] is
     declared strict with [Res_p] as its designated response variable.

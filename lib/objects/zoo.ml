@@ -1,25 +1,33 @@
-(** The mutation bug zoo: deliberately broken variants of Algorithms 1-4.
+(** The mutation bug zoo: deliberately broken variants of the paper's
+    Algorithms 1-4 and of the mutex, consensus and pcall objects.
 
-    Each mutant removes or reorders {e one} line of a paper algorithm —
-    exactly the class of subtle recovery bugs the detectability
-    literature catalogues (lost response values, sequence bumps that
-    outrun their persist, skipped helping announcements).  The zoo is
-    the measuring stick for the fuzzer: a checker that "passes our
-    scenarios" proves little, a checker that {e catches every zoo
-    mutant within a pinned seed budget} has measured detection power.
+    Each mutant is its sound object, built by the object's own [make],
+    with a few named line edits ({!Machine.Program.edit}) applied to its
+    programs: a removed, reordered or misannotated line — exactly the
+    class of subtle recovery bugs the detectability literature
+    catalogues (lost response values, sequence bumps that outrun their
+    persist, skipped helping announcements).  A change to a sound
+    program therefore reaches its mutants, and a renumbered line that an
+    edit names fails the build of the mutant instead of silently making
+    it sound.  The zoo is the measuring stick for the fuzzer: a checker
+    that "passes our scenarios" proves little, a checker that {e catches
+    every zoo mutant within a pinned seed budget} has measured detection
+    power.
 
-    Every mutant keeps its base algorithm's object type, so the NRL
-    checker judges it against the same sequential specification, and
-    keeps the same strictness registration, so a skipped response
-    persist is a Definition 1 violation rather than silent dead code.
+    Every mutant keeps its base object's type, cells, strictness and
+    symmetry registration, so the NRL checker judges it against the same
+    sequential specification, and a skipped response persist is a
+    Definition 1 violation rather than silent dead code.
 
     Mutants with {!field-m_persist} set are {e persistency} bugs: their
-    programs carry the full explicit-persist flush annotations of the
-    sound algorithm except for one dropped flush (or one fence placed on
-    the wrong side of a write).  They are indistinguishable from the
-    sound algorithm under the instant model — the missing flush is a
-    no-op there — and must be run on a {!Nvm.Memory.Explicit} machine to
-    be detected (see docs/memory-model.md).
+    edits drop one flush of the explicit-persist annotations (or place
+    one fence on the wrong side of a write).  They are applied only on a
+    machine that carries the annotations ({!Machine.Sim.persist_annotations});
+    anywhere else the mutant is the sound object, as the missing flush
+    would be a no-op there.  They must be run on a {!Nvm.Memory.Explicit}
+    machine to be detected (see docs/memory-model.md).  Logic mutants
+    apply their edits on any machine and keep the annotations the sound
+    object carries.
 
     The catalogue is data ({!all}), so tests and the CLI iterate over it
     rather than hand-listing names. *)
@@ -31,12 +39,21 @@ type mutant = {
   m_algo : string;
       (** base algorithm's scenario kind: ["register"], ["cas"], ["tas"],
           ["counter"], ["mutex"], ["consensus"] or ["pcall"] — selects
-          the workload shape *)
+          the sound object and the workload shape *)
   m_persist : bool;
       (** a persistency mutant: only detectable under the explicit-persist
           memory model ({!Nvm.Memory.Explicit}) *)
   m_doc : string;  (** the mutation, and why it is unsound *)
+  m_edits : annotated:bool -> Machine.Objdef.instance -> (string * edit list) list;
+      (** the mutation: line edits keyed by program name, given whether
+          the programs carry flush annotations (a dropped or moved line
+          takes its own flush along) and the built sound instance (for
+          an instruction that needs one of its cells) *)
 }
+
+(* the edits of a mutation that needs neither the annotation flag nor
+   the instance *)
+let fixed edits ~annotated:_ _ = edits
 
 let all =
   [
@@ -48,6 +65,7 @@ let all =
         "Alg 1 WRITE skips line 3 (S_p <- <1,temp>): a crash between the write \
          to R and the persist of S_p re-executes a write that already took \
          effect (value resurrection).";
+      m_edits = fixed [ ("WRITE", [ Drop [ 3 ] ]) ];
     };
     {
       m_name = "rw-recover-skip-read";
@@ -57,6 +75,7 @@ let all =
         "Alg 1 WRITE.RECOVER skips line 14's re-read of R: a crash between \
          lines 3 and 4 is treated as a completed write, losing the write \
          entirely.";
+      m_edits = fixed [ ("WRITE.RECOVER", [ Drop [ 14; 1401; 15 ] ]) ];
     };
     {
       m_name = "cas-skip-announce";
@@ -66,6 +85,8 @@ let all =
         "Alg 2 CAS skips line 6 (the helping write R[id][p] <- val): a winner \
          that crashed before returning finds neither C = <p,new> nor new in \
          its row, re-executes, and reports false for a CAS everyone saw.";
+      m_edits =
+        (fun ~annotated _ -> [ ("CAS", [ Drop ([ 5; 6 ] @ only_if annotated [ 601 ]) ]) ]);
     };
     {
       m_name = "cas-recover-skip-rowscan";
@@ -75,6 +96,12 @@ let all =
         "Alg 2 CAS.RECOVER checks only C = <p,new> and skips the row scan of \
          line 13: a helped completion is missed and the CAS is re-executed \
          after its effect became visible.";
+      m_edits =
+        fixed
+          [
+            ( "CAS.RECOVER",
+              [ Replace (1302, Resume 2); Drop [ 1303; 1304; 1305; 1306; 1307; 16 ] ] );
+          ];
     };
     {
       m_name = "tas-res-after-state";
@@ -84,6 +111,9 @@ let all =
         "Alg 3 T&S bumps the state to 3 (line 12) before persisting the \
          response in Res_p (line 11): a crash between them makes recovery \
          read and return the unwritten Res_p.";
+      m_edits =
+        (fun ~annotated _ ->
+          [ ("T&S", Swap (11, 12) :: only_if annotated [ Swap (1101, 1201) ]) ]);
     };
     {
       m_name = "tas-skip-res";
@@ -93,6 +123,7 @@ let all =
         "Alg 3 T&S never persists its response in Res_p (line 11 dropped) \
          although the operation is registered strict: every completed T&S \
          violates Definition 1, and recovery after state 3 returns junk.";
+      m_edits = fixed [ ("T&S", [ Drop [ 11 ] ]) ];
     };
     {
       m_name = "counter-recover-reexec";
@@ -102,6 +133,9 @@ let all =
         "Alg 4 INC.RECOVER tests LI_p < 5 instead of LI_p < 4: a crash inside \
          the nested recoverable WRITE re-executes INC although the write's \
          NRL guarantee already linearized it — a double increment.";
+      m_edits =
+        fixed
+          [ ("INC.RECOVER", [ Replace (7, Branch_if ((fun ctx _ -> ctx.li_line < 5), 8)) ]) ];
     };
     {
       m_name = "counter-read-skip-persist";
@@ -111,6 +145,7 @@ let all =
         "Alg 4 READ skips line 15 (Res_p <- val) while staying registered \
          strict: every completed READ returns a response that was never \
          persisted (Definition 1 violation).";
+      m_edits = fixed [ ("READ", [ Drop [ 15 ] ]) ];
     };
     {
       m_name = "rw-write-skip-flush-r";
@@ -122,6 +157,7 @@ let all =
          <0,val> but before R reaches the medium rolls R back while recovery \
          trusts the record and acks without rewriting — a durably-lost write \
          whose ack escaped.";
+      m_edits = fixed [ ("WRITE", [ Drop [ 401 ] ]) ];
     };
     {
       m_name = "cas-skip-flush-c";
@@ -131,6 +167,7 @@ let all =
         "Annotated Alg 2 CAS drops the flush of C after line 7's cas: a \
          full-system crash can revert a successful, already-returned CAS, so \
          later reads durably observe the value it claimed to replace.";
+      m_edits = fixed [ ("CAS", [ Drop [ 701 ] ]) ];
     };
     {
       m_name = "tas-fence-early";
@@ -141,6 +178,7 @@ let all =
          flushing after it: the fence covers every earlier write but not the \
          response, so each completed T&S returns with Res_p still pending — \
          a Definition 1 strictness violation visible without any crash.";
+      m_edits = fixed [ ("T&S", [ Drop [ 1101 ]; Insert_before (11, 1002, Fence) ]) ];
     };
     {
       m_name = "mutex-release-blind-null";
@@ -150,6 +188,9 @@ let all =
         "Mutex RELEASE.RECOVER skips the ownership test of line 12 and \
          resumes straight at the commit marker: a crashed RELEASE that never \
          owned the lock clears another process's grant and returns true.";
+      m_edits =
+        (* 111's branch to 12 lands on 122's [Resume 4] *)
+        fixed [ ("RELEASE.RECOVER", [ Drop [ 12; 121; 13; 131; 14; 141; 15; 151 ] ]) ];
     };
     {
       m_name = "mutex-acquire-skip-res";
@@ -160,6 +201,9 @@ let all =
          registered strict: every completed ACQUIRE returns a response that \
          was never persisted (Definition 1 violation), and recovery after a \
          late crash has no record to answer from.";
+      m_edits =
+        (* line 4's jump and the recovery's [Resume 6] land on line 7 *)
+        fixed [ ("ACQUIRE", [ Drop [ 6 ] ]) ];
     };
     {
       m_name = "mutex-skip-flush-l";
@@ -169,6 +213,7 @@ let all =
         "Annotated mutex ACQUIRE drops the flush of L after the winning CAS: \
          a full-system crash can revert an already-granted lock to free, so \
          a second process acquires while the first still holds its true.";
+      m_edits = fixed [ ("ACQUIRE", [ Drop [ 31 ] ]) ];
     };
     {
       m_name = "mutex-skip-flush-s";
@@ -179,6 +224,7 @@ let all =
          before clearing L: a crash after the (flushed) clear plus a \
          full-system crash loses the marker, so recovery reports false for \
          a release that durably freed the lock.";
+      m_edits = fixed [ ("RELEASE", [ Drop [ 41 ] ]) ];
     };
     {
       m_name = "consensus-return-prop";
@@ -189,6 +235,17 @@ let all =
          of resuming through the decision cell: a crashed decide whose CAS \
          lost reports its input while everyone else reports the winner — an \
          agreement violation.";
+      m_edits =
+        (fun ~annotated:_ inst ->
+          let res = List.assoc "DECIDE" inst.Machine.Objdef.strict_cells in
+          [
+            ( "DECIDE.RECOVER",
+              [
+                Insert_before
+                  (8, 73, Write ((fun ctx _ -> res.(ctx.pid)), pair (arg 0) (arg 1)));
+                Replace (8, Ret (arg 1));
+              ] );
+          ]);
     };
     {
       m_name = "consensus-skip-flush-c";
@@ -199,6 +256,7 @@ let all =
          full-system crash can erase a decision that was already returned, \
          letting a later decide fix a different value — durable \
          disagreement.";
+      m_edits = fixed [ ("DECIDE", [ Drop [ 21 ] ]) ];
     };
     {
       m_name = "pcall-ignore-stage";
@@ -209,645 +267,49 @@ let all =
          RUN is treated as crashed in phase 0, so a crash after the INC \
          re-enters it from the frame write — a double increment any later \
          READ observes.";
+      m_edits = fixed [ ("RUN.RECOVER", [ Drop [ 121; 140; 141; 142; 143; 145 ] ]) ];
     };
   ]
 
 let find name = List.find_opt (fun m -> m.m_name = name) all
 
-let reg_op sim ~otype ~name ?init_value ?strict_cells ?subobjects ?sym ops =
-  Machine.Objdef.register (Machine.Sim.registry sim) ~otype ~name ?init_value
-    ?strict_cells ?subobjects ?sym ops
+(* The sound object a mutant edits, and the address of its [C] cell for
+   the CAS workload generator's [old] arguments. *)
+let sound algo sim ~name =
+  match algo with
+  | "register" -> (Rw_obj.make sim ~name, None)
+  | "cas" ->
+    let inst, cells = Cas_obj.make_ex sim ~name in
+    (inst, Some cells.Cas_obj.c)
+  | "tas" -> (Tas_obj.make sim ~name, None)
+  | "counter" -> (Counter_obj.make sim ~name, None)
+  | "mutex" -> (Mutex_obj.make sim ~name, None)
+  | "consensus" -> (Consensus_obj.make sim ~name, None)
+  | "pcall" -> (Pcall_obj.make sim ~name, None)
+  | other -> invalid_arg (Printf.sprintf "Zoo: unknown base algorithm %S" other)
 
-let op ~name body recover = (name, { Machine.Objdef.op_name = name; body; recover })
-
-(* {2 Algorithm 1 mutants}
-
-   Cells as in {!Rw_obj}; the unmutated programs come straight from
-   {!Rw_obj}'s builders, the mutated ones are transcribed with the
-   mutated line marked. *)
-
-(* MUTATION: line 3 (S_p <- <1,temp>) is gone, so the recovery function
-   never sees flag = 1 and re-executes any write interrupted between
-   lines 4 and 5. *)
-let rw_skip_log_write c =
-  make ~name:"WRITE"
-    [
-      (2, Read ("temp", at c.Rw_obj.r));
-      (4, Write (at c.Rw_obj.r, arg 0));
-      (5, Write (my_slot c.Rw_obj.s, pair (int 0) (arg 0)));
-      (6, Ret (const Nvm.Value.ack));
-    ]
-
-(* MUTATION: line 14's re-read of R is gone — the flag = 1 case falls
-   straight through to line 16 and returns ack without ever having
-   written R (lost write when the crash hit between lines 3 and 4). *)
-let rw_skip_read_recover c =
-  make ~name:"WRITE.RECOVER"
-    [
-      (11, Read ("s", my_slot c.Rw_obj.s));
-      ( 12,
-        Branch_if
-          (band (eq (fst_of (local "s")) (int 0)) (neq (snd_of (local "s")) (arg 0)), 13) );
-      (16, Write (my_slot c.Rw_obj.s, pair (int 0) (arg 0)));
-      (17, Ret (const Nvm.Value.ack));
-      (13, Resume 2);
-    ]
-
-(* MUTATION (persist): the fully annotated WRITE minus the flush of R
-   after line 4 (Rw_obj's line 4'01) — the completion record S_p =
-   <0,val> is still flushed at 5'01, so a full-system crash that drops
-   R's pending write leaves a durable record of a write the medium never
-   received, and the recovery acks on its strength without rewriting. *)
-let rw_skip_flush_r_write c =
-  make ~name:"WRITE"
-    [
-      (2, Read ("temp", at c.Rw_obj.r));
-      (201, Flush (at c.Rw_obj.r));
-      (3, Write (my_slot c.Rw_obj.s, pair (int 1) (local "temp")));
-      (301, Flush (my_slot c.Rw_obj.s));
-      (4, Write (at c.Rw_obj.r, arg 0));
-      (5, Write (my_slot c.Rw_obj.s, pair (int 0) (arg 0)));
-      (501, Flush (my_slot c.Rw_obj.s));
-      (6, Ret (const Nvm.Value.ack));
-    ]
-
-let make_rw_mutant variant ?(init = Nvm.Value.Null) sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let c =
-    {
-      Rw_obj.r = Nvm.Memory.alloc ~name mem init;
-      s =
-        Nvm.Memory.alloc_array ~name:(name ^ ".S") mem nprocs
-          (Nvm.Value.Pair (Nvm.Value.Int 0, Nvm.Value.Null));
-    }
+let apply_edits sim (inst : Machine.Objdef.instance) edits =
+  let programs =
+    List.concat_map
+      (fun (_, (d : Machine.Objdef.op_def)) -> [ name d.body; name d.recover ])
+      inst.ops
   in
-  (* persist mutants carry the sound algorithm's full annotations
-     everywhere except the one mutated program *)
-  let persist = match variant with `Skip_flush_r -> true | _ -> false in
-  let write, write_rec =
-    match variant with
-    | `Skip_log -> (rw_skip_log_write c, Rw_obj.write_recover ~persist c)
-    | `Skip_read -> (Rw_obj.write_body ~persist c, rw_skip_read_recover c)
-    | `Skip_flush_r -> (rw_skip_flush_r_write c, Rw_obj.write_recover ~persist c)
+  List.iter
+    (fun (prog, _) ->
+      if not (List.mem prog programs) then
+        invalid_arg (Printf.sprintf "Zoo: %s has no program %s" inst.obj_name prog))
+    edits;
+  let edited p =
+    match List.assoc_opt (name p) edits with Some es -> edit p es | None -> p
   in
-  (* mutations drop or reorder lines but never introduce pid-dependence:
-     the base algorithm's symmetry declaration still holds, which is what
-     lets the soundness tests pin quotiented verdicts against ground
-     truth on every mutant *)
-  reg_op sim ~otype:"rw" ~name ~init_value:init
-    ~sym:
-      {
-        Machine.Objdef.body_oblivious = true;
-        recover_oblivious = true;
-        pid_arrays = [ c.Rw_obj.s ];
-        pid_matrices = [];
-      }
-    [
-      op ~name:"WRITE" write write_rec;
-      op ~name:"READ" (Rw_obj.read_body ~persist c) (Rw_obj.read_recover ~persist c);
-    ]
-
-(* {2 Algorithm 2 mutants} *)
-
-(* MUTATION: lines 5-6 (the helping announcement) are gone — a crashed
-   winner whose value was already overwritten finds no evidence of its
-   success and re-executes. *)
-let cas_skip_announce_body cells =
-  make ~name:"CAS"
-    [
-      (2, Read ("cv", at cells.Cas_obj.c));
-      (3, Branch_if (neq (snd_of (local "cv")) (arg 0), 4));
-      (7, Cas_prim ("ret", at cells.Cas_obj.c, local "cv", pair self (arg 1)));
-      (8, Ret (local "ret"));
-      (4, Ret (bool false));
-    ]
-
-(* MUTATION: the row scan of line 13 is gone — only C = <p,new> counts
-   as evidence of success, so a helped completion is re-executed. *)
-let cas_skip_rowscan_recover cells =
-  make ~name:"CAS.RECOVER"
-    [
-      (13, Read ("c13", at cells.Cas_obj.c));
-      (1301, Branch_if (eq (local "c13") (pair self (arg 1)), 14));
-      (16, Resume 2);
-      (14, Ret (bool true));
-    ]
-
-(* R[q][p] where q is the pid in the first field of the pair stored in a
-   local and p is the executing process (line 6 of the annotated body) *)
-let cas_help_slot (cells : Cas_obj.cells) row_local : int exp =
- fun ctx env ->
-  let q = Nvm.Value.as_pid (Nvm.Value.fst (Machine.Env.get env row_local)) in
-  cells.Cas_obj.r + (q * cells.Cas_obj.n) + ctx.pid
-
-(* MUTATION (persist): the fully annotated CAS minus the flush of C
-   after line 7's cas (Cas_obj's line 7'01) — a successful CAS can
-   return true and then be rolled back by a full-system crash, leaving
-   later reads to durably observe the value it claimed to replace. *)
-let cas_skip_flush_c_body cells =
-  make ~name:"CAS"
-    [
-      (2, Read ("cv", at cells.Cas_obj.c));
-      (201, Flush (at cells.Cas_obj.c));
-      (3, Branch_if (neq (snd_of (local "cv")) (arg 0), 4));
-      (5, Branch_if (is_null (fst_of (local "cv")), 7));
-      (6, Write (cas_help_slot cells "cv", snd_of (local "cv")));
-      (601, Flush (cas_help_slot cells "cv"));
-      (7, Cas_prim ("ret", at cells.Cas_obj.c, local "cv", pair self (arg 1)));
-      (8, Ret (local "ret"));
-      (4, Ret (bool false));
-    ]
-
-let make_cas_mutant variant sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let cells =
-    {
-      Cas_obj.c = Nvm.Memory.alloc ~name mem (Nvm.Value.Pair (Nvm.Value.Null, Nvm.Value.Null));
-      r = Nvm.Memory.alloc_array ~name:(name ^ ".R") mem (nprocs * nprocs) Nvm.Value.Null;
-      n = nprocs;
-    }
-  in
-  let persist = match variant with `Skip_flush_c -> true | _ -> false in
-  let body, recover =
-    match variant with
-    | `Skip_announce -> (cas_skip_announce_body cells, Cas_obj.cas_recover ~persist cells)
-    | `Skip_rowscan -> (Cas_obj.cas_body ~persist cells, cas_skip_rowscan_recover cells)
-    | `Skip_flush_c -> (cas_skip_flush_c_body cells, Cas_obj.cas_recover ~persist cells)
-  in
-  let inst =
-    reg_op sim ~otype:"cas" ~name
-      ~sym:
-        {
-          Machine.Objdef.body_oblivious = true;
-          recover_oblivious = false;
-          pid_arrays = [];
-          pid_matrices = [ cells.Cas_obj.r ];
-        }
-      [
-        op ~name:"CAS" body recover;
-        op ~name:"READ" (Cas_obj.read_body ~persist cells)
-          (Cas_obj.read_recover ~persist cells);
-      ]
-  in
-  (inst, cells.Cas_obj.c)
-
-(* {2 Algorithm 3 mutants} *)
-
-(* MUTATION [`Res_after_state]: lines 11 and 12 swapped — the completion
-   state R[p] = 3 is persisted before the response Res_p, so a crash
-   between them makes recovery (line 18) read the unwritten Res_p.
-   MUTATION [`Skip_res]: line 11 dropped entirely — Res_p is never
-   written although T&S is registered strict. *)
-let tas_mutant_body variant (c : Tas_obj.cells) =
-  let tail =
-    match variant with
-    | `Res_after_state ->
-      [ (11, Write (my_slot c.Tas_obj.r, int 3)); (12, Write (my_slot c.Tas_obj.res, local "ret")) ]
-    | `Skip_res -> [ (11, Write (my_slot c.Tas_obj.r, int 3)) ]
-  in
-  make ~name:"T&S"
-    ([
-       (2, Write (my_slot c.Tas_obj.r, int 1));
-       (3, Read ("dw", at c.Tas_obj.doorway));
-       (301, Branch_if (eq (local "dw") (bool true), 6));
-       (4, Assign ("ret", int 1));
-       (5, Jump 11);
-       (6, Write (my_slot c.Tas_obj.r, int 2));
-       (7, Write (at c.Tas_obj.doorway, bool false));
-       (8, Tas_prim ("ret", at c.Tas_obj.t));
-       (9, Branch_if (neq (local "ret") (int 0), 11));
-       (10, Write (at c.Tas_obj.winner, self));
-     ]
-    @ tail
-    @ [ (13, Ret (local "ret")) ])
-
-(* MUTATION (persist): the fully annotated T&S, but with the flush of
-   Res_p after line 11 (Tas_obj's line 11'01) replaced by a fence
-   {e before} the write — the classic misplaced-barrier bug.  The fence
-   is even a no-op here (every earlier write was already flushed), and
-   the response write it was meant to cover stays pending at the return,
-   so every completed T&S fails the Definition 1 strictness stamp, which
-   consults the persisted view.  Detectable without any crash. *)
-let tas_fence_early_body (c : Tas_obj.cells) =
-  make ~name:"T&S"
-    [
-      (2, Write (my_slot c.Tas_obj.r, int 1));
-      (201, Flush (my_slot c.Tas_obj.r));
-      (3, Read ("dw", at c.Tas_obj.doorway));
-      (301, Branch_if (eq (local "dw") (bool true), 6));
-      (4, Assign ("ret", int 1));
-      (5, Jump 1002);
-      (6, Write (my_slot c.Tas_obj.r, int 2));
-      (601, Flush (my_slot c.Tas_obj.r));
-      (7, Write (at c.Tas_obj.doorway, bool false));
-      (701, Flush (at c.Tas_obj.doorway));
-      (8, Tas_prim ("ret", at c.Tas_obj.t));
-      (801, Flush (at c.Tas_obj.t));
-      (9, Branch_if (neq (local "ret") (int 0), 1002));
-      (10, Write (at c.Tas_obj.winner, self));
-      (1001, Flush (at c.Tas_obj.winner));
-      (1002, Fence);
-      (11, Write (my_slot c.Tas_obj.res, local "ret"));
-      (12, Write (my_slot c.Tas_obj.r, int 3));
-      (1201, Flush (my_slot c.Tas_obj.r));
-      (13, Ret (local "ret"));
-    ]
-
-let make_tas_mutant variant sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let c =
-    {
-      Tas_obj.r = Nvm.Memory.alloc_array ~name:(name ^ ".R") mem nprocs (Nvm.Value.Int 0);
-      winner = Nvm.Memory.alloc ~name:(name ^ ".Winner") mem Nvm.Value.Null;
-      doorway = Nvm.Memory.alloc ~name:(name ^ ".Doorway") mem (Nvm.Value.Bool true);
-      t = Nvm.Memory.alloc ~name:(name ^ ".t") mem (Nvm.Value.Int 0);
-      res = Nvm.Memory.alloc_array ~name:(name ^ ".Res") mem nprocs Nvm.Value.Null;
-    }
-  in
-  let persist = match variant with `Fence_early -> true | _ -> false in
-  let body =
-    match variant with
-    | (`Res_after_state | `Skip_res) as v -> tas_mutant_body v c
-    | `Fence_early -> tas_fence_early_body c
-  in
-  let res_cells = Array.init nprocs (fun i -> c.Tas_obj.res + i) in
-  reg_op sim ~otype:"tas" ~name
-    ~strict_cells:[ ("T&S", res_cells) ]
-    ~sym:
-      {
-        Machine.Objdef.body_oblivious = true;
-        recover_oblivious = false;
-        pid_arrays = [ c.Tas_obj.r; c.Tas_obj.res ];
-        pid_matrices = [];
-      }
-    [ op ~name:"T&S" body (Tas_obj.tas_recover ~persist c) ]
-
-(* {2 Algorithm 4 mutants} *)
-
-type counter_cells = { reg_ids : int array; res : Nvm.Memory.addr }
-
-let counter_inc_body c =
-  make ~name:"INC"
-    [
-      (2, Invoke ("temp", (fun ctx _ -> c.reg_ids.(ctx.pid)), "READ", [||]));
-      (3, Assign ("temp", add (local "temp") (int 1)));
-      (4, Invoke ("ack4", (fun ctx _ -> c.reg_ids.(ctx.pid)), "WRITE", [| local "temp" |]));
-      (5, Ret (const Nvm.Value.ack));
-    ]
-
-let counter_inc_recover = make ~name:"INC.RECOVER"
-    [
-      (7, Branch_if ((fun ctx env -> ignore env; ctx.li_line < 4), 8));
-      (10, Ret (const Nvm.Value.ack));
-      (8, Resume 2);
-    ]
-
-(* MUTATION: the LI_p test is off by one (< 5 instead of < 4): a crash
-   at line 4 re-executes INC although the nested recoverable WRITE's own
-   recovery already linearized the write. *)
-let counter_inc_recover_reexec = make ~name:"INC.RECOVER"
-    [
-      (7, Branch_if ((fun ctx env -> ignore env; ctx.li_line < 5), 8));
-      (10, Ret (const Nvm.Value.ack));
-      (8, Resume 2);
-    ]
-
-let counter_read_body c =
-  make ~name:"READ"
-    [
-      (12, Assign ("val", int 0));
-      (13, Assign ("i", int 0));
-      ( 1301,
-        Branch_if
-          ((fun ctx env -> Nvm.Value.as_int (Machine.Env.get env "i") >= ctx.nprocs), 15) );
-      ( 14,
-        Invoke
-          ( "tmp",
-            (fun _ env -> c.reg_ids.(Nvm.Value.as_int (Machine.Env.get env "i"))),
-            "READ",
-            [||] ) );
-      (1401, Assign ("val", add (local "val") (local "tmp")));
-      (1402, Assign ("i", add (local "i") (int 1)));
-      (1403, Jump 1301);
-      (15, Write (my_slot c.res, local "val"));
-      (16, Ret (local "val"));
-    ]
-
-(* MUTATION: line 15 (Res_p <- val) is gone while READ stays registered
-   strict — every completed READ is a Definition 1 violation. *)
-let counter_read_body_skip_persist c =
-  make ~name:"READ"
-    [
-      (12, Assign ("val", int 0));
-      (13, Assign ("i", int 0));
-      ( 1301,
-        Branch_if
-          ((fun ctx env -> Nvm.Value.as_int (Machine.Env.get env "i") >= ctx.nprocs), 16) );
-      ( 14,
-        Invoke
-          ( "tmp",
-            (fun _ env -> c.reg_ids.(Nvm.Value.as_int (Machine.Env.get env "i"))),
-            "READ",
-            [||] ) );
-      (1401, Assign ("val", add (local "val") (local "tmp")));
-      (1402, Assign ("i", add (local "i") (int 1)));
-      (1403, Jump 1301);
-      (16, Ret (local "val"));
-    ]
-
-let counter_read_recover = make ~name:"READ.RECOVER" [ (18, Resume 12) ]
-
-let make_counter_mutant variant sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let regs =
-    Array.init nprocs (fun i ->
-        Rw_obj.make ~init:(Nvm.Value.Int 0) sim ~name:(Printf.sprintf "%s.R[%d]" name i))
-  in
-  let c =
-    {
-      reg_ids = Array.map (fun (r : Machine.Objdef.instance) -> r.Machine.Objdef.id) regs;
-      res = Nvm.Memory.alloc_array ~name:(name ^ ".Res") mem nprocs Nvm.Value.Null;
-    }
-  in
-  let res_cells = Array.init nprocs (fun i -> c.res + i) in
-  let inc_recover, read_body =
-    match variant with
-    | `Recover_reexec -> (counter_inc_recover_reexec, counter_read_body c)
-    | `Read_skip_persist -> (counter_inc_recover, counter_read_body_skip_persist c)
-  in
-  reg_op sim ~otype:"counter" ~name
-    ~strict_cells:[ ("READ", res_cells) ]
-    ~subobjects:(Array.to_list regs)
-    [
-      op ~name:"INC" (counter_inc_body c) inc_recover;
-      op ~name:"READ" read_body counter_read_recover;
-    ]
-
-(* {2 Mutex mutants (Jayanti–Joshi transcription, {!Mutex_obj})} *)
-
-(* the response/frame cell holds this operation's [<seq, _>] tag *)
-let tag_matches var : bool exp =
- fun ctx env ->
-  match Machine.Env.get env var with
-  | Nvm.Value.Pair (s, _) -> Nvm.Value.equal s ctx.args.(0)
-  | _ -> false
-
-let mutex_owner_is_self var : bool exp =
- fun ctx env ->
-  match Machine.Env.get env var with
-  | Nvm.Value.Pair (Nvm.Value.Pid p, _) -> p = ctx.pid
-  | _ -> false
-
-let mutex_grant_is_mine var : bool exp =
- fun ctx env ->
-  match Machine.Env.get env var with
-  | Nvm.Value.Pair (Nvm.Value.Pid p, s) ->
-    p = ctx.pid && Nvm.Value.equal s ctx.args.(0)
-  | _ -> false
-
-(* MUTATION: the ownership test (Mutex_obj's recovery lines 12/121) is
-   gone — any crashed RELEASE resumes at line 4, writes its commit
-   marker, clears a lock it may never have owned and returns true. *)
-let mutex_blind_release_recover (c : Mutex_obj.cells) =
-  make ~name:"RELEASE.RECOVER"
-    [
-      (11, Read ("r", my_slot c.Mutex_obj.rres));
-      (111, Branch_if (bnot (tag_matches "r"), 12));
-      (112, Ret (snd_of (local "r")));
-      (12, Resume 4);
-    ]
-
-(* MUTATION: line 6 (ARes_p <- <seq, won>) is gone while ACQUIRE stays
-   registered strict — every completed ACQUIRE violates Definition 1,
-   and the recovery's resumes land on the bare return. *)
-let mutex_skip_ares_body c =
-  make ~name:"ACQUIRE"
-    [
-      (2, Read ("l", at c.Mutex_obj.l));
-      (21, Branch_if (not_null (local "l"), 5));
-      (3, Cas_prim ("won", at c.Mutex_obj.l, null, pair self (arg 0)));
-      (4, Jump 7);
-      (5, Assign ("won", bool false));
-      (7, Ret (local "won"));
-    ]
-
-let mutex_skip_ares_recover c =
-  make ~name:"ACQUIRE.RECOVER"
-    [
-      (9, Read ("r", my_slot c.Mutex_obj.ares));
-      (91, Branch_if (tag_matches "r", 92));
-      (10, Read ("l", at c.Mutex_obj.l));
-      (101, Branch_if (bnot (mutex_grant_is_mine "l"), 12));
-      (11, Assign ("won", bool true));
-      (111, Resume 7);
-      (12, Assign ("won", bool false));
-      (121, Resume 7);
-      (92, Ret (snd_of (local "r")));
-    ]
-
-(* MUTATION (persist): the fully annotated ACQUIRE minus the flush of L
-   after the winning CAS (Mutex_obj's line 31) — the response cell is
-   still flushed, so a full-system crash after the return can revert L
-   to free while the grant's true stands, and a second process then
-   acquires a lock that is already held. *)
-let mutex_skip_flush_l_body c =
-  make ~name:"ACQUIRE"
-    [
-      (2, Read ("l", at c.Mutex_obj.l));
-      (21, Branch_if (not_null (local "l"), 5));
-      (3, Cas_prim ("won", at c.Mutex_obj.l, null, pair self (arg 0)));
-      (4, Jump 6);
-      (5, Assign ("won", bool false));
-      (6, Write (my_slot c.Mutex_obj.ares, pair (arg 0) (local "won")));
-      (61, Flush (my_slot c.Mutex_obj.ares));
-      (7, Ret (local "won"));
-    ]
-
-(* MUTATION (persist): the fully annotated RELEASE minus the flush of
-   the commit marker S_p before L is cleared (Mutex_obj's line 41) — a
-   crash between the (flushed) clear and the response plus a full-system
-   crash loses the marker, and recovery answers false for a release
-   whose free durably happened. *)
-let mutex_skip_flush_s_body c =
-  make ~name:"RELEASE"
-    [
-      (2, Read ("l", at c.Mutex_obj.l));
-      (21, Branch_if (mutex_owner_is_self "l", 4));
-      (3, Assign ("ret", bool false));
-      (31, Jump 7);
-      (4, Write (my_slot c.Mutex_obj.s, pair (arg 0) (int 1)));
-      (5, Write (at c.Mutex_obj.l, null));
-      (51, Flush (at c.Mutex_obj.l));
-      (6, Assign ("ret", bool true));
-      (7, Write (my_slot c.Mutex_obj.rres, pair (arg 0) (local "ret")));
-      (71, Flush (my_slot c.Mutex_obj.rres));
-      (8, Ret (local "ret"));
-    ]
-
-let make_mutex_mutant variant sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let c = Mutex_obj.alloc_cells mem ~nprocs ~name in
-  let persist = match variant with `Skip_flush_l | `Skip_flush_s -> true | _ -> false in
-  let acq_body, acq_rec, rel_body, rel_rec =
-    match variant with
-    | `Blind_release ->
-      ( Mutex_obj.acquire_body ~persist c,
-        Mutex_obj.acquire_recover ~persist c,
-        Mutex_obj.release_body ~persist c,
-        mutex_blind_release_recover c )
-    | `Skip_ares ->
-      ( mutex_skip_ares_body c,
-        mutex_skip_ares_recover c,
-        Mutex_obj.release_body ~persist c,
-        Mutex_obj.release_recover c )
-    | `Skip_flush_l ->
-      ( mutex_skip_flush_l_body c,
-        Mutex_obj.acquire_recover ~persist c,
-        Mutex_obj.release_body ~persist c,
-        Mutex_obj.release_recover c )
-    | `Skip_flush_s ->
-      ( Mutex_obj.acquire_body ~persist c,
-        Mutex_obj.acquire_recover ~persist c,
-        mutex_skip_flush_s_body c,
-        Mutex_obj.release_recover c )
-  in
-  reg_op sim ~otype:"mutex" ~name
-    ~strict_cells:
-      [
-        ("ACQUIRE", Array.init nprocs (fun i -> c.Mutex_obj.ares + i));
-        ("RELEASE", Array.init nprocs (fun i -> c.Mutex_obj.rres + i));
-      ]
-    ~sym:
-      {
-        Machine.Objdef.body_oblivious = true;
-        recover_oblivious = true;
-        pid_arrays = [ c.Mutex_obj.s; c.Mutex_obj.ares; c.Mutex_obj.rres ];
-        pid_matrices = [];
-      }
-    [ op ~name:"ACQUIRE" acq_body acq_rec; op ~name:"RELEASE" rel_body rel_rec ]
-
-(* {2 Consensus mutants (Golab transcription, {!Consensus_obj})} *)
-
-(* MUTATION: the resume through the decision cell (line 8) is replaced
-   by answering with the caller's own proposal — agreement is lost the
-   first time a crashed decide's CAS had lost to another process. *)
-let consensus_return_prop_recover (c : Consensus_obj.cells) =
-  make ~name:"DECIDE.RECOVER"
-    [
-      (7, Read ("r", my_slot c.Consensus_obj.res));
-      (71, Branch_if (bnot (tag_matches "r"), 8));
-      (72, Ret (snd_of (local "r")));
-      (8, Write (my_slot c.Consensus_obj.res, pair (arg 0) (arg 1)));
-      (9, Ret (arg 1));
-    ]
-
-(* MUTATION (persist): the fully annotated DECIDE minus the flush of C
-   after the CAS (Consensus_obj's line 21) — a decided, already-returned
-   value can be erased by a full-system crash, and a later decide then
-   fixes a different one. *)
-let consensus_skip_flush_c_body (c : Consensus_obj.cells) =
-  make ~name:"DECIDE"
-    [
-      (2, Cas_prim ("won", at c.Consensus_obj.c, null, arg 1));
-      (3, Read ("d", at c.Consensus_obj.c));
-      (4, Write (my_slot c.Consensus_obj.res, pair (arg 0) (local "d")));
-      (41, Flush (my_slot c.Consensus_obj.res));
-      (5, Ret (local "d"));
-    ]
-
-let make_consensus_mutant variant sim ~name =
-  let mem = Machine.Sim.mem sim in
-  let nprocs = Machine.Sim.nprocs sim in
-  let c = Consensus_obj.alloc_cells mem ~nprocs ~name in
-  let persist = match variant with `Skip_flush_c -> true | _ -> false in
-  let body, recover =
-    match variant with
-    | `Return_prop -> (Consensus_obj.decide_body ~persist c, consensus_return_prop_recover c)
-    | `Skip_flush_c -> (consensus_skip_flush_c_body c, Consensus_obj.decide_recover c)
-  in
-  reg_op sim ~otype:"consensus" ~name
-    ~strict_cells:[ ("DECIDE", Array.init nprocs (fun i -> c.Consensus_obj.res + i)) ]
-    ~sym:
-      {
-        Machine.Objdef.body_oblivious = true;
-        recover_oblivious = true;
-        pid_arrays = [ c.Consensus_obj.res ];
-        pid_matrices = [];
-      }
-    [ op ~name:"DECIDE" body recover ]
-
-(* {2 Pcall mutants ({!Pcall_obj})} *)
-
-let pcall_my_top (c : Pcall_obj.cells) : int exp =
- fun ctx _ -> Nvm.Pstack.top_addr c.Pcall_obj.stk ~pid:ctx.pid
-
-let pcall_my_frame (c : Pcall_obj.cells) : int exp =
- fun ctx _ -> Nvm.Pstack.frame_addr c.Pcall_obj.stk ~pid:ctx.pid 0
-
-(* MUTATION: the frame's stage test (Pcall_obj's recovery line 121) is
-   gone — every interrupted RUN is treated as crashed in phase 0, so a
-   crash in the INC window resumes at the stage-1 frame write (line 50)
-   and re-invokes an INC that already took effect. *)
-let pcall_ignore_stage_recover (c : Pcall_obj.cells) =
-  make ~name:"RUN.RECOVER"
-    [
-      (100, Read ("r", my_slot c.Pcall_obj.runres));
-      (101, Branch_if (tag_matches "r", 199));
-      (110, Read ("fr", pcall_my_frame c));
-      (111, Branch_if (tag_matches "fr", 120));
-      (112, Resume 10);
-      (120, Read ("tp", pcall_my_top c));
-      (122, Branch_if (eq (local "tp") (int 1), 130));
-      (125, Resume 30);
-      (130, Branch_if ((fun ctx env -> ignore env; ctx.li_line < 40), 132));
-      (131, Resume 50);
-      (132, Resume 40);
-      (199, Ret (snd_of (local "r")));
-    ]
-
-let make_pcall_mutant variant sim ~name =
-  let nprocs = Machine.Sim.nprocs sim in
-  let c, subobjects = Pcall_obj.alloc_parts sim ~name in
-  let run_recover = match variant with `Ignore_stage -> pcall_ignore_stage_recover c in
-  reg_op sim ~otype:"pcall" ~name
-    ~strict_cells:(Pcall_obj.strict_cells c ~nprocs)
-    ~subobjects
-    [
-      op ~name:"RUN" (Pcall_obj.run_body ~persist:false c) run_recover;
-      op ~name:"READ" (Pcall_obj.read_body ~persist:false c) (Pcall_obj.read_recover c);
-    ]
-
-(* {2 Dispatch} *)
+  Machine.Objdef.replace_ops (Machine.Sim.registry sim) inst
+    (List.map
+       (fun (op, (d : Machine.Objdef.op_def)) ->
+         (op, { d with body = edited d.body; recover = edited d.recover }))
+       inst.ops)
 
 let make m sim ~name =
-  match m.m_name with
-  | "rw-skip-log" -> (make_rw_mutant `Skip_log sim ~name, None)
-  | "rw-recover-skip-read" -> (make_rw_mutant `Skip_read sim ~name, None)
-  | "rw-write-skip-flush-r" -> (make_rw_mutant `Skip_flush_r sim ~name, None)
-  | "cas-skip-announce" ->
-    let inst, cell = make_cas_mutant `Skip_announce sim ~name in
-    (inst, Some cell)
-  | "cas-recover-skip-rowscan" ->
-    let inst, cell = make_cas_mutant `Skip_rowscan sim ~name in
-    (inst, Some cell)
-  | "cas-skip-flush-c" ->
-    let inst, cell = make_cas_mutant `Skip_flush_c sim ~name in
-    (inst, Some cell)
-  | "tas-res-after-state" -> (make_tas_mutant `Res_after_state sim ~name, None)
-  | "tas-skip-res" -> (make_tas_mutant `Skip_res sim ~name, None)
-  | "tas-fence-early" -> (make_tas_mutant `Fence_early sim ~name, None)
-  | "counter-recover-reexec" -> (make_counter_mutant `Recover_reexec sim ~name, None)
-  | "counter-read-skip-persist" -> (make_counter_mutant `Read_skip_persist sim ~name, None)
-  | "mutex-release-blind-null" -> (make_mutex_mutant `Blind_release sim ~name, None)
-  | "mutex-acquire-skip-res" -> (make_mutex_mutant `Skip_ares sim ~name, None)
-  | "mutex-skip-flush-l" -> (make_mutex_mutant `Skip_flush_l sim ~name, None)
-  | "mutex-skip-flush-s" -> (make_mutex_mutant `Skip_flush_s sim ~name, None)
-  | "consensus-return-prop" -> (make_consensus_mutant `Return_prop sim ~name, None)
-  | "consensus-skip-flush-c" -> (make_consensus_mutant `Skip_flush_c sim ~name, None)
-  | "pcall-ignore-stage" -> (make_pcall_mutant `Ignore_stage sim ~name, None)
-  | other -> invalid_arg (Printf.sprintf "Zoo.make: unknown mutant %S" other)
+  let inst, cell = sound m.m_algo sim ~name in
+  let annotated = Machine.Sim.persist_annotations sim in
+  if m.m_persist && not annotated then (inst, cell)
+  else (apply_edits sim inst (m.m_edits ~annotated inst), cell)

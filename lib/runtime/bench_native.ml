@@ -71,9 +71,9 @@ module Plain_stack = struct
 end
 
 (* ---- single-domain latency and allocation rows ----
-   Row names are shared with the bench harness (bench/main.ml), which
-   times with the same [estimate_ns], so the two documents can be
-   cross-read. *)
+   The bench harness's T2 (bench/main.ml) times the rows both documents
+   name through these very thunks and the same [estimate_ns], so the
+   two documents can be cross-read. *)
 
 let lat_nprocs = 4
 

@@ -13,6 +13,13 @@ val alloc_words_per_op : ?iters:int -> (unit -> unit) -> float
 (** Minor-heap words allocated per call of the thunk ([Gc.minor_words]
     delta over [iters] calls, after a warm-up). *)
 
+val latency_thunks : unit -> (string * (unit -> unit)) list
+(** The single-domain latency rows by name (["plain cas"],
+    ["recoverable cas"], ["recoverable t&s (fresh, win)"], ["atomic faa"],
+    ["recoverable faa"], ...), each a fresh thunk over fresh objects on
+    4 processes.  bench/main.ml's T2 times the rows both suites name
+    through these same thunks. *)
+
 type config = {
   domains_list : int list;  (** worker-domain counts to sweep *)
   width : int;  (** contention-array width of the contended mode *)

@@ -24,9 +24,8 @@
 module Crash = Runtime.Crash
 module Torture = Runtime.Torture
 
-(* request status slots: the worker writes [rq_result] (plain field)
-   before the [Atomic.set] on [rq_status], so the result is published
-   to the polling client per the OCaml memory model *)
+(* request status slots, published to the polling client by the
+   worker's [Atomic.set] on [rq_status] *)
 let st_pending = 0
 let st_ok = 1
 let st_shed = 2
@@ -36,10 +35,9 @@ type request = {
   rq_key : int;  (** shard-local key *)
   rq_op : Robjects.op;
   rq_status : int Atomic.t;
-  mutable rq_result : int;
 }
 
-let request ~key op = { rq_key = key; rq_op = op; rq_status = Atomic.make st_pending; rq_result = 0 }
+let request ~key op = { rq_key = key; rq_op = op; rq_status = Atomic.make st_pending }
 
 (* shard status *)
 let healthy = 0
@@ -121,9 +119,7 @@ let pop t =
   Mutex.unlock t.q_mutex;
   r
 
-let answer rq status result =
-  rq.rq_result <- result;
-  Atomic.set rq.rq_status status
+let answer rq status = Atomic.set rq.rq_status status
 
 (* --- worker ------------------------------------------------------- *)
 
@@ -148,9 +144,9 @@ let counters t =
     h_recovery = Obs.Metrics.histogram t.reg Obs.Names.service_recovery_ns;
   }
 
-let commit t rq result =
+let commit t rq =
   Robjects.apply_expected t.expected t.pending;
-  answer rq st_ok result
+  answer rq st_ok
 
 (* Recovery pipeline for the one in-flight operation, bounded by the
    watchdog: retry budget, traversal fuse per attempt, backoff between
@@ -166,7 +162,7 @@ let recover_inflight t cs rq =
          checking may flag this key — which is exactly the point. *)
       Obs.Metrics.Counter.incr cs.c_giveups;
       Obs.Metrics.Counter.incr cs.c_failures;
-      answer rq st_failed 0
+      answer rq st_failed
     end
     else begin
       if attempt > 1 then begin
@@ -177,9 +173,9 @@ let recover_inflight t cs rq =
       if t.cfg.recrash_prob > 0.0 && Torture.rng_int t.rng 1_000 < int_of_float (t.cfg.recrash_prob *. 1_000.0)
       then Crash.arm t.cp (Torture.rng_int t.rng 4);
       match Robjects.recover t.objs ~cp:t.cp t.pending with
-      | r ->
+      | (_ : int) ->
         Crash.disarm t.cp;
-        commit t rq r
+        commit t rq
       | exception Crash.Crashed -> attempt_loop (attempt + 1)
       | exception Crash.Livelock -> attempt_loop (attempt + 1)
     end
@@ -216,9 +212,9 @@ let run t =
        crash-point index (index 0 is the first shared access) *)
     if armed then Crash.arm t.cp (Torture.rng_int t.rng 4);
     match Robjects.exec t.objs ~cp:t.cp t.pending with
-    | r ->
+    | (_ : int) ->
       Crash.disarm t.cp;
-      commit t rq r
+      commit t rq
     | exception Crash.Crashed -> handle_crash t cs (Some rq)
   in
   let rec loop () =
@@ -249,7 +245,7 @@ let run t =
                && shed_permille > 0
                && Torture.rng_int t.rng 1_000 < shed_permille ->
           Obs.Metrics.Counter.incr cs.c_shed;
-          answer rq st_shed 0
+          answer rq st_shed
         | _ -> exec_rq rq ~armed:false);
         loop ()
   in

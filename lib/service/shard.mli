@@ -18,7 +18,6 @@ type request = {
   rq_key : int;  (** shard-local key *)
   rq_op : Robjects.op;
   rq_status : int Atomic.t;  (** one of the [st_*] values above *)
-  mutable rq_result : int;  (** valid once [rq_status = st_ok] *)
 }
 
 val request : key:int -> Robjects.op -> request

@@ -51,6 +51,93 @@ let test_program_lines () =
     (Invalid_argument "Program.make(d): duplicate line number 2") (fun () ->
       ignore (make ~name:"d" [ (2, Jump 2); (2, Jump 2) ]))
 
+(* {2 Program.edit} *)
+
+let lines_of p = List.init (Program.length p) (Program.line_of_pc p)
+let printed p pc = Fmt.str "%a" Program.pp_instr (Program.instr p pc)
+
+(* an object whose SET branches to line 4 and whose recovery resumes at
+   line 4; dropping line 4 must land both on line 5 *)
+let test_edit_drop_lands_on_next_kept () =
+  let open Program in
+  let body =
+    make ~name:"SET"
+      [
+        (2, Branch_if ((fun _ _ -> true), 4));
+        (3, Ret (int 3));
+        (4, Ret (int 4));
+        (5, Ret (int 5));
+      ]
+  in
+  let recover = make ~name:"SET.RECOVER" [ (10, Resume 4) ] in
+  let body = edit body [ Drop [ 4 ] ] in
+  Alcotest.(check (list int)) "line dropped" [ 2; 3; 5 ] (lines_of body);
+  Alcotest.(check int) "dropped line resolves to the next kept" 2 (pc_of_line body 4);
+  let jumpy =
+    edit (make ~name:"J" [ (1, Jump 3); (2, Ret (int 2)); (3, Ret (int 3)) ]) [ Drop [ 2 ] ]
+  in
+  Alcotest.(check int) "kept targets unmoved" 1 (pc_of_line jumpy 3);
+  let run ~crash =
+    let sim = Sim.create ~nprocs:1 () in
+    let inst =
+      Objdef.register (Sim.registry sim) ~otype:"toy" ~name:"toy"
+        [ ("SET", { Objdef.op_name = "SET"; body; recover }) ]
+    in
+    Sim.set_script sim 0 [ (inst, "SET", Sim.Args [||]) ];
+    if crash then begin
+      Sim.step sim 0 (* INV *);
+      Sim.crash sim 0;
+      Sim.recover sim 0
+    end;
+    (match Schedule.run sim (Schedule.round_robin ()) with
+    | Schedule.Completed -> ()
+    | _ -> Alcotest.fail "run did not complete");
+    match Sim.results sim 0 with
+    | [ ("SET", v) ] -> v
+    | _ -> Alcotest.fail "expected one result"
+  in
+  Alcotest.check value "Branch_if into a dropped line" (Int 5) (run ~crash:false);
+  Alcotest.check value "Resume into a dropped line" (Int 5) (run ~crash:true)
+
+let test_edit_insert_takes_anchor_branches () =
+  let open Program in
+  let p = make ~name:"t" [ (1, Jump 3); (2, Ret (int 2)); (3, Ret (int 3)) ] in
+  let q = edit p [ Insert_before (3, 25, Assign ("x", int 1)) ] in
+  Alcotest.(check (list int)) "inserted before the anchor" [ 1; 2; 25; 3 ] (lines_of q);
+  Alcotest.(check int) "branches to the anchor reach the insert" 2 (pc_of_line q 3);
+  Alcotest.(check int) "the insert's own line" 2 (pc_of_line q 25);
+  Alcotest.(check string) "anchor instruction kept after it" "return <expr>" (printed q 3);
+  Alcotest.check_raises "a taken line is refused"
+    (Invalid_argument "Program.edit(t): line 2 already taken") (fun () ->
+      ignore (edit p [ Insert_before (3, 2, Fence) ]))
+
+let test_edit_swap_keeps_labels () =
+  let open Program in
+  let p = make ~name:"t" [ (1, Assign ("x", int 1)); (2, Jump 1); (3, Ret (local "x")) ] in
+  let q = edit p [ Swap (1, 3) ] in
+  Alcotest.(check (list int)) "labels in place" [ 1; 2; 3 ] (lines_of q);
+  Alcotest.(check int) "line 1 still the first pc" 0 (pc_of_line q 1);
+  Alcotest.(check string) "line 1 now holds line 3's instruction" (printed p 2) (printed q 0);
+  Alcotest.(check string) "line 3 now holds line 1's instruction" (printed p 0) (printed q 2);
+  let r = edit p [ Replace (2, Fence) ] in
+  Alcotest.(check string) "replace" "fence" (printed r 1)
+
+let test_edit_unknown_line_raises () =
+  let open Program in
+  let p = make ~name:"t" [ (1, Assign ("x", int 1)); (2, Ret (local "x")) ] in
+  let no_line edits =
+    Alcotest.check_raises "unknown line"
+      (Invalid_argument "Program.edit(t): no instruction at line 7") (fun () ->
+        ignore (edit p edits))
+  in
+  no_line [ Drop [ 7 ] ];
+  no_line [ Replace (7, Fence) ];
+  no_line [ Swap (1, 7) ];
+  no_line [ Insert_before (7, 8, Fence) ];
+  Alcotest.check_raises "a dropped line is gone for later edits"
+    (Invalid_argument "Program.edit(t): no instruction at line 1") (fun () ->
+      ignore (edit p [ Drop [ 1 ]; Replace (1, Fence) ]))
+
 (* {2 A tiny recoverable object for machine-level tests: a write-once cell
    with a deliberately trivial recovery that re-executes. } *)
 
@@ -306,6 +393,12 @@ let suite =
     Alcotest.test_case "env copy isolation" `Quick test_env_copy_isolated;
     Alcotest.test_case "junk copy" `Quick test_junk_copy;
     Alcotest.test_case "program lines" `Quick test_program_lines;
+    Alcotest.test_case "edit: drop lands on the next kept line" `Quick
+      test_edit_drop_lands_on_next_kept;
+    Alcotest.test_case "edit: insert takes the anchor's branches" `Quick
+      test_edit_insert_takes_anchor_branches;
+    Alcotest.test_case "edit: swap keeps labels" `Quick test_edit_swap_keeps_labels;
+    Alcotest.test_case "edit: unknown line raises" `Quick test_edit_unknown_line_raises;
     Alcotest.test_case "step runs an operation" `Quick test_step_runs_op;
     Alcotest.test_case "crash scrambles, recovery completes" `Quick test_crash_scrambles_and_recovers;
     Alcotest.test_case "idle crash" `Quick test_crash_with_no_pending_op;

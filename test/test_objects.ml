@@ -461,6 +461,109 @@ let prop_nrl_torture =
       let _, r = Workload.Trial.run ~seed ~crash_prob:0.1 ~max_crashes:5 scen in
       r.Workload.Trial.nrl_ok)
 
+(* {2 The bug zoo: every mutant is its sound object plus its declared edits} *)
+
+let sound_object algo sim =
+  match algo with
+  | "register" -> Objects.Rw_obj.make sim ~name:"Z"
+  | "cas" -> Objects.Cas_obj.make sim ~name:"Z"
+  | "tas" -> Objects.Tas_obj.make sim ~name:"Z"
+  | "counter" -> Objects.Counter_obj.make sim ~name:"Z"
+  | "mutex" -> Objects.Mutex_obj.make sim ~name:"Z"
+  | "consensus" -> Objects.Consensus_obj.make sim ~name:"Z"
+  | "pcall" -> Objects.Pcall_obj.make sim ~name:"Z"
+  | other -> Alcotest.failf "unknown base algorithm %s" other
+
+(* a program as (line, printed instruction) pairs; branch targets are
+   printed, and an edit never rewrites them *)
+let listing p =
+  List.init (Program.length p) (fun pc ->
+      (Program.line_of_pc p pc, Fmt.str "%a" Program.pp_instr (Program.instr p pc)))
+
+(* the declared edits applied to a listing, independently of
+   [Program.edit] *)
+let edit_listing l edits =
+  let pp i = Fmt.str "%a" Program.pp_instr i in
+  List.fold_left
+    (fun l -> function
+      | Program.Drop lines -> List.filter (fun (line, _) -> not (List.mem line lines)) l
+      | Program.Replace (line, i) ->
+        List.map (fun (l', s) -> if l' = line then (l', pp i) else (l', s)) l
+      | Program.Swap (a, b) ->
+        let sa = List.assoc a l and sb = List.assoc b l in
+        List.map (fun (l', s) -> (l', if l' = a then sb else if l' = b then sa else s)) l
+      | Program.Insert_before (anchor, line, i) ->
+        List.concat_map
+          (fun (l', s) -> if l' = anchor then [ (line, pp i); (l', s) ] else [ (l', s) ])
+          l)
+    l edits
+
+(* Built on an instant machine and on an annotated explicit one, each
+   mutant's programs are the sound object's with exactly the declared
+   edits (none for a persistency mutant off an annotated machine), the
+   registry resolves its id to the edited programs, and seeded crash
+   trials run to a verdict.  An edit that
+   names a line the sound program lacks raises, so a renumbered sound
+   program fails here instead of silently making its mutant sound. *)
+let test_zoo_mutants_are_edited_sound_objects () =
+  List.iter
+    (fun (persist, annotated) ->
+      List.iter
+        (fun (m : Objects.Zoo.mutant) ->
+          let sim () = Sim.create ~persist ~nprocs:2 () in
+          let sound = sound_object m.m_algo (sim ()) in
+          let msim = sim () in
+          let mutant, _ = Objects.Zoo.make m msim ~name:"Z" in
+          let applies = annotated || not m.m_persist in
+          let edits = if applies then m.m_edits ~annotated mutant else [] in
+          List.iter2
+            (fun (op, (s : Objdef.op_def)) (op', (d : Objdef.op_def)) ->
+              Alcotest.(check string) (m.m_name ^ ": same operations") op op';
+              List.iter2
+                (fun sp mp ->
+                  let name = Program.name sp in
+                  let expected =
+                    match List.assoc_opt name edits with
+                    | Some es -> edit_listing (listing sp) es
+                    | None -> listing sp
+                  in
+                  Alcotest.(check (list (pair int string)))
+                    (Printf.sprintf "%s (annotated %b): %s" m.m_name annotated name)
+                    expected (listing mp))
+                [ s.body; s.recover ] [ d.body; d.recover ])
+            sound.Objdef.ops mutant.Objdef.ops;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s (annotated %b): edits declared where they apply" m.m_name
+               annotated)
+            applies (edits <> []);
+          Alcotest.(check bool)
+            (m.m_name ^ ": the registry resolves the edited programs")
+            true
+            ((Objdef.find (Sim.registry msim) mutant.Objdef.id).Objdef.ops == mutant.Objdef.ops);
+          (* and it runs: no instruction an edit left behind may fault
+             (a kept flush of a dropped write's cell once did) *)
+          for seed = 1 to 10 do
+            let d =
+              {
+                Fuzz.Gen.kind = m.m_name;
+                nprocs = 2;
+                ops = 2;
+                mix_pm = 600;
+                scen_seed = seed;
+                sched_seed = seed;
+                crash_pm = 0;
+                recover_pm = 500;
+                system_pm = 0;
+                max_crashes = 0;
+                max_steps = 1;
+                junk = "scramble";
+              }
+            in
+            ignore (Workload.Trial.run ~persist ~crash_prob:0.1 ~seed (Fuzz.Gen.scenario d))
+          done)
+        Objects.Zoo.all)
+    [ (Nvm.Memory.Instant, false); (Nvm.Memory.Explicit, true) ]
+
 let suite =
   [
     Alcotest.test_case "rw: crash-free" `Quick test_rw_crash_free;
@@ -485,6 +588,8 @@ let suite =
     Alcotest.test_case "counter: no double increment" `Quick test_counter_no_double_increment;
     Alcotest.test_case "counter: strict READ" `Quick test_counter_strict_read;
     Alcotest.test_case "counter: randomized torture" `Slow test_counter_torture;
+    Alcotest.test_case "zoo: mutants are sound objects plus their edits" `Quick
+      test_zoo_mutants_are_edited_sound_objects;
     QCheck_alcotest.to_alcotest prop_counter_conservation;
     QCheck_alcotest.to_alcotest prop_nrl_torture;
   ]
