@@ -361,21 +361,22 @@ let t5 () =
 
 (* {1 T6: work-stealing jobs scaling (incremental checking)} *)
 
-(* The work-stealing engine on a fixed mid-sized instance: wall-clock and
+(* The work-stealing engine on the CI speedup gate's instance (register
+   3x3, process 0 crashes once, depth 100; ~0.8M nodes, seconds per row,
+   so run-to-run noise stays well below a real change): wall-clock and
    nodes/sec at 1/2/4 domains, with the shared sharded visited store and
-   incremental checking on throughout —
-   the configuration the speedup gate cares about.  Statistics must be
+   incremental checking on throughout.  Statistics must be
    identical down every column: the partition of the tree into stolen
    subtree tasks may vary, the counted tree may not.  Speedup needs real
    cores (see [domains_available] in the JSON); on a narrower host the
    higher rows measure oversubscription, which after this rearchitecture
    should cost percents, not multiples. *)
 let t6 () =
-  section "T6" "explore jobs scaling, work-stealing (register, 3 procs, 1 op, 1 crash)";
+  section "T6" "explore jobs scaling, work-stealing (register, 3 procs, 3 ops, 1 crash)";
   (* the earlier sections leave a large fragmented major heap that would
      throttle the allocation-heavy search: measure from a compacted heap *)
   Gc.compact ();
-  let nprocs = 3 and ops = 1 in
+  let nprocs = 3 and ops = 3 in
   let scen = Workload.Scenarios.register ~nprocs ~ops () in
   let build () =
     let sim = Machine.Sim.create ~nprocs () in
@@ -467,9 +468,9 @@ let t8 () =
 
 (* {1 T7: enumeration and check-mode throughput (1 domain)} *)
 
-(* The T6 instance at jobs = 1: raw enumeration (no checking), then
-   prefix-shared incremental NRL checking vs re-checking every terminal
-   from scratch.  Statistics are identical across the three rows — only
+(* Register 3x1 at jobs = 1, without dedup (T6's 3x3 instance explodes
+   without it): raw enumeration (no checking), then prefix-shared
+   incremental NRL checking vs re-checking every terminal from scratch.  Statistics are identical across the three rows — only
    the rates move. *)
 let t7 () =
   section "T7" "enumeration, incremental vs terminal (register, 3 procs, 1 op, 1 crash)";

@@ -14,58 +14,35 @@
 open Cmdliner
 module S = Workload.Scenarios
 
-(* Zoo mutants double as scenarios (their workload shape comes from the
-   base algorithm), so explore/run/check can target e.g.
-   rw-write-skip-flush-r directly.  The fixed descriptor below only
-   supplies the build-time parameters; scheduling is the subcommand's. *)
-let zoo_scenario kind ~nprocs ~ops =
-  Fuzz.Gen.scenario
-    {
-      Fuzz.Gen.kind;
-      nprocs;
-      ops;
-      mix_pm = 600;
-      scen_seed = 1;
-      sched_seed = 1;
-      crash_pm = 0;
-      recover_pm = 500;
-      system_pm = 0;
-      max_crashes = 0;
-      max_steps = 1;
-      junk = "scramble";
-    }
-
-(* The named scenarios, in [nrlsim list] order; after them every zoo
-   mutant name is a scenario too ([zoo_scenario]). *)
+(* The named scenarios, in [nrlsim list] order: the object-kind
+   catalogue's rows, then the scenarios the fuzzer does not draw.  After
+   them every zoo mutant name is a scenario too, running its base kind's
+   fixed mutant workload ([S.mutant]). *)
 let scenarios =
-  [
-    ("register", fun ~nprocs ~ops -> S.register ~nprocs ~ops ());
-    ("cas", fun ~nprocs ~ops -> S.cas ~nprocs ~ops ());
-    ("tas", fun ~nprocs ~ops:_ -> S.tas ~nprocs ());
-    ("counter", fun ~nprocs ~ops -> S.counter ~nprocs ~ops ());
-    ("elect", fun ~nprocs ~ops:_ -> S.elect ~nprocs ());
-    ("faa", fun ~nprocs ~ops -> S.faa ~nprocs ~ops ());
-    ("stack", fun ~nprocs ~ops -> S.stack ~nprocs ~ops ());
-    ("histogram", fun ~nprocs ~ops -> S.histogram ~nprocs ~ops ());
-    ("queue", fun ~nprocs ~ops -> S.queue ~nprocs ~ops ());
-    ("max-register", fun ~nprocs ~ops -> S.max_register ~nprocs ~ops ());
-    ("mutex", fun ~nprocs ~ops -> S.mutex ~nprocs ~ops ());
-    ("mutex-pairs", fun ~nprocs ~ops:_ -> S.mutex_pairs ~nprocs ());
-    ("consensus", fun ~nprocs ~ops -> S.consensus ~nprocs ~ops ());
-    ("pcall", fun ~nprocs ~ops -> S.pcall ~nprocs ~ops ());
-    ("naive-rw-optimistic", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Optimistic ~nprocs ~ops ());
-    ("naive-rw-reexec", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Reexecute ~nprocs ~ops ());
-    ("naive-cas-optimistic", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Optimistic ~nprocs ~ops ());
-    ("naive-cas-reexec", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Reexecute ~nprocs ~ops ());
-    ("naive-tas", fun ~nprocs ~ops:_ -> S.naive_tas ~nprocs ());
-  ]
+  List.map (fun k -> (S.name k, fun ~nprocs ~ops -> S.of_kind k ~nprocs ~ops ())) S.catalogue
+  @ [
+      ("elect", fun ~nprocs ~ops:_ -> S.elect ~nprocs ());
+      ("faa", fun ~nprocs ~ops -> S.faa ~nprocs ~ops ());
+      ("stack", fun ~nprocs ~ops -> S.stack ~nprocs ~ops ());
+      ("histogram", fun ~nprocs ~ops -> S.histogram ~nprocs ~ops ());
+      ("queue", fun ~nprocs ~ops -> S.queue ~nprocs ~ops ());
+      ("max-register", fun ~nprocs ~ops -> S.max_register ~nprocs ~ops ());
+      ("mutex-pairs", fun ~nprocs ~ops:_ -> S.mutex_pairs ~nprocs ());
+      ("naive-rw-optimistic", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Optimistic ~nprocs ~ops ());
+      ("naive-rw-reexec", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Reexecute ~nprocs ~ops ());
+      ("naive-cas-optimistic", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Optimistic ~nprocs ~ops ());
+      ("naive-cas-reexec", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Reexecute ~nprocs ~ops ());
+      ("naive-tas", fun ~nprocs ~ops:_ -> S.naive_tas ~nprocs ());
+    ]
 
 let scenario_conv =
   let parse name =
     match List.assoc_opt name scenarios with
     | Some build -> Ok (name, build)
-    | None when Objects.Zoo.find name <> None -> Ok (name, zoo_scenario name)
-    | None -> Error (`Msg (Printf.sprintf "unknown scenario %S (try: nrlsim list)" name))
+    | None -> (
+      match Objects.Zoo.find name with
+      | Some m -> Ok (name, fun ~nprocs ~ops -> S.mutant m ~nprocs ~ops ())
+      | None -> Error (`Msg (Printf.sprintf "unknown scenario %S (try: nrlsim list)" name)))
   in
   Arg.conv (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
 
@@ -672,9 +649,9 @@ let fuzz_cmd =
       & opt (list string) Fuzz.Gen.base_kinds
       & info [ "kinds" ] ~docv:"KINDS"
           ~doc:
-            "Comma-separated scenario kinds to fuzz: the base algorithms (register, cas, \
-             tas, counter, mutex, consensus, pcall) and/or zoo mutant names (see \
-             $(b,--zoo)).")
+            ("Comma-separated scenario kinds to fuzz: the base algorithms ("
+            ^ String.concat ", " Fuzz.Gen.base_kinds
+            ^ ") and/or zoo mutant names (see $(b,--zoo))."))
   in
   let seeds_arg =
     Arg.(

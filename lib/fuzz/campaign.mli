@@ -27,8 +27,8 @@ type cfg = {
 }
 
 val default_cfg : cfg
-(** [base_seed = 1], [seeds = 100], the four base kinds, shrinking on,
-    no corpus file. *)
+(** [base_seed = 1], [seeds = 100], the seven base kinds
+    ({!Gen.base_kinds}), shrinking on, no corpus file. *)
 
 val stamp : cfg -> (string * string) list
 (** What a corpus must match to be resumed: base seed and kind list —

@@ -13,7 +13,7 @@ type t = {
   kind : string;  (** base scenario kind or zoo mutant name *)
   nprocs : int;
   ops : int;  (** per-process operation count (ignored by tas workloads) *)
-  mix_pm : int;  (** mutating-op ratio (write/cas/inc), per mille *)
+  mix_pm : int;  (** mutating-op ratio (write/cas/inc/run), per mille *)
   scen_seed : int;  (** machine seed: junk generator + workload rng *)
   sched_seed : int;  (** random-schedule seed *)
   crash_pm : int;  (** per-process crash probability, per mille *)
@@ -24,23 +24,13 @@ type t = {
   junk : string;  (** junk strategy name, see {!Machine.Junk.strategy_names} *)
 }
 
-let base_kinds =
-  [ "register"; "cas"; "tas"; "counter"; "mutex"; "consensus"; "pcall" ]
+let base_kinds = List.map Workload.Scenarios.name Workload.Scenarios.catalogue
 
 let all_kinds = base_kinds @ List.map (fun m -> m.Objects.Zoo.m_name) Objects.Zoo.all
 
 let validate_kind k =
   if not (List.mem k all_kinds) then
     invalid_arg (Printf.sprintf "Fuzz.Gen: unknown scenario kind %S" k)
-
-(* The workload shape a kind wants: its own name for base kinds, the base
-   algorithm's for zoo mutants. *)
-let algo_of kind =
-  match Objects.Zoo.find kind with
-  | Some m -> m.Objects.Zoo.m_algo
-  | None ->
-    validate_kind kind;
-    kind
 
 (* {2 Printing and parsing} *)
 
@@ -144,46 +134,11 @@ let sample ~rng ~kinds =
 
 (* {2 Building and running} *)
 
-let script_for d ~rng ~pid ~cell inst =
-  let ratio = float_of_int d.mix_pm /. 1000.0 in
-  match algo_of d.kind with
-  | "register" ->
-    Workload.Opgen.register_ops ~rng ~pid ~count:d.ops ~write_ratio:ratio inst
-  | "cas" ->
-    let cell =
-      match cell with
-      | Some c -> c
-      | None -> invalid_arg "Fuzz.Gen: cas workload without a C cell"
-    in
-    Workload.Opgen.cas_ops ~rng ~pid ~count:d.ops ~cas_ratio:ratio inst ~cell
-  | "tas" -> Workload.Opgen.tas_ops inst
-  | "counter" -> Workload.Opgen.counter_ops ~rng ~count:d.ops ~inc_ratio:ratio inst
-  | "mutex" -> Workload.Opgen.mutex_ops ~rng ~pid ~count:d.ops inst
-  | "consensus" -> Workload.Opgen.consensus_ops ~pid ~count:d.ops inst
-  | "pcall" -> Workload.Opgen.pcall_ops ~rng ~count:d.ops ~run_ratio:ratio inst
-  | other -> invalid_arg (Printf.sprintf "Fuzz.Gen: unknown workload shape %S" other)
-
 let build d sim =
-  let inst, cell =
-    match d.kind with
-    | "register" -> (Objects.Rw_obj.make sim ~name:"R", None)
-    | "cas" ->
-      let inst, cells = Objects.Cas_obj.make_ex sim ~name:"C" in
-      (inst, Some cells.Objects.Cas_obj.c)
-    | "tas" -> (Objects.Tas_obj.make sim ~name:"T", None)
-    | "counter" -> (Objects.Counter_obj.make sim ~name:"CTR", None)
-    | "mutex" -> (Objects.Mutex_obj.make sim ~name:"MX", None)
-    | "consensus" -> (Objects.Consensus_obj.make sim ~name:"CNS", None)
-    | "pcall" -> (Objects.Pcall_obj.make sim ~name:"PC", None)
-    | kind -> (
-      match Objects.Zoo.find kind with
-      | Some m -> Objects.Zoo.make m sim ~name:"Z"
-      | None -> invalid_arg (Printf.sprintf "Fuzz.Gen: unknown scenario kind %S" kind))
-  in
-  let rng = Prng.create d.scen_seed in
-  for p = 0 to d.nprocs - 1 do
-    Machine.Sim.set_script sim p (script_for d ~rng ~pid:p ~cell inst)
-  done
+  ignore
+    (Workload.Scenarios.install d.kind sim ~nprocs:d.nprocs ~ops:d.ops
+       ~ratio:(float_of_int d.mix_pm /. 1000.0)
+       ~rng_seed:d.scen_seed)
 
 let scenario d =
   { Workload.Trial.scen_name = to_string d; nprocs = d.nprocs; build = build d }

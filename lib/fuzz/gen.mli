@@ -12,7 +12,7 @@ type t = {
   kind : string;  (** base scenario kind or zoo mutant name *)
   nprocs : int;
   ops : int;  (** per-process operation count (ignored by tas workloads) *)
-  mix_pm : int;  (** mutating-op ratio (write/cas/inc), per mille *)
+  mix_pm : int;  (** mutating-op ratio (write/cas/inc/run), per mille *)
   scen_seed : int;  (** machine seed: junk generator + workload rng *)
   sched_seed : int;  (** random-schedule seed *)
   crash_pm : int;  (** per-process crash probability, per mille *)
@@ -24,14 +24,11 @@ type t = {
 }
 
 val base_kinds : string list
-(** The four paper algorithms: ["register"; "cas"; "tas"; "counter"]. *)
+(** The object-kind catalogue's names ({!Workload.Scenarios.catalogue}):
+    ["register"; "cas"; "tas"; "counter"; "mutex"; "consensus"; "pcall"]. *)
 
 val all_kinds : string list
 (** {!base_kinds} plus every zoo mutant name ({!Objects.Zoo.all}). *)
-
-val algo_of : string -> string
-(** The workload shape a kind wants: itself for base kinds, the base
-    algorithm for zoo mutants.  @raise Invalid_argument on unknown kinds. *)
 
 val to_string : t -> string
 (** Canonical one-line form, e.g.
@@ -49,7 +46,9 @@ val sample : rng:Machine.Schedule.Prng.t -> kinds:string list -> t
 
 val build : t -> Machine.Sim.t -> unit
 (** Allocate the descriptor's object and install its per-process scripts
-    (the {!Workload.Trial.scenario} build function). *)
+    (the {!Workload.Trial.scenario} build function): the kind's catalogue
+    row ({!Workload.Scenarios.install}) at ratio [mix_pm / 1000] and rng
+    seed [scen_seed]. *)
 
 val scenario : t -> Workload.Trial.scenario
 (** The descriptor as a {!Workload.Trial.scenario} (name = {!to_string}). *)

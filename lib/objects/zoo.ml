@@ -1,8 +1,9 @@
 (** The mutation bug zoo: deliberately broken variants of the paper's
     Algorithms 1-4 and of the mutex, consensus and pcall objects.
 
-    Each mutant is its sound object, built by the object's own [make],
-    with a few named line edits ({!Machine.Program.edit}) applied to its
+    Each mutant is its sound object, built by its base kind's row of
+    the object-kind catalogue ([Workload.Scenarios]), with a few named
+    line edits ({!Machine.Program.edit}) applied to its
     programs: a removed, reordered or misannotated line — exactly the
     class of subtle recovery bugs the detectability literature
     catalogues (lost response values, sequence bumps that outrun their
@@ -37,9 +38,9 @@ open Machine.Program
 type mutant = {
   m_name : string;  (** zoo-wide unique, usable as a scenario kind *)
   m_algo : string;
-      (** base algorithm's scenario kind: ["register"], ["cas"], ["tas"],
-          ["counter"], ["mutex"], ["consensus"] or ["pcall"] — selects
-          the sound object and the workload shape *)
+      (** base algorithm's catalogue kind: ["register"], ["cas"], ["tas"],
+          ["counter"], ["mutex"], ["consensus"] or ["pcall"] — its row
+          builds the sound object and its workload *)
   m_persist : bool;
       (** a persistency mutant: only detectable under the explicit-persist
           memory model ({!Nvm.Memory.Explicit}) *)
@@ -273,21 +274,6 @@ let all =
 
 let find name = List.find_opt (fun m -> m.m_name = name) all
 
-(* The sound object a mutant edits, and the address of its [C] cell for
-   the CAS workload generator's [old] arguments. *)
-let sound algo sim ~name =
-  match algo with
-  | "register" -> (Rw_obj.make sim ~name, None)
-  | "cas" ->
-    let inst, cells = Cas_obj.make_ex sim ~name in
-    (inst, Some cells.Cas_obj.c)
-  | "tas" -> (Tas_obj.make sim ~name, None)
-  | "counter" -> (Counter_obj.make sim ~name, None)
-  | "mutex" -> (Mutex_obj.make sim ~name, None)
-  | "consensus" -> (Consensus_obj.make sim ~name, None)
-  | "pcall" -> (Pcall_obj.make sim ~name, None)
-  | other -> invalid_arg (Printf.sprintf "Zoo: unknown base algorithm %S" other)
-
 let apply_edits sim (inst : Machine.Objdef.instance) edits =
   let programs =
     List.concat_map
@@ -308,8 +294,7 @@ let apply_edits sim (inst : Machine.Objdef.instance) edits =
          (op, { d with body = edited d.body; recover = edited d.recover }))
        inst.ops)
 
-let make m sim ~name =
-  let inst, cell = sound m.m_algo sim ~name in
+let mutate m sim inst =
   let annotated = Machine.Sim.persist_annotations sim in
-  if m.m_persist && not annotated then (inst, cell)
-  else (apply_edits sim inst (m.m_edits ~annotated inst), cell)
+  if m.m_persist && not annotated then inst
+  else apply_edits sim inst (m.m_edits ~annotated inst)

@@ -1,7 +1,8 @@
 (** The mutation bug zoo: deliberately broken variants of Algorithms
     1-4 and of the mutex, consensus and pcall objects.  Each mutant is
-    the sound object, built by its own [make], with a few named line
-    edits ({!Machine.Program.edit}) applied to its programs — skipped
+    the sound object, built by its base kind's catalogue row, with a few
+    named line edits ({!Machine.Program.edit}) applied by {!mutate} to
+    its programs — skipped
     persists, responses that outrun their persist, dropped helping
     announcements, recovery conditions off by one.  The fuzzer's
     detection power is measured against this catalogue: every mutant
@@ -18,9 +19,10 @@
 type mutant = {
   m_name : string;  (** zoo-wide unique, usable as a scenario kind *)
   m_algo : string;
-      (** base algorithm's scenario kind: ["register"], ["cas"], ["tas"],
-          ["counter"], ["mutex"], ["consensus"] or ["pcall"] — selects
-          the sound object and the workload shape *)
+      (** base algorithm's catalogue kind: ["register"], ["cas"], ["tas"],
+          ["counter"], ["mutex"], ["consensus"] or ["pcall"] — its row of
+          the object-kind catalogue ([Workload.Scenarios.catalogue])
+          builds the sound object and its workload *)
   m_persist : bool;
       (** a persistency mutant: the sound algorithm's full explicit-persist
           annotations minus one flush (or with one misplaced fence).  Only
@@ -45,9 +47,11 @@ val all : mutant list
 val find : string -> mutant option
 (** Look a mutant up by {!field-m_name}. *)
 
-val make : mutant -> Machine.Sim.t -> name:string -> Machine.Objdef.instance * Nvm.Memory.addr option
-(** Build the sound object in [sim] and replace its programs, under
-    the same instance id, by the edited ones.  For CAS-based
-    mutants the second component is the address of the [C] cell (the
-    workload generator computes CAS [old] arguments from it); [None]
-    otherwise. *)
+val mutate : mutant -> Machine.Sim.t -> Machine.Objdef.instance -> Machine.Objdef.instance
+(** [mutate m sim inst] replaces the programs of [inst], a sound object
+    of kind {!field-m_algo} already built in [sim], by [m]'s edited ones
+    under the same instance id, and returns the edited instance.  A
+    persistency mutant on a machine without flush annotations is
+    returned unchanged: the flush it drops would be a no-op there.  The
+    object itself, its name and its workload come from the base kind's
+    row of the object-kind catalogue ([Workload.Scenarios.catalogue]). *)

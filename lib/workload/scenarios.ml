@@ -4,58 +4,111 @@
 
 module Prng = Machine.Schedule.Prng
 
-let register ?(nprocs = 3) ?(ops = 6) ?(write_ratio = 0.6) ?(rng_seed = 42) () =
+(* {1 The object-kind catalogue} *)
+
+type kind = {
+  k_name : string;
+  k_instance : string;
+  k_nprocs : int;
+  k_ops : int option;
+  k_ratio : float;
+  k_build :
+    Machine.Sim.t ->
+    name:string ->
+    edit:(Machine.Objdef.instance -> Machine.Objdef.instance) ->
+    nprocs:int ->
+    ops:int ->
+    ratio:float ->
+    rng_seed:int ->
+    Machine.Objdef.instance;
+}
+
+(* what a row's script function draws from: the shared rng, the process,
+   and the workload's size and mix *)
+type gen = { rng : Prng.t; pid : int; ops : int; ratio : float }
+
+(* One row: [make] builds the object (and whatever cells its workload
+   reads), [edit] may rewrite it, and [script] scripts every process from
+   one rng seeded by [rng_seed]. *)
+let row k_name k_instance ?(nprocs = 3) ?ops ?(ratio = 0.0) make script =
+  let k_build sim ~name ~edit ~nprocs ~ops ~ratio ~rng_seed =
+    let inst, cells = make sim ~name in
+    let inst = edit inst in
+    let rng = Prng.create rng_seed in
+    for pid = 0 to nprocs - 1 do
+      Machine.Sim.set_script sim pid (script { rng; pid; ops; ratio } inst cells)
+    done;
+    inst
+  in
+  { k_name; k_instance; k_nprocs = nprocs; k_ops = ops; k_ratio = ratio; k_build }
+
+let plain make sim ~name = (make sim ~name, ())
+
+let catalogue =
+  let open Objects in
+  [
+    row "register" "R" ~ops:6 ~ratio:0.6 (plain (fun sim -> Rw_obj.make sim)) (fun g inst () ->
+        Opgen.register_ops ~rng:g.rng ~pid:g.pid ~count:g.ops ~write_ratio:g.ratio inst);
+    row "cas" "C" ~ops:6 ~ratio:0.7 Cas_obj.make_ex (fun g inst cells ->
+        Opgen.cas_ops ~rng:g.rng ~pid:g.pid ~count:g.ops ~cas_ratio:g.ratio inst
+          ~cell:cells.Cas_obj.c);
+    row "tas" "T" (plain (fun sim -> Tas_obj.make sim)) (fun _ inst () -> Opgen.tas_ops inst);
+    row "counter" "CTR" ~ops:5 ~ratio:0.7 (plain Counter_obj.make) (fun g inst () ->
+        Opgen.counter_ops ~rng:g.rng ~count:g.ops ~inc_ratio:g.ratio inst);
+    row "mutex" "MX" ~ops:4 (plain Mutex_obj.make) (fun g inst () ->
+        Opgen.mutex_ops ~rng:g.rng ~pid:g.pid ~count:g.ops inst);
+    row "consensus" "CNS" ~ops:2 (plain Consensus_obj.make) (fun g inst () ->
+        Opgen.consensus_ops ~pid:g.pid ~count:g.ops inst);
+    row "pcall" "PC" ~nprocs:2 ~ops:3 ~ratio:0.6 (plain Pcall_obj.make) (fun g inst () ->
+        Opgen.pcall_ops ~rng:g.rng ~count:g.ops ~run_ratio:g.ratio inst);
+  ]
+
+let name k = k.k_name
+
+let kind name =
+  match List.find_opt (fun k -> k.k_name = name) catalogue with
+  | Some k -> k
+  | None -> invalid_arg (Printf.sprintf "Scenarios.kind: unknown object kind %S" name)
+
+(* A zoo mutant is its base kind's row under instance name "Z", with the
+   mutant's edits applied to the freshly built object. *)
+let install name sim ~nprocs ~ops ~ratio ~rng_seed =
+  let k, name, edit =
+    match Objects.Zoo.find name with
+    | Some m -> (kind m.m_algo, "Z", Objects.Zoo.mutate m sim)
+    | None ->
+      let k = kind name in
+      (k, k.k_instance, Fun.id)
+  in
+  k.k_build sim ~name ~edit ~nprocs ~ops ~ratio ~rng_seed
+
+let scenario label k ?(nprocs = k.k_nprocs) ?ops ?(ratio = k.k_ratio) ?(rng_seed = 42) () =
+  let ops = Option.value ops ~default:(Option.value k.k_ops ~default:1) in
   {
-    Trial.scen_name = Printf.sprintf "register/n%d/ops%d" nprocs ops;
+    Trial.scen_name =
+      (match k.k_ops with
+      | Some _ -> Printf.sprintf "%s/n%d/ops%d" label nprocs ops
+      | None -> Printf.sprintf "%s/n%d" label nprocs);
     nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Rw_obj.make sim ~name:"R" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (Opgen.register_ops ~rng ~pid:p ~count:ops ~write_ratio inst)
-        done);
+    build = (fun sim -> ignore (install label sim ~nprocs ~ops ~ratio ~rng_seed));
   }
 
-let cas ?(nprocs = 3) ?(ops = 6) ?(cas_ratio = 0.7) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "cas/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst, cells = Objects.Cas_obj.make_ex sim ~name:"C" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (Opgen.cas_ops ~rng ~pid:p ~count:ops ~cas_ratio inst ~cell:cells.Objects.Cas_obj.c)
-        done);
-  }
+let of_kind k = scenario k.k_name k
 
-let tas ?(nprocs = 3) () =
-  {
-    Trial.scen_name = Printf.sprintf "tas/n%d" nprocs;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Tas_obj.make sim ~name:"T" in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.tas_ops inst)
-        done);
-  }
+(* the fixed workload every zoo mutant scenario runs *)
+let mutant (m : Objects.Zoo.mutant) ?nprocs ?ops () =
+  scenario m.m_name (kind m.m_algo) ?nprocs ?ops ~ratio:0.6 ~rng_seed:1 ()
 
-let counter ?(nprocs = 3) ?(ops = 5) ?(inc_ratio = 0.7) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "counter/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Counter_obj.make sim ~name:"CTR" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.counter_ops ~rng ~count:ops ~inc_ratio inst)
-        done);
-  }
+let register ?nprocs ?ops ?write_ratio ?rng_seed () =
+  of_kind (kind "register") ?nprocs ?ops ?ratio:write_ratio ?rng_seed ()
+
+let cas ?nprocs ?ops ?cas_ratio ?rng_seed () =
+  of_kind (kind "cas") ?nprocs ?ops ?ratio:cas_ratio ?rng_seed ()
+
+let tas ?nprocs () = of_kind (kind "tas") ?nprocs ()
+
+let counter ?nprocs ?ops ?inc_ratio ?rng_seed () =
+  of_kind (kind "counter") ?nprocs ?ops ?ratio:inc_ratio ?rng_seed ()
 
 let elect ?(nprocs = 3) ?k () =
   {
@@ -157,18 +210,7 @@ let max_register ?(nprocs = 3) ?(ops = 4) ?(rng_seed = 42) () =
         done);
   }
 
-let mutex ?(nprocs = 3) ?(ops = 4) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "mutex/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Mutex_obj.make sim ~name:"MX" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.mutex_ops ~rng ~pid:p ~count:ops inst)
-        done);
-  }
+let mutex ?nprocs ?ops ?rng_seed () = of_kind (kind "mutex") ?nprocs ?ops ?rng_seed ()
 
 (* deterministic acquire/release pairs, small enough for exhaustive
    exploration *)
@@ -184,30 +226,10 @@ let mutex_pairs ?(nprocs = 2) () =
         done);
   }
 
-let consensus ?(nprocs = 3) ?(ops = 2) () =
-  {
-    Trial.scen_name = Printf.sprintf "consensus/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Consensus_obj.make sim ~name:"CNS" in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.consensus_ops ~pid:p ~count:ops inst)
-        done);
-  }
+let consensus ?nprocs ?ops () = of_kind (kind "consensus") ?nprocs ?ops ()
 
-let pcall ?(nprocs = 2) ?(ops = 3) ?(run_ratio = 0.6) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "pcall/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Pcall_obj.make sim ~name:"PC" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.pcall_ops ~rng ~count:ops ~run_ratio inst)
-        done);
-  }
+let pcall ?nprocs ?ops ?run_ratio ?rng_seed () =
+  of_kind (kind "pcall") ?nprocs ?ops ?ratio:run_ratio ?rng_seed ()
 
 (* Naive baselines: same workloads, unsound recovery. *)
 

@@ -5,6 +5,54 @@
 
 module Prng = Machine.Schedule.Prng
 
+(** {1 The object-kind catalogue}
+
+    One row per fuzzable base kind: everything the scenarios, the
+    fuzzer ([Fuzz.Gen]), the bug zoo's mutant scenarios and the CLI know
+    about a kind.  Adding a kind means adding a row. *)
+
+type kind
+(** One row: a kind's name, its object's instance name, its default
+    process count, operation count and mutating-op ratio, and one
+    function that builds the object, passes it through an edit hook,
+    and scripts every process from one rng ({!install}). *)
+
+val catalogue : kind list
+(** register, cas, tas, counter, mutex, consensus, pcall — in this order. *)
+
+val name : kind -> string
+(** The kind's scenario name, e.g. ["register"]. *)
+
+val install :
+  string ->
+  Machine.Sim.t ->
+  nprocs:int ->
+  ops:int ->
+  ratio:float ->
+  rng_seed:int ->
+  Machine.Objdef.instance
+(** Build a catalogue kind, or a zoo mutant named by {!Objects.Zoo.find},
+    into the machine and script its processes.  A base kind gets its
+    row's instance name; a mutant gets its base kind's row under the
+    name ["Z"], edited by {!Objects.Zoo.mutate}.
+    @raise Invalid_argument on other names. *)
+
+val of_kind :
+  kind -> ?nprocs:int -> ?ops:int -> ?ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
+(** The kind's scenario, named ["<kind>/n<N>/ops<K>"] (["<kind>/n<N>"]
+    when the workload ignores [ops]); the defaults are the row's, and
+    rng seed 42. *)
+
+val mutant : Objects.Zoo.mutant -> ?nprocs:int -> ?ops:int -> unit -> Trial.scenario
+(** A zoo mutant's scenario: its base kind's workload at mix 0.6 and rng
+    seed 1, instance ["Z"], named like {!of_kind}'s with the mutant's
+    name for the kind. *)
+
+(** {1 Named scenarios}
+
+    The catalogue kinds' scenarios under their workload's own ratio
+    name, then the scenarios the fuzzer does not draw. *)
+
 val register :
   ?nprocs:int -> ?ops:int -> ?write_ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
 (** Algorithm 1 under a READ/WRITE mix. *)

@@ -36,4 +36,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("cli", Test_cli.suite);
       ("registration", Test_registration.suite);
+      ("scripts", Test_scripts.suite);
     ]

@@ -124,7 +124,19 @@ let test_docs_flags_match_help () =
     (fun f ->
       Alcotest.(check bool) (f ^ " in docs/cli.md is a real flag") true
         (List.mem f help_flags))
-    doc_flags
+    doc_flags;
+  (* the fuzz --kinds default row lists the object-kind catalogue *)
+  let kinds_row =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"| `--kinds" l)
+      (String.split_on_char '\n' doc)
+  in
+  match Option.map (String.split_on_char '|') kinds_row with
+  | Some (_ :: _ :: default :: _) ->
+    Alcotest.(check string) "docs/cli.md --kinds default is Fuzz.Gen.base_kinds"
+      ("`" ^ String.concat "," Fuzz.Gen.base_kinds ^ "`")
+      (String.trim default)
+  | _ -> Alcotest.fail "no --kinds row in docs/cli.md"
 
 (* {2 --stats counter section shape} *)
 
@@ -245,6 +257,17 @@ let test_exit_124_cli_errors () =
         3 );
     ]
 
+(* A mutant scenario is named like a base one: the mutant, then the
+   process and operation counts it runs. *)
+let test_mutant_scenario_name () =
+  let code, out = run_cli [ "run"; "rw-skip-log"; "-n"; "2"; "--ops"; "2"; "--trials"; "3" ] in
+  Alcotest.(check int) "clean batch exits 0" 0 code;
+  assert_contains out "rw-skip-log/n2/ops2: 3/3 passed NRL";
+  (* T&S scripts one op per process, so its names carry no op count *)
+  let code, out = run_cli [ "run"; "tas-skip-res"; "-n"; "2"; "--trials"; "3" ] in
+  Alcotest.(check int) "clean batch exits 0" 0 code;
+  assert_contains out "tas-skip-res/n2: 3/3 passed NRL"
+
 (* The first "seed=N" printed by a failing run batch. *)
 let failure_seed out =
   let marker = "first failure seed=" in
@@ -343,6 +366,8 @@ let suite =
     Alcotest.test_case "printed reproducers replay" `Quick test_replay_roundtrip;
     Alcotest.test_case "run failure seeds replay in check" `Quick
       test_run_seed_replays_in_check;
+    Alcotest.test_case "mutant scenarios are named like base ones" `Quick
+      test_mutant_scenario_name;
     Alcotest.test_case "one explore reporter, direct and pooled" `Quick test_explore_reporter;
     Alcotest.test_case "theorem stdout matches golden" `Quick test_theorem_golden;
   ]

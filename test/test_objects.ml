@@ -463,17 +463,6 @@ let prop_nrl_torture =
 
 (* {2 The bug zoo: every mutant is its sound object plus its declared edits} *)
 
-let sound_object algo sim =
-  match algo with
-  | "register" -> Objects.Rw_obj.make sim ~name:"Z"
-  | "cas" -> Objects.Cas_obj.make sim ~name:"Z"
-  | "tas" -> Objects.Tas_obj.make sim ~name:"Z"
-  | "counter" -> Objects.Counter_obj.make sim ~name:"Z"
-  | "mutex" -> Objects.Mutex_obj.make sim ~name:"Z"
-  | "consensus" -> Objects.Consensus_obj.make sim ~name:"Z"
-  | "pcall" -> Objects.Pcall_obj.make sim ~name:"Z"
-  | other -> Alcotest.failf "unknown base algorithm %s" other
-
 (* a program as (line, printed instruction) pairs; branch targets are
    printed, and an edit never rewrites them *)
 let listing p =
@@ -510,10 +499,12 @@ let test_zoo_mutants_are_edited_sound_objects () =
     (fun (persist, annotated) ->
       List.iter
         (fun (m : Objects.Zoo.mutant) ->
-          let sim () = Sim.create ~persist ~nprocs:2 () in
-          let sound = sound_object m.m_algo (sim ()) in
-          let msim = sim () in
-          let mutant, _ = Objects.Zoo.make m msim ~name:"Z" in
+          let build kind sim =
+            Workload.Scenarios.install kind sim ~nprocs:2 ~ops:2 ~ratio:0.6 ~rng_seed:1
+          in
+          let sound = build m.m_algo (Sim.create ~persist ~nprocs:2 ()) in
+          let msim = Sim.create ~persist ~nprocs:2 () in
+          let mutant = build m.m_name msim in
           let applies = annotated || not m.m_persist in
           let edits = if applies then m.m_edits ~annotated mutant else [] in
           List.iter2

@@ -50,28 +50,12 @@ let test_unannotated_register_violated () =
     Alcotest.fail
       "bare Algorithm 1 (no flushes) survived explicit-persist exploration"
 
-(* the same fixed workload the CLI's `explore <mutant>` builds: the
-   descriptor is pinned so this is exactly the counterexample documented
-   in docs/memory-model.md *)
-let zoo_scenario kind ~nprocs ~ops =
-  Fuzz.Gen.scenario
-    {
-      Fuzz.Gen.kind;
-      nprocs;
-      ops;
-      mix_pm = 600;
-      scen_seed = 1;
-      sched_seed = 1;
-      crash_pm = 0;
-      recover_pm = 500;
-      system_pm = 0;
-      max_crashes = 0;
-      max_steps = 1;
-      junk = "scramble";
-    }
-
+(* the mutant scenario the CLI's `explore <mutant>` runs: its workload is
+   fixed, so this is exactly the counterexample documented in
+   docs/memory-model.md *)
 let test_zoo_missing_flush_violated () =
-  match explore_verdict ~crashes:1 (zoo_scenario "rw-write-skip-flush-r" ~nprocs:2 ~ops:4) with
+  let m = Option.get (Objects.Zoo.find "rw-write-skip-flush-r") in
+  match explore_verdict ~crashes:1 (Workload.Scenarios.mutant m ~nprocs:2 ~ops:4 ()) with
   | Some _ -> ()
   | None -> Alcotest.fail "rw-write-skip-flush-r survived explicit-persist exploration"
 
@@ -79,31 +63,19 @@ let test_zoo_missing_flush_violated () =
    earlier writes but leaves the response record itself unflushed, so
    every completed T&S finishes with its response still pending —
    Definition 1 strictness, visible on a plain run *)
-let tas_run ~kind =
+let tas_run kind =
   let sim = Sim.create ~seed:3 ~persist:Nvm.Memory.Explicit ~nprocs:2 () in
-  let inst =
-    match kind with
-    | `Sound -> Objects.Tas_obj.make sim ~name:"T"
-    | `Mutant m -> fst (Objects.Zoo.make m sim ~name:"T")
-  in
-  for p = 0 to 1 do
-    Sim.set_script sim p (Workload.Opgen.tas_ops inst)
-  done;
+  ignore (Workload.Scenarios.install kind sim ~nprocs:2 ~ops:1 ~ratio:0.0 ~rng_seed:1);
   (match Schedule.run sim (Schedule.round_robin ()) with
   | Schedule.Completed -> ()
   | _ -> Alcotest.fail "run did not complete");
   sim
 
 let test_tas_fence_early_strictness () =
-  let m =
-    match Objects.Zoo.find "tas-fence-early" with
-    | Some m -> m
-    | None -> Alcotest.fail "tas-fence-early not in the zoo"
-  in
-  let sim = tas_run ~kind:(`Mutant m) in
+  let sim = tas_run "tas-fence-early" in
   Alcotest.(check bool) "mutant leaves responses unpersisted" true
     (Workload.Check.strictness_violations sim <> []);
-  let sound = tas_run ~kind:`Sound in
+  let sound = tas_run "tas" in
   Alcotest.(check int) "annotated T&S persists every response" 0
     (List.length (Workload.Check.strictness_violations sound))
 

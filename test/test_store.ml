@@ -205,7 +205,10 @@ let symmetric_script algo (inst : Machine.Objdef.instance) p =
 
 let build_mutant m ~nprocs =
   let sim = Sim.create ~nprocs () in
-  let inst, _ = Objects.Zoo.make m sim ~name:"Z" in
+  (* the mutant's own workload, replaced by the symmetric scripts *)
+  let inst =
+    Workload.Scenarios.install m.Objects.Zoo.m_name sim ~nprocs ~ops:1 ~ratio:0.6 ~rng_seed:1
+  in
   for p = 0 to nprocs - 1 do
     Sim.set_script sim p (symmetric_script m.Objects.Zoo.m_algo inst p)
   done;
