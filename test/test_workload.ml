@@ -75,17 +75,36 @@ let test_batch_seed_sensitivity () =
   Alcotest.(check bool) "different crash totals" true
     (s1.Workload.Trial.total_crashes <> s2.Workload.Trial.total_crashes)
 
+(* every otype whose instance records an initial value or a size in
+   [init_value]: the spec's initial state must start from it *)
 let test_spec_for_threads_init () =
   let sim = Sim.create ~nprocs:2 () in
-  let inst = Objects.Rw_obj.make ~init:(Nvm.Value.Int 42) sim ~name:"R" in
-  match Workload.Check.spec_for sim inst.Machine.Objdef.id with
-  | Some spec -> (
-    let st = spec.Linearize.Spec.initial ~nprocs:2 in
-    match st.Linearize.Spec.apply ~pid:0 ~op:"READ" ~args:[||] with
-    | [ (v, _) ] ->
-      Alcotest.(check bool) "initial value threaded" true (Nvm.Value.equal v (Int 42))
-    | _ -> Alcotest.fail "unexpected spec outcomes")
-  | None -> Alcotest.fail "no spec for register"
+  let responses inst op args =
+    match Workload.Check.spec_for sim inst.Machine.Objdef.id with
+    | Some spec ->
+      let st = spec.Linearize.Spec.initial ~nprocs:2 in
+      List.map fst (st.Linearize.Spec.apply ~pid:0 ~op ~args)
+    | None -> Alcotest.failf "no spec for %s" inst.Machine.Objdef.otype
+  in
+  let check what expected got =
+    Alcotest.(check (list string)) what
+      (List.map Nvm.Value.to_string expected)
+      (List.map Nvm.Value.to_string got)
+  in
+  let int n = Nvm.Value.Int n in
+  check "register initial value threaded" [ int 42 ]
+    (responses (Objects.Rw_obj.make ~init:(int 42) sim ~name:"R") "READ" [||]);
+  check "cas initial value threaded" [ int 7 ]
+    (responses (Objects.Scas_obj.make ~init:(int 7) sim ~name:"C") "READ" [||]);
+  check "max-register initial value threaded" [ int 9 ]
+    (responses (Objects.Max_register_obj.make ~init:9 sim ~name:"M") "READ" [||]);
+  check "faa initial value threaded" [ int 5 ]
+    (responses (Objects.Faa_obj.make ~init:5 sim ~name:"F") "READ" [||]);
+  let h = Objects.Histogram_obj.make ~k:2 sim ~name:"H" in
+  check "histogram size threaded: last bucket" [ int 0 ] (responses h "BUCKET" [| int 1 |]);
+  check "histogram size threaded: no bucket past k" [] (responses h "BUCKET" [| int 2 |]);
+  check "slot allocator size threaded" [ int 0; int 1; int 2 ]
+    (responses (Objects.Elect_obj.make ~k:3 sim ~name:"E") "ELECT" [||])
 
 let test_spec_for_unknown_otype () =
   let sim = Sim.create ~nprocs:1 () in
