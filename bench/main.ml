@@ -365,7 +365,10 @@ let t5 () =
    3x3, process 0 crashes once, depth 100; ~0.8M nodes, seconds per row,
    so run-to-run noise stays well below a real change): wall-clock and
    nodes/sec at 1/2/4 domains, with the shared sharded visited store and
-   incremental checking on throughout.  Statistics must be
+   incremental checking on throughout.  Every search starts from a
+   compacted heap, each row reports the median of three searches (taken
+   in interleaved rounds), and the speedup is the ratio of those
+   medians.  Statistics must be
    identical down every column: the partition of the tree into stolen
    subtree tasks may vary, the counted tree may not.  Speedup needs real
    cores (see [domains_available] in the JSON); on a narrower host the
@@ -373,10 +376,7 @@ let t5 () =
    should cost percents, not multiples. *)
 let t6 () =
   section "T6" "explore jobs scaling, work-stealing (register, 3 procs, 3 ops, 1 crash)";
-  (* the earlier sections leave a large fragmented major heap that would
-     throttle the allocation-heavy search: measure from a compacted heap *)
-  Gc.compact ();
-  let nprocs = 3 and ops = 3 in
+  let nprocs = 3 and ops = 3 and repeats = 3 in
   let scen = Workload.Scenarios.register ~nprocs ~ops () in
   let build () =
     let sim = Machine.Sim.create ~nprocs () in
@@ -386,20 +386,36 @@ let t6 () =
   let cfg =
     { Machine.Explore.default_config with max_steps = 100; max_crashes = 1; crash_procs = [ 0 ] }
   in
+  (* one timed search; the earlier sections and searches leave a large
+     fragmented major heap that would throttle the allocation-heavy
+     search, so each starts from a compacted one *)
+  let search jobs =
+    let sim = build () in
+    Gc.compact ();
+    let t0 = Obs.Clock.now_s () in
+    let viol, stats =
+      Machine.Explore.find_violation ~cfg ~jobs ~dedup:true
+        ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
+        ~check:Workload.Check.nrl_violation sim
+    in
+    let dt = Obs.Clock.now_s () -. t0 in
+    assert (viol = None);
+    (stats, dt)
+  in
   Printf.printf "  domains available: %d\n%!" (Domain.recommended_domain_count ());
   Printf.printf "  %-8s %12s %10s %10s %12s %10s\n%!" "jobs" "nodes" "dup" "seconds" "nodes/s"
     "speedup";
+  let jobs_rows = [ 1; 2; 4 ] in
+  (* the rows' searches interleave, so host drift over the section's
+     minute lands on every row alike *)
+  let rounds = List.init repeats (fun _ -> List.map search jobs_rows) in
   let base = ref nan in
-  List.iter
-    (fun jobs ->
-      let t0 = Obs.Clock.now_s () in
-      let viol, stats =
-        Machine.Explore.find_violation ~cfg ~jobs ~dedup:true
-          ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
-          ~check:Workload.Check.nrl_violation (build ())
-      in
-      let dt = Obs.Clock.now_s () -. t0 in
-      assert (viol = None);
+  List.iteri
+    (fun i jobs ->
+      let runs = List.map (fun round -> List.nth round i) rounds in
+      let stats = fst (List.hd runs) in
+      List.iter (fun (s, _) -> assert (s = stats)) runs;
+      let dt = List.nth (List.sort compare (List.map snd runs)) (repeats / 2) in
       if jobs = 1 then base := dt;
       Printf.printf "  %-8d %12d %10d %10.2f %12.0f %9.2fx\n%!" jobs stats.Machine.Explore.nodes
         stats.Machine.Explore.dup dt
@@ -407,14 +423,15 @@ let t6 () =
         (!base /. dt);
       record_explore ~sect:"T6" ~scenario:"register" ~nprocs ~ops ~jobs ~dedup:true
         ~mode:"check-incremental" stats dt)
-    [ 1; 2; 4 ]
+    jobs_rows
 
 (* {1 T8: process-symmetry quotienting on an exhaustive symmetric instance} *)
 
-(* A scenario the detector accepts: every process runs the same erased
-   script (WRITE of its own tagged value, then READ) on one recoverable
-   register, whose recovery is pid-oblivious — so the full symmetric
-   group applies even with crashes enabled (crash set = all processes).
+(* A scenario the detector accepts: every process runs the register
+   row's symmetric script (WRITE of its own tagged value, then READ) on
+   one recoverable register, whose recovery is pid-oblivious — so the
+   full symmetric group applies even with crashes enabled (crash set =
+   all processes).
    The quotient explores one representative per orbit; the uncanonical
    run is the ground truth the verdict is pinned against. *)
 let t8 () =
@@ -423,14 +440,7 @@ let t8 () =
   let nprocs = 4 and ops = 2 in
   let build () =
     let sim = Machine.Sim.create ~nprocs () in
-    let inst = Objects.Rw_obj.make sim ~name:"R" in
-    for p = 0 to nprocs - 1 do
-      Machine.Sim.set_script sim p
-        [
-          (inst, "WRITE", Machine.Sim.Args [| Workload.Opgen.tagged p 0 |]);
-          (inst, "READ", Machine.Sim.Args [||]);
-        ]
-    done;
+    ignore (Workload.Scenarios.install_symmetric "register" sim ~nprocs);
     sim
   in
   let cfg =

@@ -14,26 +14,14 @@
 open Cmdliner
 module S = Workload.Scenarios
 
-(* The named scenarios, in [nrlsim list] order: the object-kind
-   catalogue's rows, then the scenarios the fuzzer does not draw.  After
-   them every zoo mutant name is a scenario too, running its base kind's
-   fixed mutant workload ([S.mutant]). *)
+(* The named scenarios, in [nrlsim list] order: the rows of the scenario
+   table ([S.catalogue], then [S.others]).  After them every zoo mutant
+   name is a scenario too, running its base kind's fixed mutant workload
+   ([S.mutant]). *)
 let scenarios =
-  List.map (fun k -> (S.name k, fun ~nprocs ~ops -> S.of_kind k ~nprocs ~ops ())) S.catalogue
-  @ [
-      ("elect", fun ~nprocs ~ops:_ -> S.elect ~nprocs ());
-      ("faa", fun ~nprocs ~ops -> S.faa ~nprocs ~ops ());
-      ("stack", fun ~nprocs ~ops -> S.stack ~nprocs ~ops ());
-      ("histogram", fun ~nprocs ~ops -> S.histogram ~nprocs ~ops ());
-      ("queue", fun ~nprocs ~ops -> S.queue ~nprocs ~ops ());
-      ("max-register", fun ~nprocs ~ops -> S.max_register ~nprocs ~ops ());
-      ("mutex-pairs", fun ~nprocs ~ops:_ -> S.mutex_pairs ~nprocs ());
-      ("naive-rw-optimistic", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Optimistic ~nprocs ~ops ());
-      ("naive-rw-reexec", fun ~nprocs ~ops -> S.naive_rw ~strategy:`Reexecute ~nprocs ~ops ());
-      ("naive-cas-optimistic", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Optimistic ~nprocs ~ops ());
-      ("naive-cas-reexec", fun ~nprocs ~ops -> S.naive_cas ~strategy:`Reexecute ~nprocs ~ops ());
-      ("naive-tas", fun ~nprocs ~ops:_ -> S.naive_tas ~nprocs ());
-    ]
+  List.map
+    (fun k -> (S.name k, fun ~nprocs ~ops -> S.of_kind k ~nprocs ~ops ()))
+    (S.catalogue @ S.others)
 
 let scenario_conv =
   let parse name =

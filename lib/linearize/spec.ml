@@ -97,7 +97,7 @@ let counter () =
 (** Max-register: [WRITE_MAX v] raises the stored maximum; [READ] returns
     it.  Used by the modular-construction example built on recoverable
     registers. *)
-let max_register () =
+let max_register ?(init = 0) () =
   let rec mk m =
     {
       repr = Nvm.Value.Int m;
@@ -109,7 +109,7 @@ let max_register () =
           | op -> unknown_op "max_register" op);
     }
   in
-  { spec_name = "max_register"; initial = (fun ~nprocs:_ -> mk 0) }
+  { spec_name = "max_register"; initial = (fun ~nprocs:_ -> mk init) }
 
 (** Fetch-and-add register over integers. *)
 let faa_register ?(init = 0) () =
@@ -293,14 +293,17 @@ let pcall () =
   in
   { spec_name = "pcall"; initial = (fun ~nprocs:_ -> mk 0) }
 
-(** Select a specification by the object-type tag carried by instances. *)
-let of_otype = function
-  | "rw" | "register" -> Some (register ())
-  | "cas" -> Some (cas ())
+(** Select a specification by the object-type tag carried by instances,
+    starting from the instance's recorded initial value or size. *)
+let of_otype ~init = function
+  | "rw" | "register" -> Some (register ~init ())
+  | "cas" -> Some (cas ~init ())
   | "tas" -> Some (tas ())
   | "counter" -> Some (counter ())
-  | "max_register" -> Some (max_register ())
-  | "faa_register" -> Some (faa_register ())
+  | "max_register" -> Some (max_register ~init:(Nvm.Value.as_int init) ())
+  | "faa_register" -> Some (faa_register ~init:(Nvm.Value.as_int init) ())
+  | "histogram" -> Some (histogram ~k:(Nvm.Value.as_int init) ())
+  | "slot_allocator" -> Some (slot_allocator ~k:(Nvm.Value.as_int init) ())
   | "stack" -> Some (stack ())
   | "queue" -> Some (queue ())
   | "mutex" -> Some (mutex ())

@@ -36,8 +36,9 @@ val tas : unit -> t
 val counter : unit -> t
 (** Counter (paper §3.4): [INC] returns [ack]; [READ]. *)
 
-val max_register : unit -> t
-(** [WRITE_MAX v] raises the stored maximum; [READ]. *)
+val max_register : ?init:int -> unit -> t
+(** [WRITE_MAX v] raises the stored maximum (initially [init], default
+    0); [READ]. *)
 
 val faa_register : ?init:int -> unit -> t
 (** [FAA d] adds [d], returns the previous value; [READ]. *)
@@ -70,7 +71,9 @@ val pcall : unit -> t
 (** Persistent-call-stack demonstrator: [RUN seq] adds exactly 1 to a
     counter and acknowledges; [READ seq] returns the total. *)
 
-val of_otype : string -> t option
-(** Specification for an object-type tag, with default initial values.
-    Prefer {!Workload.Check.spec_for}, which also threads instance
-    initial values and sizes. *)
+val of_otype : init:Nvm.Value.t -> string -> t option
+(** Specification for an object-type tag, starting from the instance's
+    recorded [init] ({!Machine.Objdef.instance}'s [init_value]): the
+    initial value of a register, CAS, max-register or FAA register, the
+    bucket count of a histogram, the slot count of a slot allocator;
+    ignored by the other types.  [None] for an unknown tag. *)

@@ -22,8 +22,10 @@
     - [= 1]: that slot was lost — move on to the next slot.
 
     The sequential specification ("return any currently free slot") is
-    deliberately nondeterministic; see {!Linearize.Spec}-side
-    [slot_allocator] in {!Workload.Check.spec_for}. *)
+    deliberately nondeterministic: {!Linearize.Spec.slot_allocator},
+    which {!Linearize.Spec.of_otype} selects for this object's
+    ["slot_allocator"] type with the slot count [k] recorded in its
+    [init_value]. *)
 
 open Machine.Program
 

@@ -4,39 +4,7 @@
 
 let spec_for sim o =
   let inst = Machine.Objdef.find (Machine.Sim.registry sim) o in
-  match inst.Machine.Objdef.otype with
-  | "rw" | "register" -> Some (Linearize.Spec.register ~init:inst.Machine.Objdef.init_value ())
-  | "cas" -> Some (Linearize.Spec.cas ~init:inst.Machine.Objdef.init_value ())
-  | "max_register" ->
-    (* the spec's initial maximum defaults to 0; the instance records its
-       own in init_value — thread it through a seeded WRITE_MAX *)
-    let init = Nvm.Value.as_int inst.Machine.Objdef.init_value in
-    let spec = Linearize.Spec.max_register () in
-    Some
-      (if init = 0 then spec
-       else
-         {
-           spec with
-           Linearize.Spec.initial =
-             (fun ~nprocs ->
-               let st = spec.Linearize.Spec.initial ~nprocs in
-               match
-                 st.Linearize.Spec.apply ~pid:0 ~op:"WRITE_MAX"
-                   ~args:[| Nvm.Value.Int init |]
-               with
-               | [ (_, st') ] -> st'
-               | _ -> st);
-         })
-  | "faa_register" ->
-    Some
-      (Linearize.Spec.faa_register
-         ~init:(Nvm.Value.as_int inst.Machine.Objdef.init_value) ())
-  | "histogram" ->
-    Some (Linearize.Spec.histogram ~k:(Nvm.Value.as_int inst.Machine.Objdef.init_value) ())
-  | "slot_allocator" ->
-    (* the instance records its slot count in [init_value] *)
-    Some (Linearize.Spec.slot_allocator ~k:(Nvm.Value.as_int inst.Machine.Objdef.init_value) ())
-  | otype -> Linearize.Spec.of_otype otype
+  Linearize.Spec.of_otype ~init:inst.Machine.Objdef.init_value inst.Machine.Objdef.otype
 
 (** Check the full NRL condition (Definition 4) on [sim]'s history.
     Counts land in the machine's attached metric registry, if any

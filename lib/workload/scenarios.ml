@@ -1,10 +1,21 @@
-(** Ready-made scenarios: one per algorithm of the paper and per naive
-    baseline, parameterised by process count and per-process operation
-    count.  Used by tests, experiments and the CLI. *)
+(** Ready-made scenarios: one per algorithm of the paper, per extension
+    and per naive baseline, parameterised by process count and
+    per-process operation count.  Used by tests, experiments and the
+    CLI. *)
 
 module Prng = Machine.Schedule.Prng
 
-(* {1 The object-kind catalogue} *)
+(* {1 The scenario table} *)
+
+type build =
+  Machine.Sim.t ->
+  name:string ->
+  edit:(Machine.Objdef.instance -> Machine.Objdef.instance) ->
+  nprocs:int ->
+  ops:int ->
+  ratio:float ->
+  rng_seed:int ->
+  Machine.Objdef.instance
 
 type kind = {
   k_name : string;
@@ -12,15 +23,8 @@ type kind = {
   k_nprocs : int;
   k_ops : int option;
   k_ratio : float;
-  k_build :
-    Machine.Sim.t ->
-    name:string ->
-    edit:(Machine.Objdef.instance -> Machine.Objdef.instance) ->
-    nprocs:int ->
-    ops:int ->
-    ratio:float ->
-    rng_seed:int ->
-    Machine.Objdef.instance;
+  k_build : build;
+  k_symmetric : build option;
 }
 
 (* what a row's script function draws from: the shared rng, the process,
@@ -29,9 +33,10 @@ type gen = { rng : Prng.t; pid : int; ops : int; ratio : float }
 
 (* One row: [make] builds the object (and whatever cells its workload
    reads), [edit] may rewrite it, and [script] scripts every process from
-   one rng seeded by [rng_seed]. *)
-let row k_name k_instance ?(nprocs = 3) ?ops ?(ratio = 0.0) make script =
-  let k_build sim ~name ~edit ~nprocs ~ops ~ratio ~rng_seed =
+   one rng seeded by [rng_seed].  [symmetric], when given, is the same
+   for a script that is identical across processes up to pid renaming. *)
+let row k_name k_instance ?(nprocs = 3) ?ops ?(ratio = 0.0) ?symmetric make script =
+  let build script sim ~name ~edit ~nprocs ~ops ~ratio ~rng_seed =
     let inst, cells = make sim ~name in
     let inst = edit inst in
     let rng = Prng.create rng_seed in
@@ -40,47 +45,131 @@ let row k_name k_instance ?(nprocs = 3) ?ops ?(ratio = 0.0) make script =
     done;
     inst
   in
-  { k_name; k_instance; k_nprocs = nprocs; k_ops = ops; k_ratio = ratio; k_build }
+  { k_name; k_instance; k_nprocs = nprocs; k_ops = ops; k_ratio = ratio;
+    k_build = build script; k_symmetric = Option.map build symmetric }
 
 let plain make sim ~name = (make sim ~name, ())
+let op inst name args = (inst, name, Machine.Sim.Args args)
+
+let register_script g inst () =
+  Opgen.register_ops ~rng:g.rng ~pid:g.pid ~count:g.ops ~write_ratio:g.ratio inst
+
+let tas_script _ inst () = Opgen.tas_ops inst
+let mutex_pair g inst () = Opgen.mutex_pair ~pid:g.pid inst ~seq:1
+
+(* [put] 2/5 (distinct tagged values), [take] 2/5, [look] 1/5 *)
+let container put take look g inst () =
+  List.init g.ops (fun k ->
+      match Prng.int g.rng 5 with
+      | 0 | 1 -> op inst put [| Opgen.tagged g.pid (k + 1) |]
+      | 2 | 3 -> op inst take [||]
+      | _ -> op inst look [||])
+
+(* a naive CAS cell holds the bare value, so it is itself the [old]
+   argument ([Opgen.cas_ops] reads a <pid,v> pair) *)
+let naive_cas_script g inst cell =
+  List.init g.ops (fun k ->
+      if Prng.float g.rng < g.ratio then
+        let args mem = [| Nvm.Memory.peek mem cell; Opgen.tagged g.pid (k + 1) |] in
+        (inst, "CAS", Machine.Sim.Compute args)
+      else op inst "READ" [||])
 
 let catalogue =
   let open Objects in
   [
-    row "register" "R" ~ops:6 ~ratio:0.6 (plain (fun sim -> Rw_obj.make sim)) (fun g inst () ->
-        Opgen.register_ops ~rng:g.rng ~pid:g.pid ~count:g.ops ~write_ratio:g.ratio inst);
-    row "cas" "C" ~ops:6 ~ratio:0.7 Cas_obj.make_ex (fun g inst cells ->
+    row "register" "R" ~ops:6 ~ratio:0.6 (plain (fun sim -> Rw_obj.make sim)) register_script
+      ~symmetric:(fun g inst () ->
+        [ op inst "WRITE" [| Opgen.tagged g.pid 0 |]; op inst "READ" [||] ]);
+    row "cas" "C" ~ops:6 ~ratio:0.7 Cas_obj.make_ex
+      (fun g inst cells ->
         Opgen.cas_ops ~rng:g.rng ~pid:g.pid ~count:g.ops ~cas_ratio:g.ratio inst
-          ~cell:cells.Cas_obj.c);
-    row "tas" "T" (plain (fun sim -> Tas_obj.make sim)) (fun _ inst () -> Opgen.tas_ops inst);
-    row "counter" "CTR" ~ops:5 ~ratio:0.7 (plain Counter_obj.make) (fun g inst () ->
-        Opgen.counter_ops ~rng:g.rng ~count:g.ops ~inc_ratio:g.ratio inst);
-    row "mutex" "MX" ~ops:4 (plain Mutex_obj.make) (fun g inst () ->
-        Opgen.mutex_ops ~rng:g.rng ~pid:g.pid ~count:g.ops inst);
-    row "consensus" "CNS" ~ops:2 (plain Consensus_obj.make) (fun g inst () ->
-        Opgen.consensus_ops ~pid:g.pid ~count:g.ops inst);
-    row "pcall" "PC" ~nprocs:2 ~ops:3 ~ratio:0.6 (plain Pcall_obj.make) (fun g inst () ->
-        Opgen.pcall_ops ~rng:g.rng ~count:g.ops ~run_ratio:g.ratio inst);
+          ~cell:cells.Cas_obj.c)
+      ~symmetric:(fun g inst _ -> [ op inst "CAS" [| Nvm.Value.Null; Opgen.tagged g.pid 0 |] ]);
+    row "tas" "T" (plain (fun sim -> Tas_obj.make sim)) tas_script ~symmetric:tas_script;
+    row "counter" "CTR" ~ops:5 ~ratio:0.7 (plain Counter_obj.make)
+      (fun g inst () -> Opgen.counter_ops ~rng:g.rng ~count:g.ops ~inc_ratio:g.ratio inst)
+      ~symmetric:(fun _ inst () -> [ op inst "INC" [||]; op inst "READ" [||] ]);
+    row "mutex" "MX" ~ops:4 (plain Mutex_obj.make)
+      (fun g inst () -> Opgen.mutex_ops ~rng:g.rng ~pid:g.pid ~count:g.ops inst)
+      ~symmetric:mutex_pair;
+    row "consensus" "CNS" ~ops:2 (plain Consensus_obj.make)
+      (fun g inst () -> Opgen.consensus_ops ~pid:g.pid ~count:g.ops inst)
+      ~symmetric:(fun g inst () ->
+        [ op inst "DECIDE" [| Nvm.Value.Int 1; Opgen.tagged g.pid 0 |] ]);
+    row "pcall" "PC" ~nprocs:2 ~ops:3 ~ratio:0.6 (plain Pcall_obj.make)
+      (fun g inst () -> Opgen.pcall_ops ~rng:g.rng ~count:g.ops ~run_ratio:g.ratio inst)
+      ~symmetric:(fun _ inst () -> [ op inst "RUN" [| Nvm.Value.Int 1 |] ]);
   ]
+
+let strategy_name = function `Optimistic -> "optimistic" | `Reexecute -> "reexec"
+
+let others =
+  let open Objects in
+  let strategies = [ `Optimistic; `Reexecute ] in
+  [
+    row "elect" "E" (plain (fun sim -> Elect_obj.make sim)) (fun _ inst () ->
+        [ op inst "ELECT" [||] ]);
+    row "faa" "F" ~ops:4 ~ratio:0.75 (plain (fun sim -> Faa_obj.make sim)) (fun g inst () ->
+        List.init g.ops (fun _ ->
+            if Prng.float g.rng < g.ratio then
+              op inst "FAA" [| Nvm.Value.Int (1 + Prng.int g.rng 3) |]
+            else op inst "READ" [||]));
+    row "stack" "S" ~ops:4 (plain Stack_obj.make) (container "PUSH" "POP" "PEEK");
+    (let k = 3 in
+     row "histogram" "H" ~ops:4 (plain (Histogram_obj.make ~k)) (fun g inst () ->
+         List.init g.ops (fun _ ->
+             match Prng.int g.rng 4 with
+             | 0 -> op inst "TOTAL" [||]
+             | 1 -> op inst "BUCKET" [| Nvm.Value.Int (Prng.int g.rng k) |]
+             | _ -> op inst "RECORD" [| Nvm.Value.Int (Prng.int g.rng k) |])));
+    row "queue" "Q" ~ops:4 (plain Queue_obj.make) (container "ENQ" "DEQ" "FRONT");
+    row "max-register" "M" ~ops:4 (plain (fun sim -> Max_register_obj.make sim)) (fun g inst () ->
+        List.init g.ops (fun _ ->
+            if Prng.int g.rng 3 < 2 then
+              op inst "WRITE_MAX" [| Nvm.Value.Int (1 + Prng.int g.rng 50) |]
+            else op inst "READ" [||]));
+    row "mutex-pairs" "MX" ~nprocs:2 (plain Mutex_obj.make) mutex_pair;
+  ]
+  (* naive baselines: the sound rows' workloads, unsound recovery *)
+  @ List.map
+      (fun strategy ->
+        row ("naive-rw-" ^ strategy_name strategy) "R" ~ops:6 ~ratio:0.6
+          (plain (fun sim -> Naive.make_rw ~strategy sim)) register_script)
+      strategies
+  @ List.map
+      (fun strategy ->
+        row ("naive-cas-" ^ strategy_name strategy) "C" ~ops:6 ~ratio:0.7
+          (fun sim -> Naive.make_cas_ex ~strategy sim) naive_cas_script)
+      strategies
+  @ [ row "naive-tas" "T" (plain (Naive.make_tas ~strategy:`Reexecute)) tas_script ]
 
 let name k = k.k_name
 
 let kind name =
-  match List.find_opt (fun k -> k.k_name = name) catalogue with
+  match List.find_opt (fun k -> k.k_name = name) (catalogue @ others) with
   | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "Scenarios.kind: unknown object kind %S" name)
+  | None -> invalid_arg (Printf.sprintf "Scenarios.kind: unknown scenario %S" name)
 
 (* A zoo mutant is its base kind's row under instance name "Z", with the
    mutant's edits applied to the freshly built object. *)
+let resolve name sim =
+  match Objects.Zoo.find name with
+  | Some m -> (kind m.m_algo, "Z", Objects.Zoo.mutate m sim)
+  | None ->
+    let k = kind name in
+    (k, k.k_instance, Fun.id)
+
 let install name sim ~nprocs ~ops ~ratio ~rng_seed =
-  let k, name, edit =
-    match Objects.Zoo.find name with
-    | Some m -> (kind m.m_algo, "Z", Objects.Zoo.mutate m sim)
-    | None ->
-      let k = kind name in
-      (k, k.k_instance, Fun.id)
-  in
+  let k, name, edit = resolve name sim in
   k.k_build sim ~name ~edit ~nprocs ~ops ~ratio ~rng_seed
+
+let install_symmetric name sim ~nprocs =
+  match resolve name sim with
+  | { k_symmetric = Some build; _ }, name, edit ->
+    (* a symmetric script takes no size or mix and draws nothing *)
+    build sim ~name ~edit ~nprocs ~ops:1 ~ratio:0.0 ~rng_seed:0
+  | k, _, _ ->
+    invalid_arg (Printf.sprintf "Scenarios.install_symmetric: %S has no symmetric script" k.k_name)
 
 let scenario label k ?(nprocs = k.k_nprocs) ?ops ?(ratio = k.k_ratio) ?(rng_seed = 42) () =
   let ops = Option.value ops ~default:(Option.value k.k_ops ~default:1) in
@@ -99,6 +188,8 @@ let of_kind k = scenario k.k_name k
 let mutant (m : Objects.Zoo.mutant) ?nprocs ?ops () =
   scenario m.m_name (kind m.m_algo) ?nprocs ?ops ~ratio:0.6 ~rng_seed:1 ()
 
+(* {1 Named views} *)
+
 let register ?nprocs ?ops ?write_ratio ?rng_seed () =
   of_kind (kind "register") ?nprocs ?ops ?ratio:write_ratio ?rng_seed ()
 
@@ -110,180 +201,29 @@ let tas ?nprocs () = of_kind (kind "tas") ?nprocs ()
 let counter ?nprocs ?ops ?inc_ratio ?rng_seed () =
   of_kind (kind "counter") ?nprocs ?ops ?ratio:inc_ratio ?rng_seed ()
 
-let elect ?(nprocs = 3) ?k () =
-  {
-    Trial.scen_name = Printf.sprintf "elect/n%d" nprocs;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Elect_obj.make ?k sim ~name:"E" in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p [ (inst, "ELECT", Machine.Sim.Args [||]) ]
-        done);
-  }
+let elect ?nprocs () = of_kind (kind "elect") ?nprocs ()
 
-let faa ?(nprocs = 3) ?(ops = 4) ?(faa_ratio = 0.75) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "faa/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Faa_obj.make sim ~name:"F" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun _ ->
-                 if Prng.float rng < faa_ratio then
-                   (inst, "FAA", Machine.Sim.Args [| Nvm.Value.Int (1 + Prng.int rng 3) |])
-                 else (inst, "READ", Machine.Sim.Args [||])))
-        done);
-  }
+let faa ?nprocs ?ops ?faa_ratio ?rng_seed () =
+  of_kind (kind "faa") ?nprocs ?ops ?ratio:faa_ratio ?rng_seed ()
 
-let histogram ?(nprocs = 3) ?(ops = 4) ?(k = 3) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "histogram/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Histogram_obj.make ~k sim ~name:"H" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun _ ->
-                 match Prng.int rng 4 with
-                 | 0 -> (inst, "TOTAL", Machine.Sim.Args [||])
-                 | 1 -> (inst, "BUCKET", Machine.Sim.Args [| Nvm.Value.Int (Prng.int rng k) |])
-                 | _ -> (inst, "RECORD", Machine.Sim.Args [| Nvm.Value.Int (Prng.int rng k) |])))
-        done);
-  }
-
-let stack ?(nprocs = 3) ?(ops = 4) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "stack/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Stack_obj.make sim ~name:"S" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun k ->
-                 match Prng.int rng 5 with
-                 | 0 | 1 -> (inst, "PUSH", Machine.Sim.Args [| Opgen.tagged p (k + 1) |])
-                 | 2 | 3 -> (inst, "POP", Machine.Sim.Args [||])
-                 | _ -> (inst, "PEEK", Machine.Sim.Args [||])))
-        done);
-  }
-
-let queue ?(nprocs = 3) ?(ops = 4) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "queue/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Queue_obj.make sim ~name:"Q" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun k ->
-                 match Prng.int rng 5 with
-                 | 0 | 1 -> (inst, "ENQ", Machine.Sim.Args [| Opgen.tagged p (k + 1) |])
-                 | 2 | 3 -> (inst, "DEQ", Machine.Sim.Args [||])
-                 | _ -> (inst, "FRONT", Machine.Sim.Args [||])))
-        done);
-  }
-
-let max_register ?(nprocs = 3) ?(ops = 4) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name = Printf.sprintf "max-register/n%d/ops%d" nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Max_register_obj.make sim ~name:"M" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun _ ->
-                 if Prng.int rng 3 < 2 then
-                   (inst, "WRITE_MAX", Machine.Sim.Args [| Nvm.Value.Int (1 + Prng.int rng 50) |])
-                 else (inst, "READ", Machine.Sim.Args [||])))
-        done);
-  }
-
+let histogram ?nprocs ?ops ?rng_seed () = of_kind (kind "histogram") ?nprocs ?ops ?rng_seed ()
+let stack ?nprocs ?ops ?rng_seed () = of_kind (kind "stack") ?nprocs ?ops ?rng_seed ()
+let queue ?nprocs ?ops ?rng_seed () = of_kind (kind "queue") ?nprocs ?ops ?rng_seed ()
+let max_register ?nprocs ?ops ?rng_seed () = of_kind (kind "max-register") ?nprocs ?ops ?rng_seed ()
 let mutex ?nprocs ?ops ?rng_seed () = of_kind (kind "mutex") ?nprocs ?ops ?rng_seed ()
-
-(* deterministic acquire/release pairs, small enough for exhaustive
-   exploration *)
-let mutex_pairs ?(nprocs = 2) () =
-  {
-    Trial.scen_name = Printf.sprintf "mutex-pairs/n%d" nprocs;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Mutex_obj.make sim ~name:"MX" in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.mutex_pair ~pid:p inst ~seq:1)
-        done);
-  }
-
+let mutex_pairs ?nprocs () = of_kind (kind "mutex-pairs") ?nprocs ()
 let consensus ?nprocs ?ops () = of_kind (kind "consensus") ?nprocs ?ops ()
 
 let pcall ?nprocs ?ops ?run_ratio ?rng_seed () =
   of_kind (kind "pcall") ?nprocs ?ops ?ratio:run_ratio ?rng_seed ()
 
-(* Naive baselines: same workloads, unsound recovery. *)
+let naive_rw ~strategy ?nprocs ?ops ?write_ratio ?rng_seed () =
+  of_kind (kind ("naive-rw-" ^ strategy_name strategy)) ?nprocs ?ops ?ratio:write_ratio ?rng_seed ()
 
-let naive_rw ~strategy ?(nprocs = 3) ?(ops = 6) ?(write_ratio = 0.6) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name =
-      Printf.sprintf "naive-rw-%s/n%d/ops%d"
-        (match strategy with `Optimistic -> "optimistic" | `Reexecute -> "reexec")
-        nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Naive.make_rw ~strategy sim ~name:"R" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (Opgen.register_ops ~rng ~pid:p ~count:ops ~write_ratio inst)
-        done);
-  }
+let naive_cas ~strategy ?nprocs ?ops ?cas_ratio ?rng_seed () =
+  of_kind (kind ("naive-cas-" ^ strategy_name strategy)) ?nprocs ?ops ?ratio:cas_ratio ?rng_seed ()
 
-let naive_cas ~strategy ?(nprocs = 3) ?(ops = 6) ?(cas_ratio = 0.7) ?(rng_seed = 42) () =
-  {
-    Trial.scen_name =
-      Printf.sprintf "naive-cas-%s/n%d/ops%d"
-        (match strategy with `Optimistic -> "optimistic" | `Reexecute -> "reexec")
-        nprocs ops;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst, cell = Objects.Naive.make_cas_ex ~strategy sim ~name:"C" in
-        let rng = Prng.create rng_seed in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p
-            (List.init ops (fun k ->
-                 if Prng.float rng < cas_ratio then
-                   ( inst,
-                     "CAS",
-                     Machine.Sim.Compute
-                       (fun mem -> [| Nvm.Memory.peek mem cell; Opgen.tagged p (k + 1) |]) )
-                 else (inst, "READ", Machine.Sim.Args [||])))
-        done);
-  }
-
-let naive_tas ?(nprocs = 3) () =
-  {
-    Trial.scen_name = Printf.sprintf "naive-tas-reexec/n%d" nprocs;
-    nprocs;
-    build =
-      (fun sim ->
-        let inst = Objects.Naive.make_tas ~strategy:`Reexecute sim ~name:"T" in
-        for p = 0 to nprocs - 1 do
-          Machine.Sim.set_script sim p (Opgen.tas_ops inst)
-        done);
-  }
+let naive_tas ?nprocs () = of_kind (kind "naive-tas") ?nprocs ()
 
 let all_paper ?(nprocs = 3) () =
   [ register ~nprocs (); cas ~nprocs (); tas ~nprocs (); counter ~nprocs () ]

@@ -1,27 +1,44 @@
 (** Ready-made scenarios: one per algorithm of the paper, one per
     extension, and one per naive baseline; parameterised by process and
     operation counts.  Used by tests, experiments, examples and the
-    CLI. *)
+    CLI.
+
+    Every named scenario is one row of the scenario table: its name, its
+    object's instance name, its default process count, operation count
+    and mutating-op ratio, and one function that builds the object and
+    scripts every process from one rng.  Adding a scenario means adding a
+    row; the CLI's scenario list, the fuzzer's kinds and the named views
+    below all read the table. *)
 
 module Prng = Machine.Schedule.Prng
 
-(** {1 The object-kind catalogue}
-
-    One row per fuzzable base kind: everything the scenarios, the
-    fuzzer ([Fuzz.Gen]), the bug zoo's mutant scenarios and the CLI know
-    about a kind.  Adding a kind means adding a row. *)
+(** {1 The scenario table} *)
 
 type kind
-(** One row: a kind's name, its object's instance name, its default
-    process count, operation count and mutating-op ratio, and one
-    function that builds the object, passes it through an edit hook,
-    and scripts every process from one rng ({!install}). *)
+(** One row: a scenario's name, its object's instance name, its default
+    process count, operation count and mutating-op ratio, the function
+    that builds the object, passes it through an edit hook and scripts
+    every process from one rng ({!install}), and, for the catalogue
+    kinds, a pid-erased symmetric script ({!install_symmetric}). *)
 
 val catalogue : kind list
-(** register, cas, tas, counter, mutex, consensus, pcall — in this order. *)
+(** The fuzzable object kinds — register, cas, tas, counter, mutex,
+    consensus, pcall, in this order.  A row here is drawn by the fuzzer
+    ([Fuzz.Gen.base_kinds]), may be the base of a zoo mutant, and carries
+    a symmetric script. *)
+
+val others : kind list
+(** The named scenarios the fuzzer does not draw, in [nrlsim list] order:
+    elect, faa, stack, histogram, queue, max-register, mutex-pairs, then
+    the naive baselines naive-rw-optimistic, naive-rw-reexec,
+    naive-cas-optimistic, naive-cas-reexec and naive-tas. *)
 
 val name : kind -> string
-(** The kind's scenario name, e.g. ["register"]. *)
+(** The row's scenario name, e.g. ["register"]. *)
+
+val kind : string -> kind
+(** The row of {!catalogue} or {!others} with this name.
+    @raise Invalid_argument on other names. *)
 
 val install :
   string ->
@@ -31,15 +48,23 @@ val install :
   ratio:float ->
   rng_seed:int ->
   Machine.Objdef.instance
-(** Build a catalogue kind, or a zoo mutant named by {!Objects.Zoo.find},
-    into the machine and script its processes.  A base kind gets its
-    row's instance name; a mutant gets its base kind's row under the
-    name ["Z"], edited by {!Objects.Zoo.mutate}.
+(** Build a row's object, or a zoo mutant named by {!Objects.Zoo.find},
+    into the machine and script its processes.  A row gets its instance
+    name; a mutant gets its base kind's row under the name ["Z"], edited
+    by {!Objects.Zoo.mutate}.
     @raise Invalid_argument on other names. *)
+
+val install_symmetric : string -> Machine.Sim.t -> nprocs:int -> Machine.Objdef.instance
+(** Like {!install}, but every process runs the row's symmetric script:
+    the same operations for every process up to pid renaming (a process's
+    written values are tagged with its own pid), so the explorer's
+    symmetry detector can apply wherever the object's recovery allows.
+    @raise Invalid_argument on names without one (rows outside
+    {!catalogue}). *)
 
 val of_kind :
   kind -> ?nprocs:int -> ?ops:int -> ?ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
-(** The kind's scenario, named ["<kind>/n<N>/ops<K>"] (["<kind>/n<N>"]
+(** The row's scenario, named ["<name>/n<N>/ops<K>"] (["<name>/n<N>"]
     when the workload ignores [ops]); the defaults are the row's, and
     rng seed 42. *)
 
@@ -48,10 +73,10 @@ val mutant : Objects.Zoo.mutant -> ?nprocs:int -> ?ops:int -> unit -> Trial.scen
     seed 1, instance ["Z"], named like {!of_kind}'s with the mutant's
     name for the kind. *)
 
-(** {1 Named scenarios}
+(** {1 Named views}
 
-    The catalogue kinds' scenarios under their workload's own ratio
-    name, then the scenarios the fuzzer does not draw. *)
+    One-line views of the table's rows ({!of_kind} of {!kind}), with the
+    ratio under its workload's own name. *)
 
 val register :
   ?nprocs:int -> ?ops:int -> ?write_ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
@@ -68,16 +93,16 @@ val counter :
   ?nprocs:int -> ?ops:int -> ?inc_ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
 (** Algorithm 4 under an INC/READ mix. *)
 
-val elect : ?nprocs:int -> ?k:int -> unit -> Trial.scenario
+val elect : ?nprocs:int -> unit -> Trial.scenario
 (** The Elect extension: one ELECT per process. *)
 
 val faa :
   ?nprocs:int -> ?ops:int -> ?faa_ratio:float -> ?rng_seed:int -> unit -> Trial.scenario
 (** The nested-FAA extension under an FAA/READ mix (deltas in 1..3). *)
 
-val histogram :
-  ?nprocs:int -> ?ops:int -> ?k:int -> ?rng_seed:int -> unit -> Trial.scenario
-(** The three-level histogram under a RECORD/BUCKET/TOTAL mix. *)
+val histogram : ?nprocs:int -> ?ops:int -> ?rng_seed:int -> unit -> Trial.scenario
+(** The three-level histogram (3 buckets) under a RECORD/BUCKET/TOTAL
+    mix. *)
 
 val stack :
   ?nprocs:int -> ?ops:int -> ?rng_seed:int -> unit -> Trial.scenario

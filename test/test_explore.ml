@@ -145,21 +145,11 @@ let counter_value reg name =
   match Obs.Metrics.view reg name with Some (Obs.Metrics.Counter n) -> n | _ -> 0
 
 let seed_scenario name ~nprocs ~ops =
-  let build =
-    match name with
-    | "register" -> (Workload.Scenarios.register ~nprocs ~ops ()).Workload.Trial.build
-    | "cas" -> (Workload.Scenarios.cas ~nprocs ~ops ()).Workload.Trial.build
-    | "counter" -> (Workload.Scenarios.counter ~nprocs ~ops ()).Workload.Trial.build
-    | "tas" -> (Workload.Scenarios.tas ~nprocs ()).Workload.Trial.build
-    | "naive-rw-optimistic" ->
-      (Workload.Scenarios.naive_rw ~strategy:`Optimistic ~nprocs ~ops ()).Workload.Trial.build
-    | "naive-cas-reexec" ->
-      (Workload.Scenarios.naive_cas ~strategy:`Reexecute ~nprocs ~ops ()).Workload.Trial.build
-    | _ -> assert false
-  in
+  let module S = Workload.Scenarios in
+  let scen = S.of_kind (S.kind name) ~nprocs ~ops () in
   fun () ->
     let sim = Sim.create ~nprocs () in
-    build sim;
+    scen.Workload.Trial.build sim;
     sim
 
 let crashy_cfg = { Explore.default_config with max_steps = 100; max_crashes = 1; crash_procs = [ 0 ] }

@@ -179,39 +179,14 @@ let test_shard_balance_explicit () =
 
 (* {1 Symmetry soundness on the bug zoo} *)
 
-(* Symmetric workloads per base algorithm: every process runs the same
-   script up to own-pid renaming ([Opgen.tagged p] carries [Pid p], which
-   the detector erases), so the quotient is active wherever the object's
+(* Each mutant under its base kind's symmetric workload
+   ([Scenarios.install_symmetric]): every process runs the same script up
+   to own-pid renaming ([Opgen.tagged p] carries [Pid p], which the
+   detector erases), so the quotient is active wherever the object's
    declaration allows it. *)
-let symmetric_script algo (inst : Machine.Objdef.instance) p =
-  match algo with
-  | "register" ->
-    [
-      (inst, "WRITE", Sim.Args [| Workload.Opgen.tagged p 0 |]);
-      (inst, "READ", Sim.Args [||]);
-    ]
-  | "cas" ->
-    [ (inst, "CAS", Sim.Args [| Nvm.Value.Null; Workload.Opgen.tagged p 0 |]) ]
-  | "tas" -> [ (inst, "T&S", Sim.Args [||]) ]
-  | "counter" -> [ (inst, "INC", Sim.Args [||]); (inst, "READ", Sim.Args [||]) ]
-  | "mutex" ->
-    [
-      (inst, "ACQUIRE", Sim.Args [| Nvm.Value.Int 1 |]);
-      (inst, "RELEASE", Sim.Args [| Nvm.Value.Int 2 |]);
-    ]
-  | "consensus" -> [ (inst, "DECIDE", Sim.Args [| Nvm.Value.Int 1; Workload.Opgen.tagged p 0 |]) ]
-  | "pcall" -> [ (inst, "RUN", Sim.Args [| Nvm.Value.Int 1 |]) ]
-  | _ -> assert false
-
 let build_mutant m ~nprocs =
   let sim = Sim.create ~nprocs () in
-  (* the mutant's own workload, replaced by the symmetric scripts *)
-  let inst =
-    Workload.Scenarios.install m.Objects.Zoo.m_name sim ~nprocs ~ops:1 ~ratio:0.6 ~rng_seed:1
-  in
-  for p = 0 to nprocs - 1 do
-    Sim.set_script sim p (symmetric_script m.Objects.Zoo.m_algo inst p)
-  done;
+  ignore (Workload.Scenarios.install_symmetric m.Objects.Zoo.m_name sim ~nprocs);
   sim
 
 let verdict ~cfg ~symmetry sim =
