@@ -368,7 +368,10 @@ let t5 () =
    incremental checking on throughout.  Every search starts from a
    compacted heap, each row reports the median of three searches (taken
    in interleaved rounds), and the speedup is the ratio of those
-   medians.  Statistics must be
+   medians.  Next to each median's wall time the row prints the
+   process's user+sys CPU seconds over that search, and CPU/wall: on a
+   shared host a slow jobs-1 search shows as inflated CPU time (CPU/wall
+   stays ~1), not as a real speedup.  Statistics must be
    identical down every column: the partition of the tree into stolen
    subtree tasks may vary, the counted tree may not.  Speedup needs real
    cores (see [domains_available] in the JSON); on a narrower host the
@@ -389,22 +392,26 @@ let t6 () =
   (* one timed search; the earlier sections and searches leave a large
      fragmented major heap that would throttle the allocation-heavy
      search, so each starts from a compacted one *)
+  let cpu_s () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let search jobs =
     let sim = build () in
     Gc.compact ();
-    let t0 = Obs.Clock.now_s () in
+    let c0 = cpu_s () and t0 = Obs.Clock.now_s () in
     let viol, stats =
       Machine.Explore.find_violation ~cfg ~jobs ~dedup:true
         ~check_mode:(`Incremental (Workload.Check.nrl_incremental ()))
         ~check:Workload.Check.nrl_violation sim
     in
-    let dt = Obs.Clock.now_s () -. t0 in
+    let dt = Obs.Clock.now_s () -. t0 and cpu = cpu_s () -. c0 in
     assert (viol = None);
-    (stats, dt)
+    (stats, (dt, cpu))
   in
   Printf.printf "  domains available: %d\n%!" (Domain.recommended_domain_count ());
-  Printf.printf "  %-8s %12s %10s %10s %12s %10s\n%!" "jobs" "nodes" "dup" "seconds" "nodes/s"
-    "speedup";
+  Printf.printf "  %-8s %12s %10s %10s %10s %9s %12s %10s\n%!" "jobs" "nodes" "dup" "seconds"
+    "cpu s" "cpu/wall" "nodes/s" "speedup";
   let jobs_rows = [ 1; 2; 4 ] in
   (* the rows' searches interleave, so host drift over the section's
      minute lands on every row alike *)
@@ -415,10 +422,11 @@ let t6 () =
       let runs = List.map (fun round -> List.nth round i) rounds in
       let stats = fst (List.hd runs) in
       List.iter (fun (s, _) -> assert (s = stats)) runs;
-      let dt = List.nth (List.sort compare (List.map snd runs)) (repeats / 2) in
+      (* the median by wall time, with that search's CPU time *)
+      let dt, cpu = List.nth (List.sort compare (List.map snd runs)) (repeats / 2) in
       if jobs = 1 then base := dt;
-      Printf.printf "  %-8d %12d %10d %10.2f %12.0f %9.2fx\n%!" jobs stats.Machine.Explore.nodes
-        stats.Machine.Explore.dup dt
+      Printf.printf "  %-8d %12d %10d %10.2f %10.2f %9.2f %12.0f %9.2fx\n%!" jobs
+        stats.Machine.Explore.nodes stats.Machine.Explore.dup dt cpu (cpu /. dt)
         (float_of_int stats.Machine.Explore.nodes /. dt)
         (!base /. dt);
       record_explore ~sect:"T6" ~scenario:"register" ~nprocs ~ops ~jobs ~dedup:true

@@ -532,9 +532,7 @@ let explore_cmd =
         end;
         ck
     in
-    (* Only a checkpoint or a resume needs the task pool's pending set
-       (Explore.sweep); every other search runs directly. *)
-    let pool =
+    let cp =
       match checkpoint, resume with
       | None, None -> None
       | _ when junk = "all" ->
@@ -554,29 +552,16 @@ let explore_cmd =
       if progress then Some (Obs.Progress.create ~label:"explore" ()) else None
     in
     let should_stop = stop_on_signals () in
-    let search strategy =
-      let open Machine.Explore in
-      let check_mode = mk_check_mode () and check = Workload.Check.nrl_violation in
-      match pool with
-      | Some (spec, ck) ->
-        sweep ~cfg ~jobs ~dedup ~symmetry ?obs:o.reg ?progress:prog ?trace:o.tracer ~budget
-          ~should_stop ~checkpoint:spec ?resume:ck ~check_mode ~check (build strategy)
-      | None -> (
-        let cut = ref None in
-        match
-          find_violation ~cfg ~jobs ~dedup ~symmetry ?obs:o.reg ?progress:prog ?trace:o.tracer
-            ~budget ~should_stop ~on_exhausted:(fun e -> cut := Some e) ~check_mode ~check
-            (build strategy)
-        with
-        | Some (sim, reason), stats -> (Violation (sim, reason), stats)
-        | None, stats -> ((match !cut with Some e -> Exhausted e | None -> Clean), stats))
-    in
     (* searches under [strategy] and prints its verdict ([label] prefixes
        each campaign line); returns the exit code *)
     let report ~label strategy =
       let open Machine.Explore in
       let t0 = Obs.Clock.now_s () in
-      let outcome, s = search strategy in
+      let outcome, s =
+        search ~cfg ~jobs ~dedup ~symmetry ?obs:o.reg ?progress:prog ?trace:o.tracer ~budget
+          ~should_stop ?checkpoint:(Option.map fst cp) ?resume:(Option.bind cp snd)
+          ~check_mode:(mk_check_mode ()) ~check:Workload.Check.nrl_violation (build strategy)
+      in
       match outcome with
       | Violation (sim, reason) ->
         Format.printf "%sVIOLATION: %s@.history:@.%a@." label reason History.pp
@@ -597,7 +582,7 @@ let explore_cmd =
           e.ex_frontier
           (Obs.Clock.now_s () -. t0)
           (match e.ex_degraded with [] -> "" | ds -> "; degraded: " ^ String.concat ", " ds);
-        (match pool with
+        (match cp with
         | Some (spec, _) when Sys.file_exists spec.cp_path ->
           Format.printf "resume with: --resume %s@." spec.cp_path
         | _ -> ());

@@ -1,6 +1,6 @@
 (** Versioned on-disk checkpoints for resumable exploration.
 
-    {!Explore.sweep} partitions the search into frontier tasks and
+    {!Explore.search} partitions a checkpointed search into frontier tasks and
     checkpoints {e at task granularity}: a checkpoint records each task's
     root — as the decision path from the search root plus the crash
     budget consumed along it — a completion flag per task, and the

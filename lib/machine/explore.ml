@@ -12,18 +12,18 @@
     afterwards, so a branch costs the few mutations of one step instead
     of a whole-machine deep copy.
 
-    One driver ({!drive}) runs every search.  It either walks the tree
-    directly with that trailed DFS ([find_violation] at [jobs = 1]) or
-    hands it to the work-stealing pool ({!ws_run}): subtree tasks are
-    decision paths from the root, each worker repositions its own trailed
-    machine onto a task by undoing to the common prefix and replaying the
-    rest, and splits a task one level into child tasks when the pool runs
-    low.  A shared atomic flag stops every worker as soon as one finds a
-    violation.  Every node is processed exactly once by the same
-    traversal code wherever the task boundaries fall, so
-    [terminals]/[truncated]/[nodes] are identical for every [jobs] value.
-    [dfs] and [find_violation] are views of the driver; [sweep] adds
-    checkpointing and resume.
+    One function ({!search}) runs every search.  It walks the tree
+    directly with that trailed DFS unless the search needs a pending task
+    set — [jobs > 1], a checkpoint or a resume — and then hands it to the
+    work-stealing pool ({!ws_run}): subtree tasks are decision paths from
+    the root, each worker repositions its own trailed machine onto a task
+    by undoing to the common prefix and replaying the rest, and splits a
+    task one level into child tasks when the pool runs low.  A shared
+    atomic flag stops every worker as soon as one finds a violation.
+    Every node is processed exactly once by the same traversal code
+    wherever the task boundaries fall, so [terminals]/[truncated]/[nodes]
+    are identical for every [jobs] value.  [dfs] and [find_violation] are
+    views of {!search}.
 
     Orthogonally, {e state deduplication} ([dedup]) prunes a branch when
     the machine configuration's {!Fingerprint} — extended with the crash
@@ -232,7 +232,7 @@ type exhausted = {
       (** degradation steps taken before giving up, oldest first *)
 }
 
-(** Verdict of a budgeted, resumable search ({!sweep}). *)
+(** Verdict of a search ({!search}). *)
 type outcome =
   | Clean  (** every schedule within the bounds explored, no violation *)
   | Violation of Sim.t * string
@@ -295,12 +295,12 @@ let check_limits l =
     if l.l_should_stop () then raise (Out_of_budget `Interrupted)
   end
 
-(* Pre-resolved handles for the explorer's per-phase timers.  Each
-   traversal context owns its meters — the parallel engine gives every
-   worker a private registry (merged at the join, in worker order), so
-   timing the hot loop never touches cross-domain state. *)
+(* Pre-resolved handles for the explorer's per-phase timers, attached
+   only when the caller observes the search.  Each traversal context owns
+   its meters — the pool gives every task a private registry, merged
+   when the task completes — so timing the hot loop never touches
+   cross-domain state. *)
 type meters = {
-  m_reg : Obs.Metrics.t;
   m_step : Obs.Metrics.timer;
   m_check : Obs.Metrics.timer;
   m_dedup : Obs.Metrics.timer;
@@ -308,7 +308,6 @@ type meters = {
 
 let meters_of reg =
   {
-    m_reg = reg;
     m_step = Obs.Metrics.timer reg Obs.Names.explore_time_step;
     m_check = Obs.Metrics.timer reg Obs.Names.explore_time_check;
     m_dedup = Obs.Metrics.timer reg Obs.Names.explore_time_dedup;
@@ -556,14 +555,14 @@ type ws_result = {
     children pending, never half of either.  That atomicity is what
     makes mid-steal checkpoints resume byte-identically.
 
-    [per_task] selects the metric granularity: [true] gives every task a
-    fresh registry folded into the accumulator ([ctx.om]) at completion
-    (the checkpointing engine — persisted metrics cover exactly the
-    completed tasks); [false] gives every worker one registry.  Worker
-    registries (with [per_task], only steal counts and idle time) merge
-    into the accumulator at the join in worker-id order (deterministic,
-    whatever order workers finished in).  [on_fold] runs under the
-    accumulator mutex at every task completion.
+    One accounting rule: a task counts only when it completes.  Its
+    statistics fold into [ctx.stats] and, when an accumulator registry
+    [acc_reg] exists, its private registry merges into it, both in the
+    completion critical section; a task cut or aborted mid-way is left
+    out, so the accumulator always covers exactly the completed tasks.
+    Worker registries (steal counts, and idle time when timed) merge at
+    the join in worker-id order.  [on_fold] runs under the accumulator
+    mutex at every task completion.
 
     On {!Found}, {!Out_of_budget} or any other escape the first
     exception is published, every worker stops, and the in-flight tasks
@@ -572,17 +571,17 @@ type ws_result = {
     frontier. *)
 let ws_run : type st.
     ctx:st ctx ->
+    acc_reg:Obs.Metrics.t option ->
     jobs:int ->
     trace:Obs.Trace.t option ->
     sim0:Sim.t ->
     root_state:st ->
     seeds:ptask list ->
-    per_task:bool ->
     on_fold:(snapshot:(unit -> ptask list) -> unit) ->
     ws_result =
- fun ~ctx ~jobs ~trace ~sim0 ~root_state ~seeds ~per_task ~on_fold ->
+ fun ~ctx ~acc_reg ~jobs ~trace ~sim0 ~root_state ~seeds ~on_fold ->
   let jobs = max 1 jobs in
-  let obs_on = ctx.om <> None in
+  let new_reg () = Option.map (fun _ -> Obs.Metrics.create ()) acc_reg in
   let acc_mutex = Mutex.create () in
   let slots =
     Array.init jobs (fun _ ->
@@ -627,10 +626,13 @@ let ws_run : type st.
   let worker w () =
     let t0 = Obs.Clock.now_ns () in
     let my = slots.(w) in
-    let wreg = if obs_on then Some (Obs.Metrics.create ()) else None in
+    let wreg = new_reg () in
     worker_regs.(w) <- wreg;
     let msteal = Option.map (fun r -> Obs.Metrics.counter r Obs.Names.explore_ws_steals) wreg in
-    let midle = Option.map (fun r -> Obs.Metrics.timer r Obs.Names.explore_time_idle) wreg in
+    let midle =
+      if ctx.om = None then None
+      else Option.map (fun r -> Obs.Metrics.timer r Obs.Names.explore_time_idle) wreg
+    in
     (* the worker's machine, repositioned between tasks *)
     let wsim = Sim.clone sim0 in
     Sim.set_obs wsim None;
@@ -651,6 +653,9 @@ let ws_run : type st.
         incr lcp
       done;
       let lcp = !lcp in
+      (* the undo counts as worker traffic; the replay is reconstruction,
+         not exploration, so it runs unobserved *)
+      Sim.set_obs wsim wreg;
       if lcp < n then Sim.undo_to wsim marks.(lcp);
       Sim.set_obs wsim None;
       for i = lcp to m - 1 do
@@ -661,17 +666,11 @@ let ws_run : type st.
       applied := target;
       (m, states.(m))
     in
-    (* the stats of the task being run, salvaged on abnormal exit in
-       per-worker mode (budget aborts report everything explored) *)
-    let inflight : stats option ref = ref None in
     let run_task (t : ptask) =
       let depth, st0 = reposition t in
-      let treg =
-        if per_task then (if obs_on then Some (Obs.Metrics.create ()) else None) else wreg
-      in
+      let treg = new_reg () in
       Sim.set_obs wsim treg;
       let wstats = zero_stats () in
-      inflight := Some wstats;
       let buf = ref [] in
       let split = Atomic.get created < expand_initial || Atomic.get queued < low_water in
       let emit d crashes = buf := { p_path = t.p_path @ [ d ]; p_crashes = crashes } :: !buf in
@@ -680,7 +679,7 @@ let ws_run : type st.
           ctx with
           stats = wstats;
           stop = (fun () -> Atomic.get stop_flag);
-          om = Option.map meters_of treg;
+          om = (match (ctx.om, treg) with Some _, Some r -> Some (meters_of r) | _ -> None);
           split = (if split then Some emit else None);
         }
       in
@@ -705,11 +704,9 @@ let ws_run : type st.
           Mutex.unlock my.ws_lock;
           Atomic.decr live;
           add_stats ctx.stats wstats;
-          inflight := None;
-          (if per_task then
-             match (ctx.om, treg) with
-             | Some m, Some r -> Obs.Metrics.merge ~into:m.m_reg r
-             | _ -> ());
+          (match (acc_reg, treg) with
+          | Some a, Some r -> Obs.Metrics.merge ~into:a r
+          | _ -> ());
           on_fold ~snapshot);
       match ctx.prog with
       | Some p ->
@@ -756,21 +753,6 @@ let ws_run : type st.
         idle_since := 0
       end
     in
-    (* salvage: in per-worker mode a budget abort must still report the
-       partial work of the in-flight task (the checkpointing engine
-       instead discards it, keeping persisted accumulations exact) *)
-    let salvage () =
-      end_idle ();
-      if not per_task then begin
-        match !inflight with
-        | Some ws ->
-          Mutex.lock acc_mutex;
-          add_stats ctx.stats ws;
-          Mutex.unlock acc_mutex;
-          inflight := None
-        | None -> ()
-      end
-    in
     (* spin briefly, then sleep with exponential backoff (capped at 1ms):
        pure spinning starves the working domains when the host has fewer
        cores than workers, and a capped sleep bounds steal latency when it
@@ -810,9 +792,9 @@ let ws_run : type st.
        done;
        end_idle ()
      with
-    | Stopped -> salvage ()
+    | Stopped -> end_idle ()
     | e ->
-      salvage ();
+      end_idle ();
       publish e);
     worker_span.(w) <- (t0, Obs.Clock.now_ns ())
   in
@@ -821,9 +803,9 @@ let ws_run : type st.
   List.iter Domain.join domains;
   (* deterministic join: registries merge sorted by worker id, not in
      whatever order the domains finished *)
-  (match ctx.om with
-  | Some m -> Array.iter (Option.iter (Obs.Metrics.merge ~into:m.m_reg)) worker_regs
-  | None -> ());
+  Option.iter
+    (fun into -> Array.iter (Option.iter (Obs.Metrics.merge ~into)) worker_regs)
+    acc_reg;
   (match trace with
   | Some tr ->
     Array.iteri
@@ -859,7 +841,7 @@ let symmetry_group cfg sim =
     ~crash_procs:(if crashes_possible then cfg.crash_procs else [])
     sim
 
-(** Where and how often to checkpoint; see {!sweep}. *)
+(** Where and how often to checkpoint; see {!search}. *)
 type checkpoint_spec = {
   cp_path : string;
   cp_interval_s : float;  (** minimum seconds between periodic saves *)
@@ -868,33 +850,30 @@ type checkpoint_spec = {
           equal stamp (the CLI enforces this) *)
 }
 
-(** The one driver behind every public entry point.  It builds the
-    traversal context, runs the search, maps how it ended to an
-    {!outcome}, and reports the totals (registry counters, the
-    [explore.search] span, outcome events, the final progress line) in
-    one place.
+(** The one search behind every public entry point.  It picks the
+    engine from its inputs, builds the traversal context, runs the
+    search, maps how it ended to an {!outcome}, and reports the totals
+    (registry counters, the [explore.search] span, outcome events, the
+    final progress line) in one place.
 
-    [tasks] selects the engine.  [true] is {!sweep}'s: the tree is always
-    partitioned into work-stealing tasks (even at [jobs = 1] — by the
-    engine-invariance property the statistics do not depend on the
-    partition), each {e completed} task's statistics and metrics are
-    folded into the accumulator, and the accumulator plus the pending
-    task set can be checkpointed and resumed.  [false] is
-    {!find_violation}'s: the direct trailed DFS at [jobs = 1], the pool
-    with per-worker registries (and in-flight work salvaged on a budget
-    cut) otherwise; [checkpoint] and [resume] are then never given.
+    Only [jobs > 1], a [checkpoint] or a [resume] needs a pending task
+    set, so only they run the work-stealing pool; every other search is
+    the direct trailed DFS.  The pool counts a task when it completes
+    (see {!ws_run}), so its statistics and the accumulator cover exactly
+    the completed tasks, which is what a checkpoint persists and a resume
+    adopts.  The direct DFS counts everything it explored.
 
     The search counts into a private accumulator registry, created
     whenever anyone will read metrics — the caller ([obs]) or a
-    checkpoint file — and merged into [obs] at the end.  The returned
-    statistics describe the work done, whatever the outcome. *)
-let drive ~tasks ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry = true) ?obs
+    checkpoint file — and merged into [obs] at the end.  The phase
+    timers read the clock only when [obs] is given. *)
+let search ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry = true) ?obs
     ?progress ?trace ?(budget = no_budget) ?should_stop ?checkpoint ?resume
     ?(check_mode = `Terminal) ~check sim0 =
   let jobs = max 1 jobs in
   (match resume with
   | Some ck when ck.Checkpoint.result <> None ->
-    invalid_arg "Explore.sweep: checkpoint is already finalized (it carries a verdict)"
+    invalid_arg "Explore.search: checkpoint is already finalized (it carries a verdict)"
   | _ -> ());
   let pc =
     match (check_mode : check_mode) with
@@ -926,7 +905,7 @@ let drive ~tasks ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry
               raise (Found (Sim.clone sim, reason))
             | None -> ());
         split = None;
-        om = Option.map meters_of acc_reg;
+        om = (match (obs, acc_reg) with Some _, Some r -> Some (meters_of r) | _ -> None);
         prog = progress;
         limits;
         (* the quotient only matters where fingerprints are compared *)
@@ -1012,7 +991,7 @@ let drive ~tasks ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry
     (* an initial save right away: a kill during early processing can
        already resume *)
     save_ck ~pending:seeds ~result:None;
-    let pooled = tasks || jobs > 1 in
+    let pooled = jobs > 1 || checkpoint <> None || resume <> None in
     (match progress with
     | Some p when pooled -> Obs.Progress.set_tasks p (List.length seeds)
     | _ -> ());
@@ -1045,9 +1024,7 @@ let drive ~tasks ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry
       if not pooled then
         match go ctx root 0 0 st0 with () -> (None, []) | exception e -> (Some e, [])
       else begin
-        let r =
-          ws_run ~ctx ~jobs ~trace ~sim0:root ~root_state:st0 ~seeds ~per_task:tasks ~on_fold
-        in
+        let r = ws_run ~ctx ~acc_reg ~jobs ~trace ~sim0:root ~root_state:st0 ~seeds ~on_fold in
         Option.iter
           (fun reg ->
             Obs.Metrics.Counter.add (Obs.Metrics.counter reg Obs.Names.explore_tasks) r.wsr_created)
@@ -1130,65 +1107,29 @@ let drive ~tasks ?(cfg = default_config) ?(jobs = 1) ?(dedup = false) ?(symmetry
     finish ();
     (outcome, acc)
 
-(** Search for the first terminal execution that fails the check.
-    Returns the violating machine (an independent snapshot, with its full
-    history) if one exists, plus the statistics — zero on a violation.
-
-    [check_mode] selects how the verdict is computed: [`Terminal] (the
-    default) calls [check] on each complete execution from scratch;
-    [`Incremental pc] threads [pc]'s state down the path so work done on
-    a shared schedule prefix is shared by all terminals below it, and
-    [check] is unused.  Both modes return the same verdict for sound
-    checkers (cross-checked in the test suite).
-
-    With [jobs > 1] {e which} counterexample is returned may vary
-    between runs, but whether one exists does not (and without [dedup],
-    neither do the statistics). *)
+(** {!search} reduced to the violation it found, if any. *)
 let find_violation ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop
-    ?on_exhausted ?check_mode ~check sim0 =
+    ?check_mode ~check sim0 =
   match
-    drive ~tasks:false ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop
-      ?check_mode ~check sim0
+    search ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop ?check_mode
+      ~check sim0
   with
-  | Clean, stats -> (None, stats)
-  | Violation (sim, reason), _ -> (Some (sim, reason), zero_stats ())
-  | Exhausted e, stats ->
-    Option.iter (fun f -> f e) on_exhausted;
-    (None, stats)
+  | Violation (sim, reason), stats -> (Some (sim, reason), stats)
+  | (Clean | Exhausted _), stats -> (None, stats)
 
-(** Depth-first enumeration of all schedules of [sim0] under [cfg],
-    calling [on_step] after every applied decision and [on_terminal] on
-    every completed execution: {!find_violation} with a path checker that
-    only calls back and never judges.  [on_terminal] may raise to abort
-    the search (e.g. on the first counterexample); the exception escapes
-    unchanged. *)
-let dfs ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop ?on_exhausted
-    ?on_step ~on_terminal sim0 =
+(** {!search} with a path checker that only calls back and never judges:
+    [on_step] after every applied decision, [on_terminal] on every
+    complete execution.  [on_terminal] may raise to abort the search;
+    the exception escapes unchanged. *)
+let dfs ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop ?on_step
+    ~on_terminal sim0 =
   let step = match on_step with None -> fun () _ -> () | Some f -> fun () sim -> f sim in
   let terminal () sim =
     on_terminal sim;
     None
   in
-  match
-    find_violation ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop
-      ?on_exhausted
-      ~check_mode:(`Incremental (Path { init = (fun _ -> ()); step; terminal }))
-      ~check:(fun _ -> None)
-      sim0
-  with
-  | Some _, _ -> assert false (* the path checker never judges *)
-  | None, stats -> stats
-
-(** The resilient search ({!drive} with [tasks]): budgeted,
-    checkpointable and resumable.  In-flight tasks are discarded by a
-    kill and re-run from their recorded decision paths on [resume], which
-    is what makes a resumed run's verdict and counters exactly equal to
-    an uninterrupted run's (the one exception is [dedup]: the visited
-    store is rebuilt from scratch on resume, so dup/node counts can shift
-    — verdicts remain sound either way).
-
-    Returns the outcome and the coverage achieved.  Unlike
-    {!find_violation}, the statistics are returned for every outcome,
-    including [Violation] (they describe the work done up to the
-    abort). *)
-let sweep = drive ~tasks:true
+  snd
+    (search ?cfg ?jobs ?dedup ?symmetry ?obs ?progress ?trace ?budget ?should_stop
+       ~check_mode:(`Incremental (Path { init = (fun _ -> ()); step; terminal }))
+       ~check:(fun _ -> None)
+       sim0)

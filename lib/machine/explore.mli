@@ -7,9 +7,8 @@
     The search backtracks {e in place} on a private clone of the
     caller's machine via {!Sim.mark}/{!Sim.undo_to} (the undo trail), so
     a branch costs the few mutations of one step instead of a
-    whole-machine deep copy.  One internal driver runs every search;
-    {!dfs} and {!find_violation} are views of it, {!sweep} adds
-    checkpointing and resume.
+    whole-machine deep copy.  One function, {!search}, runs every
+    search; {!dfs} and {!find_violation} are views of it.
 
     A sound partial-order reduction ([reduce_local]) fires local
     (non-shared-access) transitions eagerly, response steps first: among
@@ -79,8 +78,8 @@ val zero_stats : unit -> stats
 val auto_jobs : unit -> int
 (** A fan-out matching the host: [Domain.recommended_domain_count ()]
     (at least 1).  On a single-domain host this is 1, which makes
-    {!dfs} and {!find_violation} skip the work-stealing pool — and its
-    task-splitting overhead — entirely.
+    {!search} skip the work-stealing pool — and its task-splitting
+    overhead — entirely, unless it checkpoints or resumes.
     Passed as [~jobs] when the user asks for [auto]; explicit [~jobs]
     values are never clamped (benchmarks deliberately oversubscribe). *)
 
@@ -152,132 +151,11 @@ type exhausted = {
       (** degradation steps taken before giving up, oldest first *)
 }
 
-(** Verdict of a budgeted, resumable search ({!sweep}). *)
+(** Verdict of a search ({!search}). *)
 type outcome =
   | Clean  (** every schedule within the bounds explored, no violation found *)
   | Violation of Sim.t * string
   | Exhausted of exhausted
-
-val dfs :
-  ?cfg:config ->
-  ?jobs:int ->
-  ?dedup:bool ->
-  ?symmetry:bool ->
-  ?obs:Obs.Metrics.t ->
-  ?progress:Obs.Progress.t ->
-  ?trace:Obs.Trace.t ->
-  ?budget:budget ->
-  ?should_stop:(unit -> bool) ->
-  ?on_exhausted:(exhausted -> unit) ->
-  ?on_step:(Sim.t -> unit) ->
-  on_terminal:(Sim.t -> unit) ->
-  Sim.t ->
-  stats
-(** Depth-first enumeration; [on_terminal] is called on every complete
-    execution and may raise to abort the search; [on_step] (if given) is
-    called after every applied decision with the resulting configuration.
-    It is {!find_violation} with a path checker that only calls back.
-
-    The machine passed to the callbacks is the search's working machine,
-    valid only for the duration of the call — {!Sim.clone} it to keep
-    it.  The caller's [sim0] is never mutated.
-
-    [jobs] (default 1) runs the search on that many domains; the
-    statistics do not depend on it, but the callbacks must then tolerate
-    concurrent calls from distinct domains (callbacks that only touch
-    their [Sim.t] argument, such as the NRL checkers, qualify).  [dedup]
-    (default false) prunes branches whose configuration fingerprint —
-    including the crash budget spent on the path — was already visited;
-    the visited store is shared lock-free across domains.  [symmetry]
-    (default true, only meaningful with [dedup]) canonicalises
-    fingerprints under the detected process-symmetry group; pass [false]
-    to compare an unquotiented search.
-
-    {b Observability.}  [obs] attaches a metric registry ({!Obs.Names}
-    lists what lands in it): the search's machine counters, the
-    explorer's node/terminal/truncated/dup totals, per-phase timers and
-    the frontier task count.  With [jobs > 1] every worker counts into a
-    private registry, merged into [obs] at the join in worker order —
-    aggregated counters are exact sums and the engine-invariant ones
-    (see {!Obs.Names.engine_invariant}) are identical for every [jobs]
-    setting.  Instrumentation adds no shared-memory accesses: the only
-    cross-domain state remains the stop flag, the work index and (under
-    [dedup]) the fingerprint store, exactly as without [obs].  [progress] receives batched node ticks from every
-    worker and task-completion events (its output is throttled
-    wall-clock, see {!Obs.Progress}); [trace] receives span records —
-    [explore.search], one [explore.worker] per domain — written only
-    from the coordinating domain, plus an [explore.symmetry] event when
-    quotienting is active.
-
-    {b Budgets.}  [budget] bounds the search (see {!budget});
-    [should_stop] is polled every few dozen processed nodes and cuts the
-    search cooperatively (the hook a signal handler's flag plugs into).
-    When a bound trips, the returned statistics cover the work actually
-    done (partial subtrees included) and [on_exhausted] — if given —
-    receives the structured partial verdict; an [explore.exhausted]
-    event goes to [trace].  Exceeding [max_visited] never aborts: the
-    dedup store is dropped (recorded in {!exhausted.ex_degraded} if a
-    later bound trips) and the search continues unpruned. *)
-
-exception Found of Sim.t * string
-
-val find_violation :
-  ?cfg:config ->
-  ?jobs:int ->
-  ?dedup:bool ->
-  ?symmetry:bool ->
-  ?obs:Obs.Metrics.t ->
-  ?progress:Obs.Progress.t ->
-  ?trace:Obs.Trace.t ->
-  ?budget:budget ->
-  ?should_stop:(unit -> bool) ->
-  ?on_exhausted:(exhausted -> unit) ->
-  ?check_mode:check_mode ->
-  check:(Sim.t -> string option) ->
-  Sim.t ->
-  (Sim.t * string) option * stats
-(** First terminal execution judged a violation, with its machine (and so
-    its full history — always an independent snapshot), or [None] with
-    the complete search statistics.  At [jobs = 1] the search is the
-    direct trailed DFS; with [jobs > 1] it runs on the work-stealing
-    pool.
-
-    [check_mode] (default [`Terminal]) selects the judge: [`Terminal]
-    runs [check] on each complete execution from scratch;
-    [`Incremental pc] threads [pc]'s state down the path, sharing the
-    work done on common schedule prefixes between all terminals below
-    them ([check] is then unused).  A sound incremental checker returns
-    the same verdict as its terminal counterpart on every scenario — the
-    test suite cross-checks the NRL pair.
-
-    With [jobs > 1], {e which} counterexample is returned may vary
-    between runs; whether one exists does not, and without [dedup]
-    neither do the statistics.
-
-    [obs], [progress] and [trace] as in {!dfs}; a violating run
-    additionally emits an [explore.violation] event to [trace], and its
-    [obs] totals cover the work done up to the abort (the returned
-    [stats] are zero).  [budget], [should_stop] and
-    [on_exhausted] as in {!dfs}: a budget-cut search that found no
-    violation returns [(None, partial_stats)] and reports the cut
-    through [on_exhausted] — it is a coverage statement, not a clean
-    certificate. *)
-
-(** {1 The resilient engine}
-
-    {!sweep} is the budgeted, checkpointable, resumable front door: it
-    runs the same work-stealing pool (even at [jobs = 1] — statistics
-    are partition-invariant, so this changes no counter), folds each
-    completed task into an accumulator, and can persist the accumulator
-    plus the {e pending} task set — every queued deque entry and every
-    in-progress task, captured atomically at a task-completion boundary
-    — to a {!Checkpoint} file, periodically and at every outcome.  A
-    killed sweep resumed from its checkpoint re-seeds the pool with
-    exactly those pending paths (in-flight partial work is discarded on
-    purpose), which makes the resumed verdict {e and} all
-    engine-invariant counters byte-identical to an uninterrupted run —
-    except under [dedup], whose visited store restarts empty on resume
-    (verdicts stay sound; dup/node splits may shift). *)
 
 type checkpoint_spec = {
   cp_path : string;  (** file to write (atomically: temp + rename) *)
@@ -287,7 +165,7 @@ type checkpoint_spec = {
           an equal stamp (the CLI enforces this) *)
 }
 
-val sweep :
+val search :
   ?cfg:config ->
   ?jobs:int ->
   ?dedup:bool ->
@@ -303,26 +181,117 @@ val sweep :
   check:(Sim.t -> string option) ->
   Sim.t ->
   outcome * stats
-(** Budgeted, resumable violation search.  The returned statistics are
-    the coverage achieved and accompany {e every} outcome (unlike
-    {!find_violation}, a [Violation] outcome reports the work done up to
-    the abort rather than zeros).
+(** Search every schedule of [sim0] within [cfg] for a terminal
+    execution that fails the check.  Returns the outcome and the
+    statistics of the work done, whatever the outcome.  A [Violation]
+    carries its machine, an independent snapshot with the full history.
+    The caller's [sim0] is never mutated.
 
-    [checkpoint] persists progress: once right at the start, then at
-    task-completion granularity every [cp_interval_s] seconds, and
-    finally at the outcome (a finished search writes its verdict into
-    the file; {!Checkpoint.t.result}).  [resume] restores a previously
-    saved, unfinalized checkpoint: the persisted totals and metrics are
-    adopted into the accumulator and the pending task paths re-seed the
-    work-stealing pool, distributed round-robin across the workers — the
-    caller must rebuild the {e same} scenario machine and pass equal
-    parameters (validate with {!Checkpoint.t.scenario}).
-    @raise Invalid_argument if the checkpoint is already finalized.
+    {b Judging.}  [check_mode] (default [`Terminal]) selects the judge:
+    [`Terminal] runs [check] on each complete execution from scratch;
+    [`Incremental pc] threads [pc]'s state down the path, sharing the
+    work done on common schedule prefixes between all terminals below
+    them ([check] is then unused).  A sound incremental checker returns
+    the same verdict as its terminal counterpart on every scenario — the
+    test suite cross-checks the NRL pair.
 
-    [should_stop] is the kill hook: when it flips (e.g. from a
-    SIGTERM/SIGINT handler), workers stop at the next node, the
-    in-flight tasks are discarded, a final checkpoint is saved and the
-    outcome is [Exhausted {ex_reason = `Interrupted; _}].
+    {b Engines.}  The search runs the direct trailed DFS unless it needs
+    a pending task set: [jobs > 1] (default 1), [checkpoint] or [resume]
+    run the work-stealing pool on [jobs] domains.  A complete search's
+    statistics depend on neither the engine nor [jobs]; with [jobs > 1]
+    {e which} counterexample is returned may vary between runs, whether
+    one exists does not, and the judge must tolerate concurrent calls
+    from distinct domains (the NRL checkers qualify).  [dedup] (default
+    false) prunes branches whose configuration fingerprint — including
+    the crash budget spent on the path — was already visited, in a store
+    shared lock-free across domains.  [symmetry] (default true, only
+    meaningful with [dedup]) canonicalises fingerprints under the
+    detected process-symmetry group; pass [false] to compare an
+    unquotiented search.
 
-    Trace events beyond {!dfs}'s: [explore.checkpoint.save] per save,
-    [explore.resume] on restore, [explore.exhausted] on budget cuts. *)
+    {b Accounting.}  The direct DFS counts everything it explored.  The
+    pool counts a task only when it completes: a task cut or aborted
+    mid-way is left out of the statistics and of the metrics, so a cut
+    or violated pooled search reports only its completed tasks.
+
+    {b Observability.}  [obs] attaches a metric registry ({!Obs.Names}
+    lists what lands in it): the search's machine counters, the
+    explorer's node/terminal/truncated/dup totals, the frontier task
+    count and, only when [obs] is given, per-phase timers.  Pool tasks
+    and workers count into private registries, merged into [obs] in a
+    fixed order, so aggregated counters are exact sums and the
+    engine-invariant ones (see {!Obs.Names.engine_invariant}) are
+    identical for every engine.  Instrumentation adds no shared-memory
+    accesses.  [progress] receives batched node ticks and
+    task-completion events (throttled wall-clock, see {!Obs.Progress});
+    [trace] receives span records — [explore.search], one
+    [explore.worker] per pool domain — written only from the
+    coordinating domain, and the events [explore.symmetry] (quotienting
+    active), [explore.violation], [explore.exhausted],
+    [explore.checkpoint.save] and [explore.resume].
+
+    {b Budgets.}  [budget] bounds the search (see {!budget});
+    [should_stop] is polled every few dozen processed nodes and cuts the
+    search cooperatively (the hook a signal handler's flag plugs into).
+    A tripped bound yields [Exhausted], a coverage statement rather than
+    a clean certificate; [ex_frontier] counts the pool's pending tasks
+    (0 for the direct DFS).  Exceeding [max_visited] never aborts: the
+    dedup store is dropped (recorded in {!exhausted.ex_degraded}) and
+    the search continues unpruned.
+
+    {b Checkpoints.}  [checkpoint] persists the accumulator plus the
+    {e pending} task set — every queued deque entry and every
+    in-progress task, captured atomically at a task-completion boundary —
+    once at the start, then every [cp_interval_s] seconds at a task
+    completion, and finally at the outcome (a finished search writes its
+    verdict into the file; {!Checkpoint.t.result}).  [resume] restores
+    an unfinalized checkpoint: the persisted totals and metrics are
+    adopted and the pending paths re-seed the pool round-robin across
+    the workers.  The caller must rebuild the {e same} scenario machine
+    and pass equal parameters (validate with {!Checkpoint.t.scenario}).
+    In-flight work is discarded by a cut and re-run on resume, so the
+    resumed verdict and all engine-invariant counters are byte-identical
+    to an uninterrupted run's — except under [dedup], whose visited
+    store restarts empty (verdicts stay sound; dup/node splits may
+    shift).
+    @raise Invalid_argument if [resume] is already finalized. *)
+
+val find_violation :
+  ?cfg:config ->
+  ?jobs:int ->
+  ?dedup:bool ->
+  ?symmetry:bool ->
+  ?obs:Obs.Metrics.t ->
+  ?progress:Obs.Progress.t ->
+  ?trace:Obs.Trace.t ->
+  ?budget:budget ->
+  ?should_stop:(unit -> bool) ->
+  ?check_mode:check_mode ->
+  check:(Sim.t -> string option) ->
+  Sim.t ->
+  (Sim.t * string) option * stats
+(** {!search} reduced to its violation, if any, and the statistics.  A
+    budget cut also returns [None]: a caller that needs to tell it from
+    a clean search calls {!search}. *)
+
+val dfs :
+  ?cfg:config ->
+  ?jobs:int ->
+  ?dedup:bool ->
+  ?symmetry:bool ->
+  ?obs:Obs.Metrics.t ->
+  ?progress:Obs.Progress.t ->
+  ?trace:Obs.Trace.t ->
+  ?budget:budget ->
+  ?should_stop:(unit -> bool) ->
+  ?on_step:(Sim.t -> unit) ->
+  on_terminal:(Sim.t -> unit) ->
+  Sim.t ->
+  stats
+(** Depth-first enumeration: {!search} with a path checker that never
+    judges.  [on_step] (if given) is called after every applied decision
+    and [on_terminal] on every complete execution; [on_terminal] may
+    raise to abort the search, and the exception escapes unchanged.  The
+    machine passed to the callbacks is the search's working machine,
+    valid only for the duration of the call — {!Sim.clone} it to keep
+    it. *)

@@ -617,16 +617,13 @@ let undo_to t m =
   match t.trail with
   | None -> invalid_arg "Sim.undo_to: trail not enabled"
   | Some tr ->
-    (* [Trail.depth] walks the whole trail, so it is read only while
-       observed (and only here, off the un-instrumented fast path) *)
-    let d0 = match t.obs_m with Some _ -> Nvm.Trail.depth tr | None -> 0 in
     (* structural state first (thunks may also rewind env junk draws),
        then the counters snapshotted by [mark] *)
-    Nvm.Trail.undo_to tr m.mk_trail;
+    let reverted = Nvm.Trail.undo_to tr m.mk_trail in
     (match t.obs_m with
     | Some om ->
       Obs.Metrics.Counter.incr om.sm_undos;
-      Obs.Metrics.Histogram.observe om.sm_undo_depth (d0 - Nvm.Trail.depth tr)
+      Obs.Metrics.Histogram.observe om.sm_undo_depth reverted
     | None -> ());
     t.hist_rev <- m.mk_hist;
     t.hist_len <- m.mk_hist_len;

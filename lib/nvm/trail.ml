@@ -24,22 +24,21 @@ let push t f = t.undos <- f :: t.undos
 
 let mark t = t.undos
 
-(** Number of entries currently on the trail (diagnostics only). *)
-let depth t = List.length t.undos
-
-(** Run every undo pushed since [m] was taken, newest first, and reset
-    the trail to [m].  [m] must come from this trail and must not have
-    been undone past already; an exhausted trail that never meets [m]
-    indicates exactly that misuse.
+(** Run every undo pushed since [m] was taken, newest first, reset the
+    trail to [m], and return how many undos ran.  [m] must come from this
+    trail and must not have been undone past already; an exhausted trail
+    that never meets [m] indicates exactly that misuse.
     @raise Invalid_argument on a foreign or stale mark. *)
 let undo_to t (m : mark) =
-  let rec go l =
-    if l != m then
+  let rec go l n =
+    if l == m then n
+    else
       match l with
       | f :: rest ->
         f ();
-        go rest
+        go rest (n + 1)
       | [] -> invalid_arg "Trail.undo_to: mark is not a prefix of this trail"
   in
-  go t.undos;
-  t.undos <- m
+  let n = go t.undos 0 in
+  t.undos <- m;
+  n

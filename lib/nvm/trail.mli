@@ -16,11 +16,8 @@ val push : t -> (unit -> unit) -> unit
 val mark : t -> mark
 (** The current trail position — O(1), no copying. *)
 
-val depth : t -> int
-(** Number of entries currently on the trail (diagnostics only). *)
-
-val undo_to : t -> mark -> unit
-(** Run every undo pushed since the mark, newest first, and reset the
-    trail to it.
+val undo_to : t -> mark -> int
+(** Run every undo pushed since the mark, newest first, reset the trail
+    to it, and return the number of undos run.
     @raise Invalid_argument on a mark from another trail or one already
     undone past. *)

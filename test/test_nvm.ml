@@ -297,8 +297,37 @@ let prop_trail_undo_restores_persist_state =
       let before = persist_view m in
       let mark = Trail.mark trail in
       List.iter (apply_persist_op m) suffix;
-      Trail.undo_to trail mark;
+      ignore (Trail.undo_to trail mark);
       persist_view m = before)
+
+(* property: over random push/mark/undo sequences with nested marks,
+   Trail.undo_to reports exactly the entries pushed since its mark, and
+   runs exactly those undos (undoing to the newest open mark, LIFO) *)
+let prop_trail_undo_counts_entries =
+  QCheck2.Test.make ~name:"Trail.undo_to returns the pushes since its mark" ~count:500
+    QCheck2.Gen.(small_list (int_range 0 2))
+    (fun ops ->
+      let trail = Trail.create () in
+      (* [live]: pushed entries not yet undone; each undo thunk retires one *)
+      let live = ref 0 in
+      let marks = ref [] in
+      List.for_all
+        (function
+          | 0 ->
+            incr live;
+            Trail.push trail (fun () -> decr live);
+            true
+          | 1 ->
+            marks := (Trail.mark trail, !live) :: !marks;
+            true
+          | _ -> (
+            match !marks with
+            | [] -> true
+            | (m, at_mark) :: rest ->
+              marks := rest;
+              let pushed = !live - at_mark in
+              Trail.undo_to trail m = pushed && !live = at_mark))
+        ops)
 
 let suite =
   [
@@ -325,4 +354,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_compare_antisym;
     QCheck_alcotest.to_alcotest prop_equal_hash;
     QCheck_alcotest.to_alcotest prop_trail_undo_restores_persist_state;
+    QCheck_alcotest.to_alcotest prop_trail_undo_counts_entries;
   ]

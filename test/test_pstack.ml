@@ -95,7 +95,7 @@ let prop_trail_undo =
             Pstack.set_top_frame t ~pid:0 (int (Random.State.int rng 100))
         | _ -> Pstack.reset t ~pid:0
       done;
-      Trail.undo_to trail mark;
+      ignore (Trail.undo_to trail mark);
       Mem.set_trail mem None;
       List.equal Value.equal before_vol (Pstack.to_list t ~pid:0)
       && List.equal Value.equal before_per (Pstack.persisted_list t ~pid:0))

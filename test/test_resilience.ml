@@ -28,8 +28,9 @@ let build ?junk which =
 (* {1 Budgets} *)
 
 let test_budget_max_nodes () =
+  (* the pending-task frontier is the pool's: two domains run it *)
   let outcome, stats =
-    Explore.sweep ~cfg:crashy_cfg
+    Explore.search ~cfg:crashy_cfg ~jobs:2
       ~budget:{ Explore.no_budget with max_nodes = Some 1000 }
       ~check:Workload.Check.nrl_violation (build `Register)
   in
@@ -42,7 +43,7 @@ let test_budget_max_nodes () =
 
 let test_budget_deadline () =
   let outcome, _ =
-    Explore.sweep ~cfg:crashy_cfg
+    Explore.search ~cfg:crashy_cfg
       ~budget:{ Explore.no_budget with deadline_s = Some 0.0 }
       ~check:Workload.Check.nrl_violation (build `Register)
   in
@@ -53,7 +54,7 @@ let test_budget_deadline () =
 
 let test_should_stop () =
   let outcome, _ =
-    Explore.sweep ~cfg:crashy_cfg
+    Explore.search ~cfg:crashy_cfg
       ~should_stop:(fun () -> true)
       ~check:Workload.Check.nrl_violation (build `Register)
   in
@@ -64,25 +65,27 @@ let test_should_stop () =
   | _ -> Alcotest.fail "expected Exhausted"
 
 let test_find_violation_budget () =
-  let cut = ref None in
+  let budget = { Explore.no_budget with max_nodes = Some 500 } in
   let viol, stats =
-    Explore.find_violation ~cfg:crashy_cfg
-      ~budget:{ Explore.no_budget with max_nodes = Some 500 }
-      ~on_exhausted:(fun e -> cut := Some e)
-      ~check:Workload.Check.nrl_violation (build `Register)
+    Explore.find_violation ~cfg:crashy_cfg ~budget ~check:Workload.Check.nrl_violation
+      (build `Register)
   in
   Alcotest.(check bool) "no violation claimed" true (viol = None);
   Alcotest.(check bool) "partial stats" true (stats.Explore.nodes > 0);
-  match !cut with
-  | Some e ->
-    Alcotest.(check string) "reason" "max-nodes" (Explore.exhaust_reason_name e.Explore.ex_reason)
-  | None -> Alcotest.fail "on_exhausted not called"
+  (* the cut itself is read from the search the view reduces *)
+  match
+    Explore.search ~cfg:crashy_cfg ~budget ~check:Workload.Check.nrl_violation (build `Register)
+  with
+  | Explore.Exhausted e, cut_stats ->
+    Alcotest.(check string) "reason" "max-nodes" (Explore.exhaust_reason_name e.Explore.ex_reason);
+    Alcotest.(check int) "same coverage as the view" stats.Explore.nodes cut_stats.Explore.nodes
+  | _ -> Alcotest.fail "expected Exhausted"
 
 let test_visited_cap_degrades_not_aborts () =
   (* the cap on the dedup store is a degradation step: the sweep still
      finishes Clean, it just stops pruning *)
   let outcome, stats =
-    Explore.sweep ~cfg:crashy_cfg ~dedup:true
+    Explore.search ~cfg:crashy_cfg ~dedup:true
       ~budget:{ Explore.no_budget with max_visited = Some 200 }
       ~check:Workload.Check.nrl_violation (build `Register)
   in
@@ -90,7 +93,7 @@ let test_visited_cap_degrades_not_aborts () =
   | Explore.Clean -> ()
   | _ -> Alcotest.fail "expected Clean despite the visited cap");
   let _, undegraded =
-    Explore.sweep ~cfg:crashy_cfg ~dedup:true ~check:Workload.Check.nrl_violation
+    Explore.search ~cfg:crashy_cfg ~dedup:true ~check:Workload.Check.nrl_violation
       (build `Register)
   in
   Alcotest.(check bool) "pruning stopped once the store was dropped" true
@@ -217,10 +220,10 @@ let test_resume_rejects_finalized () =
     }
   in
   Alcotest.check_raises "finalized checkpoints cannot be resumed"
-    (Invalid_argument "Explore.sweep: checkpoint is already finalized (it carries a verdict)")
+    (Invalid_argument "Explore.search: checkpoint is already finalized (it carries a verdict)")
     (fun () ->
       ignore
-        (Explore.sweep ~resume:ck ~check:Workload.Check.nrl_violation (build `Register)))
+        (Explore.search ~resume:ck ~check:Workload.Check.nrl_violation (build `Register)))
 
 (* {1 Kill-and-resume determinism} *)
 
@@ -248,23 +251,23 @@ let kill_and_resume ?(cut_jobs = 1) which ~resume_jobs =
   (* uninterrupted baseline *)
   let full_reg = Obs.Metrics.create () in
   let full_outcome, full_stats =
-    Explore.sweep ~cfg:crashy_cfg ~obs:full_reg ~check:Workload.Check.nrl_violation
+    Explore.search ~cfg:crashy_cfg ~obs:full_reg ~check:Workload.Check.nrl_violation
       (build which)
   in
   Alcotest.(check bool) "baseline clean" true (full_outcome = Explore.Clean);
-  (* the same sweep, cut down by a node budget and checkpointed *)
+  (* the same search, cut down by a node budget and checkpointed *)
   let path = Filename.temp_file "nrl_resume" ".ndjson" in
   let spec =
     { Explore.cp_path = path; cp_interval_s = 0.0; cp_scenario = [ ("t", "x") ] }
   in
   let cut_outcome, cut_stats =
-    Explore.sweep ~cfg:crashy_cfg ~jobs:cut_jobs
+    Explore.search ~cfg:crashy_cfg ~jobs:cut_jobs
       ~budget:{ Explore.no_budget with max_nodes = Some 2_000 }
       ~checkpoint:spec ~check:Workload.Check.nrl_violation (build which)
   in
   (match cut_outcome with
   | Explore.Exhausted _ -> ()
-  | _ -> Alcotest.fail "the budget should have cut the sweep");
+  | _ -> Alcotest.fail "the budget should have cut the search");
   let ck =
     match Checkpoint.load path with Ok ck -> ck | Error e -> Alcotest.fail e
   in
@@ -280,7 +283,7 @@ let kill_and_resume ?(cut_jobs = 1) which ~resume_jobs =
   (* resume on a freshly rebuilt scenario machine *)
   let res_reg = Obs.Metrics.create () in
   let res_outcome, res_stats =
-    Explore.sweep ~cfg:crashy_cfg ~jobs:resume_jobs ~obs:res_reg ~resume:ck
+    Explore.search ~cfg:crashy_cfg ~jobs:resume_jobs ~obs:res_reg ~resume:ck
       ~checkpoint:spec ~check:Workload.Check.nrl_violation (build which)
   in
   Alcotest.(check bool) "resumed verdict" true (res_outcome = Explore.Clean);
