@@ -8,7 +8,7 @@
      theorem  - the Theorem 4 analysis (valency, critical configs, refutation)
      list         - available scenarios
      bench-native - the native-runtime latency/allocation/throughput suite
-                    (BENCH_native.json, schema nrl-native/1)
+                    (BENCH_native.json, schema nrl-bench/6)
      serve, bench-service - the sharded recoverable-object service *)
 
 open Cmdliner
@@ -213,23 +213,24 @@ let stop_on_signals () =
   fun () -> Atomic.get stop
 
 (* --json/--out of bench-native and bench-service *)
-let bench_output_term ~schema ~example =
+let bench_output_term ~example =
   Term.(
     const (fun json out -> (json, out))
     $ Arg.(
         value & flag
         & info [ "json" ]
             ~doc:
-              (Printf.sprintf "Emit the %s JSON document on stdout instead of the report." schema))
+              (Printf.sprintf "Emit the %s JSON document on stdout instead of the report."
+                 Obs.Bench.schema))
     $ Arg.(
         value
         & opt (some string) None
         & info [ "out" ] ~docv:"FILE"
             ~doc:(Printf.sprintf "Also write the JSON document to $(docv) (e.g. %s)." example)))
 
-let emit_json (json, out) ~render ~write doc =
-  if json then print_string (render doc);
-  Option.iter (fun path -> write ~path doc) out
+let emit_json (json, out) doc =
+  if json then print_string (Obs.Bench.render doc);
+  Option.iter (fun path -> Obs.Bench.write ~path doc) out
 
 (* run *)
 let run_cmd =
@@ -900,18 +901,17 @@ let bench_native_cmd =
     let log = if json then fun _ -> () else print_endline in
     if not json then
       Format.printf "domains available: %d@." (Domain.recommended_domain_count ());
-    let doc = Runtime.Bench_native.run ~log cfg in
-    emit_json output ~render:Runtime.Bench_native_json.render
-      ~write:Runtime.Bench_native_json.write doc
+    emit_json output (Runtime.Bench_native.run ~log cfg)
   in
   Cmd.v
     (Cmd.info "bench-native"
        ~doc:
-         "Native-runtime benchmark suite: single-domain latency and allocation rows plus \
-          a memento-style contended/uncontended throughput sweep (schema nrl-native/1)")
+         ("Native-runtime benchmark suite: single-domain latency and allocation rows plus \
+           a memento-style contended/uncontended throughput sweep (schema "
+         ^ Obs.Bench.schema ^ ")"))
     Term.(
       const bench $ domains_arg $ width_arg $ duration_arg
-      $ bench_output_term ~schema:"nrl-native/1" ~example:"BENCH_native.json")
+      $ bench_output_term ~example:"BENCH_native.json")
 
 (* service: the engine configuration serve and bench-service share, all
    but the crash mode; [duration] is each command's own traffic window *)
@@ -1088,40 +1088,30 @@ let bench_service_cmd =
     let config = cfg Service.Adversary.No_crash in
     if not json then
       Format.printf "domains available: %d@." (Domain.recommended_domain_count ());
-    let rows =
+    let results =
       List.map
         (fun mode ->
           let r = Service.Engine.run ?obs:o.reg (cfg mode) in
           if not json then Format.printf "%a@." pp_service_result r;
-          {
-            Service.Service_json.m_result = r;
-            m_crash_interval = config.Service.Engine.crash_interval;
-          })
+          r)
         crashes
     in
-    let doc =
-      {
-        Service.Service_json.domains_available = Domain.recommended_domain_count ();
-        seed = config.Service.Engine.seed;
-        config;
-        modes = rows;
-      }
-    in
-    emit_json output ~render:Service.Service_json.render ~write:Service.Service_json.write doc;
+    emit_json output (Service.Engine.bench config results);
     obs_finish o;
-    let bad = List.filter (fun m -> service_result_unhealthy m.Service.Service_json.m_result) rows in
-    List.iter (fun m -> report_violations m.Service.Service_json.m_result) bad;
+    let bad = List.filter service_result_unhealthy results in
+    List.iter report_violations bad;
     if bad <> [] then exit 2
   in
   Cmd.v
     (Cmd.info "bench-service"
        ~doc:
-         "Crash-adversarial service bench: Zipfian closed-loop load over the sharded \
-          recoverable-object service, one row per crash mode, with the conservation \
-          audit enforced (schema nrl-service/1)")
+         ("Crash-adversarial service bench: Zipfian closed-loop load over the sharded \
+           recoverable-object service, one row per crash mode, with the conservation \
+           audit enforced (schema "
+         ^ Obs.Bench.schema ^ ")"))
     Term.(
       const bench $ service_config_term ~duration:duration_arg $ crash_arg
-      $ bench_output_term ~schema:"nrl-service/1" ~example:"BENCH_service.json"
+      $ bench_output_term ~example:"BENCH_service.json"
       $ stats_term)
 
 (* list *)

@@ -69,6 +69,62 @@ let shed_rate r =
   let served = r.r_ok + r.r_shed in
   if served = 0 then 0.0 else float_of_int r.r_shed /. float_of_int served
 
+let bench c results =
+  let open Obs.Json in
+  let lat l =
+    Obj
+      [
+        ("count", Int (Latency.count l));
+        ("p50_ns", Int (Latency.quantile l 0.5));
+        ("p99_ns", Int (Latency.quantile l 0.99));
+        ("max_ns", Int (Latency.max_value l));
+        ("mean_ns", Num (Latency.mean l));
+      ]
+  in
+  let row r =
+    Obs.Bench.row Service ~section:"T11" r.r_mode
+      [
+        ("mode", Str r.r_mode);
+        ("crash_interval_s", Num c.crash_interval);
+        ("wall_s", Num r.r_wall_s);
+        ("schedule_len", Int r.r_schedule_len);
+        ("crashes", Int r.r_crashes);
+        ("recoveries", Int r.r_recoveries);
+        ("recovery_retries", Int r.r_recovery_retries);
+        ("giveups", Int r.r_giveups);
+        ("requests", Int r.r_requests);
+        ("ok", Int r.r_ok);
+        ("retries", Int r.r_retries);
+        ("shed", Int r.r_shed);
+        ("rejected", Int r.r_rejected);
+        ("unavailable", Int r.r_unavailable);
+        ("timeouts", Int r.r_timeouts);
+        ("failures", Int r.r_failures);
+        ("throughput_rps", Num r.r_throughput);
+        ("shed_rate", Num (shed_rate r));
+        ("latency_ns", lat r.r_lat);
+        ("recovery_ns", lat r.r_recovery);
+        ("conservation_violations", Int (List.length r.r_violations));
+      ]
+  in
+  {
+    Obs.Bench.config =
+      [
+        ("seed", Int c.seed);
+        ("shards", Int c.shards);
+        ("sessions", Int c.sessions);
+        ("client_domains", Int c.client_domains);
+        ("keys", Int c.keys);
+        ("skew", Num c.skew);
+        ("duration_s", Num c.duration);
+        ("deadline_ms", Num c.deadline_ms);
+        ("queue_bound", Int c.queue_bound);
+        ("shed_fraction", Num c.shed_fraction);
+        ("recrash_prob", Num c.recrash_prob);
+      ];
+    rows = List.map row results;
+  }
+
 (* keys are distributed round-robin: global key k lives on shard
    [k mod shards] as local key [k / shards] *)
 let local_keys ~keys ~shards sid =

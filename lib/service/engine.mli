@@ -55,6 +55,17 @@ type result = {
 val shed_rate : result -> float
 (** Shed answers over served answers (ok + shed); 0 when idle. *)
 
+val bench : config -> result list -> Obs.Bench.t
+(** The [bench-service] document of results run under [config] (only
+    the crash mode varies between them).  [config] holds [seed] and the
+    engine knobs; each result is one [service] row of section ["T11"],
+    named after its crash mode: the crash/recovery ledger (on a healthy
+    run [crashes = recoveries = schedule_len] and
+    [conservation_violations = 0]), the client-observed outcome
+    counters, ok-throughput, latency and recovery-time-to-healthy
+    quantiles ([latency_ns]/[recovery_ns]: count, p50, p99, max, mean)
+    and the shed rate. *)
+
 val run :
   ?obs:Obs.Metrics.t ->
   ?watchdog:Runtime.Torture.watchdog ->
