@@ -1,20 +1,24 @@
-(* Benchmark harness: regenerates the simulator, explorer and native
-   throughput tables (T3-T9, T12) and figure series (F1-F5) defined in
-   DESIGN.md section 5, plus the correctness experiment suite (E1-E6)
-   recorded in EXPERIMENTS.md.  The single-domain native latency rows
-   (T1, T2, T10 and T12's mutex/consensus rows) are timed by
-   `nrlsim bench-native` alone (Runtime.Bench_native).
+(* Benchmark harness: regenerates the simulator and explorer tables
+   (T5-T9, T12) and figure series (F1, F2, F4, F5) defined in DESIGN.md
+   section 5.  Every other number there has one producer elsewhere: the
+   native latency rows (T1, T2, T10, T12's mutex/consensus rows, F3's
+   CAS recovery scan) and the T10 throughput sweep, which holds T3's
+   counter cells, are `nrlsim bench-native`'s (Runtime.Bench_native);
+   the simulator step rate and the long torture trial of T4 are the e2e
+   bench's (bench/e2e); the correctness batches (E1-E4, E6, F4's crash
+   sweep) are `nrlsim run` batches and E5 is `nrlsim theorem`, their
+   commands listed in EXPERIMENTS.md.
 
    Run all:          dune exec bench/main.exe
-   Run a subset:     dune exec bench/main.exe -- T3 T6 F2 E
-                     (a tag selects its section, a bare letter T, F or E
+   Run a subset:     dune exec bench/main.exe -- T6 T8 F2
+                     (a tag selects its section, a bare letter T or F
                      every section with that letter; an unknown tag
                      exits 124)
    Machine-readable: dune exec bench/main.exe -- --json [tags]
                      additionally writes BENCH_explore.json (an Obs.Bench
-                     document: one row per ns/op estimate, T5 persist
-                     count and T6-T9/T12 search), so the perf trajectory
-                     is tracked across changes.
+                     document: one row per T5 persist count and T6-T9/T12
+                     search), so the perf trajectory is tracked across
+                     changes.
 
    The paper (PODC'18) has no empirical evaluation; these benchmarks are
    the evaluation a systems reader would expect, with the expected shapes
@@ -29,11 +33,6 @@ let rows = ref []
 let record name fields =
   let section, layer = !current in
   rows := Obs.Bench.row layer ~section name fields :: !rows
-
-(* throughput sections record their rows as ns/op too: one latency axis
-   for the whole document *)
-let record_rate name ops_per_sec =
-  record name [ ("ns", Obs.Json.Num (if ops_per_sec > 0. then 1e9 /. ops_per_sec else nan)) ]
 
 (* wall seconds (monotonic clock) and the process's user+sys CPU seconds
    ([Unix.times], every domain) spent in [f]: on a shared host a slow
@@ -75,89 +74,6 @@ let record_explore name ~scenario ~nprocs ~ops ~jobs ~dedup ?(sym = false) ~mode
 let section tag title = Printf.printf "\n== %s: %s ==\n%!" tag title
 
 let ratio a b = Printf.sprintf "%.2fx" (a /. b)
-
-(* {1 T3: counter throughput scaling on real domains} *)
-
-let t3 () =
-  section "T3" "recoverable counter throughput vs domains (inc-only and 10% read)";
-  let max_d = Runtime.Par.max_domains ~cap:8 () in
-  Printf.printf "  %-8s %16s %16s %16s\n%!" "domains" "recoverable" "plain-array" "faa-atomic";
-  let iters = 100_000 in
-  let rec sweep d =
-    if d <= max_d then begin
-      let reco = Runtime.Rcounter.create ~nprocs:d in
-      let r1 =
-        Runtime.Par.run ~domains:d ~iters (fun ~pid ~i ->
-            ignore i;
-            Runtime.Rcounter.inc reco ~pid)
-      in
-      let plain = Runtime.Rcounter.Plain.create ~nprocs:d in
-      let r2 =
-        Runtime.Par.run ~domains:d ~iters (fun ~pid ~i ->
-            ignore i;
-            Runtime.Rcounter.Plain.inc plain ~pid)
-      in
-      let faa = Runtime.Rcounter.Faa.create () in
-      let r3 =
-        Runtime.Par.run ~domains:d ~iters (fun ~pid ~i ->
-            ignore pid;
-            ignore i;
-            Runtime.Rcounter.Faa.inc faa)
-      in
-      Printf.printf "  %-8d %13.0f/s %13.0f/s %13.0f/s\n%!" d r1.Runtime.Par.ops_per_sec
-        r2.Runtime.Par.ops_per_sec r3.Runtime.Par.ops_per_sec;
-      record_rate (Printf.sprintf "counter inc recoverable d=%d" d) r1.Runtime.Par.ops_per_sec;
-      record_rate (Printf.sprintf "counter inc plain-array d=%d" d) r2.Runtime.Par.ops_per_sec;
-      record_rate (Printf.sprintf "counter inc faa-atomic d=%d" d) r3.Runtime.Par.ops_per_sec;
-      sweep (d * 2)
-    end
-  in
-  sweep 1;
-  Printf.printf "  (90%% inc / 10%% read, recoverable):\n%!";
-  let rec sweep2 d =
-    if d <= max_d then begin
-      let reco = Runtime.Rcounter.create ~nprocs:d in
-      let r =
-        Runtime.Par.run ~domains:d ~iters (fun ~pid ~i ->
-            if i mod 10 = 9 then ignore (Runtime.Rcounter.read reco ~pid)
-            else Runtime.Rcounter.inc reco ~pid)
-      in
-      Printf.printf "  %-8d %13.0f/s\n%!" d r.Runtime.Par.ops_per_sec;
-      record_rate (Printf.sprintf "counter 90/10 recoverable d=%d" d) r.Runtime.Par.ops_per_sec;
-      sweep2 (d * 2)
-    end
-  in
-  sweep2 1
-
-(* {1 T4: simulator throughput and NRL-check cost} *)
-
-let t4 () =
-  section "T4" "simulator step throughput and NRL-check cost";
-  let scen = Workload.Scenarios.register ~nprocs:3 ~ops:20 () in
-  let t0 = Obs.Clock.now_s () in
-  let total_steps = ref 0 in
-  let trials = 50 in
-  for seed = 1 to trials do
-    let sim, _ = Workload.Trial.run ~seed ~crash_prob:0.02 scen in
-    total_steps := !total_steps + Machine.Sim.total_steps sim
-  done;
-  let dt = Obs.Clock.now_s () -. t0 in
-  Printf.printf "  machine steps/s (incl. NRL check per trial): %.0f (%d steps, %.2fs)\n%!"
-    (float_of_int !total_steps /. dt)
-    !total_steps dt;
-  record_rate "machine step incl. NRL check" (float_of_int !total_steps /. dt);
-  let t0 = Obs.Clock.now_s () in
-  let steps = ref 0 in
-  for seed = 1 to trials do
-    let sim = Machine.Sim.create ~seed ~nprocs:3 () in
-    scen.Workload.Trial.build sim;
-    ignore (Machine.Schedule.run sim (Machine.Schedule.round_robin ()));
-    steps := !steps + Machine.Sim.total_steps sim
-  done;
-  let dt = Obs.Clock.now_s () -. t0 in
-  Printf.printf "  machine steps/s (stepping only):             %.0f\n%!"
-    (float_of_int !steps /. dt);
-  record_rate "machine step only" (float_of_int !steps /. dt)
 
 (* {1 T5: shared-access (persist-event) counts per operation} *)
 
@@ -602,41 +518,12 @@ let f2 () =
       Printf.printf "  %-14d %10d %12.3f\n%!" ops (History.length h) dt)
     [ 4; 8; 12; 16; 24; 32; 64; 128; 256 ]
 
-(* {1 F3: CAS helping-matrix recovery scan vs N (ablation)} *)
+(* {1 F4: TAS recovery blocking} *)
 
-let f3 () =
-  section "F3" "CAS recovery row-scan cost vs process count N (Algorithm 2 ablation)";
-  Printf.printf "  %-6s %14s\n%!" "N" "recover ns";
-  List.iter
-    (fun n ->
-      let c = Runtime.Rcas.create ~nprocs:n 0 in
-      (* worst helpful case: the evidence sits in the last matrix slot,
-         and C no longer holds p0's pair *)
-      c.Runtime.Rcas.r.(Runtime.Pad.slot2 ~n 0 (n - 1)) <- 1;
-      Atomic.set c.Runtime.Rcas.c (Runtime.Enc.pack ~id:1 999);
-      (* timed by the native suite's sampler: median and quartiles *)
-      let s =
-        Runtime.Bench_native.spread_ns (fun () ->
-            ignore (Runtime.Rcas.cas_recover c ~pid:0 ~old:0 ~new_:1 : bool))
-      in
-      record (Printf.sprintf "scan%d" n) (Runtime.Bench_native.latency_fields s);
-      Printf.printf "  %-6d %14.1f\n%!" n s.Runtime.Bench_native.median)
-    [ 2; 4; 8; 16; 32; 64; 128 ]
-
-(* {1 F4: TAS under crash rates; recovery blocking} *)
-
+(* F4's crash-rate sweep is `nrlsim run tas -n 4` batches
+   (EXPERIMENTS.md) *)
 let f4 () =
-  section "F4" "TAS: outcome vs crash rate, and recovery blocking (simulator)";
-  Printf.printf "  crash-rate sweep (4 procs, 200 trials each):\n";
-  Printf.printf "  %-12s %10s %10s %10s\n%!" "crash prob" "completed" "crashes" "NRL pass";
-  List.iter
-    (fun p ->
-      let scen = Workload.Scenarios.tas ~nprocs:4 () in
-      let s = Workload.Trial.batch ~crash_prob:p ~max_crashes:8 ~trials:200 scen in
-      Printf.printf "  %-12.2f %10d %10d %9d%%\n%!" p s.Workload.Trial.completed
-        s.Workload.Trial.total_crashes
-        (100 * s.Workload.Trial.passed / s.Workload.Trial.trials))
-    [ 0.0; 0.02; 0.05; 0.1; 0.2 ];
+  section "F4" "TAS: recovery blocking (simulator)";
   Printf.printf "  recovery blocking: p0 crashes after its base t&s while others sit\n";
   Printf.printf "  inside the doorway; p0's solo recovery must spin until they finish:\n";
   Printf.printf "  %-22s %12s\n%!" "concurrent processes" "solo steps";
@@ -715,58 +602,11 @@ let f5 () =
   Printf.printf
     "   reproduce explicitly with `nrlsim explore register --ops 3`)\n%!"
 
-(* {1 E-suite: correctness experiments (recorded in EXPERIMENTS.md)} *)
-
-let e_suite () =
-  section "E1-E4" "NRL pass rates for the paper's algorithms (must be 100%)";
-  Printf.printf "  %-26s %10s %10s %10s\n%!" "scenario" "trials" "passed" "crashes";
-  List.iter
-    (fun scen ->
-      let s = Workload.Trial.batch ~crash_prob:0.08 ~max_crashes:6 ~trials:300 scen in
-      Printf.printf "  %-26s %10d %10d %10d\n%!" scen.Workload.Trial.scen_name
-        s.Workload.Trial.trials s.Workload.Trial.passed s.Workload.Trial.total_crashes)
-    (Workload.Scenarios.all_paper ~nprocs:3 ()
-    @ [
-        Workload.Scenarios.elect ~nprocs:3 ();
-        Workload.Scenarios.faa ~nprocs:3 ();
-        Workload.Scenarios.stack ~nprocs:3 ();
-        Workload.Scenarios.histogram ~nprocs:3 ();
-        Workload.Scenarios.queue ~nprocs:3 ();
-        Workload.Scenarios.max_register ~nprocs:3 ();
-      ]);
-  section "E5" "Theorem 4: valency analysis and candidate refutation";
-  Format.printf "%a@." Impossibility.Theorem.pp_report
-    (Impossibility.Theorem.analyze_paper_algorithm ());
-  List.iter
-    (fun c ->
-      Format.printf "%a@." Impossibility.Theorem.pp_report
-        (Impossibility.Theorem.analyze_candidate c))
-    Impossibility.Candidates.all;
-  section "E6" "NRL violation detection for naive baselines";
-  Printf.printf "  %-30s %10s %10s\n%!" "baseline" "trials" "violations";
-  List.iter
-    (fun scen ->
-      let s = Workload.Trial.batch ~crash_prob:0.15 ~max_crashes:6 ~trials:300 scen in
-      Printf.printf "  %-30s %10d %10d\n%!" scen.Workload.Trial.scen_name
-        s.Workload.Trial.trials s.Workload.Trial.failed)
-    [
-      Workload.Scenarios.naive_rw ~strategy:`Optimistic ();
-      Workload.Scenarios.naive_rw ~strategy:`Reexecute ();
-      Workload.Scenarios.naive_cas ~strategy:`Optimistic ();
-      Workload.Scenarios.naive_cas ~strategy:`Reexecute ();
-      Workload.Scenarios.naive_tas ~nprocs:3 ();
-    ];
-  Printf.printf "  (naive-rw-reexec fails by *value resurrection*: a re-executed write\n";
-  Printf.printf "   makes an already-overwritten value reappear; reads observe a,b,a.\n";
-  Printf.printf "   Algorithm 1's conditional recovery exists to close this window.)\n%!"
-
 (* every section in run order: its tag, the layer its rows belong to, and
    the function that prints (and records) it *)
 let sections =
   Obs.Bench.
     [
-      ("T3", Native, t3);
-      ("T4", Machine, t4);
       ("T5", Machine, t5);
       ("T6", Explore, t6);
       ("T7", Explore, t7);
@@ -775,10 +615,8 @@ let sections =
       ("T12", Explore, t12);
       ("F1", Native, f1);
       ("F2", Machine, f2);
-      ("F3", Native, f3);
       ("F4", Machine, f4);
       ("F5", Explore, f5);
-      ("E", Machine, e_suite);
     ]
 
 (* a tag selects the section it names; a bare letter every section with
@@ -793,7 +631,7 @@ let () =
   List.iter
     (fun a ->
       if not (List.exists (selects a) tags) then begin
-        Printf.eprintf "bench: unknown section %S; valid tags: %s, or a bare T, F or E\n" a
+        Printf.eprintf "bench: unknown section %S; valid tags: %s, or a bare T or F\n" a
           (String.concat " " tags);
         exit 124
       end)
@@ -803,7 +641,7 @@ let () =
       (fun (tag, _, _) -> selected = [] || List.exists (fun a -> selects a tag) selected)
       sections
   in
-  Printf.printf "NRL benchmark harness (tables T3-T9 + T12, figures F1-F5, experiments E1-E6)\n";
+  Printf.printf "NRL benchmark harness (tables T5-T9 + T12, figures F1, F2, F4, F5)\n";
   Printf.printf "domains available: %d\n%!" (Domain.recommended_domain_count ());
   List.iter
     (fun (tag, layer, f) ->

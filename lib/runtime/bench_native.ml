@@ -4,8 +4,8 @@
     baselines.
 
     Everything here is hand-rolled on the monotonic {!Obs.Clock}, and
-    {!spread_ns} is the one ns/op sampler of the repo: the bench harness
-    (bench/main.ml) and the e2e bench time through it too.  Latency is
+    [spread_ns] is the one ns/op sampler of the repo: the e2e bench times
+    through it too ({!estimate_ns}).  Latency is
     the median, minimum and quartiles of [repeats] equal batches
     (calibrated to at least [min_batch_ns] per batch); allocation is the
     {!Gc.minor_words} delta across a long loop divided by the iteration
@@ -26,28 +26,42 @@
 
 type spread = { median : float; min : float; q1 : float; q3 : float }
 
-let spread_ns ?(repeats = 9) ?(min_batch_ns = 2_000_000) f =
+(* wall-clock ns of [n] calls of [f] *)
+let batch_ns n f =
+  let t0 = Obs.Clock.now_ns () in
+  for _ = 1 to n do f () done;
+  Obs.Clock.now_ns () - t0
+
+(* after a warm-up of 8 calls, the batch size (doubled from 16) whose
+   batch of [f] runs at least [min_batch_ns] *)
+let calibrate ~min_batch_ns f =
   for _ = 1 to 8 do f () done;
-  let rec calibrate n =
-    let t0 = Obs.Clock.now_ns () in
-    for _ = 1 to n do f () done;
-    let dt = Obs.Clock.now_ns () - t0 in
-    if dt >= min_batch_ns then n else calibrate (n * 2)
-  in
-  let n = calibrate 16 in
-  let samples =
-    Array.init repeats (fun _ ->
-        let t0 = Obs.Clock.now_ns () in
-        for _ = 1 to n do f () done;
-        float_of_int (Obs.Clock.now_ns () - t0) /. float_of_int n)
-  in
+  let rec go n = if batch_ns n f >= min_batch_ns then n else go (n * 2) in
+  go 16
+
+(* median, min and quartiles (nearest rank) of the per-batch samples *)
+let quartiles samples =
+  let k = Array.length samples in
   Array.sort compare samples;
-  {
-    median = samples.(repeats / 2);
-    min = samples.(0);
-    q1 = samples.(repeats / 4);
-    q3 = samples.(3 * repeats / 4);
-  }
+  { median = samples.(k / 2); min = samples.(0); q1 = samples.(k / 4); q3 = samples.(3 * k / 4) }
+
+let spread_ns ?(repeats = 9) ?(min_batch_ns = 2_000_000) f =
+  let n = calibrate ~min_batch_ns f in
+  quartiles
+    (Array.init repeats (fun _ -> float_of_int (batch_ns n f) /. float_of_int n))
+
+(* ns/op of [f] minus ns/op of [base] over 9 pairs of batches, one
+   difference per pair: both run in alternating batches of [f]'s
+   calibrated size, so GC work that lands in one batch widens the
+   quartiles instead of biasing one median *)
+let paired_diff_ns ~base f =
+  for _ = 1 to 8 do base () done;
+  let n = calibrate ~min_batch_ns:2_000_000 f in
+  let per_op ns = float_of_int ns /. float_of_int n in
+  quartiles
+    (Array.init 9 (fun _ ->
+         let b = batch_ns n base in
+         per_op (batch_ns n f) -. per_op b))
 
 let estimate_ns ?repeats ?min_batch_ns f = (spread_ns ?repeats ?min_batch_ns f).median
 
@@ -188,6 +202,17 @@ let latency_thunks () =
       ignore (Rconsensus.Plain.decide c 7 : int);
       fun () -> ignore (Rconsensus.Plain.decide c 9 : int) );
   ]
+  (* F3: Algorithm 2's recovery row scan vs N, in the worst helpful case:
+     the evidence sits in the last matrix slot, and C no longer holds
+     p0's pair *)
+  @ List.map
+      (fun n ->
+        ( "F3", Printf.sprintf "scan%d" n,
+          let c = Rcas.create ~nprocs:n 0 in
+          c.Rcas.r.(Pad.slot2 ~n 0 (n - 1)) <- 1;
+          Atomic.set c.Rcas.c (Enc.pack ~id:1 999);
+          fun () -> ignore (Rcas.cas_recover c ~pid:0 ~old:0 ~new_:1 : bool) ))
+      [ 2; 4; 8; 16; 32; 64; 128 ]
 
 (* recoverable over plain: the pairs whose overhead DESIGN.md section 5's
    T1, T2 and T12 report *)
@@ -204,7 +229,15 @@ let overhead_pairs =
       "rconsensus decide (decided path)" );
   ]
 
-(* the hot paths the tentpole claims allocation-free, plus the stack
+(* the T&S win net of its fresh object's allocation: (label, the
+   allocation thunk, the fresh-object win thunk) *)
+let win_pairs =
+  [
+    ("plain t&s win", "alloc plain tas", "plain t&s (fresh)");
+    ("recoverable t&s win", "alloc reco tas", "recoverable t&s (fresh, win)");
+  ]
+
+(* the hot paths kept allocation-free (docs/native.md), plus the stack
    (three small blocks per push+pop pair, reported honestly) *)
 let alloc_names =
   [
@@ -267,6 +300,13 @@ let counter_reco ~domains ~w ~pick =
   let cells = Array.init w (fun _ -> Rcounter.create ~nprocs:domains) in
   fun ~pid ~i:_ -> Rcounter.inc cells.(pick pid) ~pid
 
+(* every tenth op of a domain is a strict READ *)
+let counter_read_mix ~domains ~w ~pick =
+  let cells = Array.init w (fun _ -> Rcounter.create ~nprocs:domains) in
+  fun ~pid ~i ->
+    let c = cells.(pick pid) in
+    if i mod 10 = 9 then ignore (Rcounter.read c ~pid : int) else Rcounter.inc c ~pid
+
 let counter_plain ~domains ~w ~pick =
   let cells = Array.init w (fun _ -> Rcounter.Plain.create ~nprocs:domains) in
   fun ~pid ~i:_ -> Rcounter.Plain.inc cells.(pick pid) ~pid
@@ -298,6 +338,7 @@ let builders =
     ("cas", "recoverable", cas_reco);
     ("cas", "plain", cas_plain);
     ("counter", "recoverable", counter_reco);
+    ("counter 90/10", "recoverable", counter_read_mix);
     ("counter", "plain", counter_plain);
     ("faa", "recoverable", faa_reco);
     ("faa", "plain", faa_plain);
@@ -325,7 +366,7 @@ let throughput_rows ~log cfg =
               let body = build ~domains ~w ~pick in
               let t = Par.run_for ~domains ~duration:cfg.duration body in
               log
-                (Printf.sprintf "  %-7s %-11s %-11s w=%-3d d=%-2d %12.0f ops/s"
+                (Printf.sprintf "  %-13s %-11s %-11s w=%-3d d=%-2d %12.0f ops/s"
                    obj impl (mode_name mode) w domains t.Par.t_ops_per_sec);
               Obs.Bench.row Native ~section:"T10"
                 (Printf.sprintf "%s %s %s w=%d d=%d" obj impl (mode_name mode) w domains)
@@ -346,6 +387,7 @@ let throughput_rows ~log cfg =
 
 let run ?(log = fun (_ : string) -> ()) cfg =
   log "latency (single domain, median [q1, q3] of calibrated batches; words/op):";
+  let thunks = latency_thunks () in
   let timed =
     List.map
       (fun (section, name, f) ->
@@ -357,7 +399,7 @@ let run ?(log = fun (_ : string) -> ()) cfg =
              (match words with Some w -> Printf.sprintf "  %.3f words" w | None -> ""));
         let words = Option.to_list (Option.map (fun w -> ("words", Obs.Json.Num w)) words) in
         (name, (s, Obs.Bench.row Native ~section name (latency_fields s @ words))))
-      (latency_thunks ())
+      thunks
   in
   let median name = (fst (List.assoc name timed)).median in
   log "overhead (medians, plain vs recoverable):";
@@ -367,11 +409,16 @@ let run ?(log = fun (_ : string) -> ()) cfg =
         (Printf.sprintf "  %-32s %8.1f ns %8.1f ns  %.2fx" label (median plain)
            (median reco) (median reco /. median plain)))
     overhead_pairs;
-  let corrected win alloc = median win -. median alloc in
-  log
-    (Printf.sprintf "  %-32s %8.1f ns %8.1f ns" "T&S win (alloc-corrected)"
-       (corrected "plain t&s (fresh)" "alloc plain tas")
-       (corrected "recoverable t&s (fresh, win)" "alloc reco tas"));
+  log "T&S win net of allocation (median [q1, q3] of paired batch differences):";
+  let thunk name =
+    let _, _, f = List.find (fun (_, n, _) -> n = name) thunks in
+    f
+  in
+  List.iter
+    (fun (label, alloc, win) ->
+      let d = paired_diff_ns ~base:(thunk alloc) (thunk win) in
+      log (Printf.sprintf "  %-32s %8.1f ns [%.1f, %.1f]" label d.median d.q1 d.q3))
+    win_pairs;
   log
     (Printf.sprintf "throughput (%gs windows, contended width %d):" cfg.duration
        cfg.width);

@@ -22,8 +22,6 @@ let make_any (v : 'a) : 'a Atomic.t =
   Atomic.set a v;
   a
 
-let array_int n v = Array.init n (fun _ -> make_int v)
-
 (* Flat int arrays with one logical slot per cache line.  Slot 0 of the
    backing array is skipped so a slot never shares a line with the
    array header, mirroring what a padded-atomic block does. *)

@@ -24,9 +24,6 @@ val make_int : int -> int Atomic.t
 val make_any : 'a -> 'a Atomic.t
 (** A cache-line-padded atomic of any type. *)
 
-val array_int : int -> int -> int Atomic.t array
-(** [array_int n v] is [n] independent padded int atomics, each [v]. *)
-
 val stride : int
 (** Element stride (in array slots) of flat padded arrays. *)
 

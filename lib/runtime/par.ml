@@ -92,13 +92,5 @@ let run_for ~domains ~duration body =
     t_ops_per_sec = float_of_int total /. dt;
   }
 
-let pp_result ppf r =
-  Fmt.pf ppf "%d domains x %d iters: %.3fs, %.0f ops/s" r.domains r.iters_per_domain
-    r.seconds r.ops_per_sec
-
-let pp_timed ppf r =
-  Fmt.pf ppf "%d domains, %d ops in %.3fs: %.0f ops/s" r.t_domains r.t_total_ops
-    r.t_seconds r.t_ops_per_sec
-
 (** Available hardware parallelism, capped for benchmark sweeps. *)
 let max_domains ?(cap = 8) () = min cap (Domain.recommended_domain_count ())

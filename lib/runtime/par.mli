@@ -26,8 +26,5 @@ val run_for : domains:int -> duration:float -> (pid:int -> i:int -> unit) -> tim
     the stop flag, counting its own ops; [i] is the worker's running op
     index.  This is the contended suite's mode. *)
 
-val pp_result : result Fmt.t
-val pp_timed : timed Fmt.t
-
 val max_domains : ?cap:int -> unit -> int
 (** Available hardware parallelism, capped (default 8). *)

@@ -6,9 +6,7 @@
     ({!Enc.pack}); the helping matrix is a flat stride-padded {e plain}
     int array — sound under the OCaml memory model because every update
     of [C] is a successful CAS that program-follows its help write (see
-    rcas.ml).  Allocation-free on every path; values are 48-bit signed.
-    The [_cp] variants take the crash point positionally (optional
-    re-passing allocates). *)
+    rcas.ml).  Allocation-free on every path; values are 48-bit signed. *)
 
 type t = {
   c : int Atomic.t;  (** packed <last successful writer (-1 = null), value> *)
@@ -25,10 +23,6 @@ val cas_recover : ?cp:Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
 (** [CAS.RECOVER]: reports success iff [C] still holds this process's
     pair or the helping matrix row carries the evidence; otherwise
     re-executes (lines 13-16 of the paper). *)
-
-val read_cp : Crash.t -> t -> int
-val cas_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
-val cas_recover_cp : Crash.t -> t -> pid:int -> old:int -> new_:int -> bool
 
 (** Plain (non-recoverable) CAS baseline.  [old] must be physically the
     value previously read (integers are safest). *)

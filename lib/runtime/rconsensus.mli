@@ -24,11 +24,6 @@ val decide : ?cp:Crash.t -> t -> pid:int -> seq:int -> int -> int
 
 val decide_recover : ?cp:Crash.t -> t -> pid:int -> seq:int -> int -> int
 
-val decide_cp : Crash.t -> t -> pid:int -> seq:int -> int -> int
-val decide_recover_cp : Crash.t -> t -> pid:int -> seq:int -> int -> int
-(** Unboxed-crash-point variants for internal call chains and the
-    conformance drills. *)
-
 (** Plain (non-recoverable) single-shot CAS consensus baseline. *)
 module Plain : sig
   type t

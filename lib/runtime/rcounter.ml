@@ -101,13 +101,3 @@ module Plain = struct
     Array.iter (fun c -> v := !v + Atomic.get c) t;
     !v
 end
-
-(** Second baseline: a fetch-and-add counter (the conventional
-    non-recoverable multicore counter). *)
-module Faa = struct
-  type t = int Atomic.t
-
-  let create () = Atomic.make 0
-  let inc t = ignore (Atomic.fetch_and_add t 1)
-  let read t = Atomic.get t
-end

@@ -29,12 +29,3 @@ module Plain : sig
   val inc : t -> pid:int -> unit
   val read : t -> int
 end
-
-(** Conventional fetch-and-add counter baseline. *)
-module Faa : sig
-  type t
-
-  val create : unit -> t
-  val inc : t -> unit
-  val read : t -> int
-end

@@ -45,9 +45,6 @@ let holder t =
   let l = Atomic.get t.lock in
   if l = 0 then -1 else Enc.id l
 
-let acquire_response t ~pid = t.ares.(slot pid)
-let release_response t ~pid = t.rres.(slot pid)
-
 let acquire_cp cp t ~pid ~seq =
   point cp;
   let l = Atomic.get t.lock in  (* line 2 *)

@@ -21,22 +21,10 @@ val create : nprocs:int -> t
 val holder : t -> int
 (** The pid currently packed into the lock word, or -1 when free. *)
 
-val acquire_response : t -> pid:int -> int
-val release_response : t -> pid:int -> int
-(** The raw persisted response slots ({!Enc.res_pack} encoding,
-    {!Enc.res_none} before any operation) — for drills and tests. *)
-
 val acquire : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
 val acquire_recover : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
 val release : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
 val release_recover : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
-
-val acquire_cp : Crash.t -> t -> pid:int -> seq:int -> bool
-val acquire_recover_cp : Crash.t -> t -> pid:int -> seq:int -> bool
-val release_cp : Crash.t -> t -> pid:int -> seq:int -> bool
-val release_recover_cp : Crash.t -> t -> pid:int -> seq:int -> bool
-(** Unboxed-crash-point variants for internal call chains and the
-    conformance drills. *)
 
 (** Plain (non-recoverable) abortable test-and-set lock baseline. *)
 module Plain : sig

@@ -3,10 +3,7 @@
 
     Values are compared structurally; all written values must be distinct
     (tag them with writer id and sequence number).  The [?cp] arguments
-    are crash points for single-process recovery drills.  The [_cp]
-    variants take the crash point positionally — internal call chains
-    use them because re-passing an optional argument allocates a [Some]
-    per call. *)
+    are crash points for single-process recovery drills. *)
 
 type 'a t = {
   r : 'a Atomic.t;
@@ -21,10 +18,6 @@ val write : ?cp:Crash.t -> 'a t -> pid:int -> 'a -> unit
 val write_recover : ?cp:Crash.t -> 'a t -> pid:int -> 'a -> unit
 (** [WRITE.RECOVER]: re-executes exactly when the interrupted write could
     not have been linearized (lines 11-17 of the paper). *)
-
-val read_cp : Crash.t -> 'a t -> 'a
-val write_cp : Crash.t -> 'a t -> pid:int -> 'a -> unit
-val write_recover_cp : Crash.t -> 'a t -> pid:int -> 'a -> unit
 
 (** Plain (non-recoverable) register baseline. *)
 module Plain : sig
@@ -51,7 +44,9 @@ module Int : sig
   val read_recover : ?cp:Crash.t -> t -> int
   val write : ?cp:Crash.t -> t -> pid:int -> int -> unit
   val write_recover : ?cp:Crash.t -> t -> pid:int -> int -> unit
-  val write_cp : Crash.t -> t -> pid:int -> int -> unit
+
   val write_recover_cp : Crash.t -> t -> pid:int -> int -> unit
-  val read_cp : Crash.t -> t -> int
+  (** [write_recover] with the crash point passed positionally: nesting
+      callers' recoveries use it, as re-passing an optional argument
+      allocates a [Some] per call. *)
 end

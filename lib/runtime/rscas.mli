@@ -48,9 +48,4 @@ val outcome : ?cp:Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option
     native code must ask). *)
 
 val read_cp : Crash.t -> t -> int
-val read_content_cp : Crash.t -> t -> int
-
-val cas_content_cp :
-  Crash.t -> t -> pid:int -> content:int -> new_:int -> seq:int -> bool
-
 val outcome_cp : Crash.t -> t -> pid:int -> new_:int -> seq:int -> bool option

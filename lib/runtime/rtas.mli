@@ -18,7 +18,6 @@ type t = {
   nprocs : int;
 }
 
-val null_id : int
 val create : nprocs:int -> t
 
 val response : t -> pid:int -> int
@@ -32,9 +31,6 @@ val test_and_set : ?cp:Crash.t -> t -> pid:int -> int
 val recover : ?cp:Crash.t -> t -> pid:int -> int
 (** [T&S.RECOVER]; may spin until concurrent in-doorway processes
     finish. *)
-
-val test_and_set_cp : Crash.t -> t -> pid:int -> int
-val recover_cp : Crash.t -> t -> pid:int -> int
 
 (** Plain (non-recoverable) test-and-set baseline. *)
 module Plain : sig

@@ -46,7 +46,7 @@ let sample () =
     rows =
       [
         B.row Native ~section:"F3" "plain \"write\"" [ ("ns", Num 12.5) ];
-        B.row Machine ~section:"T4" "machine step only" [ ("ns", Num nan) ];
+        B.row Native ~section:"T2" "recoverable faa" [ ("ns", Num nan) ];
         B.row Machine ~section:"T5" "register WRITE N=2"
           [ ("op", Str "register WRITE"); ("nprocs", Int 2); ("accesses", Int 3) ];
         B.row Native ~section:"T10" "stack plain uncontended w=8 d=1"
@@ -65,7 +65,7 @@ let test_parses_and_keys () =
     (List.length (to_list (member "sections" (member "config" doc))));
   let rs = rows doc in
   Alcotest.(check (list string)) "rows survive, layers spelled"
-    [ "native"; "machine"; "machine"; "native"; "explore"; "service" ]
+    [ "native"; "native"; "machine"; "native"; "explore"; "service" ]
     (List.map (str "layer") rs);
   let r0 = List.hd rs in
   Alcotest.(check string) "layer" "native" (str "layer" r0);
@@ -121,17 +121,20 @@ let test_checked_in_explore () =
   let doc = parse (read_file "../BENCH_explore.json") in
   check_header doc;
   let rs = rows doc in
+  (* one producer per number: [bench/main.exe -- T --json] writes the
+     artifact, and every native row is [nrlsim bench-native]'s *)
+  Alcotest.(check bool) "host.ocaml stamped" true (member "ocaml" (member "host" doc) <> Null);
   List.iter
     (fun r ->
-      if has "ns" r then match member "ns" r with Null -> () | v -> ignore (to_float v))
+      match str "layer" r with
+      | "native" -> Alcotest.failf "native row %s (bench-native's)" (str "name" r)
+      | "explore" -> ignore (to_float (member "cpu_s" r))
+      | _ -> ())
     rs;
-  (* the sections [bench/main.exe -- T --json] writes; the converted
-     artifact's older T1/T2/F3 rows are accepted, not required, so a
-     regenerated file passes too *)
   List.iter
     (fun s ->
       if in_section s rs = [] then Alcotest.failf "section %s missing from the artifact" s)
-    [ "T3"; "T4"; "T5"; "T6"; "T7"; "T8"; "T9"; "T12" ];
+    [ "T5"; "T6"; "T7"; "T8"; "T9"; "T12" ];
   (* one native implementation per primitive: no "(poly)" twin rows *)
   List.iter
     (fun r ->
@@ -253,7 +256,7 @@ let test_native_header () =
 
 let test_native_throughput_rows () =
   let throughput = List.filter (has "ops") (rows (Lazy.force live_native)) in
-  Alcotest.(check int) "one row per (object, impl, mode) cell" 16 (List.length throughput);
+  Alcotest.(check int) "one row per (object, impl, mode) cell" 18 (List.length throughput);
   List.iter
     (fun r ->
       check_throughput_row r;
@@ -261,13 +264,16 @@ let test_native_throughput_rows () =
         Alcotest.(check bool) (str "name" r ^ ": " ^ k) true (List.mem (str k r) l)
       in
       Alcotest.(check string) (str "name" r ^ ": section") "T10" (str "section" r);
-      one_of "object" [ "cas"; "counter"; "faa"; "stack" ];
+      one_of "object" [ "cas"; "counter"; "counter 90/10"; "faa"; "stack" ];
       one_of "impl" [ "recoverable"; "plain" ];
       one_of "mode" [ "contended"; "uncontended" ];
       Alcotest.(check int) "domains" 1 (to_int (member "domains" r));
       Alcotest.(check int) "width" 1 (to_int (member "width" r));
       Alcotest.(check bool) "ops counted" true (to_int (member "ops" r) > 0))
-    throughput
+    throughput;
+  (* the 90% inc / 10% read mix, recoverable only *)
+  let mix = named "counter 90/10 recoverable contended w=1 d=1" throughput in
+  Alcotest.(check string) "read mix: impl" "recoverable" (str "impl" mix)
 
 let test_native_latency_alloc_rows () =
   let rs = rows (Lazy.force live_native) in
@@ -280,6 +286,10 @@ let test_native_latency_alloc_rows () =
       Alcotest.(check bool) (name ^ ": min <= q1 <= median <= q3") true
         (v "ns_min" <= v "ns_q1" && v "ns_q1" <= v "ns" && v "ns" <= v "ns_q3"))
     (Runtime.Bench_native.latency_thunks ());
+  (* F3's CAS recovery row scan, one row per N *)
+  Alcotest.(check (list string)) "F3 rows"
+    [ "scan2"; "scan4"; "scan8"; "scan16"; "scan32"; "scan64"; "scan128" ]
+    (List.map (str "name") (in_section "F3" rs));
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " allocation-free") true
