@@ -37,4 +37,6 @@ let () =
       ("cli", Test_cli.suite);
       ("registration", Test_registration.suite);
       ("scripts", Test_scripts.suite);
+      ("schedules", Test_schedules.suite);
+      ("wellformed", Test_wellformed.suite);
     ]

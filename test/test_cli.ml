@@ -193,6 +193,14 @@ let test_theorem_golden () =
   let expected = In_channel.with_open_bin "theorem.expected" In_channel.input_all in
   Alcotest.(check string) "stdout matches theorem.expected" expected out
 
+(* zoo.expected pins the bug zoo's report: each mutant's detecting seed
+   and descriptor and its shrink-run count, all deterministic. *)
+let test_zoo_golden () =
+  let code, out = run_cli_redirect "" [ "fuzz"; "--zoo" ] in
+  Alcotest.(check int) "fuzz --zoo exits 0" 0 code;
+  let expected = In_channel.with_open_bin "zoo.expected" In_channel.input_all in
+  Alcotest.(check string) "stdout matches zoo.expected" expected out
+
 (* list.expected pins the scenario names and their order: the object-kind
    catalogue, the other named scenarios, then every zoo mutant. *)
 let test_list_golden () =
@@ -387,4 +395,5 @@ let suite =
     Alcotest.test_case "one explore reporter, direct and pooled" `Quick test_explore_reporter;
     Alcotest.test_case "theorem stdout matches golden" `Quick test_theorem_golden;
     Alcotest.test_case "list stdout matches golden" `Quick test_list_golden;
+    Alcotest.test_case "fuzz --zoo stdout matches golden" `Quick test_zoo_golden;
   ]
