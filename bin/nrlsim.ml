@@ -894,7 +894,8 @@ let bench_native_cmd =
   let duration_arg =
     Arg.(
       value & opt pos_float 0.5
-      & info [ "duration" ] ~docv:"SECS" ~doc:"Measured window per throughput cell.")
+      & info [ "duration" ] ~docv:"SECS"
+          ~doc:"Seconds per throughput cell, timed as five equal windows.")
   in
   let bench domains_list width duration ((json, _) as output) =
     let cfg = { Runtime.Bench_native.domains_list; width; duration } in

@@ -51,19 +51,6 @@ let by_object (h : t) o : t =
   done;
   Array.of_list !out
 
-(** Bucket the steps of [h] by [key] in one pass, keeping history order
-    within a bucket and dropping steps keyed [None]; the returned lookup
-    maps an absent key to the empty history. *)
-let group_by key (h : t) =
-  let tbl = Hashtbl.create 16 in
-  for i = Array.length h - 1 downto 0 do
-    match key h.(i) with
-    | Some k ->
-      Hashtbl.replace tbl k (h.(i) :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    | None -> ()
-  done;
-  fun k -> match Hashtbl.find_opt tbl k with Some l -> Array.of_list l | None -> [||]
-
 (** [N(H)]: the history obtained by removing all crash and recovery steps. *)
 let n_of (h : t) : t =
   filter (function Step.Crash _ | Step.Rec _ -> false | _ -> true) h
@@ -83,12 +70,6 @@ let objects (h : t) =
         Hashtbl.replace tbl opref.Step.obj ()
       | Step.Crash _ | Step.Rec _ -> ())
     h;
-  List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-
-(** All process ids appearing in [h]. *)
-let procs (h : t) =
-  let tbl = Hashtbl.create 8 in
-  Array.iter (fun s -> Hashtbl.replace tbl (Step.pid s) ()) h;
   List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
 
 (** A completed operation of a crash-free object subhistory, for the
@@ -148,6 +129,14 @@ module Wellformed = struct
     | Ok -> Fmt.string ppf "well-formed"
     | Violation msg -> Fmt.pf ppf "violation: %s" msg
 
+  let second_invocation ~p ~o =
+    Fmt.str "p%d invoked a second operation on object %d while one is pending" p o
+
+  let mismatched_response ~p ~o =
+    Fmt.str "p%d: response does not match pending invocation on object %d" p o
+
+  let orphan_response ~p ~o = Fmt.str "p%d: response without invocation on object %d" p o
+
   (* A crash-free subhistory [H|<p,O>] must be a sequence of alternating,
      matching invocation and response steps, starting with an invocation
      (possibly ending with a pending invocation). *)
@@ -160,120 +149,193 @@ module Wellformed = struct
         if !bad = None then
           match s, !state with
           | Inv { call_id; _ }, None -> state := Some call_id
-          | Inv _, Some _ ->
-            bad :=
-              Some
-                (Fmt.str "p%d invoked a second operation on object %d while one is pending"
-                   p o)
+          | Inv _, Some _ -> bad := Some (second_invocation ~p ~o)
           | Res { call_id; _ }, Some pending when call_id = pending -> state := None
-          | Res _, Some _ ->
-            bad := Some (Fmt.str "p%d: response does not match pending invocation on object %d" p o)
-          | Res _, None ->
-            bad := Some (Fmt.str "p%d: response without invocation on object %d" p o)
+          | Res _, Some _ -> bad := Some (mismatched_response ~p ~o)
+          | Res _, None -> bad := Some (orphan_response ~p ~o)
           | (Crash _ | Rec _), _ -> ())
       h;
     match !bad with Some m -> Violation m | None -> Ok
 
   (* Requirement (2) of crash-free well-formedness: per process, matched
      invocation/response pairs are properly nested: if i1 < i2 < r1 then
-     r2 < r1.  One pass over p's completed operations in invocation
-     order, with the operations still open at the current invocation on
-     a stack, each paired with its response position.  Until a violation
+     r2 < r1.  [res_at.(j)] is the position of the response to the
+     invocation at position [j] of [h], or [-1] if it never responds
+     (left pending by a crash: exempt).  One sweep over the invocations
+     keeps, per process slot ([slot_of pid], [-1] skips the process), the
+     completed operations still open at the current invocation on a
+     stack, each paired with its response position.  Until a violation
      is found, every pushed operation responds before all operations
      below it, so the stack's top responds first: the operations closed
      by the current invocation are a top segment, and an operation that
      responds after some open operation responds after the top one.
-     Operations that never respond (left pending by a crash) are
-     exempt. *)
+     Reports the first violation of the lowest slot. *)
+  let rec close j = function (_, r1) :: below when r1 < j -> close j below | stack -> stack
+
+  let nesting_sweep (h : t) res_at ~slot_of ~nslots =
+    let stacks = Array.make nslots [] and bad = Array.make nslots None in
+    for j = 0 to Array.length h - 1 do
+      match h.(j) with
+      | Step.Inv { pid; opref; call_id; _ } when res_at.(j) >= 0 -> (
+        let k = slot_of pid in
+        if k >= 0 && Option.is_none bad.(k) then
+          let r2 = res_at.(j) in
+          match close j stacks.(k) with
+          | (a, r1) :: _ when r2 >= r1 -> (
+            match h.(a) with
+            | Step.Inv { opref = outer; call_id = outer_id; _ } ->
+              bad.(k) <-
+                Some
+                  (Fmt.str "p%d: operation %s (#%d) invoked inside %s (#%d) responds after it"
+                     pid opref.Step.op call_id outer.Step.op outer_id)
+            | _ -> assert false)
+          | stack -> stacks.(k) <- (j, r2) :: stack)
+      | _ -> ()
+    done;
+    match Array.find_opt Option.is_some bad with
+    | Some (Some m) -> Violation m
+    | _ -> Ok
+
   let check_nesting ~p (h : t) =
-    let rec go stack = function
-      | [] -> Ok
-      | (b : op_record) :: rest -> (
-        let r2 = Option.get b.res_pos in
-        let rec close = function
-          | (_, r1) :: below when r1 < b.inv_pos -> close below
-          | stack -> stack
-        in
-        match close stack with
-        | (a, r1) :: _ when r2 >= r1 ->
-          Violation
-            (Fmt.str "p%d: operation %s (#%d) invoked inside %s (#%d) responds after it" p
-               b.opref.Step.op b.call_id a.opref.Step.op a.call_id)
-        | stack -> go ((b, r2) :: stack) rest)
-    in
-    go [] (List.filter (fun (r : op_record) -> r.pid = p && r.res_pos <> None) (ops_of h))
+    let res_at = Array.make (Array.length h) (-1) in
+    List.iter
+      (fun (r : op_record) ->
+        match r.res_pos with Some i when r.pid = p -> res_at.(r.inv_pos) <- i | _ -> ())
+      (ops_of h);
+    nesting_sweep h res_at ~slot_of:(fun q -> if q = p then 0 else -1) ~nslots:1
 
   (* Also require that a pending inner operation blocks the outer from
      responding: if i1 < i2, op2 pending, then op1 must be pending too.
      This is implied by requirement (2) read contrapositively and holds in
      all histories the machine produces. *)
 
+  let call_of (h : t) j =
+    match h.(j) with Step.Inv { call_id; _ } -> call_id | _ -> assert false
+
+  let rec waits_for h c = function
+    | [] -> false
+    | j :: rest -> call_of h j = c || waits_for h c rest
+
+  let rec drop_call h c = function
+    | [] -> []
+    | j :: rest -> if call_of h j = c then rest else j :: drop_call h c rest
+
+  (* the response at [i] answers the awaiting invocation of call [c] *)
+  let rec answer h res_at i c = function
+    | [] -> []
+    | j :: rest ->
+      if call_of h j = c then begin
+        res_at.(j) <- i;
+        rest
+      end
+      else j :: answer h res_at i c rest
+
+  (* Definition 3 (1), per process: the kind of its previous step, and
+     its first violation *)
+  let no_step = 0 and crash_step = 1 and other_step = 2
+  let unmatched_crash = 1 and stray_recovery = 2
+
+  (* the first alternation violation of an (object, process) pair *)
+  let second_inv = 1 and mismatched_res = 2 and orphan_res = 3
+
+  (* Well-formedness of [N(H)] (every [H|<p,O>] alternates, requirement
+     (2) per process), and with [recoverable] also Definition 3 (1), in
+     one pass over [h] that skips crash and recovery steps for the [N(H)]
+     part; [N(H)] itself is never built.  State lives in arrays indexed
+     by process (offset by the least pid) and by (object, process) pair.
+     The verdict is the first violation in a fixed order: Definition 3
+     (1) by process; then alternation by object, then process; then
+     nesting by process — within one process or pair, its earliest
+     step. *)
+  let check ~recoverable (h : t) =
+    let n = Array.length h in
+    if n = 0 then Ok
+    else begin
+      let p_lo = ref max_int and p_hi = ref min_int in
+      let o_lo = ref max_int and o_hi = ref min_int in
+      for i = 0 to n - 1 do
+        let p = Step.pid h.(i) in
+        if p < !p_lo then p_lo := p;
+        if p > !p_hi then p_hi := p;
+        match h.(i) with
+        | Step.Inv { opref; _ } | Step.Res { opref; _ } ->
+          if opref.Step.obj < !o_lo then o_lo := opref.Step.obj;
+          if opref.Step.obj > !o_hi then o_hi := opref.Step.obj
+        | Step.Crash _ | Step.Rec _ -> ()
+      done;
+      let p_lo = !p_lo and o_lo = !o_lo in
+      let np = !p_hi - p_lo + 1 and no = max 0 (!o_hi - o_lo + 1) in
+      let last = Array.make np no_step and crash_bad = Array.make np 0 in
+      (* per (object, process) pair: is an invocation open, its call id,
+         and the first alternation violation *)
+      let opened = Array.make (no * np) false
+      and pending = Array.make (no * np) 0
+      and alt_bad = Array.make (no * np) 0 in
+      (* [ops_of]'s matching within [N(H)|p]: p's invocations awaiting a
+         response, newest first, and each invocation's response position *)
+      let waiting = Array.make np [] and res_at = Array.make n (-1) in
+      for i = 0 to n - 1 do
+        let s = h.(i) in
+        let k = Step.pid s - p_lo in
+        if recoverable && crash_bad.(k) = 0 then begin
+          let prev = last.(k) in
+          (match s with
+          | Step.Rec _ -> if prev <> crash_step then crash_bad.(k) <- stray_recovery
+          | Step.Crash _ | Step.Inv _ | Step.Res _ ->
+            if prev = crash_step then crash_bad.(k) <- unmatched_crash);
+          last.(k) <- (match s with Step.Crash _ -> crash_step | _ -> other_step)
+        end;
+        match s with
+        | Step.Inv { opref; call_id; _ } ->
+          let c = ((opref.Step.obj - o_lo) * np) + k in
+          if alt_bad.(c) = 0 then
+            if opened.(c) then alt_bad.(c) <- second_inv
+            else begin
+              opened.(c) <- true;
+              pending.(c) <- call_id
+            end;
+          let w = waiting.(k) in
+          waiting.(k) <- i :: (if waits_for h call_id w then drop_call h call_id w else w)
+        | Step.Res { opref; call_id; _ } ->
+          let c = ((opref.Step.obj - o_lo) * np) + k in
+          if alt_bad.(c) = 0 then
+            if not opened.(c) then alt_bad.(c) <- orphan_res
+            else if pending.(c) = call_id then opened.(c) <- false
+            else alt_bad.(c) <- mismatched_res;
+          let w = waiting.(k) in
+          if waits_for h call_id w then waiting.(k) <- answer h res_at i call_id w
+        | Step.Crash _ | Step.Rec _ -> ()
+      done;
+      let rec first a i =
+        if i >= Array.length a then -1 else if a.(i) <> 0 then i else first a (i + 1)
+      in
+      match first crash_bad 0 with
+      | k when k >= 0 ->
+        let p = k + p_lo in
+        Violation
+          (if crash_bad.(k) = unmatched_crash then
+             Fmt.str "p%d: crash step not followed by a matching recovery step" p
+           else Fmt.str "p%d: recovery step without preceding crash" p)
+      | _ -> (
+        match first alt_bad 0 with
+        | c when c >= 0 ->
+          let p = (c mod np) + p_lo and o = (c / np) + o_lo in
+          Violation
+            (if alt_bad.(c) = second_inv then second_invocation ~p ~o
+             else if alt_bad.(c) = mismatched_res then mismatched_response ~p ~o
+             else orphan_response ~p ~o)
+        | _ -> nesting_sweep h res_at ~slot_of:(fun pid -> pid - p_lo) ~nslots:np)
+    end
+
   (** Crash-free well-formedness: (1) every [H|O] is well-formed; (2) the
       per-process nesting condition. *)
   let check_well_formed (h : t) =
     if not (is_crash_free h) then
       Violation "history contains crash/recovery steps (use recoverable well-formedness)"
-    else
-      let on_pair =
-        group_by
-          (function
-            | Step.Inv { pid; opref; _ } | Step.Res { pid; opref; _ } ->
-              Some (opref.Step.obj, pid)
-            | Step.Crash _ | Step.Rec _ -> None)
-          h
-      and on_proc = group_by (fun s -> Some (Step.pid s)) h
-      and procs = procs h in
-      let results =
-        List.concat_map
-          (fun o -> List.map (fun p -> check_alternating ~p ~o (on_pair (o, p))) procs)
-          (objects h)
-        @ List.map (fun p -> check_nesting ~p (on_proc p)) procs
-      in
-      match List.find_opt (fun r -> not (is_ok r)) results with
-      | Some v -> v
-      | None -> Ok
+    else check ~recoverable:false h
 
   (** Definition 3 (Recoverable Well-Formedness): (1) every crash step of
       [p] is either [p]'s last step or is followed in [H|p] by a matching
       recovery step; (2) [N(H)] is well-formed. *)
-  let check_recoverable_well_formed (h : t) =
-    let open Step in
-    let on_proc = group_by (fun s -> Some (Step.pid s)) h in
-    let crash_rule =
-      List.fold_left
-        (fun acc p ->
-          if not (is_ok acc) then acc
-          else begin
-            let hp = on_proc p in
-            let n = Array.length hp in
-            let bad = ref None in
-            Array.iteri
-              (fun i s ->
-                if !bad = None then
-                  match s with
-                  | Crash _ ->
-                    if i < n - 1 then begin
-                      match hp.(i + 1) with
-                      | Rec _ -> ()
-                      | _ ->
-                        bad :=
-                          Some
-                            (Fmt.str "p%d: crash step not followed by a matching recovery step" p)
-                    end
-                  | Rec _ ->
-                    if i = 0 then
-                      bad := Some (Fmt.str "p%d: recovery step without preceding crash" p)
-                    else begin
-                      match hp.(i - 1) with
-                      | Crash _ -> ()
-                      | _ ->
-                        bad := Some (Fmt.str "p%d: recovery step without preceding crash" p)
-                    end
-                  | Inv _ | Res _ -> ())
-              hp;
-            match !bad with Some m -> Violation m | None -> Ok
-          end)
-        Ok (procs h)
-    in
-    if not (is_ok crash_rule) then crash_rule else check_well_formed (n_of h)
+  let check_recoverable_well_formed (h : t) = check ~recoverable:true h
 end

@@ -19,11 +19,6 @@ val by_object : t -> int -> t
 (** [H|O]: invoke/response steps on [O], crash steps whose crashed
     operation is on [O], and their matching recovery steps. *)
 
-val group_by : (Step.t -> 'k option) -> t -> 'k -> t
-(** [group_by key h] buckets [h]'s steps by [key] in one pass, keeping
-    history order within a bucket and dropping steps keyed [None], and
-    returns the lookup; an absent key maps to the empty history. *)
-
 val n_of : t -> t
 (** [N(H)]: the history with all crash and recovery steps removed. *)
 
@@ -31,9 +26,6 @@ val is_crash_free : t -> bool
 
 val objects : t -> int list
 (** Object ids appearing in the history, sorted. *)
-
-val procs : t -> int list
-(** Process ids appearing in the history, sorted. *)
 
 (** An operation instance extracted from a history. *)
 type op_record = {

@@ -63,8 +63,8 @@ module Memo = Hashtbl.Make (Memo_key)
     in ascending index order, as a scan of all of [ops] would, so the
     search, its memo traffic and its witness do not depend on the
     window. *)
-let check_object ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs (h : History.t) : verdict =
-  let ops = Array.of_list (History.ops_of h) in
+let search ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs ops : verdict =
+  let ops = Array.of_list ops in
   let n = Array.length ops in
   let completed = Array.map (fun (r : History.op_record) -> r.ret <> None) ops in
   let n_completed = Array.fold_left (fun a c -> if c then a + 1 else a) 0 completed in
@@ -147,6 +147,9 @@ let check_object ?(memo = true) ?obs ~(spec : Spec.t) ~nprocs (h : History.t) : 
               !best_progress n_completed)
        with Success w -> Linearizable w)
 
+let check_object ?memo ?obs ~spec ~nprocs (h : History.t) =
+  search ?memo ?obs ~spec ~nprocs (History.ops_of h)
+
 type object_report = {
   obj : int;
   obj_name : string;
@@ -157,24 +160,29 @@ type object_report = {
     locality: the history is linearizable iff each per-object subhistory
     is. *)
 let check_all ?obs ~spec_for ~nprocs (h : History.t) : object_report list =
-  let on_object =
-    History.group_by
-      (function
-        | History.Step.Inv { opref; _ } | History.Step.Res { opref; _ } ->
-          Some opref.History.Step.obj
-        | History.Step.Crash _ | History.Step.Rec _ -> None)
-      h
-  in
-  List.map
-    (fun o ->
-      let events = on_object o in
-      let name =
-        match History.ops_of events with
-        | r :: _ -> r.opref.History.Step.obj_name
-        | [] -> Printf.sprintf "obj%d" o
-      in
-      match spec_for o with
-      | None -> { obj = o; obj_name = name; verdict = None }
-      | Some spec ->
-        { obj = o; obj_name = name; verdict = Some (check_object ?obs ~spec ~nprocs events) })
-    (History.objects h)
+  match History.objects h with
+  | [] -> []
+  | lo :: _ as objects ->
+    (* each object's invocations and responses, in history order, in one
+       pass over [h]; ids are small, so an array indexed by id holds them *)
+    let on_object = Array.make (List.fold_left max lo objects - lo + 1) [] in
+    for i = Array.length h - 1 downto 0 do
+      match h.(i) with
+      | History.Step.Inv { opref; _ } | History.Step.Res { opref; _ } ->
+        let k = opref.History.Step.obj - lo in
+        on_object.(k) <- h.(i) :: on_object.(k)
+      | History.Step.Crash _ | History.Step.Rec _ -> ()
+    done;
+    List.map
+      (fun o ->
+        let ops = History.ops_of (Array.of_list on_object.(o - lo)) in
+        let name =
+          match ops with
+          | r :: _ -> r.opref.History.Step.obj_name
+          | [] -> Printf.sprintf "obj%d" o
+        in
+        match spec_for o with
+        | None -> { obj = o; obj_name = name; verdict = None }
+        | Some spec ->
+          { obj = o; obj_name = name; verdict = Some (search ?obs ~spec ~nprocs ops) })
+      objects

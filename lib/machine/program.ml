@@ -24,9 +24,11 @@ type ctx = {
   args : Nvm.Value.t array;
       (** the operation's arguments; preserved across crashes and passed
           unchanged to the recovery function, per the model *)
-  li_line : int;
+  mutable li_line : int;
       (** [LI_p]: paper line number the crashed operation was about to
-          execute; [-1] if the operation never crashed *)
+          execute; [-1] if the operation never crashed.  The machine keeps
+          one context per frame and refreshes this field before each
+          instruction. *)
 }
 
 type 'a exp = ctx -> Env.t -> 'a

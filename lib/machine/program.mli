@@ -17,9 +17,10 @@ type ctx = {
   args : Nvm.Value.t array;
       (** the operation's arguments; preserved across crashes and passed
           unchanged to the recovery function *)
-  li_line : int;
+  mutable li_line : int;
       (** [LI_p]: the last line of the operation's body that started
-          executing; [-1] before any did *)
+          executing; [-1] before any did.  The machine keeps one context
+          per frame and refreshes this field before each instruction. *)
 }
 
 type 'a exp = ctx -> Env.t -> 'a

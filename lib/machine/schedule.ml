@@ -35,10 +35,14 @@ module Log = (val Logs.src_log src)
 (** Apply one decision.  Raises [Invalid_argument] on an inapplicable
     decision, which indicates a policy bug. *)
 let apply sim d =
-  Log.debug (fun m ->
-      m "%a | %a" pp_decision d
-        Fmt.(array ~sep:sp Sim.pp_proc)
-        (Array.init (Sim.nprocs sim) (Sim.proc sim)));
+  (* the message closure is built only when it will be printed *)
+  (match Logs.Src.level src with
+  | Some Logs.Debug ->
+    Log.debug (fun m ->
+        m "%a | %a" pp_decision d
+          Fmt.(array ~sep:sp Sim.pp_proc)
+          (Array.init (Sim.nprocs sim) (Sim.proc sim)))
+  | _ -> ());
   match d with
   | Dstep p -> Sim.step sim p
   | Dcrash p -> Sim.crash sim p
@@ -105,6 +109,10 @@ module Prng = struct
   let pick t l = List.nth l (int t (List.length l))
 end
 
+(* a uniform draw among the first [k] entries of [a]: the same one
+   [Prng.int] draw that [Prng.pick] makes on a [k]-element list *)
+let pick rng a k = a.(Prng.int rng k)
+
 (** Seeded uniform-random schedule with crash injection.
 
     - With probability [crash_prob], and while fewer than [max_crashes]
@@ -121,6 +129,9 @@ let random ?(crash_prob = 0.0) ?(recover_prob = 0.5) ?(max_crashes = max_int)
   (* decisions queued by a system-wide crash: every live process fails at
      the same point, as in the full-system failure model *)
   let pending = ref [] in
+  (* the four candidate sets, each the prefix of a reused array in
+     ascending pid order; sized on the first decision *)
+  let mid_op = ref [||] and live = ref [||] and crashed = ref [||] and enabled = ref [||] in
   fun sim ->
     match !pending with
     | d :: rest ->
@@ -128,44 +139,52 @@ let random ?(crash_prob = 0.0) ?(recover_prob = 0.5) ?(max_crashes = max_int)
       d
     | [] ->
       let n = Sim.nprocs sim in
-      let live_mid_op =
-        List.filter
-          (fun p -> Sim.can_crash ~mid_op_only:true sim p)
-          (List.init n Fun.id)
-      in
-      let live = List.filter (fun p -> Sim.can_crash sim p) (List.init n Fun.id) in
-      let crashed = List.filter (fun p -> Sim.can_recover sim p) (List.init n Fun.id) in
-      let enabled = List.filter (fun p -> Sim.enabled sim p) (List.init n Fun.id) in
-      if
-        !crashes < max_crashes
-        && live_mid_op <> []
-        && Prng.float rng < system_crash_prob
-      then begin
+      if Array.length !live <> n then begin
+        mid_op := Array.make n 0;
+        live := Array.make n 0;
+        crashed := Array.make n 0;
+        enabled := Array.make n 0
+      end;
+      let mid_op = !mid_op and live = !live and crashed = !crashed and enabled = !enabled in
+      let n_mid = ref 0 and n_live = ref 0 and n_crashed = ref 0 and n_enabled = ref 0 in
+      for p = 0 to n - 1 do
+        if Sim.can_crash ~mid_op_only:true sim p then begin
+          mid_op.(!n_mid) <- p;
+          incr n_mid
+        end;
+        if Sim.can_crash sim p then begin
+          live.(!n_live) <- p;
+          incr n_live
+        end;
+        if Sim.can_recover sim p then begin
+          crashed.(!n_crashed) <- p;
+          incr n_crashed
+        end;
+        if Sim.enabled sim p then begin
+          enabled.(!n_enabled) <- p;
+          incr n_enabled
+        end
+      done;
+      if !crashes < max_crashes && !n_mid > 0 && Prng.float rng < system_crash_prob then begin
         incr crashes;
         if Sim.persist_mode sim = Nvm.Memory.Explicit then
           (* power failure proper: one atomic decision, losing every
              unflushed write (the deterministic adversarial choice —
              exhaustive mask enumeration is the explorer's job) *)
           Dcrash_sys 0
-        else
-          match List.map (fun p -> Dcrash p) live with
-          | [] -> Dhalt
-          | d :: rest ->
-            pending := rest;
-            d
+        else begin
+          pending := List.init (!n_live - 1) (fun i -> Dcrash live.(i + 1));
+          Dcrash live.(0)
+        end
       end
-      else if
-        !crashes < max_crashes
-        && live_mid_op <> []
-        && Prng.float rng < crash_prob
-      then begin
+      else if !crashes < max_crashes && !n_mid > 0 && Prng.float rng < crash_prob then begin
         incr crashes;
-        Dcrash (Prng.pick rng live_mid_op)
+        Dcrash (pick rng mid_op !n_mid)
       end
-      else if crashed <> [] && (enabled = [] || Prng.float rng < recover_prob) then
-        Drecover (Prng.pick rng crashed)
-      else if enabled <> [] then Dstep (Prng.pick rng enabled)
-      else if crashed <> [] then Drecover (Prng.pick rng crashed)
+      else if !n_crashed > 0 && (!n_enabled = 0 || Prng.float rng < recover_prob) then
+        Drecover (pick rng crashed !n_crashed)
+      else if !n_enabled > 0 then Dstep (pick rng enabled !n_enabled)
+      else if !n_crashed > 0 then Drecover (pick rng crashed !n_crashed)
       else Dhalt
 
 (** Replay an explicit decision list, then halt. *)

@@ -40,6 +40,13 @@ type frame = {
   mutable f_env : Env.t;  (** volatile locals *)
   f_dst : string option;  (** parent's local receiving the response *)
   f_call_id : int;
+  f_ctx : Program.ctx;
+      (** the context the frame's expressions read, built when the frame
+          is pushed; its [li_line] is refreshed before each instruction *)
+  f_opref : History.Step.opref;  (** the operation, as history steps name it *)
+  f_strict : Nvm.Memory.addr array option;
+      (** the operation's per-process response cells if it is strict
+          (Definition 1), looked up once at push *)
 }
 
 type status = Ready | Crashed
@@ -272,6 +279,7 @@ let ctx_of t (f : frame) p : Program.ctx =
 let push_frame t pr (inst : Objdef.instance) opname args dst =
   let opdef = Objdef.find_op inst opname in
   let call_id = fresh_call t in
+  let opref = Objdef.opref inst opname in
   let f =
     {
       f_obj = inst;
@@ -284,6 +292,9 @@ let push_frame t pr (inst : Objdef.instance) opname args dst =
       f_env = Env.create ();
       f_dst = dst;
       f_call_id = call_id;
+      f_ctx = { pid = pr.pid; nprocs = Array.length t.procs; args; li_line = -1 };
+      f_opref = opref;
+      f_strict = List.assoc_opt opdef.Objdef.op_name inst.Objdef.strict_cells;
     }
   in
   (match t.trail with
@@ -294,7 +305,7 @@ let push_frame t pr (inst : Objdef.instance) opname args dst =
     Nvm.Trail.push tr (fun () -> pr.stack <- old_stack));
   pr.stack <- f :: pr.stack;
   (match t.obs_m with Some m -> Obs.Metrics.Counter.incr m.sm_invs | None -> ());
-  record t (Inv { pid = pr.pid; opref = Objdef.opref inst opname; args; call_id })
+  record t (Inv { pid = pr.pid; opref; args; call_id })
 
 (* Check Definition 1 instrumentation: did the operation persist its
    response in its designated per-process cell before responding?  The
@@ -303,7 +314,7 @@ let push_frame t pr (inst : Objdef.instance) opname args dst =
    a caller's recovery can tell *which* invocation the persisted response
    belongs to). *)
 let persisted_flag t pr (f : frame) ret =
-  match List.assoc_opt f.f_op.Objdef.op_name f.f_obj.Objdef.strict_cells with
+  match f.f_strict with
   | None -> None
   | Some cells ->
     (* Definition 1 demands the response be *persisted* before the
@@ -343,7 +354,7 @@ let complete_op t pr (f : frame) ret =
     (Res
        {
          pid = pr.pid;
-         opref = Objdef.opref f.f_obj f.f_op.Objdef.op_name;
+         opref = f.f_opref;
          ret;
          call_id = f.f_call_id;
          persisted = persisted_flag t pr f ret;
@@ -378,7 +389,9 @@ let exec_instr t pr (f : frame) =
     raise
       (Stuck
          (Printf.sprintf "p%d: pc %d out of range in %s" pr.pid f.f_pc (Program.name prog)));
-  let ctx = ctx_of t f pr.pid in
+  let ctx = f.f_ctx in
+  (* expressions see LI_p as it was before this instruction *)
+  ctx.li_line <- f.f_li;
   let env = f.f_env in
   (* one combined thunk covers every control-field write this instruction
      can make (pc, LI_p, phase — including [Resume]'s phase switch);
@@ -391,7 +404,6 @@ let exec_instr t pr (f : frame) =
         f.f_pc <- old_pc;
         f.f_li <- old_li;
         f.f_phase <- old_phase));
-  let jump_to line = f.f_pc <- Program.pc_of_line prog line in
   (* LI_p tracks the last body instruction that started executing *)
   (match f.f_phase with
   | Body -> f.f_li <- Program.line_of_pc prog f.f_pc
@@ -425,8 +437,9 @@ let exec_instr t pr (f : frame) =
     (* the parent's pc stays at the Invoke; it advances when the child
        completes, so a crash in between leaves the nesting intact *)
     push_frame t pr inst opname args (Some dst)
-  | Branch_if (c, line) -> if c ctx env then jump_to line else f.f_pc <- f.f_pc + 1
-  | Jump line -> jump_to line
+  | Branch_if (c, line) ->
+    f.f_pc <- (if c ctx env then Program.pc_of_line prog line else f.f_pc + 1)
+  | Jump line -> f.f_pc <- Program.pc_of_line prog line
   | Ret e -> complete_op t pr f (e ctx env)
   | Resume line ->
     (* "proceed from line k": recovery continues executing the operation's
@@ -494,7 +507,7 @@ let crash_proc t (pr : proc) =
   let crashed =
     match pr.stack with
     | [] -> None
-    | f :: _ -> Some (Objdef.opref f.f_obj f.f_op.Objdef.op_name, f.f_call_id)
+    | f :: _ -> Some (f.f_opref, f.f_call_id)
   in
   record t (Crash { pid = pr.pid; crashed });
   pr.status <- Crashed
@@ -653,6 +666,10 @@ let clone t =
       f_env = Env.copy ~junk f.f_env;
       f_dst = f.f_dst;
       f_call_id = f.f_call_id;
+      (* a clone may step on another domain: it gets its own context *)
+      f_ctx = { f.f_ctx with li_line = f.f_ctx.li_line };
+      f_opref = f.f_opref;
+      f_strict = f.f_strict;
     }
   in
   {

@@ -31,6 +31,13 @@ type frame = {
   mutable f_env : Env.t;  (** volatile locals *)
   f_dst : string option;  (** parent's local receiving the response *)
   f_call_id : int;
+  f_ctx : Program.ctx;
+      (** the context the frame's expressions read, built at push; its
+          [li_line] is refreshed before each instruction *)
+  f_opref : History.Step.opref;  (** the operation, as history steps name it *)
+  f_strict : Nvm.Memory.addr array option;
+      (** the operation's per-process response cells if it is strict
+          (Definition 1) *)
 }
 
 type status = Ready | Crashed

@@ -73,15 +73,35 @@ module Timer = struct
   let intervals tm = tm.t_n
 end
 
+(* the bit length of [v] (0 for [v <= 0]), clamped to the last bucket:
+   a binary search in six fixed halvings of the 63-bit word, after which
+   the remaining value is 1 *)
 let bucket_of v =
   if v <= 0 then 0
   else begin
-    let i = ref 0 and v = ref v in
-    while !v <> 0 do
-      incr i;
-      v := !v lsr 1
-    done;
-    min !i (n_buckets - 1)
+    let len = ref 1 and v = ref v in
+    if !v lsr 32 <> 0 then begin
+      len := !len + 32;
+      v := !v lsr 32
+    end;
+    if !v lsr 16 <> 0 then begin
+      len := !len + 16;
+      v := !v lsr 16
+    end;
+    if !v lsr 8 <> 0 then begin
+      len := !len + 8;
+      v := !v lsr 8
+    end;
+    if !v lsr 4 <> 0 then begin
+      len := !len + 4;
+      v := !v lsr 4
+    end;
+    if !v lsr 2 <> 0 then begin
+      len := !len + 2;
+      v := !v lsr 2
+    end;
+    if !v lsr 1 <> 0 then len := !len + 1;
+    min !len (n_buckets - 1)
   end
 
 module Histogram = struct

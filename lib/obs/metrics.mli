@@ -54,6 +54,10 @@ module Timer : sig
   (** Number of intervals recorded. *)
 end
 
+val bucket_of : int -> int
+(** The histogram bucket of a value: its bit length, [0] for [v <= 0],
+    clamped to the last bucket. *)
+
 module Histogram : sig
   val observe : histogram -> int -> unit
   (** Record one value.  Values are bucketed by bit length (bucket [i]

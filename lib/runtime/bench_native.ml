@@ -16,7 +16,9 @@
     (object, impl, mode, width, domains) cell builds a fresh contention
     array of [width] locations, then {!Par.run_for} runs every domain's
     op loop for a fixed wall-clock window behind a two-phase start
-    barrier, counting ops in domain-local counters.  [Contended] picks
+    barrier, counting ops in domain-local counters.  A cell's duration
+    is split into five equal windows; its rate is the median window's,
+    with the minimum and quartiles beside it.  [Contended] picks
     the location per op with a per-domain xorshift; [Uncontended] gives
     each domain its own location ([width >= domains]).  CAS cells count
     {e attempts} (one read + CAS pair per op) — under contention the
@@ -350,6 +352,10 @@ type config = { domains_list : int list; width : int; duration : float }
 
 let default_config = { domains_list = [ 1; 2 ]; width = 1; duration = 0.5 }
 
+(* each throughput cell's duration is timed as this many equal windows;
+   its row reports the median window's rate and the spread *)
+let windows = 5
+
 let throughput_rows ~log cfg =
   List.concat_map
     (fun domains ->
@@ -364,10 +370,15 @@ let throughput_rows ~log cfg =
               in
               let pick = mk_pick ~mode ~domains ~w in
               let body = build ~domains ~w ~pick in
-              let t = Par.run_for ~domains ~duration:cfg.duration body in
+              let ts =
+                Array.init windows (fun _ ->
+                    Par.run_for ~domains ~duration:(cfg.duration /. float_of_int windows) body)
+              in
+              let s = quartiles (Array.map (fun t -> t.Par.t_ops_per_sec) ts) in
+              let sum f = Array.fold_left (fun acc t -> acc + f t) 0 ts in
               log
-                (Printf.sprintf "  %-13s %-11s %-11s w=%-3d d=%-2d %12.0f ops/s"
-                   obj impl (mode_name mode) w domains t.Par.t_ops_per_sec);
+                (Printf.sprintf "  %-13s %-11s %-11s w=%-3d d=%-2d %12.0f ops/s [%.0f, %.0f]"
+                   obj impl (mode_name mode) w domains s.median s.q1 s.q3);
               Obs.Bench.row Native ~section:"T10"
                 (Printf.sprintf "%s %s %s w=%d d=%d" obj impl (mode_name mode) w domains)
                 Obs.Json.
@@ -377,9 +388,12 @@ let throughput_rows ~log cfg =
                     ("mode", Str (mode_name mode));
                     ("width", Int w);
                     ("domains", Int domains);
-                    ("ops", Int t.Par.t_total_ops);
-                    ("seconds", Num t.Par.t_seconds);
-                    ("ops_per_sec", Num t.Par.t_ops_per_sec);
+                    ("ops", Int (sum (fun t -> t.Par.t_total_ops)));
+                    ("seconds", Num (Array.fold_left (fun acc t -> acc +. t.Par.t_seconds) 0. ts));
+                    ("ops_per_sec", Num s.median);
+                    ("ops_per_sec_min", Num s.min);
+                    ("ops_per_sec_q1", Num s.q1);
+                    ("ops_per_sec_q3", Num s.q3);
                   ])
             [ Contended; Uncontended ])
         builders)
@@ -420,8 +434,9 @@ let run ?(log = fun (_ : string) -> ()) cfg =
       log (Printf.sprintf "  %-32s %8.1f ns [%.1f, %.1f]" label d.median d.q1 d.q3))
     win_pairs;
   log
-    (Printf.sprintf "throughput (%gs windows, contended width %d):" cfg.duration
-       cfg.width);
+    (Printf.sprintf
+       "throughput (median [q1, q3] of %d windows per %gs cell, contended width %d):" windows
+       cfg.duration cfg.width);
   let throughput = throughput_rows ~log cfg in
   {
     Obs.Bench.config =

@@ -21,7 +21,7 @@ val latency_thunks : unit -> (string * string * (unit -> unit)) list
 type config = {
   domains_list : int list;  (** worker-domain counts to sweep *)
   width : int;  (** contention-array width of the contended mode *)
-  duration : float;  (** seconds per throughput cell *)
+  duration : float;  (** seconds per throughput cell, timed as five equal windows *)
 }
 
 val default_config : config
@@ -31,8 +31,10 @@ val run : ?log:(string -> unit) -> config -> Obs.Bench.t
     (the median, min and quartiles of its batches in [ns], [ns_min],
     [ns_q1], [ns_q3], and [words] on the hot paths whose allocation is
     counted), then one ["T10"] throughput row per (object, impl, mode,
-    domains) cell.  [log] receives human-readable progress lines as rows
-    complete, among them the recoverable-over-plain overhead of the T1,
+    domains) cell: [ops_per_sec] is the median of five equal windows
+    of the cell's duration, [ops_per_sec_min]/[_q1]/[_q3] their spread,
+    and [ops] and [seconds] the windows' totals.  [log] receives
+    human-readable progress lines as rows complete, among them the recoverable-over-plain overhead of the T1,
     T2 and T12 pairs and the T&S win latencies net of allocation (the
     median and quartiles of per-batch differences, the allocation and
     the win timed in alternating batches). *)

@@ -269,7 +269,12 @@ let test_native_throughput_rows () =
       one_of "mode" [ "contended"; "uncontended" ];
       Alcotest.(check int) "domains" 1 (to_int (member "domains" r));
       Alcotest.(check int) "width" 1 (to_int (member "width" r));
-      Alcotest.(check bool) "ops counted" true (to_int (member "ops" r) > 0))
+      Alcotest.(check bool) "ops counted" true (to_int (member "ops" r) > 0);
+      let v k = to_float (member k r) in
+      Alcotest.(check bool) (str "name" r ^ ": min <= q1 <= median <= q3") true
+        (v "ops_per_sec_min" <= v "ops_per_sec_q1"
+        && v "ops_per_sec_q1" <= v "ops_per_sec"
+        && v "ops_per_sec" <= v "ops_per_sec_q3"))
     throughput;
   (* the 90% inc / 10% read mix, recoverable only *)
   let mix = named "counter 90/10 recoverable contended w=1 d=1" throughput in
