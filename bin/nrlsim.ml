@@ -6,9 +6,11 @@
      explore  - bounded exhaustive schedule exploration of a small instance
      fuzz     - coverage-guided scenario fuzzing with shrinking and the bug zoo
      theorem  - the Theorem 4 analysis (valency, critical configs, refutation)
-     list         - available scenarios
-     bench-native - the native-runtime latency/allocation/throughput suite
-                    (BENCH_native.json, schema nrl-bench/6)
+     list          - available scenarios
+     bench-explore - the simulator and explorer tables and figures
+                     (BENCH_explore.json, schema nrl-bench/6)
+     bench-native  - the native-runtime latency/allocation/throughput suite
+                     (BENCH_native.json, schema nrl-bench/6)
      serve, bench-service - the sharded recoverable-object service *)
 
 open Cmdliner
@@ -212,7 +214,7 @@ let stop_on_signals () =
   Sys.set_signal Sys.sigterm graceful;
   fun () -> Atomic.get stop
 
-(* --json/--out of bench-native and bench-service *)
+(* --json/--out of bench-explore, bench-native and bench-service *)
 let bench_output_term ~example =
   Term.(
     const (fun json out -> (json, out))
@@ -851,6 +853,33 @@ let theorem_cmd =
           candidates)")
     Term.(const run $ const ())
 
+(* bench-explore *)
+let bench_explore_cmd =
+  let tags_arg =
+    let tags = Workload.Bench_explore.tags in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun t -> (t, t)) tags)) []
+      & info [] ~docv:"TAGS"
+          ~doc:
+            ("Sections to run, each " ^ doc_alts tags
+           ^ "; a bare $(b,T) or $(b,F) runs every section with that letter, no tag all of \
+              them."))
+  in
+  let bench tags ((json, _) as output) =
+    let log = if json then fun _ -> () else print_endline in
+    if not json then
+      Format.printf "domains available: %d@." (Domain.recommended_domain_count ());
+    emit_json output (Workload.Bench_explore.run ~log tags)
+  in
+  Cmd.v
+    (Cmd.info "bench-explore"
+       ~doc:
+         ("Simulator and explorer benchmark: solo access counts, exhaustive-search cost \
+           and NRL check cost, one row per measurement (schema "
+         ^ Obs.Bench.schema ^ ")"))
+    Term.(const bench $ tags_arg $ bench_output_term ~example:"BENCH_explore.json")
+
 (* bench-native *)
 let bench_native_cmd =
   let domains_arg =
@@ -1136,6 +1165,7 @@ let () =
             fuzz_cmd;
             theorem_cmd;
             list_cmd;
+            bench_explore_cmd;
             bench_native_cmd;
             serve_cmd;
             bench_service_cmd;

@@ -1,6 +1,6 @@
-(** The one bench document: every [BENCH_*.json] ([bench/main.exe
-    --json], [nrlsim bench-native --json], [nrlsim bench-service
-    --json]) is a {!t} printed by {!Json.to_doc}.
+(** The one bench document: every [BENCH_*.json] ([nrlsim
+    bench-explore], [nrlsim bench-native], [nrlsim bench-service], each
+    with [--json] or [--out]) is a {!t} printed by {!Json.to_doc}.
 
     Schema ["nrl-bench/6"], one top-level object:
 

@@ -215,6 +215,39 @@ let latency_thunks () =
           Atomic.set c.Rcas.c (Enc.pack ~id:1 999);
           fun () -> ignore (Rcas.cas_recover c ~pid:0 ~old:0 ~new_:1 : bool) ))
       [ 2; 4; 8; 16; 32; 64; 128 ]
+  (* F1: recovery latency vs crash position, at every crash point of the
+     operation's path.  Each call re-arms one crash point at position k,
+     runs the interrupted operation, then its recovery: a repeated
+     recovery alone would time the already-recovered path.  T&S is
+     one-shot, so its object is fresh per call; a reused CAS object's
+     last writer is known, so its path has the helping write's point. *)
+  @
+  let cp = Crash.create () in
+  List.init 4 (fun k ->
+      ( "F1", Printf.sprintf "write crash@%d + recover" k,
+        let r = Rrw.create ~nprocs:2 (0, 0) and s = ref 0 in
+        fun () ->
+          incr s;
+          Crash.arm cp k;
+          (try Rrw.write ~cp r ~pid:0 (0, !s) with Crash.Crashed -> ());
+          Rrw.write_recover r ~pid:0 (0, !s) ))
+  @ List.init 5 (fun k ->
+        ( "F1", Printf.sprintf "t&s (fresh) crash@%d + recover" k,
+          fun () ->
+            let t = Rtas.create ~nprocs:1 in
+            Crash.arm cp k;
+            (try ignore (Rtas.test_and_set ~cp t ~pid:0 : int) with Crash.Crashed -> ());
+            ignore (Rtas.recover t ~pid:0 : int) ))
+  @ List.init 3 (fun k ->
+        ( "F1", Printf.sprintf "cas crash@%d + recover" k,
+          let c = Rcas.create ~nprocs:4 0 and s = ref 0 in
+          fun () ->
+            let cur = Rcas.read c in
+            incr s;
+            Crash.arm cp k;
+            (try ignore (Rcas.cas ~cp c ~pid:0 ~old:cur ~new_:!s : bool)
+             with Crash.Crashed -> ());
+            ignore (Rcas.cas_recover c ~pid:0 ~old:cur ~new_:!s : bool) ))
 
 (* recoverable over plain: the pairs whose overhead DESIGN.md section 5's
    T1, T2 and T12 report *)

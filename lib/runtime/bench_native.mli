@@ -16,7 +16,8 @@ val latency_thunks : unit -> (string * string * (unit -> unit)) list
     table or figure the row belongs to (["T1"] register, ["T2"]
     CAS/T&S/FAA, ["T10"] the other hot paths, ["T12"] mutex and
     consensus, ["F3"] the CAS recovery row scan vs N, rows
-    [scan2]..[scan128]). *)
+    [scan2]..[scan128], ["F1"] a crash at each position of WRITE, T&S
+    and CAS followed by its recovery). *)
 
 type config = {
   domains_list : int list;  (** worker-domain counts to sweep *)

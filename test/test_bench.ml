@@ -2,9 +2,11 @@
    producers render must parse as strict JSON with Obs.Json, the parser
    every reader in the repo shares, and carry the keys CI reads; so must
    the three checked-in artifacts.  CI's native latency gate divides by
-   two baselines of BENCH_native.json, pinned here as literals.  Three
-   suites, one per producer: the simulator bench (bench-json), the native
-   suite (bench-native-json) and the service engine (service-json). *)
+   two baselines of BENCH_native.json, pinned here as literals, and the
+   cheap sections of BENCH_explore.json are re-run against their
+   checked-in counts.  Three suites, one per producer: the simulator
+   bench (bench-json), the native suite (bench-native-json) and the
+   service engine (service-json). *)
 
 module B = Obs.Bench
 
@@ -121,7 +123,7 @@ let test_checked_in_explore () =
   let doc = parse (read_file "../BENCH_explore.json") in
   check_header doc;
   let rs = rows doc in
-  (* one producer per number: [bench/main.exe -- T --json] writes the
+  (* one producer per number: [nrlsim bench-explore] writes the
      artifact, and every native row is [nrlsim bench-native]'s *)
   Alcotest.(check bool) "host.ocaml stamped" true (member "ocaml" (member "host" doc) <> Null);
   List.iter
@@ -134,13 +136,38 @@ let test_checked_in_explore () =
   List.iter
     (fun s ->
       if in_section s rs = [] then Alcotest.failf "section %s missing from the artifact" s)
-    [ "T5"; "T6"; "T7"; "T8"; "T9"; "T12" ];
+    [ "T5"; "T6"; "T7"; "T8"; "T9"; "T12"; "F2"; "F5" ];
   (* one native implementation per primitive: no "(poly)" twin rows *)
   List.iter
     (fun r ->
       let name = str "name" r in
       if contains name "(poly)" then Alcotest.failf "poly row %s" name)
     rs
+
+(* the cheap sections, re-run: every count field of every row equals the
+   checked-in row with the same section and name, and no checked-in row
+   of those sections goes unproduced *)
+let test_explore_counts_pinned () =
+  let sections = [ "T5"; "T7"; "T9"; "F5" ] in
+  let key r = (str "section" r, str "name" r) in
+  let checked_in =
+    List.filter
+      (fun r -> List.mem (str "section" r) sections)
+      (rows (parse (read_file "../BENCH_explore.json")))
+  in
+  let live = rows (parse (B.render (Workload.Bench_explore.run sections))) in
+  Alcotest.(check (list (pair string string)))
+    "same rows as the artifact" (List.map key checked_in) (List.map key live);
+  List.iter2
+    (fun want got ->
+      List.iter
+        (fun k ->
+          if has k want || has k got then
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s: %s" (str "section" got) (str "name" got) k)
+              (to_int (member k want)) (to_int (member k got)))
+        [ "accesses"; "nodes"; "terminals"; "dup"; "flushes"; "fences" ])
+    checked_in live
 
 let native_keys = [ "ns"; "ns_min"; "ns_q1"; "ns_q3" ]
 
@@ -295,6 +322,12 @@ let test_native_latency_alloc_rows () =
   Alcotest.(check (list string)) "F3 rows"
     [ "scan2"; "scan4"; "scan8"; "scan16"; "scan32"; "scan64"; "scan128" ]
     (List.map (str "name") (in_section "F3" rs));
+  (* F1's crash-plus-recovery rows, one per crash position *)
+  Alcotest.(check (list string)) "F1 rows"
+    (List.init 4 (Printf.sprintf "write crash@%d + recover")
+    @ List.init 5 (Printf.sprintf "t&s (fresh) crash@%d + recover")
+    @ List.init 3 (Printf.sprintf "cas crash@%d + recover"))
+    (List.map (str "name") (in_section "F1" rs));
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " allocation-free") true
@@ -348,6 +381,8 @@ let suite =
     Alcotest.test_case "explore rows carry mode/rates" `Quick test_explore_rows;
     Alcotest.test_case "empty arrays stay valid JSON" `Quick test_empty_arrays_parse;
     Alcotest.test_case "checked-in BENCH_explore.json parses" `Quick test_checked_in_explore;
+    Alcotest.test_case "cheap sections reproduce the artifact" `Quick
+      test_explore_counts_pinned;
   ]
 
 let native_suite =

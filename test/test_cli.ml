@@ -59,6 +59,8 @@ let test_help_lists_subcommands () =
       "Run the sharded recoverable-object service";
       "bench-service [OPTION]";
       "Crash-adversarial service bench";
+      "bench-explore [--json] [--out=FILE]";
+      "Simulator and explorer benchmark";
       "theorem [OPTION]";
       "Theorem 4 analysis";
     ]
@@ -108,8 +110,8 @@ let test_docs_flags_match_help () =
         let code, out = run_cli [ sub; "--help=plain" ] in
         Alcotest.(check int) (sub ^ " --help exits 0") 0 code;
         extract_flags out)
-      [ "run"; "check"; "explore"; "fuzz"; "theorem"; "bench-native"; "serve";
-        "bench-service"; "list" ]
+      [ "run"; "check"; "explore"; "fuzz"; "theorem"; "bench-explore"; "bench-native";
+        "serve"; "bench-service"; "list" ]
     |> List.sort_uniq compare
     |> List.filter (fun f -> f <> "--version")
   in
@@ -253,6 +255,7 @@ let test_exit_124_cli_errors () =
       [ "fuzz"; "--seeds"; "0" ];
       [ "run"; "register"; "--crash-prob"; "2" ];
       [ "bench-native"; "--duration"; "0" ];
+      [ "bench-explore"; "T99" ];
       [ "explore"; "register"; "--deadline=-1" ];
     ]
   in

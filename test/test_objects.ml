@@ -301,19 +301,22 @@ let test_tas_winner_crash_before_announce () =
   Alcotest.check value "p0 won" (Int 0) v0;
   Alcotest.check value "p1 lost" (Int 1) v1
 
-(* recovery must block while another process is inside the doorway *)
-let test_tas_recovery_blocks () =
-  let sim = Sim.create ~seed:32 ~nprocs:2 () in
+(* Algorithm 3's recovery busy-waits: p0 crashes after its base t&s
+   while every other process has taken [doorway] steps of its own T&S,
+   and p0's solo recovery cannot finish within [budget] steps until the
+   others do *)
+let tas_recovery_blocks ~seed ~nprocs ~doorway ~budget =
+  let sim = Sim.create ~seed ~nprocs () in
   let inst = Objects.Tas_obj.make sim ~name:"T" in
-  for p = 0 to 1 do
+  for p = 0 to nprocs - 1 do
     Sim.set_script sim p [ (inst, "T&S", Sim.Args [||]) ]
   done;
   steps sim 0 7 (* p0 through its base t&s *);
-  steps sim 1 3 (* p1 through line 2 (R[1] := 1): now R[1] = 1 *);
+  for q = 1 to nprocs - 1 do
+    steps sim q doorway
+  done;
   Sim.crash sim 0;
   Sim.recover sim 0;
-  (* p0's recovery alone cannot finish: it awaits R[1] \in {0, >2} *)
-  let budget = 500 in
   let stepped = ref 0 in
   (try
      while !stepped < budget && Sim.results sim 0 = [] do
@@ -321,11 +324,23 @@ let test_tas_recovery_blocks () =
        incr stepped
      done
    with _ -> ());
-  Alcotest.(check bool) "recovery is blocked on p1" true (Sim.results sim 0 = []);
-  (* letting p1 finish unblocks p0 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "n=%d: recovery is blocked on the others" nprocs)
+    true (Sim.results sim 0 = []);
+  (* letting the others finish unblocks p0 *)
   run_rr sim;
   nrl_ok sim;
-  Alcotest.(check bool) "p0 completed after p1" true (Sim.results sim 0 <> [])
+  Alcotest.(check bool)
+    (Printf.sprintf "n=%d: p0 completed after the others" nprocs)
+    true (Sim.results sim 0 <> [])
+
+let test_tas_recovery_blocks () =
+  (* p1 through line 2 (R[1] := 1): p0's recovery awaits R[1] \in {0, >2} *)
+  tas_recovery_blocks ~seed:32 ~nprocs:2 ~doorway:3 ~budget:500;
+  (* F4's configurations: every other process 4 steps into the doorway *)
+  List.iter
+    (fun nprocs -> tas_recovery_blocks ~seed:5 ~nprocs ~doorway:4 ~budget:2000)
+    [ 2; 3; 4; 6 ]
 
 let test_tas_torture () =
   let scen = Workload.Scenarios.tas ~nprocs:4 () in
