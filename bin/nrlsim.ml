@@ -1004,6 +1004,8 @@ let service_mode_conv =
   Arg.enum (List.map (fun m -> (Service.Adversary.mode_name m, m)) Service.Adversary.all_modes)
 
 let pp_service_result ppf (r : Service.Engine.result) =
+  let module H = Obs.Metrics.Histogram in
+  let ms ns = float_of_int ns /. 1e6 in
   Format.fprintf ppf
     "mode %-8s  crashes %d  recoveries %d  retries %d  giveups %d@\n\
     \  requests %d  ok %d  client-retries %d  shed %d  rejected %d  unavailable %d  \
@@ -1016,12 +1018,12 @@ let pp_service_result ppf (r : Service.Engine.result) =
     r.Service.Engine.r_requests r.Service.Engine.r_ok r.Service.Engine.r_retries
     r.Service.Engine.r_shed r.Service.Engine.r_rejected r.Service.Engine.r_unavailable
     r.Service.Engine.r_timeouts r.Service.Engine.r_failures r.Service.Engine.r_throughput
-    (float_of_int (Service.Latency.quantile r.Service.Engine.r_lat 0.5) /. 1e6)
-    (float_of_int (Service.Latency.quantile r.Service.Engine.r_lat 0.99) /. 1e6)
-    (float_of_int (Service.Latency.max_value r.Service.Engine.r_lat) /. 1e6)
-    (float_of_int (Service.Latency.quantile r.Service.Engine.r_recovery 0.5) /. 1e6)
-    (float_of_int (Service.Latency.quantile r.Service.Engine.r_recovery 0.99) /. 1e6)
-    (float_of_int (Service.Latency.max_value r.Service.Engine.r_recovery) /. 1e6)
+    (ms (H.quantile r.Service.Engine.r_lat 0.5))
+    (ms (H.quantile r.Service.Engine.r_lat 0.99))
+    (ms (H.max_value r.Service.Engine.r_lat))
+    (ms (H.quantile r.Service.Engine.r_recovery 0.5))
+    (ms (H.quantile r.Service.Engine.r_recovery 0.99))
+    (ms (H.max_value r.Service.Engine.r_recovery))
     (Service.Engine.shed_rate r)
     (List.length r.Service.Engine.r_violations)
 

@@ -5,9 +5,11 @@ type counter = { mutable c_v : int }
 
 type timer = { mutable t_ns : int; mutable t_n : int }
 
-(* Power-of-two buckets: index = bit length of the value (0 for v <= 0),
-   capped at the array's last slot.  63 slots cover every OCaml int. *)
-let n_buckets = 63
+(* Log-linear buckets: values below [subs] are exact, then [subs] linear
+   sub-buckets per power-of-two octave (~6% relative width).  The 16
+   exact slots and octaves 4 to 61, max_int's, make 944 slots. *)
+let subs = 16
+let n_buckets = (Sys.int_size - 4) * subs
 
 type histogram = {
   mutable h_count : int;
@@ -73,36 +75,47 @@ module Timer = struct
   let intervals tm = tm.t_n
 end
 
-(* the bit length of [v] (0 for [v <= 0]), clamped to the last bucket:
-   a binary search in six fixed halvings of the 63-bit word, after which
-   the remaining value is 1 *)
+(* the bit length of [v > 0]: a binary search in six fixed halvings of
+   the 63-bit word, after which the remaining value is 1 *)
+let bit_length v =
+  let len = ref 1 and v = ref v in
+  if !v lsr 32 <> 0 then begin
+    len := !len + 32;
+    v := !v lsr 32
+  end;
+  if !v lsr 16 <> 0 then begin
+    len := !len + 16;
+    v := !v lsr 16
+  end;
+  if !v lsr 8 <> 0 then begin
+    len := !len + 8;
+    v := !v lsr 8
+  end;
+  if !v lsr 4 <> 0 then begin
+    len := !len + 4;
+    v := !v lsr 4
+  end;
+  if !v lsr 2 <> 0 then begin
+    len := !len + 2;
+    v := !v lsr 2
+  end;
+  if !v lsr 1 <> 0 then len := !len + 1;
+  !len
+
+(* [v] in octave [o] ([2^o <= v < 2^(o+1)], [o >= 4]): the four bits
+   below the leading one select the linear sub-bucket *)
 let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let len = ref 1 and v = ref v in
-    if !v lsr 32 <> 0 then begin
-      len := !len + 32;
-      v := !v lsr 32
-    end;
-    if !v lsr 16 <> 0 then begin
-      len := !len + 16;
-      v := !v lsr 16
-    end;
-    if !v lsr 8 <> 0 then begin
-      len := !len + 8;
-      v := !v lsr 8
-    end;
-    if !v lsr 4 <> 0 then begin
-      len := !len + 4;
-      v := !v lsr 4
-    end;
-    if !v lsr 2 <> 0 then begin
-      len := !len + 2;
-      v := !v lsr 2
-    end;
-    if !v lsr 1 <> 0 then len := !len + 1;
-    min !len (n_buckets - 1)
-  end
+  if v < subs then max v 0
+  else
+    let o = bit_length v - 1 in
+    ((o - 3) * subs) + ((v lsr (o - 4)) land (subs - 1))
+
+(* inclusive upper bound of bucket [i]; [bucket_of (bucket_le i) = i] *)
+let bucket_le i =
+  if i < subs then i
+  else
+    let o = (i / subs) + 3 and sub = i mod subs in
+    ((subs + sub + 1) lsl (o - 4)) - 1
 
 module Histogram = struct
   let observe h v =
@@ -115,15 +128,26 @@ module Histogram = struct
   let count h = h.h_count
   let sum h = h.h_sum
   let max_value h = h.h_max
+  let mean h = if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
+
+  let quantile h q =
+    if h.h_count = 0 then 0
+    else begin
+      let target = int_of_float (Float.ceil (q *. float_of_int h.h_count)) in
+      let target = max 1 (min h.h_count target) in
+      let rec find i acc =
+        let acc = acc + h.h_buckets.(i) in
+        if acc >= target || i = n_buckets - 1 then min (bucket_le i) h.h_max
+        else find (i + 1) acc
+      in
+      find 0 0
+    end
 end
 
 type view =
   | Counter of int
   | Timer of { ns : int; intervals : int }
   | Histogram of { count : int; sum : int; max_value : int; buckets : (int * int) list }
-
-(* bucket i holds values of bit length i: upper (inclusive) bound 2^i - 1 *)
-let bucket_le i = if i = 0 then 0 else (1 lsl i) - 1
 
 let view_of = function
   | C c -> Counter c.c_v
@@ -141,10 +165,10 @@ let to_list t =
   Hashtbl.fold (fun name m acc -> (name, view_of m) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Inverse of [bucket_le]: a serialized upper bound [2^i - 1] has bit
-   length [i], so [bucket_of le] recovers the bucket index exactly.  Out
-   of range (a future format with more buckets) clamps like [bucket_of]
-   does. *)
+(* [bucket_of] inverts [bucket_le], so a serialized upper bound lands in
+   the bucket it came from.  A power-of-two record's bound [2^i - 1] is
+   the top edge of a log-linear bucket, so older traces and checkpoints
+   absorb with every count, sum and max intact. *)
 let absorb ~into name (v : view) =
   match v with
   | Counter n -> Counter.add (counter into name) n

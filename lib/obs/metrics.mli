@@ -1,4 +1,4 @@
-(** A metric registry: monotonic counters, timers and power-of-two
+(** A metric registry: monotonic counters, timers and log-linear
     histograms, designed for single-domain mutation and cross-domain
     aggregation by explicit {!merge}.
 
@@ -14,7 +14,12 @@
     a single unboxed field bump — cheap enough to leave in the machine's
     hot loops behind an [option] match.  Instrumentation never touches
     memory shared between domains, so attaching a registry cannot change
-    the concurrency behaviour of the code under observation. *)
+    the concurrency behaviour of the code under observation.
+
+    {b Histogram buckets.}  Values below 16 are recorded exactly; above,
+    each power-of-two octave splits into 16 linear sub-buckets, so a
+    bucket is at most ~6% wide relative to its values and a quantile is
+    read to that precision.  944 buckets cover every OCaml int. *)
 
 type t
 (** A registry (a mutable name → metric table). *)
@@ -55,18 +60,28 @@ module Timer : sig
 end
 
 val bucket_of : int -> int
-(** The histogram bucket of a value: its bit length, [0] for [v <= 0],
-    clamped to the last bucket. *)
+(** The histogram bucket of a value: the value itself below 16 ([0] for
+    [v <= 0]), else [16 * (o - 3)] plus the four bits below the leading
+    one, where [o] is the value's octave ([2{^o} <= v < 2{^o+1}]). *)
 
 module Histogram : sig
   val observe : histogram -> int -> unit
-  (** Record one value.  Values are bucketed by bit length (bucket [i]
-      holds values in [\[2{^i-1}, 2{^i})], bucket 0 holds [v <= 0]), so
-      a histogram is a few dozen ints however many values it sees. *)
+  (** Record one value into its {!bucket_of} bucket ([v <= 0] lands in
+      bucket 0), so a histogram is a fixed array however many values it
+      sees. *)
 
   val count : histogram -> int
   val sum : histogram -> int
   val max_value : histogram -> int
+
+  val mean : histogram -> float
+  (** [sum / count]; 0 when empty. *)
+
+  val quantile : histogram -> float -> int
+  (** [quantile h q] is an upper bound for the [q]-quantile
+      ([0 < q <= 1]): the inclusive upper edge of the bucket holding
+      rank [ceil (q * count)], clamped to the observed maximum.  0 when
+      empty. *)
 end
 
 (** A read-only snapshot of one metric, for reporting and serialising.
@@ -107,5 +122,7 @@ val absorb : into:t -> string -> view -> unit
     {!to_list} into a fresh registry reproduces the original exactly
     (histogram bucket bounds round-trip because they are the buckets'
     exact upper bounds).  Used to restore persisted metrics from a
-    checkpoint.
+    checkpoint.  A record of the earlier power-of-two buckets (bounds
+    [2{^i} - 1], each the top edge of a log-linear bucket) absorbs with
+    its count, sum and max intact.
     @raise Invalid_argument if [name] exists with a different kind. *)

@@ -56,7 +56,6 @@ let stats_zero () =
     service layer can reuse the exact policy the torture harness pins:
 
     - [No_backoff]: retry immediately (the historical default);
-    - [Fixed n]: [n] [Domain.cpu_relax] spins per retry;
     - [Exp_jitter]: exponential ceiling [base * 2^(attempt-1)] capped at
       [cap], with the actual spin count drawn {e deterministically} from
       the upper half [\[ceiling/2, ceiling)] by hashing [(seed, attempt)]
@@ -64,7 +63,6 @@ let stats_zero () =
       fixed seed still replays the same spin sequence. *)
 type backoff =
   | No_backoff
-  | Fixed of int
   | Exp_jitter of { base : int; cap : int; seed : int }
 
 (* splitmix-style finalizer, kept within OCaml's 63-bit ints; the
@@ -81,7 +79,6 @@ let mix x =
 let backoff_spins strategy ~attempt =
   match strategy with
   | No_backoff -> 0
-  | Fixed n -> max 0 n
   | Exp_jitter { base; cap; seed } ->
     let base = max 1 base in
     let ceiling = min (max 1 cap) (base * (1 lsl min (attempt - 1) 40)) in

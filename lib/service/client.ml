@@ -18,15 +18,15 @@ type config = {
   total_keys : int;
   skew : float;
   deadline_ns : int;
-  read_permille : int;  (** share of reads in the op mix, out of 1000 *)
-  backoff_base_ns : int;
-  backoff_cap_ns : int;
   seed : int;
 }
 
+(* share of reads in the op mix, out of 1000 *)
 let default_read_permille = 250
-let default_backoff_base_ns = 50_000
-let default_backoff_cap_ns = 5_000_000
+
+(* the first retry's backoff ceiling, and the ceiling's cap *)
+let backoff_base_ns = 50_000
+let backoff_cap_ns = 5_000_000
 
 (* session states *)
 let idle = 0
@@ -52,7 +52,6 @@ type t = {
   zipf : Zipf.t;
   stop : bool Atomic.t;
   reg : Obs.Metrics.t;
-  lat : Latency.t;
 }
 
 let create cfg ~shards ~stop =
@@ -62,13 +61,11 @@ let create cfg ~shards ~stop =
     zipf = Zipf.create ~n:cfg.total_keys ~skew:cfg.skew;
     stop;
     reg = Obs.Metrics.create ();
-    lat = Latency.create ();
   }
 
-let backoff_ns t s =
-  let b = t.cfg.backoff_base_ns in
+let backoff_ns s =
   let shift = min (s.attempt - 1) 20 in
-  let ceiling = min t.cfg.backoff_cap_ns (b lsl shift) in
+  let ceiling = min backoff_cap_ns (backoff_base_ns lsl shift) in
   let lo = ceiling / 2 in
   lo + Torture.rng_int s.rng (max 1 (ceiling - lo))
 
@@ -107,7 +104,7 @@ let run t =
     let sh = t.shards.(s.shard) in
     let kind = Robjects.kind_of_key sh.Shard.objs s.key in
     s.op <-
-      (if Torture.rng_int s.rng 1_000 < t.cfg.read_permille then Robjects.Read
+      (if Torture.rng_int s.rng 1_000 < default_read_permille then Robjects.Read
        else
          match kind with
          | Robjects.Counter | Robjects.Cas -> Robjects.Update 0
@@ -128,12 +125,12 @@ let run t =
     | `Unavailable ->
       Obs.Metrics.Counter.incr c_unavailable;
       s.attempt <- s.attempt + 1;
-      s.not_before <- now + backoff_ns t s;
+      s.not_before <- now + backoff_ns s;
       s.st <- backing_off
     | `Rejected ->
       Obs.Metrics.Counter.incr c_rejected;
       s.attempt <- s.attempt + 1;
-      s.not_before <- now + backoff_ns t s;
+      s.not_before <- now + backoff_ns s;
       s.st <- backing_off
   in
   let step s now =
@@ -149,9 +146,7 @@ let run t =
            load must not be retried into the saturation it relieves *)
         if st = Shard.st_ok then begin
           Obs.Metrics.Counter.incr c_ok;
-          let dt = now - s.issued_ns in
-          Latency.observe t.lat dt;
-          Obs.Metrics.Histogram.observe h_lat dt
+          Obs.Metrics.Histogram.observe h_lat (now - s.issued_ns)
         end;
         s.rq <- None;
         s.st <- idle
@@ -161,7 +156,7 @@ let run t =
         s.rq <- None;
         (* abandon and re-submit: at-least-once *)
         s.attempt <- s.attempt + 1;
-        s.not_before <- now + backoff_ns t s;
+        s.not_before <- now + backoff_ns s;
         s.st <- backing_off
       end
     end

@@ -16,23 +16,20 @@ type config = {
   total_keys : int;
   skew : float;  (** Zipf skew over the global key space *)
   deadline_ns : int;  (** per-attempt response deadline *)
-  read_permille : int;  (** share of reads in the op mix, out of 1000 *)
-  backoff_base_ns : int;  (** first retry's backoff ceiling *)
-  backoff_cap_ns : int;  (** backoff ceiling cap *)
   seed : int;
 }
 
 val default_read_permille : int
-val default_backoff_base_ns : int
-val default_backoff_cap_ns : int
+(** Share of reads in the op mix, out of 1000. *)
 
 type t = {
   cfg : config;
   shards : Shard.t array;
   zipf : Zipf.t;
   stop : bool Atomic.t;
-  reg : Obs.Metrics.t;  (** domain-owned registry, merged at the join *)
-  lat : Latency.t;  (** issue-to-ok latency, ns *)
+  reg : Obs.Metrics.t;
+      (** domain-owned registry, merged at the join; its
+          [service.latency_ns] histogram holds issue-to-ok latencies *)
 }
 
 val create : config -> shards:Shard.t array -> stop:bool Atomic.t -> t

@@ -60,8 +60,8 @@ type result = {
   r_timeouts : int;
   r_failures : int;
   r_throughput : float;
-  r_lat : Latency.t;  (** issue-to-ok latency, merged across clients *)
-  r_recovery : Latency.t;  (** kill-to-healthy, merged across shards *)
+  r_lat : Obs.Metrics.histogram;  (** issue-to-ok latency, merged across clients *)
+  r_recovery : Obs.Metrics.histogram;  (** kill-to-healthy, merged across shards *)
   r_violations : violation list;
 }
 
@@ -72,13 +72,14 @@ let shed_rate r =
 let bench c results =
   let open Obs.Json in
   let lat l =
+    let open Obs.Metrics.Histogram in
     Obj
       [
-        ("count", Int (Latency.count l));
-        ("p50_ns", Int (Latency.quantile l 0.5));
-        ("p99_ns", Int (Latency.quantile l 0.99));
-        ("max_ns", Int (Latency.max_value l));
-        ("mean_ns", Num (Latency.mean l));
+        ("count", Int (count l));
+        ("p50_ns", Int (quantile l 0.5));
+        ("p99_ns", Int (quantile l 0.99));
+        ("max_ns", Int (max_value l));
+        ("mean_ns", Num (mean l));
       ]
   in
   let row r =
@@ -181,9 +182,6 @@ let run ?obs ?(watchdog = { Torture.default_watchdog with
             total_keys = keys;
             skew = cfg.skew;
             deadline_ns = int_of_float (cfg.deadline_ms *. 1e6);
-            read_permille = Client.default_read_permille;
-            backoff_base_ns = Client.default_backoff_base_ns;
-            backoff_cap_ns = Client.default_backoff_cap_ns;
             seed = cfg.seed;
           }
           ~shards ~stop:stop_clients)
@@ -228,10 +226,6 @@ let run ?obs ?(watchdog = { Torture.default_watchdog with
   Array.iter (fun (sh : Shard.t) -> Obs.Metrics.merge ~into:reg sh.Shard.reg) shards;
   Array.iter (fun (c : Client.t) -> Obs.Metrics.merge ~into:reg c.Client.reg) clients;
   (match obs with Some into -> Obs.Metrics.merge ~into reg | None -> ());
-  let lat = Latency.create () in
-  Array.iter (fun (c : Client.t) -> Latency.merge ~into:lat c.Client.lat) clients;
-  let recovery = Latency.create () in
-  Array.iter (fun (sh : Shard.t) -> Latency.merge ~into:recovery sh.Shard.recovery_lat) shards;
   let ok = cval reg Obs.Names.service_ok in
   let denom = if cfg.duration > 0.0 then cfg.duration else wall_s in
   {
@@ -251,7 +245,7 @@ let run ?obs ?(watchdog = { Torture.default_watchdog with
     r_timeouts = cval reg Obs.Names.service_timeouts;
     r_failures = cval reg Obs.Names.service_failures;
     r_throughput = (if denom > 0.0 then float_of_int ok /. denom else 0.0);
-    r_lat = lat;
-    r_recovery = recovery;
+    r_lat = Obs.Metrics.histogram reg Obs.Names.service_latency;
+    r_recovery = Obs.Metrics.histogram reg Obs.Names.service_recovery_ns;
     r_violations = check_conservation shards;
   }

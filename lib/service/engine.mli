@@ -47,8 +47,8 @@ type result = {
   r_timeouts : int;
   r_failures : int;
   r_throughput : float;  (** ok responses per second of traffic window *)
-  r_lat : Latency.t;  (** issue-to-ok latency, merged across clients *)
-  r_recovery : Latency.t;  (** kill-to-healthy, merged across shards *)
+  r_lat : Obs.Metrics.histogram;  (** issue-to-ok latency, merged across clients *)
+  r_recovery : Obs.Metrics.histogram;  (** kill-to-healthy, merged across shards *)
   r_violations : violation list;  (** conservation-law violations *)
 }
 

@@ -1,77 +1,7 @@
-(* Log-linear latency histogram: 16 linear sub-buckets per power-of-two
-   octave (~6% relative error per bucket), values below 16 recorded
-   exactly.  A histogram is one flat int array, so per-domain instances
-   merge exactly at the join — quantiles over the merged histogram are
-   deterministic for a deterministic workload. *)
+(* The service records its latencies in [Obs.Metrics] histograms; this
+   alias keeps the [Service.Latency] name that the end-to-end bench
+   (bench/e2e) reads them through. *)
 
-let subs = 16
-let octaves = 60
-let size = octaves * subs
+type t = Obs.Metrics.histogram
 
-type t = {
-  counts : int array;
-  mutable count : int;
-  mutable sum : int;
-  mutable max_v : int;
-}
-
-let create () = { counts = Array.make size 0; count = 0; sum = 0; max_v = 0 }
-
-let bucket v =
-  if v < subs then v
-  else begin
-    let o = ref 4 in
-    while v lsr !o > 1 do incr o done;
-    (* now v in [ 2^o, 2^(o+1) ): top four bits below the leading one
-       select the linear sub-bucket *)
-    let o = !o in
-    ((o - 3) * subs) + ((v lsr (o - 4)) land (subs - 1))
-  end
-
-(* inclusive upper bound of bucket [b] — what [quantile] reports *)
-let bucket_upper b =
-  if b < subs then b
-  else
-    let o = (b / subs) + 3 and sub = b mod subs in
-    ((subs + sub + 1) lsl (o - 4)) - 1
-
-let observe t v =
-  let v = if v < 0 then 0 else v in
-  let b = bucket v in
-  let b = if b >= size then size - 1 else b in
-  t.counts.(b) <- t.counts.(b) + 1;
-  t.count <- t.count + 1;
-  t.sum <- t.sum + v;
-  if v > t.max_v then t.max_v <- v
-
-let count t = t.count
-let sum t = t.sum
-let max_value t = t.max_v
-let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
-
-let quantile t q =
-  if t.count = 0 then 0
-  else begin
-    let target = int_of_float (Float.ceil (q *. float_of_int t.count)) in
-    let target = if target < 1 then 1 else if target > t.count then t.count else target in
-    let acc = ref 0 and i = ref 0 and res = ref t.max_v in
-    (try
-       while !i < size do
-         acc := !acc + t.counts.(!i);
-         if !acc >= target then begin
-           res := min (bucket_upper !i) t.max_v;
-           raise Exit
-         end;
-         incr i
-       done
-     with Exit -> ());
-    !res
-  end
-
-let merge ~into src =
-  for i = 0 to size - 1 do
-    into.counts.(i) <- into.counts.(i) + src.counts.(i)
-  done;
-  into.count <- into.count + src.count;
-  into.sum <- into.sum + src.sum;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
+include Obs.Metrics.Histogram

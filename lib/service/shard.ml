@@ -66,7 +66,6 @@ type t = {
   expected : int array;
   rng : Torture.rng;
   reg : Obs.Metrics.t;
-  recovery_lat : Latency.t;
 }
 
 let create ~sid ~keys ~seed cfg =
@@ -86,7 +85,6 @@ let create ~sid ~keys ~seed cfg =
     expected = Array.make (max 1 keys) 0;
     rng = Torture.rng_create (seed lxor ((sid + 1) * 0x9e3779b9));
     reg = Obs.Metrics.create ();
-    recovery_lat = Latency.create ();
   }
 
 let queue_length t = Atomic.get t.q_len
@@ -189,9 +187,7 @@ let handle_crash t cs inflight =
   let t0 = Obs.Clock.now_ns () in
   Crash.disarm t.cp;
   (match inflight with None -> () | Some rq -> recover_inflight t cs rq);
-  let dt = Obs.Clock.now_ns () - t0 in
-  Latency.observe t.recovery_lat dt;
-  Obs.Metrics.Histogram.observe cs.h_recovery dt;
+  Obs.Metrics.Histogram.observe cs.h_recovery (Obs.Clock.now_ns () - t0);
   Obs.Metrics.Counter.incr cs.c_recoveries;
   (* acknowledge the kill last: the adversary waits on it *)
   Atomic.set t.status healthy;

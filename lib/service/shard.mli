@@ -46,8 +46,9 @@ type t = {
   pending : Robjects.pending;
   expected : int array;  (** per-key committed-effect totals (conservation) *)
   rng : Runtime.Torture.rng;
-  reg : Obs.Metrics.t;  (** worker-owned registry, merged at the join *)
-  recovery_lat : Latency.t;  (** kill-to-healthy times, ns *)
+  reg : Obs.Metrics.t;
+      (** worker-owned registry, merged at the join; its
+          [service.recovery_ns] histogram holds kill-to-healthy times *)
 }
 
 val create : sid:int -> keys:int -> seed:int -> config -> t

@@ -224,6 +224,7 @@ let explore s =
       ("flushes", Int (counter Obs.Names.sim_flushes));
       ("fences", Int (counter Obs.Names.sim_fences));
       ("terminals", Int stats.terminals);
+      ("truncated", Int stats.truncated);
       ("nodes", Int stats.nodes);
       ("dup", Int stats.dup);
     ],

@@ -33,23 +33,21 @@ let run ?(max_steps = 200_000) ?(crash_prob = 0.02) ?(recover_prob = 0.5)
       ~seed:(seed * 7919 + 13) ()
   in
   let outcome = Machine.Schedule.run ~max_steps sim policy in
-  let h = Machine.Sim.history sim in
   let r = Check.nrl sim in
-  let crashes =
-    List.length
-      (List.filter
-         (function History.Step.Crash _ -> true | _ -> false)
-         (History.to_list h))
-  in
+  (* every recorded Crash step bumps its process's crash count *)
+  let crashes = ref 0 in
+  for p = 0 to scenario.nprocs - 1 do
+    crashes := !crashes + Machine.Sim.crash_count sim p
+  done;
   ( sim,
     {
       outcome;
       steps = Machine.Sim.total_steps sim;
-      crashes;
+      crashes = !crashes;
       nrl_ok = Linearize.Nrl.ok r;
       nrl_reason = (if Linearize.Nrl.ok r then None else Some (Linearize.Nrl.explain r));
       strict_violations = List.length (Check.strictness_violations sim);
-      history_len = History.length h;
+      history_len = Machine.Sim.history_length sim;
     } )
 
 type summary = {

@@ -166,7 +166,7 @@ let test_explore_counts_pinned () =
             Alcotest.(check int)
               (Printf.sprintf "%s %s: %s" (str "section" got) (str "name" got) k)
               (to_int (member k want)) (to_int (member k got)))
-        [ "accesses"; "nodes"; "terminals"; "dup"; "flushes"; "fences" ])
+        [ "accesses"; "nodes"; "terminals"; "truncated"; "dup"; "flushes"; "fences" ])
     checked_in live
 
 let native_keys = [ "ns"; "ns_min"; "ns_q1"; "ns_q3" ]

@@ -33,28 +33,47 @@ let test_histogram_buckets () =
   Alcotest.(check int) "max" 1000 (Obs.Metrics.Histogram.max_value h);
   match Obs.Metrics.view reg "h" with
   | Some (Obs.Metrics.Histogram { buckets; _ }) ->
-    (* 0 -> le 0; 1 -> le 1; 2,3 -> le 3; 4 -> le 7; 1000 -> le 1023 *)
+    (* values below 16 are exact; 1000 is in [992, 1023], the last
+       sixteenth of the octave [512, 1023] *)
     Alcotest.(check (list (pair int int)))
       "buckets"
-      [ (0, 1); (1, 1); (3, 2); (7, 1); (1023, 1) ]
-      buckets
+      [ (0, 1); (1, 1); (2, 1); (3, 1); (4, 1); (1023, 1) ]
+      buckets;
+    (* a record of the earlier power-of-two buckets (bounds 2^i - 1, each
+       the top edge of a log-linear bucket), as old traces and
+       checkpoints hold it, absorbs into the same bounds with its count,
+       sum and max intact *)
+    let old_buckets = List.init 63 (fun i -> ((1 lsl i) - 1, i + 1)) in
+    let count = List.fold_left (fun acc (_, n) -> acc + n) 0 old_buckets in
+    let old =
+      Obs.Metrics.Histogram { count; sum = 123_456; max_value = max_int; buckets = old_buckets }
+    in
+    let resumed = Obs.Metrics.create () in
+    Obs.Metrics.absorb ~into:resumed "old" old;
+    Alcotest.(check bool) "power-of-two record absorbs exactly" true
+      (Obs.Metrics.view resumed "old" = Some old)
   | _ -> Alcotest.fail "histogram view missing"
 
-(* [bucket_of] against its definition, the bit length by shifting *)
+(* [bucket_of] against a reference, the bucket loop of the service's
+   former latency histogram: walk up to the value's octave one bit at a
+   time, negatives clamped to 0, indices to its 960 slots *)
 let test_bucket_of () =
-  let by_shifting v =
-    if v <= 0 then 0
-    else begin
-      let i = ref 0 and v = ref v in
-      while !v <> 0 do
-        incr i;
-        v := !v lsr 1
-      done;
-      min !i 62
-    end
+  let reference v =
+    let v = max v 0 in
+    let b =
+      if v < 16 then v
+      else begin
+        let o = ref 4 in
+        while v lsr !o > 1 do
+          incr o
+        done;
+        ((!o - 3) * 16) + ((v lsr (!o - 4)) land 15)
+      end
+    in
+    min b 959
   in
   let check v =
-    Alcotest.(check int) (Printf.sprintf "bucket_of %d" v) (by_shifting v) (Obs.Metrics.bucket_of v)
+    Alcotest.(check int) (Printf.sprintf "bucket_of %d" v) (reference v) (Obs.Metrics.bucket_of v)
   in
   List.iter check [ 0; -1; -2; min_int; max_int; max_int - 1 ];
   for k = 0 to 62 do
@@ -153,7 +172,7 @@ let test_trail_metrics_pinned () =
     Alcotest.(check int) "count" 18976 count;
     Alcotest.(check int) "sum" 35778 sum;
     Alcotest.(check int) "max" 2 max_value;
-    Alcotest.(check (list (pair int int))) "buckets" [ (1, 2174); (3, 16802) ] buckets
+    Alcotest.(check (list (pair int int))) "buckets" [ (1, 2174); (2, 16802) ] buckets
   | _ -> Alcotest.fail "trail.undo.depth missing"
 
 (* the resume axis of the matrix: a search interrupted by a node budget

@@ -47,51 +47,58 @@ let test_zipf_deterministic () =
   Alcotest.(check (list int)) "same seed replays" (seq 42) (seq 42);
   Alcotest.(check bool) "different seeds diverge" true (seq 1 <> seq 2)
 
-(* {2 Latency histogram} *)
+(* {2 Latency histogram}
+
+   The service records latencies in [Obs.Metrics] histograms: one per
+   domain, merged registry-wise at the join. *)
+
+module H = Obs.Metrics.Histogram
+
+let fresh_hist () = Obs.Metrics.histogram (Obs.Metrics.create ()) "h"
 
 let test_latency_quantiles () =
-  let h = Service.Latency.create () in
+  let h = fresh_hist () in
   for v = 1 to 1_000 do
-    Service.Latency.observe h v
+    H.observe h v
   done;
-  Alcotest.(check int) "count" 1_000 (Service.Latency.count h);
-  Alcotest.(check int) "sum" 500_500 (Service.Latency.sum h);
-  Alcotest.(check int) "max" 1_000 (Service.Latency.max_value h);
-  let p50 = Service.Latency.quantile h 0.5 in
+  Alcotest.(check int) "count" 1_000 (H.count h);
+  Alcotest.(check int) "sum" 500_500 (H.sum h);
+  Alcotest.(check int) "max" 1_000 (H.max_value h);
+  let p50 = H.quantile h 0.5 in
   (* an upper bound within one bucket (~6%) of the true quantile *)
   Alcotest.(check bool) "p50 bracketed" true (p50 >= 500 && p50 <= 540);
-  let p99 = Service.Latency.quantile h 0.99 in
+  let p99 = H.quantile h 0.99 in
   Alcotest.(check bool) "p99 bracketed" true (p99 >= 990 && p99 <= 1_024);
-  Alcotest.(check int) "p100 is the max" 1_000 (Service.Latency.quantile h 1.0);
+  Alcotest.(check int) "p100 is the max" 1_000 (H.quantile h 1.0);
   (* small values are exact *)
-  let e = Service.Latency.create () in
-  List.iter (Service.Latency.observe e) [ 3; 3; 7 ];
-  Alcotest.(check int) "exact small p50" 3 (Service.Latency.quantile e 0.5);
-  Alcotest.(check int) "exact small p100" 7 (Service.Latency.quantile e 1.0);
-  Alcotest.(check int) "empty quantile" 0 (Service.Latency.quantile (Service.Latency.create ()) 0.99)
+  let e = fresh_hist () in
+  List.iter (H.observe e) [ 3; 3; 7 ];
+  Alcotest.(check int) "exact small p50" 3 (H.quantile e 0.5);
+  Alcotest.(check int) "exact small p100" 7 (H.quantile e 1.0);
+  Alcotest.(check int) "empty quantile" 0 (H.quantile (fresh_hist ()) 0.99)
 
 let test_latency_merge () =
-  let a = Service.Latency.create () and b = Service.Latency.create () in
-  for v = 1 to 500 do
-    Service.Latency.observe a v
-  done;
-  for v = 501 to 1_000 do
-    Service.Latency.observe b v
-  done;
-  let m = Service.Latency.create () in
-  Service.Latency.merge ~into:m a;
-  Service.Latency.merge ~into:m b;
-  let whole = Service.Latency.create () in
+  let observe_range reg lo hi =
+    let h = Obs.Metrics.histogram reg "h" in
+    for v = lo to hi do
+      H.observe h v
+    done
+  in
+  let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
+  observe_range a 1 500;
+  observe_range b 501 1_000;
+  let merged = Obs.Metrics.create () in
+  Obs.Metrics.merge ~into:merged a;
+  Obs.Metrics.merge ~into:merged b;
+  let m = Obs.Metrics.histogram merged "h" in
+  let whole = fresh_hist () in
   for v = 1 to 1_000 do
-    Service.Latency.observe whole v
+    H.observe whole v
   done;
-  Alcotest.(check int) "merged count" (Service.Latency.count whole) (Service.Latency.count m);
-  Alcotest.(check int) "merged sum" (Service.Latency.sum whole) (Service.Latency.sum m);
-  Alcotest.(check int) "merged max" (Service.Latency.max_value whole) (Service.Latency.max_value m);
-  Alcotest.(check int)
-    "merged p99 = whole p99"
-    (Service.Latency.quantile whole 0.99)
-    (Service.Latency.quantile m 0.99)
+  Alcotest.(check int) "merged count" (H.count whole) (H.count m);
+  Alcotest.(check int) "merged sum" (H.sum whole) (H.sum m);
+  Alcotest.(check int) "merged max" (H.max_value whole) (H.max_value m);
+  Alcotest.(check int) "merged p99 = whole p99" (H.quantile whole 0.99) (H.quantile m 0.99)
 
 (* {2 Per-kind crash drills}
 
