@@ -196,7 +196,6 @@ let analyze ~outcome ~kind ~exhaustive sim0 =
       max_steps = 120;
       max_crashes = 1;
       crash_procs = [ 0 ];
-      crash_mid_op_only = true;
     }
   in
   let violation, explored =

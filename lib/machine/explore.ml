@@ -43,12 +43,9 @@
 type config = {
   max_steps : int;  (** depth bound per branch (guards busy-wait loops) *)
   max_crashes : int;  (** total crash budget across all processes *)
-  crash_procs : int list;  (** processes allowed to crash *)
-  crash_mid_op_only : bool;
-      (** restrict crash steps to processes with a pending operation *)
-  immediate_recovery : bool;
-      (** if set, the only decision after a crash of [p] is [Drecover p]
-          (smaller trees); otherwise recovery interleaves adversarially *)
+  crash_procs : int list;
+      (** processes allowed to crash, each only while it has a pending
+          operation; recovery interleaves adversarially *)
   reduce_local : bool;
       (** partial-order reduction: fire local (non-shared-access)
           transitions eagerly, responses first.  Sound and complete for
@@ -60,8 +57,6 @@ let default_config =
     max_steps = 200;
     max_crashes = 1;
     crash_procs = [];
-    crash_mid_op_only = true;
-    immediate_recovery = false;
     reduce_local = true;
   }
 
@@ -85,79 +80,70 @@ let auto_jobs () = max 1 (Domain.recommended_domain_count ())
 let decisions cfg ~sym ~crashes sim =
   let n = Sim.nprocs sim in
   let all = List.init n Fun.id in
-  let crashed = List.filter (fun p -> Sim.can_recover sim p) all in
-  if cfg.immediate_recovery && crashed <> [] then
-    List.map (fun p -> Schedule.Drecover p) crashed
-  else begin
-    let crashes_d =
-      if crashes >= cfg.max_crashes then []
-      else if Sim.persist_mode sim = Nvm.Memory.Explicit then
-        (* Explicit-persist mode: crashes are full-system (power failure).
-           An individual process crash cannot lose cache contents — the
-           shared volatile cache is hardware — so only the simultaneous
-           failure of every process exercises persistence nondeterminism.
-           One decision per subset of the currently-dirty cells (bit i =
-           the i-th dirty cell in address order reaches the medium); mask
-           0 — lose every unflushed write — comes first, so violation
-           searches hit the adversarial case early. *)
-        if
-          cfg.crash_procs <> []
-          && List.exists
-               (fun p -> Sim.can_crash ~mid_op_only:cfg.crash_mid_op_only sim p)
-               cfg.crash_procs
-        then
-          let k = List.length (Nvm.Memory.pending (Sim.mem sim)) in
-          List.init (1 lsl k) (fun m -> Schedule.Dcrash_sys m)
-        else []
-      else
-        List.filter_map
-          (fun p ->
-            if Sim.can_crash ~mid_op_only:cfg.crash_mid_op_only sim p then
-              Some (Schedule.Dcrash p)
-            else None)
-          cfg.crash_procs
-    in
-    let locals =
-      if cfg.reduce_local then
-        List.filter (fun p -> Sim.enabled sim p && Sim.next_is_local sim p) all
+  let crashes_d =
+    if crashes >= cfg.max_crashes then []
+    else if Sim.persist_mode sim = Nvm.Memory.Explicit then
+      (* Explicit-persist mode: crashes are full-system (power failure).
+         An individual process crash cannot lose cache contents — the
+         shared volatile cache is hardware — so only the simultaneous
+         failure of every process exercises persistence nondeterminism.
+         One decision per subset of the currently-dirty cells (bit i =
+         the i-th dirty cell in address order reaches the medium); mask
+         0 — lose every unflushed write — comes first, so violation
+         searches hit the adversarial case early. *)
+      if List.exists (fun p -> Sim.can_crash ~mid_op_only:true sim p) cfg.crash_procs then
+        let k = List.length (Nvm.Memory.pending (Sim.mem sim)) in
+        List.init (1 lsl k) (fun m -> Schedule.Dcrash_sys m)
       else []
+    else
+      List.filter_map
+        (fun p -> if Sim.can_crash ~mid_op_only:true sim p then Some (Schedule.Dcrash p) else None)
+        cfg.crash_procs
+  in
+  let locals =
+    if cfg.reduce_local then
+      List.filter (fun p -> Sim.enabled sim p && Sim.next_is_local sim p) all
+    else []
+  in
+  match locals with
+  | _ :: _ ->
+    (* fire one local transition deterministically (responses first);
+       crash decisions are still offered so every crash position is
+       reachable *)
+    let cands =
+      match List.filter (fun p -> Sim.next_is_ret sim p) locals with
+      | _ :: _ as rets -> rets
+      | [] -> locals
     in
-    match locals with
-    | _ :: _ ->
-      (* fire one local transition deterministically (responses first);
-         crash decisions are still offered so every crash position is
-         reachable *)
-      let cands =
-        match List.filter (fun p -> Sim.next_is_ret sim p) locals with
-        | _ :: _ as rets -> rets
-        | [] -> locals
-      in
-      if not sym then Schedule.Dstep (List.hd cands) :: crashes_d
-      else begin
-        (* under symmetry reduction the choice must be equivariant:
-           picking the lowest pid does not commute with pid
-           permutations, so two isomorphic configurations could explore
-           non-isomorphic subtrees and the quotient would miss states.
-           Instead rank candidates by a pid-erased hash of their local
-           state — invariant under every permutation — and branch on
-           {e all} ties (a sound superset of any single equivariant
-           pick). *)
-        let scored = List.map (fun p -> (Fingerprint.erased_proc_hash sim p, p)) cands in
-        let best = List.fold_left (fun a (h, _) -> min a h) max_int scored in
-        List.filter_map
-          (fun (h, p) -> if h = best then Some (Schedule.Dstep p) else None)
-          scored
-        @ crashes_d
-      end
-    | [] ->
-      let steps =
-        List.filter_map
-          (fun p -> if Sim.enabled sim p then Some (Schedule.Dstep p) else None)
-          all
-      in
-      let recoveries = List.map (fun p -> Schedule.Drecover p) crashed in
-      steps @ recoveries @ crashes_d
-  end
+    if not sym then Schedule.Dstep (List.hd cands) :: crashes_d
+    else begin
+      (* under symmetry reduction the choice must be equivariant:
+         picking the lowest pid does not commute with pid
+         permutations, so two isomorphic configurations could explore
+         non-isomorphic subtrees and the quotient would miss states.
+         Instead rank candidates by a pid-erased hash of their local
+         state — invariant under every permutation — and branch on
+         {e all} ties (a sound superset of any single equivariant
+         pick). *)
+      let scored = List.map (fun p -> (Fingerprint.erased_proc_hash sim p, p)) cands in
+      let best = List.fold_left (fun a (h, _) -> min a h) max_int scored in
+      List.filter_map
+        (fun (h, p) -> if h = best then Some (Schedule.Dstep p) else None)
+        scored
+      @ crashes_d
+    end
+  | [] ->
+    let steps =
+      List.filter_map
+        (fun p -> if Sim.enabled sim p then Some (Schedule.Dstep p) else None)
+        all
+    in
+    let recoveries =
+      List.filter_map
+        (fun p -> if Sim.can_recover sim p then Some (Schedule.Drecover p) else None)
+        all
+    in
+    steps @ recoveries @ crashes_d
 
 (* terminal: every process either completed its script or is down for
    good (a crash may be a process's last step, per Definition 3) *)

@@ -48,18 +48,15 @@
 type config = {
   max_steps : int;  (** depth bound per branch (guards busy-wait loops) *)
   max_crashes : int;  (** total crash budget across all processes *)
-  crash_procs : int list;  (** processes allowed to crash *)
-  crash_mid_op_only : bool;
-      (** restrict crash steps to processes with a pending operation *)
-  immediate_recovery : bool;
-      (** if set, the only decision after a crash of [p] is recovering
-          [p] (smaller trees, weaker adversary) *)
+  crash_procs : int list;
+      (** processes allowed to crash, each only while it has a pending
+          operation; recovery interleaves adversarially *)
   reduce_local : bool;  (** the partial-order reduction; on by default *)
 }
 
 val default_config : config
 (** 200 steps, 1 crash, no crashing processes (set [crash_procs]),
-    mid-operation crashes only, adversarial recovery, reduction on. *)
+    reduction on. *)
 
 type stats = {
   mutable terminals : int;

@@ -95,8 +95,8 @@ let catalogue =
     (checker_memo_misses, Counter, true, "WGL search nodes expanded");
     (nrl_inc_steps, Counter, true, "history steps folded into the incremental automaton");
     (nrl_inc_res_transitions, Counter, true, "response-step closures run (computed or replayed from the transition memo)");
-    (nrl_inc_memo_hits, Counter, true, "closure nodes skipped by the per-event memo");
-    (nrl_inc_memo_misses, Counter, true, "closure nodes expanded");
+    (nrl_inc_memo_hits, Counter, false, "closure nodes skipped by the per-event memo");
+    (nrl_inc_memo_misses, Counter, false, "closure nodes expanded");
     (nrl_inc_closures, Counter, false, "response-step closures computed (transition-memo misses)");
     (fuzz_runs, Counter, true, "fuzz scenarios executed (campaign runs plus shrink re-runs)");
     (fuzz_new_coverage, Counter, true, "state fingerprints visited for the first time in the campaign");

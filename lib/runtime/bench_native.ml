@@ -107,20 +107,20 @@ let latency_thunks () =
   [
     (* T1: Algorithm 1 register *)
     ( "T1", "plain write",
-      let r = Rrw.Plain.create (0, 0) and s = ref 0 in
+      let r = Rrw.Plain.create 0 and s = ref 0 in
       fun () ->
         incr s;
-        Rrw.Plain.write r (0, !s) );
+        Rrw.Plain.write r !s );
     ( "T1", "recoverable write",
-      let r = Rrw.create ~nprocs:lat_nprocs (0, 0) and s = ref 0 in
+      let r = Rrw.create ~nprocs:lat_nprocs 0 and s = ref 0 in
       fun () ->
         incr s;
-        Rrw.write r ~pid:0 (0, !s) );
+        Rrw.write r ~pid:0 !s );
     ( "T1", "plain read",
-      let r = Rrw.Plain.create (0, 0) in
+      let r = Rrw.Plain.create 0 in
       fun () -> ignore (Sys.opaque_identity (Rrw.Plain.read r)) );
     ( "T1", "recoverable read",
-      let r = Rrw.create ~nprocs:lat_nprocs (0, 0) in
+      let r = Rrw.create ~nprocs:lat_nprocs 0 in
       fun () -> ignore (Sys.opaque_identity (Rrw.read r)) );
     (* T2: Algorithms 2 and 3, and the objects built on strict CAS *)
     ( "T2", "plain cas",
@@ -225,12 +225,12 @@ let latency_thunks () =
   let cp = Crash.create () in
   List.init 4 (fun k ->
       ( "F1", Printf.sprintf "write crash@%d + recover" k,
-        let r = Rrw.create ~nprocs:2 (0, 0) and s = ref 0 in
+        let r = Rrw.create ~nprocs:2 0 and s = ref 0 in
         fun () ->
           incr s;
           Crash.arm cp k;
-          (try Rrw.write ~cp r ~pid:0 (0, !s) with Crash.Crashed -> ());
-          Rrw.write_recover r ~pid:0 (0, !s) ))
+          (try Rrw.write ~cp r ~pid:0 !s with Crash.Crashed -> ());
+          Rrw.write_recover r ~pid:0 !s ))
   @ List.init 5 (fun k ->
         ( "F1", Printf.sprintf "t&s (fresh) crash@%d + recover" k,
           fun () ->
@@ -276,6 +276,7 @@ let win_pairs =
    (three small blocks per push+pop pair, reported honestly) *)
 let alloc_names =
   [
+    "recoverable write";
     "recoverable cas";
     "recoverable faa";
     "recoverable counter inc";

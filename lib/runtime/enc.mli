@@ -13,14 +13,9 @@ val max_procs : int
 (** Process ids must fit 13 bits (stack stamps append them to a
     sequence number). *)
 
-val value_min : int
-
-val value_max : int
-(** Values live in [value_min .. value_max] (48-bit signed); {!pack}
-    truncates silently, so callers of the Int objects must stay in
-    range. *)
-
 val fits : int -> bool
+(** Whether a value fits the 48-bit signed range; {!pack} truncates
+    silently, so callers of the packed objects must stay in range. *)
 
 val pack : id:int -> int -> int
 val value : int -> int

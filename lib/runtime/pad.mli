@@ -15,9 +15,6 @@
       line, with index 0 sacrificed so no slot shares a line with the
       array header. *)
 
-val line_words : int
-(** Words per x86-64 cache line (8 × 8 bytes = 64 B). *)
-
 val make_int : int -> int Atomic.t
 (** A cache-line-padded int atomic. *)
 
@@ -25,7 +22,8 @@ val make_any : 'a -> 'a Atomic.t
 (** A cache-line-padded atomic of any type. *)
 
 val stride : int
-(** Element stride (in array slots) of flat padded arrays. *)
+(** Element stride (in array slots) of flat padded arrays: the words of
+    one x86-64 cache line (8 × 8 bytes = 64 B). *)
 
 val slot : int -> int
 (** Backing index of logical slot [i] in a {!flat_make} array. *)

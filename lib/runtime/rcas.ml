@@ -39,27 +39,29 @@ let create ~nprocs init =
   Enc.check_nprocs nprocs;
   { c = Pad.make_int (pack ~id:(-1) init); r = Pad.flat2_make nprocs Enc.none; nprocs }
 
-let[@inline] read_cp cp t =
+let[@inline] read_content_cp cp t =
   point cp;
-  value (Atomic.get t.c)  (* line 10 *)
+  Atomic.get t.c  (* line 2 / line 10 *)
 
+let[@inline] read_cp cp t = value (read_content_cp cp t)
 let read ?(cp = Crash.none) t = read_cp cp t
 let read_recover ?(cp = Crash.none) t = read_cp cp t
 
-let cas_cp cp t ~pid ~old ~new_ =
-  point cp;
-  let content = Atomic.get t.c in  (* line 2 *)
-  let v = value content in
-  if v <> old then false  (* lines 3-4 *)
-  else begin
-    let id = id_of content in
-    if id >= 0 then begin
-      point cp;
-      t.r.(slot2 ~n:t.nprocs id pid) <- v  (* lines 5-6, plain help write *)
-    end;
+(* lines 5-8 from a content previously read: the help write, then the
+   CAS from exactly that content.  Retry loops ({!Rfaa}, through
+   {!Rscas}) call this with the content their attempt read. *)
+let[@inline] cas_content_cp cp t ~pid ~content ~new_ =
+  let id = id_of content in
+  if id >= 0 then begin
     point cp;
-    Atomic.compare_and_set t.c content (pack ~id:pid new_)  (* lines 7-8 *)
-  end
+    t.r.(slot2 ~n:t.nprocs id pid) <- value content  (* lines 5-6, plain help write *)
+  end;
+  point cp;
+  Atomic.compare_and_set t.c content (pack ~id:pid new_)  (* lines 7-8 *)
+
+let[@inline] cas_cp cp t ~pid ~old ~new_ =
+  let content = read_content_cp cp t in
+  value content = old && cas_content_cp cp t ~pid ~content ~new_  (* lines 3-4 *)
 
 let cas_recover_cp cp t ~pid ~old ~new_ =
   point cp;

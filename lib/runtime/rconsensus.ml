@@ -11,7 +11,7 @@
 
     The response slots are {e plain} padded slots, not atomics: only
     process [p] writes and reads its own pair, and its recovery runs on
-    the same domain (the {!Rrw.Int} argument).  Only the decision cell
+    the same domain (the {!Rrw} argument).  Only the decision cell
     is shared, and it is an atomic.
 
     Proposals must not equal {!Enc.none}; sequence numbers must be

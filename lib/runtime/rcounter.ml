@@ -1,16 +1,17 @@
 (** Algorithm 4 on real multicore: recoverable counter nested on {!Rrw}
-    recoverable registers ({!Rrw.Int}).
+    recoverable registers.
 
-    INC reads and rewrites the caller's own register through the
-    recoverable operations; READ sums all registers and persists its
-    response in [Res_p] before returning (strict).  INC keeps its own
-    [LI_p] — "had the nested WRITE of line 4 started, and with which
-    value?" — in an owner-only word next to the register's [S_p] slot:
-    [0] at invocation, [(v lsl 1) lor 1] once the WRITE of [v] is
-    invoked (stored before the WRITE's first crash point).  So
-    [inc_recover] needs nothing but the process id: it either
-    re-executes (lines 7-8) or recovers the nested WRITE with [v] and
-    returns (line 10), as the paper's system cascade would.
+    INC reads and rewrites the caller's own register by calling the
+    register's own READ and WRITE ({!Rrw.read_cp}, {!Rrw.write_cp});
+    READ sums all registers and persists its response in [Res_p] before
+    returning (strict).  INC keeps its own [LI_p] — "had the nested
+    WRITE of line 4 started, and with which value?" — in an owner-only
+    word next to the register's [S_p] slot: [0] at invocation,
+    [(v lsl 1) lor 1] once the WRITE of [v] is invoked (stored before
+    the WRITE's first crash point).  So [inc_recover] needs nothing but
+    the process id: it either re-executes (lines 7-8) or runs the nested
+    WRITE's own recovery with [v] and returns (line 10), as the paper's
+    system cascade would.
 
     Each per-process register is a cache-line-padded atomic (no two
     processes' INC targets share a line), with the registers' owner-only
@@ -26,7 +27,7 @@ let[@inline] point (cp : Crash.t) = if cp.Crash.live then Crash.slow_point cp
 let[@inline] slot p = (p + 1) lsl 3
 
 type t = {
-  regs : Rrw.Int.t array;  (** R[p], padded single-writer registers *)
+  regs : Rrw.t array;  (** R[p], padded single-writer registers *)
   res : int array;  (** plain padded Res_p slots; -1 = none *)
   nprocs : int;
 }
@@ -34,7 +35,7 @@ type t = {
 let create ~nprocs =
   Enc.check_nprocs nprocs;
   {
-    regs = Array.init nprocs (fun _ -> Rrw.Int.create ~nprocs 0);
+    regs = Array.init nprocs (fun _ -> Rrw.create ~nprocs 0);
     res = Pad.flat_make nprocs (-1);
     nprocs;
   }
@@ -43,25 +44,12 @@ let create ~nprocs =
    register, which INC already writes *)
 let[@inline] li_slot pid = slot pid + 1
 
-(* the nested register's READ + WRITE steps are inlined (under -opaque
-   each [Rrw.Int] call would be an indirect [caml_apply]); the
-   crash-point sequence is identical to the call-based version *)
 let[@inline] inc_cp cp t ~pid =
   let reg = t.regs.(pid) in
-  reg.Rrw.Int.s.(li_slot pid) <- 0;
-  point cp;
-  let temp = Atomic.get reg.Rrw.Int.r in  (* line 2: nested READ *)
-  let v = temp + 1 in
-  (* lines 3-4: nested WRITE (Algorithm 1 lines 2-5), invoked with [v] *)
-  reg.Rrw.Int.s.(li_slot pid) <- (v lsl 1) lor 1;
-  point cp;
-  let prev = Atomic.get reg.Rrw.Int.r in
-  point cp;
-  reg.Rrw.Int.s.(slot pid) <- (prev lsl 1) lor 1;
-  point cp;
-  Atomic.set reg.Rrw.Int.r v;
-  point cp;
-  reg.Rrw.Int.s.(slot pid) <- v lsl 1
+  reg.Rrw.s.(li_slot pid) <- 0;
+  let v = Rrw.read_cp cp reg + 1 in  (* line 2 *)
+  reg.Rrw.s.(li_slot pid) <- (v lsl 1) lor 1;
+  Rrw.write_cp cp reg ~pid v  (* lines 3-4 *)
 
 let inc ?(cp = Crash.none) t ~pid = inc_cp cp t ~pid
 
@@ -69,15 +57,14 @@ let inc ?(cp = Crash.none) t ~pid = inc_cp cp t ~pid
    7-8); otherwise run the WRITE's recovery with its persisted argument,
    then return (line 10) *)
 let inc_recover ?(cp = Crash.none) t ~pid =
-  let li = t.regs.(pid).Rrw.Int.s.(li_slot pid) in
-  if li land 1 = 0 then inc_cp cp t ~pid
-  else Rrw.Int.write_recover_cp cp t.regs.(pid) ~pid (li asr 1)
+  let reg = t.regs.(pid) in
+  let li = reg.Rrw.s.(li_slot pid) in
+  if li land 1 = 0 then inc_cp cp t ~pid else Rrw.write_recover_cp cp reg ~pid (li asr 1)
 
 let read_cp cp t ~pid =
   let val_ = ref 0 in
   for i = 0 to t.nprocs - 1 do
-    point cp;
-    val_ := !val_ + Atomic.get t.regs.(i).Rrw.Int.r  (* lines 12-14 *)
+    val_ := !val_ + Rrw.read_cp cp t.regs.(i)  (* lines 12-14 *)
   done;
   point cp;
   t.res.(slot pid) <- !val_;  (* line 15, owner-only plain slot *)

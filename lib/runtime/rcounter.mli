@@ -1,9 +1,10 @@
 (** Algorithm 4 on real multicore: recoverable counter nested on
-    {!Rrw.Int} recoverable registers.  [read] is strict (persists its
-    response in [Res_p] before returning).  INC keeps its own [LI_p]
-    (whether its nested WRITE started, and with which value), so its
-    recovery needs only the process id.  Padded per-process registers,
-    plain padded [S_p]/[LI_p]/[Res_p] slots; INC allocates nothing. *)
+    {!Rrw} recoverable registers, whose READ, WRITE and WRITE.RECOVER it
+    calls.  [read] is strict (persists its response in [Res_p] before
+    returning).  INC keeps its own [LI_p] (whether its nested WRITE
+    started, and with which value), so its recovery needs only the
+    process id.  Padded per-process registers, plain padded
+    [S_p]/[LI_p]/[Res_p] slots; INC allocates nothing. *)
 
 type t
 

@@ -21,17 +21,13 @@
     Allocation-free on the crash-free path. *)
 
 (* Local [@inline] copies of the hot one-liners: dev builds compile with
-   -opaque, which turns every cross-module call (Crash.point, the Pad
-   slot arithmetic, the Enc packing) into an indirect call through the
-   module block, so the shared definitions cannot inline here.  Mirror
-   crash.ml / pad.ml / enc.ml exactly. *)
+   -opaque, which turns every cross-module call (Crash.point, Pad.slot,
+   Enc.value) into an indirect call through the module block, so the
+   shared definitions cannot inline here.  Mirror crash.ml / pad.ml /
+   enc.ml exactly. *)
 let[@inline] point (cp : Crash.t) = if cp.Crash.live then Crash.slow_point cp
 let[@inline] slot p = (p + 1) lsl 3
-let[@inline] slot2 ~n row col = ((row * n) + col + 1) lsl 3
-let[@inline] pack ~id v = ((id + 1) lsl 48) lor (v land ((1 lsl 48) - 1))
 let[@inline] value c = (c lsl 15) asr 15
-let[@inline] id_of c = (c lsr 48) - 1
-let[@inline] res_pack ~seq ret = (seq lsl 1) lor (if ret then 1 else 0)
 
 type t = {
   c : Rscas.t;
@@ -48,17 +44,14 @@ let create ~nprocs ?(init = 0) () =
   done;
   { c = Rscas.create ~nprocs init; meta }
 
-let read ?(cp = Crash.none) t = Rscas.read_cp cp t.c
+let read ?cp t = Rscas.read ?cp t.c
 
 (* One attempt per loop iteration: bump and persist the tag (the commit
    point), record <seq, value read> in [att], run the strict CAS tagged
-   with it, and on success record <seq, response> in [own].  The attempt
-   is inlined into the retry loop (returning [Some v] from a helper
-   would be the hot path's only allocation), and so is the nested
-   strict-CAS step ([Rscas.read_content] + [Rscas.cas_content] with its
-   response persist): under -opaque each [Rscas] call would be an
-   indirect [caml_apply].  The crash-point sequence is identical to the
-   call-based version. *)
+   with it — the nested object's own READ-content and CAS — and on
+   success record <seq, response> in [own].  The attempt is inlined into
+   the retry loop: returning [Some v] from a helper would be the hot
+   path's only allocation. *)
 let rec faa_cp cp t ~pid delta =
   let b = slot pid in
   t.meta.(b + 5) <- 0;
@@ -67,23 +60,12 @@ let rec faa_cp cp t ~pid delta =
   point cp;
   t.meta.(b) <- s;
   t.meta.(b + 5) <- 1;
-  let sc = t.c in
-  point cp;
-  let content = Atomic.get sc.Rscas.c in
+  let content = Rscas.read_content_cp cp t.c in
   let v = value content in
   point cp;
   t.meta.(b + 2) <- v;
   t.meta.(b + 1) <- s;
-  let id = id_of content in
-  if id >= 0 then begin
-    point cp;
-    sc.Rscas.r.(slot2 ~n:sc.Rscas.nprocs id pid) <- v
-  end;
-  point cp;
-  let ok = Atomic.compare_and_set sc.Rscas.c content (pack ~id:pid (v + delta)) in
-  point cp;
-  sc.Rscas.res.(slot pid) <- res_pack ~seq:s ok;
-  if ok then begin
+  if Rscas.cas_content_cp cp t.c ~pid ~content ~new_:(v + delta) ~seq:s then begin
     point cp;
     t.meta.(b + 4) <- v;
     t.meta.(b + 3) <- s;

@@ -15,7 +15,7 @@
     slots, not atomics: they are written and read only by process [p]
     itself (recovery runs on the same domain — a crash is an in-domain
     exception), so no cross-domain visibility is required and each write
-    costs a plain store instead of a fenced one (the {!Rrw.Int}
+    costs a plain store instead of a fenced one (the {!Rrw}
     argument).  Only the lock word is shared, and it is an atomic.
 
     Sequence numbers must be non-negative, distinct per process, and

@@ -20,7 +20,7 @@
     plain padded int slots (owner-only / helping-publication arguments
     as in rcas.ml).  Stamp equality replaces structural content
     comparison everywhere, so evidence checks are integer compares.
-    Responses are packed ints ({!resp_pushed}, {!resp_empty},
+    Responses are packed ints ([resp_pushed], [resp_empty],
     [Popped v] = [(v lsl 2) lor 2]); a push+pop pair allocates three
     small blocks (node + two heads) and nothing else. *)
 

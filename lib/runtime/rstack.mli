@@ -21,12 +21,9 @@ type t = {
   nprocs : int;
 }
 
-val resp_pushed : int
-val resp_empty : int
-val resp_popped : int -> int
-
 val decode : int -> response
-(** Unpack a response for assertions/pretty-printing (allocates for
+(** Unpack a packed response ([0] pushed, [1] empty, [(v lsl 2) lor 2]
+    popped [v]) for assertions/pretty-printing (allocates for
     [Popped]). *)
 
 val create : nprocs:int -> unit -> t

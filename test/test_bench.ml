@@ -198,7 +198,7 @@ let test_checked_in_native () =
     (fun name ->
       Alcotest.(check bool) (name ^ " allocation-free") true
         (to_float (member "words" (named name rs)) = 0.))
-    [ "recoverable cas"; "recoverable faa"; "recoverable counter inc" ]
+    [ "recoverable write"; "recoverable cas"; "recoverable faa"; "recoverable counter inc" ]
 
 (* CI's latency gate divides by these two baselines: converting or
    regenerating the artifact must not move them silently *)
@@ -332,7 +332,7 @@ let test_native_latency_alloc_rows () =
     (fun name ->
       Alcotest.(check bool) (name ^ " allocation-free") true
         (to_float (member "words" (named name rs)) = 0.))
-    [ "recoverable cas"; "recoverable faa"; "recoverable counter inc" ];
+    [ "recoverable write"; "recoverable cas"; "recoverable faa"; "recoverable counter inc" ];
   Alcotest.(check bool) "stack allocation documented" true
     (to_float (member "words" (named "recoverable stack push+pop" rs)) = 9.)
 

@@ -43,7 +43,6 @@ let test_unreduced_enumeration_larger () =
       Explore.default_config with
       max_steps = 40;
       max_crashes = 0;
-      crash_procs = [];
       reduce_local = false;
     }
   in
@@ -79,7 +78,6 @@ let test_reduction_preserves_outcomes () =
         Explore.default_config with
         max_steps = 40;
         max_crashes = 0;
-        crash_procs = [];
         reduce_local = false;
       }
   in

@@ -134,11 +134,16 @@ let explore_registry ~jobs ~incremental () =
   Alcotest.(check bool) "no violation" true (viol = None);
   reg
 
+(* the engine-invariant counters, plus the incremental checker's memo
+   counters: those vary across engines only under dedup, and these
+   searches run without it *)
 let invariant_counters reg =
+  let memo = [ Obs.Names.nrl_inc_memo_hits; Obs.Names.nrl_inc_memo_misses ] in
   List.filter_map
     (fun (name, v) ->
       match v with
-      | Obs.Metrics.Counter n when Obs.Names.engine_invariant name -> Some (name, n)
+      | Obs.Metrics.Counter n when Obs.Names.engine_invariant name || List.mem name memo ->
+        Some (name, n)
       | _ -> None)
     (Obs.Metrics.to_list reg)
 

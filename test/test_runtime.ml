@@ -6,50 +6,55 @@ open Runtime
 
 (* {2 Recoverable register drills} *)
 
+(* register values are distinct ints: writer [p]'s [i]-th value is the
+   pair (p, i) packed into one int *)
+let tag p i = Enc.pack ~id:p i
+let untag v = (Enc.id v, Enc.value v)
+
 (* run WRITE with a crash at position k, recover, and check the final value
    and that recovery is idempotent under a second crash *)
 let test_rrw_recovery_all_positions () =
   (* WRITE traverses 4 crash points (before each of lines 2-5) *)
   for k = 0 to 3 do
-    let r = Rrw.create ~nprocs:2 (0, 0) in
+    let r = Rrw.create ~nprocs:2 (tag 0 0) in
     let cp = Crash.create () in
     Crash.arm cp k;
     (try
-       Rrw.write ~cp r ~pid:0 (0, 1);
+       Rrw.write ~cp r ~pid:0 (tag 0 1);
        Alcotest.failf "crash point %d did not fire" k
      with Crash.Crashed -> ());
     Crash.disarm cp;
-    Rrw.write_recover r ~pid:0 (0, 1);
+    Rrw.write_recover r ~pid:0 (tag 0 1);
     Alcotest.(check (pair int int))
       (Printf.sprintf "value after crash at %d" k)
-      (0, 1) (Rrw.read r)
+      (0, 1) (untag (Rrw.read r))
   done
 
 let test_rrw_recovery_crash_inside_recovery () =
-  let r = Rrw.create ~nprocs:2 (0, 0) in
+  let r = Rrw.create ~nprocs:2 (tag 0 0) in
   let cp = Crash.create () in
   Crash.arm cp 2;
-  (try Rrw.write ~cp r ~pid:0 (0, 5) with Crash.Crashed -> ());
+  (try Rrw.write ~cp r ~pid:0 (tag 0 5) with Crash.Crashed -> ());
   (* crash again inside the recovery function *)
   Crash.arm cp 1;
-  (try Rrw.write_recover ~cp r ~pid:0 (0, 5) with Crash.Crashed -> ());
+  (try Rrw.write_recover ~cp r ~pid:0 (tag 0 5) with Crash.Crashed -> ());
   Crash.disarm cp;
-  Rrw.write_recover r ~pid:0 (0, 5);
-  Alcotest.(check (pair int int)) "value after nested crash" (0, 5) (Rrw.read r)
+  Rrw.write_recover r ~pid:0 (tag 0 5);
+  Alcotest.(check (pair int int)) "value after nested crash" (0, 5) (untag (Rrw.read r))
 
 (* recovery must not clobber a later write by another process *)
 let test_rrw_no_reexecution_after_overwrite () =
-  let r = Rrw.create ~nprocs:2 (0, 0) in
+  let r = Rrw.create ~nprocs:2 (tag 0 0) in
   let cp = Crash.create () in
   (* crash right after the write of line 4 (crash point 3 = before S_p
      update of line 5) *)
   Crash.arm cp 3;
-  (try Rrw.write ~cp r ~pid:0 (0, 1) with Crash.Crashed -> ());
+  (try Rrw.write ~cp r ~pid:0 (tag 0 1) with Crash.Crashed -> ());
   Crash.disarm cp;
   (* another process overwrites *)
-  Rrw.write r ~pid:1 (1, 9);
-  Rrw.write_recover r ~pid:0 (0, 1);
-  Alcotest.(check (pair int int)) "later write preserved" (1, 9) (Rrw.read r)
+  Rrw.write r ~pid:1 (tag 1 9);
+  Rrw.write_recover r ~pid:0 (tag 0 1);
+  Alcotest.(check (pair int int)) "later write preserved" (1, 9) (untag (Rrw.read r))
 
 (* {2 Recoverable CAS drills} *)
 
@@ -136,11 +141,11 @@ let test_parallel_tas_unique_winner () =
 let test_parallel_recoverable_register_last_write_wins () =
   let domains = min 4 (Par.max_domains ()) in
   let iters = 1_000 in
-  let r = Rrw.create ~nprocs:domains (-1, -1) in
+  let r = Rrw.create ~nprocs:domains (tag (-1) (-1)) in
   let _ =
-    Par.run ~domains ~iters (fun ~pid ~i -> Rrw.write r ~pid (pid, i))
+    Par.run ~domains ~iters (fun ~pid ~i -> Rrw.write r ~pid (tag pid i))
   in
-  let p, i = Rrw.read r in
+  let p, i = untag (Rrw.read r) in
   Alcotest.(check bool) "final value is some process's last write" true
     (p >= 0 && p < domains && i = iters - 1)
 
@@ -204,14 +209,14 @@ let test_parallel_tas_crash_torture () =
 let test_parallel_rrw_crash_torture () =
   let domains = min 4 (Par.max_domains ()) in
   let iters = 2_000 in
-  let r = Rrw.create ~nprocs:domains (-1, -1) in
+  let r = Rrw.create ~nprocs:domains (tag (-1) (-1)) in
   let stats = Array.init domains (fun _ -> Torture.stats_zero ()) in
   let _ =
     Par.run ~domains ~iters (fun ~pid ~i ->
         let rng = Torture.rng_create ((pid * 31) + i + 1) in
-        Torture.rrw_write ~rng ~crash_prob:0.2 ~stats:stats.(pid) r ~pid (pid, i))
+        Torture.rrw_write ~rng ~crash_prob:0.2 ~stats:stats.(pid) r ~pid (tag pid i))
   in
-  let p, i = Rrw.read r in
+  let p, i = untag (Rrw.read r) in
   Alcotest.(check bool) "final value is a real write" true
     (p >= 0 && p < domains && i >= 0 && i < iters)
 
