@@ -91,11 +91,14 @@ let scramble t junk =
     answers unbound lookups from this stream. *)
 let junk_state t = Option.map Junk.state t.junk
 
-(* keys are unique, so ordering by key alone is a total order *)
+(* keys are unique, so ordering by key alone is a total order; an empty
+   table (a frame that has bound nothing yet) skips the fold *)
 let bindings t =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
+  if Hashtbl.length t.tbl = 0 then []
+  else
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
 
 let pp ppf t =
   Fmt.pf ppf "{%a}"

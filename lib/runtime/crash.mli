@@ -47,9 +47,6 @@ val set_fuse : t -> int -> unit
     ([n <= 0] disables the fuse, the default).  The bound applies whether
     or not the instance is armed, and resets at each {!arm}/{!disarm}. *)
 
-val fuse : t -> int
-(** The current fuse bound (0 when disabled). *)
-
 val point : t -> unit
 (** Mark a crash point.
     @raise Crashed if armed for this index.

@@ -11,11 +11,6 @@ let max_procs = 8191
 (* ids must fit 13 bits so a stack stamp (seq lsl 13 | pid) stays
    writer-unique; the <id, value> packing itself allows 15. *)
 
-let value_min = -(1 lsl (value_bits - 1))
-let value_max = (1 lsl (value_bits - 1)) - 1
-
-let[@inline] fits v = v >= value_min && v <= value_max
-
 let[@inline] pack ~id v = ((id + 1) lsl 48) lor (v land ((1 lsl value_bits) - 1))
 
 (* bits 48..62 are the id field: shift it out, then sign-extend the

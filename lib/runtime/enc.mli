@@ -13,10 +13,6 @@ val max_procs : int
 (** Process ids must fit 13 bits (stack stamps append them to a
     sequence number). *)
 
-val fits : int -> bool
-(** Whether a value fits the 48-bit signed range; {!pack} truncates
-    silently, so callers of the packed objects must stay in range. *)
-
 val pack : id:int -> int -> int
 val value : int -> int
 val id : int -> int

@@ -21,10 +21,6 @@ val make_int : int -> int Atomic.t
 val make_any : 'a -> 'a Atomic.t
 (** A cache-line-padded atomic of any type. *)
 
-val stride : int
-(** Element stride (in array slots) of flat padded arrays: the words of
-    one x86-64 cache line (8 × 8 bytes = 64 B). *)
-
 val slot : int -> int
 (** Backing index of logical slot [i] in a {!flat_make} array. *)
 

@@ -16,9 +16,6 @@ type t = {
 
 val create : nprocs:int -> t
 
-val decision : t -> int
-(** The decision cell's current content ({!Enc.none} if undecided). *)
-
 val decide : ?cp:Crash.t -> t -> pid:int -> seq:int -> int -> int
 (** [decide t ~pid ~seq v] proposes [v] and returns the decision. *)
 

@@ -72,7 +72,6 @@ let read_cp cp t ~pid =
 
 let read ?(cp = Crash.none) t ~pid = read_cp cp t ~pid
 let read_recover ?(cp = Crash.none) t ~pid = read_cp cp t ~pid  (* line 18: from line 12 *)
-let response t ~pid = t.res.(slot pid)
 
 (** Baseline: plain array counter with the same structure (per-process
     slot, sum on read) but no recovery machinery — isolates the cost of

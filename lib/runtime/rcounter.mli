@@ -19,9 +19,6 @@ val inc_recover : ?cp:Crash.t -> t -> pid:int -> unit
 val read : ?cp:Crash.t -> t -> pid:int -> int
 val read_recover : ?cp:Crash.t -> t -> pid:int -> int
 
-val response : t -> pid:int -> int
-(** The strict READ's persisted [Res_p] (-1 before any READ). *)
-
 (** Plain array counter with the same layout but no recovery machinery. *)
 module Plain : sig
   type t

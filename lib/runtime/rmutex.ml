@@ -41,10 +41,6 @@ let create ~nprocs =
     rres = Pad.flat_make nprocs Enc.res_none;
   }
 
-let holder t =
-  let l = Atomic.get t.lock in
-  if l = 0 then -1 else Enc.id l
-
 let acquire_cp cp t ~pid ~seq =
   point cp;
   let l = Atomic.get t.lock in  (* line 2 *)

@@ -18,9 +18,6 @@ type t = {
 
 val create : nprocs:int -> t
 
-val holder : t -> int
-(** The pid currently packed into the lock word, or -1 when free. *)
-
 val acquire : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
 val acquire_recover : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool
 val release : ?cp:Crash.t -> t -> pid:int -> seq:int -> bool

@@ -315,7 +315,10 @@ let walk ~crashes sim choices =
         (match d with
         | Schedule.Dcrash _ | Schedule.Dcrash_sys _ -> incr crashes
         | _ -> ());
-        Schedule.apply sim d)
+        Schedule.apply sim d;
+        (* fingerprint every state, as a dedup search does, so the
+           machine's cached key parts are live across the walk *)
+        ignore (Fingerprint.of_sim sim))
     choices
 
 let prop_mark_undo_matches_clone =
@@ -338,8 +341,12 @@ let prop_mark_undo_matches_clone =
         scenarios.(k).Workload.Trial.build sim;
         sim
       in
+      (* the cached key equals the one built from scratch: after the
+         undo, on the clone, and on the fresh replay *)
       let same a b =
         Fingerprint.equal (Fingerprint.of_sim a) (Fingerprint.of_sim b)
+        && Fingerprint.equal (Fingerprint.of_sim a) (Fingerprint.of_sim_uncached a)
+        && Fingerprint.equal (Fingerprint.of_sim b) (Fingerprint.of_sim_uncached b)
         && History.to_list (Sim.history a) = History.to_list (Sim.history b)
       in
       let sim = build () in
@@ -350,10 +357,14 @@ let prop_mark_undo_matches_clone =
       let oracle = Sim.clone sim in
       let m = Sim.mark sim in
       walk ~crashes sim excursion;
+      (* the clone keeps its own key parts while the original moves on *)
+      let clone_key_ok =
+        Fingerprint.equal (Fingerprint.of_sim oracle) (Fingerprint.of_sim_uncached oracle)
+      in
       Sim.undo_to sim m;
       let replayed = build () in
       walk ~crashes:(ref 0) replayed prefix;
-      same sim oracle && same sim replayed
+      clone_key_ok && same sim oracle && same sim replayed
       &&
       (walk ~crashes:(ref at_mark) sim continuation;
        walk ~crashes:(ref at_mark) oracle continuation;
